@@ -4,8 +4,18 @@ Everything downstream (bases of graded pieces, differentials, induced maps
 on cohomology) reduces to row reduction of matrices with Fraction entries,
 so determinism here makes the whole package reproducible: pivots are always
 the leftmost nonzero columns, kernel vectors are listed by ascending free
-column, and quotient sections pick standard basis vectors at the non-pivot
-coordinates of the echelonized subspace.
+column, particular solutions set every free variable to 0, and quotient
+sections pick standard basis vectors at the non-pivot coordinates of the
+echelonized subspace.
+
+All of it runs through one sparse elimination, `_eliminate`: rows are dicts
+from column to Fraction holding only nonzero entries, columns are taken
+left to right, and the sparsest row reaching a column becomes its pivot
+row.  The reduced echelon form is unique, so that choice changes no
+result.  `rank`, `kernel_basis` and `independent_subset` read the pivots
+and the reduced rows (cached per matrix); `solve` eliminates the augmented
+matrix [A | b] and back-substitutes.  Only `rref()` builds the transform
+T, by eliminating [A | I].
 """
 
 from __future__ import annotations
@@ -233,54 +243,46 @@ class RatMatrix:
 
     # --- echelon machinery ---
 
+    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
+
+    def _echelon(self) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+        """Reduced echelon rows (pivot rows only) and pivot columns, cached."""
+        if self._rref is None:
+            rows, pivots = _eliminate(self._sparse_rows(), self.cols)
+            self._rref = (_back_reduce(rows, pivots), pivots)
+        return self._rref
+
     def rref(self) -> tuple["RatMatrix", tuple[int, ...], "RatMatrix"]:
         """Reduced row echelon form.
 
         Returns (R, pivots, T) with T * self == R, T invertible, pivot columns
-        strictly increasing and chosen leftmost-first.
+        strictly increasing and chosen leftmost-first.  R and T are read off
+        the reduced echelon form of [self | I].
         """
-        if self._rref is not None:
-            return self._rref
-        work = [list(row) for row in self.data]
-        trans = [[Q(1) if i == j else Q(0) for j in range(self.rows)] for i in range(self.rows)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if work[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            trans[r], trans[pivot_row] = trans[pivot_row], trans[r]
-            inv = Q(1) / work[r][c]
-            work[r] = [inv * x for x in work[r]]
-            trans[r] = [inv * x for x in trans[r]]
-            for i in range(self.rows):
-                if i != r and work[i][c] != 0:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-                    trans[i] = [a - f * b for a, b in zip(trans[i], trans[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        result = (
-            RatMatrix(self.rows, self.cols, work),
-            tuple(pivots),
-            RatMatrix(self.rows, self.rows, trans),
-        )
-        self._rref = result
-        return result
+        n, m = self.rows, self.cols
+        aug = self._sparse_rows()
+        for i, row in enumerate(aug):
+            row[m + i] = Q(1)
+        rows, aug_pivots = _eliminate(aug, m + n)
+        rows = _back_reduce(rows, aug_pivots)
+        pivots = tuple(p for p in aug_pivots if p < m)
+        reduced = [[Q(0)] * m for _ in range(n)]
+        trans = [[Q(0)] * n for _ in range(n)]
+        for r, row in enumerate(rows):
+            for j, x in row.items():
+                if j < m:
+                    reduced[r][j] = x
+                else:
+                    trans[r][j - m] = x
+        return RatMatrix(n, m, reduced), pivots, RatMatrix(n, n, trans)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._echelon()[1])
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, one vector per free column, ascending."""
-        reduced, pivots, _ = self.rref()
+        rows, pivots = self._echelon()
         pivot_set = set(pivots)
         basis = []
         for free in range(self.cols):
@@ -288,8 +290,10 @@ class RatMatrix:
                 continue
             v = [Q(0)] * self.cols
             v[free] = Q(1)
-            for r, p in enumerate(pivots):
-                v[p] = -reduced.data[r][free]
+            for row, p in zip(rows, pivots):
+                x = row.get(free)
+                if x:
+                    v[p] = -x
             basis.append(tuple(v))
         return basis
 
@@ -297,21 +301,90 @@ class RatMatrix:
         """A particular solution of self * x = b (free variables 0), or None."""
         if len(b) != self.rows:
             raise ValidationError("rhs length does not match row count")
-        reduced, pivots, trans = self.rref()
-        tb = trans.apply(vec(b))
-        x = [Q(0)] * self.cols
-        for r, p in enumerate(pivots):
-            x[p] = tb[r]
-        for r in range(len(pivots), self.rows):
-            if tb[r] != 0:
-                return None
-        # rows within rank satisfy the system by construction of rref
+        m = self.cols
+        aug = self._sparse_rows()
+        for row, x in zip(aug, vec(b)):
+            if x:
+                row[m] = x
+        rows, pivots = _eliminate(aug, m + 1)
+        if pivots and pivots[-1] == m:
+            return None
+        # back substitution over the pivot columns; free variables stay 0
+        x = [Q(0)] * m
+        for row, p in zip(reversed(rows), reversed(pivots)):
+            val = row.get(m, Q(0))
+            for j, a in row.items():
+                if j != p and j != m:
+                    val -= a * x[j]
+            x[p] = val
         return tuple(x)
 
-    def column_span_matrix(self) -> "RatMatrix":
-        """Matrix whose columns are a deterministic basis of the column space."""
-        cols = independent_subset(self.columns())
-        return RatMatrix.from_cols(cols, nrows=self.rows)
+
+def _eliminate(
+    rows: list[dict[int, Fraction]], ncols: int
+) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+    """Sparse forward elimination; consumes rows.
+
+    Columns are taken left to right, so the pivot columns are the leftmost
+    ones (those where the column rank grows).  Among the rows that reach a
+    pivot column the sparsest becomes the pivot row, which only limits
+    fill-in: the pivot columns, and everything read off the reduced form,
+    do not depend on that choice.  Returns the pivot rows, each scaled to
+    a leading 1 in its pivot column, in pivot order.
+    """
+    active = [row for row in rows if row]
+    pivot_rows: list[dict[int, Fraction]] = []
+    pivots: list[int] = []
+    for c in range(ncols):
+        if not active:
+            break
+        hits = [row for row in active if c in row]
+        if not hits:
+            continue
+        chosen = min(hits, key=len)
+        lead = chosen[c]
+        pivot = chosen if lead == 1 else {j: x / lead for j, x in chosen.items()}
+        remaining = []
+        for row in active:
+            if row is chosen:
+                continue
+            f = row.get(c)
+            if f is not None:
+                _subtract(row, f, pivot)
+                if not row:
+                    continue
+            remaining.append(row)
+        pivot_rows.append(pivot)
+        pivots.append(c)
+        active = remaining
+    return pivot_rows, tuple(pivots)
+
+
+def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= f * other, in place, dropping entries that cancel."""
+    for j, x in other.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = -f * x
+        else:
+            y -= f * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
+def _back_reduce(
+    rows: list[dict[int, Fraction]], pivots: tuple[int, ...]
+) -> list[dict[int, Fraction]]:
+    """Clear every pivot column above its pivot, turning echelon rows reduced."""
+    for k in range(len(rows) - 1, 0, -1):
+        p, prow = pivots[k], rows[k]
+        for row in rows[:k]:
+            f = row.get(p)
+            if f is not None:
+                _subtract(row, f, prow)
+    return rows
 
 
 def kron(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
@@ -332,22 +405,18 @@ def kron(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
 
 
 def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Greedy maximal independent subset, keeping first occurrences."""
-    chosen: list[tuple[Fraction, ...]] = []
-    pivot_rows: dict[int, list[Fraction]] = {}
-    for v in vectors:
-        w = list(v)
-        while True:
-            lead = next((j for j, x in enumerate(w) if x != 0), None)
-            if lead is None or lead not in pivot_rows:
-                break
-            row = pivot_rows[lead]
-            f = w[lead] / row[lead]
-            w = [a - f * b for a, b in zip(w, row)]
-        if lead is not None:
-            pivot_rows[lead] = w
-            chosen.append(vec(v))
-    return chosen
+    """Greedy maximal independent subset, keeping first occurrences.
+
+    These are the pivot columns of the matrix with the vectors as columns.
+    """
+    vectors = [vec(v) for v in vectors]
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j, v in enumerate(vectors):
+        for i, x in enumerate(v):
+            if x:
+                rows.setdefault(i, {})[j] = x
+    _, pivots = _eliminate(list(rows.values()), len(vectors))
+    return [vectors[j] for j in pivots]
 
 
 def span_dim(vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -511,14 +580,9 @@ def cohomology_at(
     if d_prev.cols and d_n.cols and not (d_n * d_prev).is_zero():
         raise ValidationError(f"d o d != 0 between degrees {n - 1} and {n + 1}")
     kernel = d_n.kernel_basis()
-    image = independent_subset([d_prev.col(j) for j in range(d_prev.cols)])
+    image = independent_subset(d_prev.columns())
     # complete the boundary basis to the kernel, deterministically
-    reps = []
-    echelon = list(image)
-    for v in kernel:
-        if not in_span(echelon, v):
-            reps.append(v)
-            echelon.append(v)
+    reps = independent_subset(image + kernel)[len(image):]
     betti = len(kernel) - len(image)
     if betti != len(reps):
         raise ValidationError("boundary space is not contained in the cocycle space")

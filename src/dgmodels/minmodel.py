@@ -17,7 +17,7 @@ quasi-isomorphism between graded cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -117,14 +117,18 @@ class KSState:
     q: int
     batches: tuple[tuple[int, int, tuple[str, ...]], ...] = ()
     max_batches: int = 64
+    rho_map: DgModuleMap | None = field(default=None, repr=False, compare=False)
 
     def rho(self) -> DgModuleMap:
-        images = {
-            name: v for name, v in zip(self.module.gen_names, self.images)
-        }
-        return map_from_generator_images(
-            self.module, self.phi.target, 0, images, name="rho"
-        )
+        """The quotient map of the current module, built once per module."""
+        if self.rho_map is None:
+            images = {
+                name: v for name, v in zip(self.module.gen_names, self.images)
+            }
+            self.rho_map = map_from_generator_images(
+                self.module, self.phi.target, 0, images, name="rho"
+            )
+        return self.rho_map
 
     @property
     def done(self) -> bool:
@@ -145,7 +149,7 @@ def ks_step(state: KSState) -> KSState:
     rho = state.rho()
     data, reps = relative_cohomology(rho, state.n)
     if data.betti == 0:
-        return replace(state, n=state.n + 1, q=0)
+        return replace(state, n=state.n + 1, q=0, rho_map=rho)
     if state.q >= state.max_batches:
         raise InconclusiveWindowError(
             f"stage {state.n} still has {data.betti} obstruction classes "
@@ -183,6 +187,7 @@ def ks_step(state: KSState) -> KSState:
         images=state.images + tuple(new_images),
         q=q,
         batches=state.batches + ((state.n, q, tuple(names)),),
+        rho_map=None,
     )
 
 

@@ -1,5 +1,7 @@
 """Circle-action analyses on the shipped fixtures, against hand-computed values."""
 
+import dataclasses
+
 import pytest
 
 from dgmodels.circle import (
@@ -19,6 +21,7 @@ from dgmodels.circle import (
     shared_basis_check,
     smith_gysin_inequality,
 )
+from dgmodels.dgmodule import map_from_generator_images
 from dgmodels.fixtures import fixture
 from dgmodels.linalg import Q
 
@@ -157,6 +160,20 @@ def test_s4_localization_bijective(s4):
     assert loc.verdict == "bijective"
     assert loc.exponent == 1
     assert [loc.h_dims.get(n) for n in range(5)] == [0, 1, 0, 1, 0]
+    assert loc.basis_checked == 2
+
+
+def test_cp2_localization_bijective_with_nilpotent_w(cp2):
+    # W: m1 -> m3 is nonzero on cohomology and squares to zero
+    m = cp2.relative_model
+    m3 = [Q(0)] * m.dim(3)
+    m3[m.basis_index(3)[(m.gen_index("m3"), m.algebra.unit_mono())]] = Q(1)
+    w = map_from_generator_images(m, m, 2, {"m1": m3}, name="W")
+    data = dataclasses.replace(cp2, euler_self_map=w)
+    assert data.validate().ok
+    loc = localization_check(data, 12)
+    assert loc.verdict == "bijective"
+    assert loc.exponent == 2
     assert loc.basis_checked == 2
 
 

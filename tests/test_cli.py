@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from dgmodels.errors import ValidationError
+
 CLI = [sys.executable, "-m", "dgmodels.cli"]
 
 INCONCLUSIVE_DOC = """
@@ -30,6 +32,17 @@ INCONCLUSIVE_DOC = """
   "options": {"max_degree": 2}
 }
 """
+
+ALMOST_FREE_VARIANT_DOC = {
+    "algebra": {"generators": [["a", 3]]},
+    "modules": {"M": {"generators": [["b0", 1], ["b1", 3], ["b2", 3]],
+                      "differentials": {"b2": {"b0": "a"}}}},
+    "maps": {"i": {"source": "M", "target": "A", "degree": 0, "images": {"b1": "a"}},
+             "e": {"source": "M", "target": "A", "degree": 2, "images": {"b0": "a"}}},
+    "action": {"variant": "almost_free", "relative_model": "M",
+               "i_prime": "i", "e_prime": "e", "fixed_components": 2},
+    "options": {"max_degree": 4},
+}
 
 
 def run(*args, **kwargs):
@@ -232,3 +245,16 @@ def test_missing_file_exits_one():
     res = run("verify", "--input", "/nonexistent/never.json")
     assert res.returncode == 1
     assert "cannot read" in res.stderr
+
+
+def test_almost_free_is_not_a_variant(tmp_path):
+    # almost free actions are circle actions with fixed_set_empty
+    doc = tmp_path / "almost_free.json"
+    doc.write_text(json.dumps(ALMOST_FREE_VARIANT_DOC))
+    res = run("circle", "--input", str(doc))
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "unknown variant 'almost_free'" in lines[0]
+    assert "Traceback" not in res.stderr

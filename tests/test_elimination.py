@@ -1,0 +1,171 @@
+"""The sparse eliminator against the dense Gauss-Jordan it replaced.
+
+The reference below is the dense elimination linalg.py used before: it
+scans each column for the first nonzero row, swaps it up, and clears the
+column in every other row while carrying the transform T along.  Reduced
+row echelon form is unique, so pivots, R, kernel vectors, particular
+solutions and greedy independent subsets must agree exactly.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dgmodels.linalg import Q, RatMatrix, independent_subset
+
+
+def dense_rref(m: RatMatrix):
+    work = [list(row) for row in m.data]
+    trans = [[Q(1) if i == j else Q(0) for j in range(m.rows)] for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = None
+        for i in range(r, m.rows):
+            if work[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        trans[r], trans[pivot_row] = trans[pivot_row], trans[r]
+        inv = Q(1) / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        trans[r] = [inv * x for x in trans[r]]
+        for i in range(m.rows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                trans[i] = [a - f * b for a, b in zip(trans[i], trans[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return (
+        RatMatrix(m.rows, m.cols, work),
+        tuple(pivots),
+        RatMatrix(m.rows, m.rows, trans),
+    )
+
+
+def dense_kernel_basis(m: RatMatrix):
+    reduced, pivots, _ = dense_rref(m)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [Q(0)] * m.cols
+        v[free] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced.data[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(m: RatMatrix, b):
+    _, pivots, trans = dense_rref(m)
+    tb = trans.apply(b)
+    if any(tb[r] != 0 for r in range(len(pivots), m.rows)):
+        return None
+    x = [Q(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = tb[r]
+    return tuple(x)
+
+
+def dense_independent_subset(vectors):
+    chosen = []
+    pivot_rows = {}
+    for v in vectors:
+        w = list(v)
+        while True:
+            lead = next((j for j, x in enumerate(w) if x != 0), None)
+            if lead is None or lead not in pivot_rows:
+                break
+            row = pivot_rows[lead]
+            f = w[lead] / row[lead]
+            w = [a - f * b for a, b in zip(w, row)]
+        if lead is not None:
+            pivot_rows[lead] = w
+            chosen.append(tuple(v))
+    return chosen
+
+
+nonzero = st.builds(
+    Fraction,
+    st.integers(-9, 9).filter(bool),
+    st.sampled_from((1, 1, 1, 2, 3, 7)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Small dense, tall sparse (under 10 % nonzero) and low-rank products."""
+    kind = draw(st.sampled_from(("dense", "tall_sparse", "low_rank")))
+    if kind == "low_rank":
+        rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        left = [[draw(st.integers(-3, 3)) for _ in range(inner)] for _ in range(rows)]
+        right = [[draw(nonzero) for _ in range(cols)] for _ in range(inner)]
+        return RatMatrix(
+            rows,
+            cols,
+            [[sum((left[i][k] * right[k][j] for k in range(inner)), Q(0))
+              for j in range(cols)] for i in range(rows)],
+        )
+    if kind == "tall_sparse":
+        rows, cols = draw(st.integers(12, 40)), draw(st.integers(1, 10))
+        data = [[Q(0)] * cols for _ in range(rows)]
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        for i, j in draw(st.sets(cells, max_size=(rows * cols - 1) // 10)):
+            data[i][j] = draw(nonzero)
+    else:
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        density = draw(st.floats(0.0, 1.0))
+        data = [
+            [draw(nonzero) if draw(st.floats(0.0, 1.0)) < density else Q(0)
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows and draw(st.booleans()):
+            # repeat a row so the matrix has a dependency among its rows
+            data[draw(st.integers(0, rows - 1))] = list(data[0])
+    return RatMatrix(rows, cols, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_echelon_form_matches_dense_reference(m):
+    ref_r, ref_pivots, _ = dense_rref(m)
+    reduced, pivots, trans = m.rref()
+    assert pivots == ref_pivots
+    assert reduced == ref_r
+    assert trans * m == reduced
+    assert len(dense_rref(trans)[1]) == m.rows
+    assert m.rank() == len(ref_pivots)
+    assert m.kernel_basis() == dense_kernel_basis(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_dense_reference(m, data):
+    x = [data.draw(st.sampled_from((Q(0), Q(1), Q(-2), Q(1, 3)))) for _ in range(m.cols)]
+    b = m.apply(x)
+    sol = m.solve(b)
+    assert sol == dense_solve(m, b)
+    assert sol is not None and m.apply(sol) == b
+    _, pivots, ref_trans = dense_rref(m)
+    if len(pivots) < m.rows:
+        # y = a row of T beyond the rank has y.A = 0, so y.(b + y) = |y|^2 != 0
+        y = ref_trans.row(len(pivots))
+        off = tuple(a + c for a, c in zip(b, y))
+        assert dense_solve(m, off) is None
+        assert m.solve(off) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_independent_subset_matches_dense_reference(m):
+    for vectors in (m.columns(), list(m.data)):
+        assert independent_subset(vectors) == dense_independent_subset(vectors)
