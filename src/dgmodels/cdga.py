@@ -25,9 +25,9 @@ from .linalg import Q, RatMatrix, as_q
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
 
-
-def poly_zero() -> Poly:
-    return {}
+# Longest numerator or denominator, in bits, that a power in a parsed
+# expression may produce; a power of a degree-0 base never meets the cap.
+_MAX_POWER_BITS = 4096
 
 
 def poly_is_zero(p: Mapping[Mono, Fraction]) -> bool:
@@ -392,33 +392,6 @@ def trivial_algebra(cap: int = 12) -> SullivanPresentation:
     return SullivanPresentation([], {}, cap=cap)
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Per-degree monomial bases of a presentation, degrees 0..top."""
-
-    top: int
-    monomials: tuple[tuple[Mono, ...], ...]
-
-    def at(self, n: int) -> tuple[Mono, ...]:
-        if 0 <= n <= self.top:
-            return self.monomials[n]
-        return ()
-
-    def dims(self) -> list[int]:
-        return [len(ms) for ms in self.monomials]
-
-
-def enumerate_basis(algebra: SullivanPresentation, top: int) -> MonomialBasis:
-    """Complete monomial bases in degrees 0..top (top must be <= cap)."""
-    if top < 0:
-        raise DegreeWindowError(f"negative top degree {top}")
-    return MonomialBasis(top, tuple(algebra.basis(n) for n in range(top + 1)))
-
-
-def product_matrix(algebra: SullivanPresentation, i: int, j: int) -> RatMatrix:
-    return algebra.product_matrix(i, j)
-
-
 def verify_cdga(algebra: SullivanPresentation, top: int | None = None) -> CheckReport:
     """Check d(d(x)) = 0, Leibniz, unit, and graded commutativity on bases <= top."""
     top = algebra.cap if top is None else min(top, algebra.cap)
@@ -505,16 +478,22 @@ def parse_polynomial(algebra: SullivanPresentation, text: str) -> Poly:
     """Parse an expression over generator names into a polynomial.
 
     Grammar: rational literals (2, -1, 3/4), generator names, +, -, *,
-    and nonnegative integer powers written u^2 or u**2.
+    and nonnegative integer powers written u^2 or u**2.  A power with a
+    term above the algebra's cap raises DegreeWindowError, and one with a
+    coefficient longer than _MAX_POWER_BITS bits raises ValidationError.
     """
     source = text.strip()
     if not source:
         return {}
     try:
         tree = ast.parse(source.replace("^", "**"), mode="eval")
+        return _eval_node(algebra, tree.body, text)
     except SyntaxError as exc:
         raise ValidationError(f"cannot parse expression {text!r}: {exc.msg}") from None
-    return _eval_node(algebra, tree.body, text)
+    except (MemoryError, RecursionError):
+        # ast.parse reports nesting too deep for its stack with either; so
+        # does the recursive evaluator, with RecursionError
+        raise ValidationError(f"expression nested too deeply: {text[:40]!r}...") from None
 
 
 def _poly_as_rational(p: Poly) -> Fraction | None:
@@ -543,10 +522,16 @@ def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
             exp = _poly_as_rational(_eval_node(algebra, node.right, text))
             if exp is None or exp.denominator != 1 or exp < 0:
                 raise ValidationError(f"exponent must be a nonnegative integer in {text!r}")
+            # square and multiply: every power computed is base^k with k <= exp
+            n = int(exp)
             out = algebra.unit_poly()
-            for _ in range(int(exp)):
-                out = algebra.poly_mul(out, base)
-            return out
+            while True:
+                if n & 1:
+                    out = _bounded_power(algebra, algebra.poly_mul(out, base), text)
+                n >>= 1
+                if not n:
+                    return out
+                base = _bounded_power(algebra, algebra.poly_mul(base, base), text)
         left = _eval_node(algebra, node.left, text)
         right = _eval_node(algebra, node.right, text)
         if isinstance(node.op, ast.Add):
@@ -561,3 +546,18 @@ def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
                 raise ValidationError(f"division only by nonzero rationals in {text!r}")
             return poly_scale(1 / c, left)
     raise ValidationError(f"unsupported syntax in expression {text!r}")
+
+
+def _bounded_power(algebra: SullivanPresentation, p: Poly, text: str) -> Poly:
+    for m, c in p.items():
+        deg = algebra.mono_degree(m)
+        if deg > algebra.cap:
+            raise DegreeWindowError(
+                f"power in {text!r} reaches degree {deg} above cap {algebra.cap}; "
+                "rejected, not truncated"
+            )
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_POWER_BITS:
+            raise ValidationError(
+                f"power in {text!r} has a coefficient longer than {_MAX_POWER_BITS} bits"
+            )
+    return p

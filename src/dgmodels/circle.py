@@ -796,7 +796,7 @@ def localization_check(
             block = induced_map(data.euler_self_map, h[s], h[t])
             for r in range(block.rows):
                 for c in range(block.cols):
-                    x = block.data[r][c]
+                    x = block[r, c]
                     if x:
                         entries[offsets[t] + r][offsets[s] + c] = x
     w_mat = RatMatrix(total, total, entries)

@@ -505,7 +505,7 @@ def module_json(module: DgModule) -> dict[str, Any]:
 
 
 def matrix_json(m: RatMatrix) -> list[list[str]]:
-    return [[rational_str(x) for x in row] for row in m.data]
+    return [[rational_str(x) for x in row] for row in m.to_lists()]
 
 
 def map_json(f: DgModuleMap, source_name: str, target_name: str) -> dict[str, Any]:

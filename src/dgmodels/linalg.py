@@ -1,21 +1,26 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (bases of graded pieces, differentials, induced maps
-on cohomology) reduces to row reduction of matrices with Fraction entries,
-so determinism here makes the whole package reproducible: pivots are always
-the leftmost nonzero columns, kernel vectors are listed by ascending free
-column, particular solutions set every free variable to 0, and quotient
-sections pick standard basis vectors at the non-pivot coordinates of the
-echelonized subspace.
+on cohomology) reduces to products and row reduction of matrices with
+Fraction entries, so determinism here makes the whole package
+reproducible: pivots are always the leftmost nonzero columns, kernel
+vectors are listed by ascending free column, and particular solutions set
+every free variable to 0.
 
-All of it runs through one sparse elimination, `_eliminate`: rows are dicts
-from column to Fraction holding only nonzero entries, columns are taken
-left to right, and the sparsest row reaching a column becomes its pivot
-row.  The reduced echelon form is unique, so that choice changes no
-result.  `rank`, `kernel_basis` and `independent_subset` read the pivots
-and the reduced rows (cached per matrix); `solve` eliminates the augmented
-matrix [A | b] and back-substitutes.  Only `rref()` builds the transform
-T, by eliminating [A | I].
+`RatMatrix` has one storage: each row is a dict from column to a nonzero
+Fraction, and a zero is never stored.  Every operation (products, sums,
+scaling, `kron`, stacking, transposition, equality and hashing) reads and
+writes only the nonzeros; a product accumulates row i of A times the rows
+of B that A's row i reaches.  `data`, `row`, `col`, `columns` and
+`to_lists` build dense views on request.
+
+Elimination is one sparse routine, `_eliminate`, over copies of the stored
+rows: columns are taken left to right, and the sparsest row reaching a
+column becomes its pivot row.  The reduced echelon form is unique, so that
+choice changes no result.  `rank`, `kernel_basis` and `independent_subset`
+read the pivots and the reduced rows (cached per matrix); `solve`
+eliminates the augmented matrix [A | b] and back-substitutes.  Only
+`rref()` builds the transform T, by eliminating [A | I].
 """
 
 from __future__ import annotations
@@ -27,11 +32,8 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 
 Q = Fraction
-
-# Dense storage is the default; matrix products fall back to a dict-based
-# kernel once operands are large and mostly zero.
-SPARSE_SIZE = 64
-SPARSE_DENSITY = Fraction(1, 8)
+_ZERO = Q(0)
+_ONE = Q(1)
 
 
 def as_q(x) -> Fraction:
@@ -66,22 +68,41 @@ def scale_vec(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, rows x cols, supporting 0-sized shapes."""
+    """Immutable row-sparse matrix of Fractions, rows x cols, 0-sized shapes allowed.
 
-    __slots__ = ("rows", "cols", "data", "_rref")
+    Row i is stored as a dict from column index to a nonzero Fraction; zeros
+    are never stored, and a stored row dict is never mutated once the matrix
+    holds it (operations that need scratch rows copy them first).
+    """
+
+    __slots__ = ("rows", "cols", "_nz", "_rref")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable] | None = None):
         if rows < 0 or cols < 0:
             raise ValidationError("matrix shape must be non-negative")
         self.rows = rows
         self.cols = cols
-        if data is None:
-            self.data = tuple((Q(0),) * cols for _ in range(rows))
-        else:
-            self.data = tuple(tuple(as_q(x) for x in row) for row in data)
-            if len(self.data) != rows or any(len(r) != cols for r in self.data):
-                raise ValidationError("matrix data does not match declared shape")
         self._rref = None
+        if data is None:
+            self._nz = tuple({} for _ in range(rows))
+            return
+        data = [tuple(row) for row in data]
+        if len(data) != rows or any(len(row) != cols for row in data):
+            raise ValidationError("matrix data does not match declared shape")
+        self._nz = tuple(
+            {j: q for j, x in enumerate(row) if (q := x if x.__class__ is Q else as_q(x))}
+            for row in data
+        )
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, nz: Sequence[dict[int, Fraction]]) -> "RatMatrix":
+        """Wrap row dicts already free of zeros; the matrix takes ownership of them."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._nz = tuple(nz)
+        m._rref = None
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -94,7 +115,9 @@ class RatMatrix:
         if not cols:
             return cls(nrows or 0, 0)
         n = len(cols[0])
-        return cls(n, len(cols), [[col[i] for col in cols] for i in range(n)])
+        if any(len(col) != n for col in cols):
+            raise ValidationError("matrix data does not match declared shape")
+        return cls(n, len(cols), zip(*cols))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
@@ -102,17 +125,26 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)])
+        return cls._make(n, n, [{i: _ONE} for i in range(n)])
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense read-only view, built on each access."""
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        return self._nz[i].get(range(self.cols)[j], _ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
+        out = [_ZERO] * self.cols
+        for j, x in self._nz[i].items():
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        j = range(self.cols)[j]
+        return tuple(row.get(j, _ZERO) for row in self._nz)
 
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.col(j) for j in range(self.cols)]
@@ -122,41 +154,41 @@ class RatMatrix:
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._nz == other._nz
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._nz)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self._nz)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        out = [_subtract(dict(r1), -_ONE, r2) for r1, r2 in zip(self._nz, other._nz)]
+        return RatMatrix._make(self.rows, self.cols, out)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        out = [_subtract(dict(r1), _ONE, r2) for r1, r2 in zip(self._nz, other._nz)]
+        return RatMatrix._make(self.rows, self.cols, out)
 
     def __neg__(self) -> "RatMatrix":
         return self.scale(Q(-1))
 
     def scale(self, c) -> "RatMatrix":
         c = as_q(c)
-        return RatMatrix(self.rows, self.cols, [[c * x for x in row] for row in self.data])
+        if c == 1:
+            return self
+        if not c:
+            return RatMatrix(self.rows, self.cols)
+        return RatMatrix._make(
+            self.rows, self.cols, [{j: c * x for j, x in row.items()} for row in self._nz]
+        )
 
     def _check_same_shape(self, other: "RatMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -165,68 +197,59 @@ class RatMatrix:
             )
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        """Matrix product; uses a sparse kernel for large mostly-zero operands."""
+        """Matrix product, accumulated over the nonzeros of both factors."""
         if not isinstance(other, RatMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValidationError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if max(self.rows, self.cols, other.cols) >= SPARSE_SIZE and self._density() <= SPARSE_DENSITY:
-            return self._sparse_mul(other)
-        if not self.data or not other.data or other.cols == 0:
-            return RatMatrix.zero(self.rows, other.cols)
-        out = [
-            [sum((a * b for a, b in zip(row, col)), Q(0)) for col in zip(*other.data)]
-            for row in self.data
-        ]
-        return RatMatrix(self.rows, other.cols, out)
-
-    def _density(self) -> Fraction:
-        total = self.rows * self.cols
-        if total == 0:
-            return Q(0)
-        nz = sum(1 for row in self.data for x in row if x != 0)
-        return Fraction(nz, total)
-
-    def _sparse_mul(self, other: "RatMatrix") -> "RatMatrix":
-        out = [[Q(0)] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            for k, a in enumerate(row):
-                if a == 0:
+        brows = other._nz
+        out = []
+        for arow in self._nz:
+            acc: dict[int, Fraction] = {}
+            for k, a in arow.items():
+                brow = brows[k]
+                if not brow:
                     continue
-                orow = other.data[k]
-                oi = out[i]
-                for j, b in enumerate(orow):
-                    if b != 0:
-                        oi[j] += a * b
-        return RatMatrix(self.rows, other.cols, out)
+                if a == 1:
+                    for j, b in brow.items():
+                        acc[j] = acc[j] + b if j in acc else b
+                else:
+                    for j, b in brow.items():
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return RatMatrix._make(self.rows, other.cols, out)
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValidationError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, v)), Q(0)) for row in self.data)
+        return tuple(sum((a * v[j] for j, a in row.items()), _ZERO) for row in self._nz)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            [[self.data[j][i] for j in range(self.rows)] for i in range(self.cols)],
-        )
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, x in row.items():
+                out[j][i] = x
+        return RatMatrix._make(self.cols, self.rows, out)
 
     def hstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.rows != other.rows:
             raise ValidationError("hstack needs equal row counts")
-        return RatMatrix(
-            self.rows,
-            self.cols + other.cols,
-            [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-        )
+        c = self.cols
+        out = []
+        for r1, r2 in zip(self._nz, other._nz):
+            if r2:
+                r1 = dict(r1)
+                for j, x in r2.items():
+                    r1[c + j] = x
+            out.append(r1)
+        return RatMatrix._make(self.rows, self.cols + other.cols, out)
 
     def vstack(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.cols:
             raise ValidationError("vstack needs equal column counts")
-        return RatMatrix(self.rows + other.rows, self.cols, self.data + other.data)
+        return RatMatrix._make(self.rows + other.rows, self.cols, self._nz + other._nz)
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["RatMatrix"]]) -> "RatMatrix":
@@ -239,12 +262,13 @@ class RatMatrix:
         return rows if rows is not None else cls.zero(0, 0)
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.data]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     # --- echelon machinery ---
 
     def _sparse_rows(self) -> list[dict[int, Fraction]]:
-        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
+        """Copies of the stored rows, free for the eliminator to consume."""
+        return [dict(row) for row in self._nz]
 
     def _echelon(self) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
         """Reduced echelon rows (pivot rows only) and pivot columns, cached."""
@@ -267,15 +291,15 @@ class RatMatrix:
         rows, aug_pivots = _eliminate(aug, m + n)
         rows = _back_reduce(rows, aug_pivots)
         pivots = tuple(p for p in aug_pivots if p < m)
-        reduced = [[Q(0)] * m for _ in range(n)]
-        trans = [[Q(0)] * n for _ in range(n)]
+        reduced: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        trans: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for r, row in enumerate(rows):
             for j, x in row.items():
                 if j < m:
                     reduced[r][j] = x
                 else:
                     trans[r][j - m] = x
-        return RatMatrix(n, m, reduced), pivots, RatMatrix(n, n, trans)
+        return RatMatrix._make(n, m, reduced), pivots, RatMatrix._make(n, n, trans)
 
     def rank(self) -> int:
         return len(self._echelon()[1])
@@ -360,8 +384,10 @@ def _eliminate(
     return pivot_rows, tuple(pivots)
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
-    """row -= f * other, in place, dropping entries that cancel."""
+def _subtract(
+    row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    """row -= f * other, in place, dropping entries that cancel; returns row."""
     for j, x in other.items():
         y = row.get(j)
         if y is None:
@@ -372,6 +398,7 @@ def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction])
                 row[j] = y
             else:
                 del row[j]
+    return row
 
 
 def _back_reduce(
@@ -389,19 +416,20 @@ def _back_reduce(
 
 def kron(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
     """Kronecker product; row/column blocks are a-major."""
-    out = [[Q(0)] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            c = a.data[i1][j1]
-            if not c:
-                continue
-            for i2 in range(b.rows):
-                row = out[i1 * b.rows + i2]
-                brow = b.data[i2]
-                for j2 in range(b.cols):
-                    if brow[j2]:
-                        row[j1 * b.cols + j2] = c * brow[j2]
-    return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
+    out = []
+    for arow in a._nz:
+        for brow in b._nz:
+            row = {}
+            for j1, c in arow.items():
+                off = j1 * b.cols
+                if c == 1:
+                    for j2, x in brow.items():
+                        row[off + j2] = x
+                else:
+                    for j2, x in brow.items():
+                        row[off + j2] = c * x
+            out.append(row)
+    return RatMatrix._make(a.rows * b.rows, a.cols * b.cols, out)
 
 
 def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
@@ -419,49 +447,11 @@ def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Frac
     return [vectors[j] for j in pivots]
 
 
-def span_dim(vectors: Sequence[Sequence[Fraction]]) -> int:
-    return len(independent_subset(vectors))
-
-
 def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
     if not vectors:
         return all(x == 0 for x in v)
     m = RatMatrix.from_cols(list(vectors))
     return m.solve(vec(v)) is not None
-
-
-def quotient_with_section(
-    sub: Sequence[Sequence[Fraction]], ambient_dim: int
-) -> tuple[list[tuple[Fraction, ...]], RatMatrix]:
-    """Quotient of Q^ambient_dim by span(sub).
-
-    Returns (reps, projection): reps are standard basis vectors at the
-    non-pivot coordinates of the echelonized subspace, and projection maps a
-    vector to its coset coordinates, so projection annihilates the subspace
-    and sends reps[i] to the i-th coordinate vector.
-    """
-    sub = [vec(v) for v in sub]
-    for v in sub:
-        if len(v) != ambient_dim:
-            raise ValidationError("subspace vector has wrong length")
-    basis = independent_subset(sub)
-    if basis:
-        reduced, pivots, _ = RatMatrix.from_rows(basis).rref()
-        sub_basis = [reduced.row(i) for i in range(len(pivots))]
-    else:
-        pivots = ()
-        sub_basis = []
-    pivot_set = set(pivots)
-    free = [j for j in range(ambient_dim) if j not in pivot_set]
-    reps = [unit_vec(ambient_dim, j) for j in free]
-    # [sub_basis | reps] is a basis of the ambient space; coset coordinates of v
-    # are the rep-components of v in that basis.
-    change = RatMatrix.from_cols(sub_basis + reps, nrows=ambient_dim)
-    _, _, trans = change.rref()
-    # change is square invertible, so trans = change^{-1}
-    proj_rows = [trans.row(len(sub_basis) + i) for i in range(len(reps))]
-    projection = RatMatrix(len(reps), ambient_dim, proj_rows)
-    return reps, projection
 
 
 @dataclass

@@ -549,7 +549,7 @@ def _retraction(rho: DgModuleMap, check: bool) -> DgModuleMap:
                     if val:
                         row[off + c] = val
             rows.append(row)
-            rhs.append(b.data[r // b.cols][r % b.cols] if b is not None else Q(0))
+            rhs.append(b[r // b.cols, r % b.cols] if b is not None else Q(0))
 
     for k in range(top + 1):
         # sigma_k . rho_k = id on N^k

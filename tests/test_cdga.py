@@ -10,7 +10,7 @@ from dgmodels.cdga import (
     trivial_algebra,
     verify_cdga,
 )
-from dgmodels.errors import ValidationError
+from dgmodels.errors import DegreeWindowError, ValidationError
 from dgmodels.linalg import Q
 
 
@@ -87,6 +87,31 @@ def test_parse_polynomial_grammar():
         parse_polynomial(alg, "w")
     with pytest.raises(ValidationError):
         parse_polynomial(alg, "u^(1/2)")
+
+
+def test_parse_polynomial_bounds_powers_and_nesting():
+    alg = s2_model()
+    # a power with a term above the cap is rejected, not computed: u^6 is the
+    # last power of u in the window
+    assert parse_polynomial(alg, "u^6") == {(6, 0): Q(1)}
+    with pytest.raises(DegreeWindowError):
+        parse_polynomial(alg, "u^7")
+    with pytest.raises(DegreeWindowError):
+        parse_polynomial(alg, "u^1000000")
+    # odd squares vanish, so a huge exponent on v is zero, and exact
+    assert parse_polynomial(alg, "v^1000000") == {}
+    assert parse_polynomial(alg, "(1 + v)^1000000") == {(0, 0): Q(1), (0, 1): Q(1000000)}
+    # a degree-0 base never meets the cap; its coefficient length is bounded
+    assert parse_polynomial(alg, "(1/2)^3*u") == {(1, 0): Q(1, 8)}
+    with pytest.raises(ValidationError):
+        parse_polynomial(alg, "2^1000000")
+    with pytest.raises(ValidationError):
+        parse_polynomial(alg, "u^(2^10000)")
+    # nesting too deep for the parser's stack or for the evaluator
+    with pytest.raises(ValidationError):
+        parse_polynomial(alg, "-" * 100000 + "u")
+    with pytest.raises(ValidationError):
+        parse_polynomial(alg, "-" * 5000 + "u")
 
 
 def test_poly_str_round_trips_through_parser():

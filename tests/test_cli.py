@@ -258,3 +258,31 @@ def test_almost_free_is_not_a_variant(tmp_path):
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "unknown variant 'almost_free'" in lines[0]
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [("u^1000000", "above cap"), ("-" * 100000 + "u", "nested too deeply")],
+    ids=["huge_power", "deep_nesting"],
+)
+def test_unbounded_algebra_differential_is_one_error_line(tmp_path, expr, message):
+    doc = tmp_path / "unbounded.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "algebra": {
+                    "generators": [["u", 2], ["v", 3]],
+                    "differentials": {"v": expr},
+                    "cap": 8,
+                },
+                "modules": {},
+            }
+        )
+    )
+    res = run("verify", "--input", str(doc))
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+    assert "Traceback" not in res.stderr

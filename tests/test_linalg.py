@@ -14,9 +14,6 @@ from dgmodels.linalg import (
     in_span,
     independent_subset,
     kron,
-    quotient_with_section,
-    span_dim,
-    unit_vec,
     vec,
 )
 
@@ -75,18 +72,9 @@ def test_kron_agrees_with_block_scaling():
 
 def test_span_helpers():
     vs = [vec([1, 0]), vec([2, 0]), vec([0, 1])]
-    assert span_dim(vs) == 2
     assert len(independent_subset(vs)) == 2
     assert in_span(vs, vec([5, 7]))
     assert not in_span([vec([1, 0])], vec([0, 1]))
-
-
-def test_quotient_with_section_projects_and_sections():
-    reps, proj = quotient_with_section([vec([1, 1, 0])], 3)
-    assert len(reps) == 2
-    assert proj.apply(vec([1, 1, 0])) == (Q(0), Q(0))
-    for i, r in enumerate(reps):
-        assert proj.apply(r) == unit_vec(2, i)
 
 
 def test_cohomology_at_circle_complex():
