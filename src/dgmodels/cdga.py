@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegreeWindowError, ValidationError
@@ -28,6 +29,40 @@ Poly = dict[Mono, Fraction]
 # Longest numerator or denominator, in bits, that a power in a parsed
 # expression may produce; a power of a degree-0 base never meets the cap.
 _MAX_POWER_BITS = 4096
+
+# Most basis slots an algebra or a free module may span through its cap:
+# one slot per degree plus the basis dimensions, estimated from the degrees
+# of the generators before any basis is built.  The largest object the
+# shipped fixtures build at window 28 (the Borel module of s4_hopf) takes 455.
+BASIS_BUDGET = 1024
+
+
+def check_basis_budget(slots: int, what: str, cap: int) -> None:
+    """Reject an object whose estimated slots through its cap exceed the budget."""
+    if slots > BASIS_BUDGET:
+        raise ValidationError(
+            f"{what} through degree {cap} spans at least {slots} basis slots "
+            f"(one per degree plus the basis), over the budget of {BASIS_BUDGET}; "
+            "lower the degree window"
+        )
+
+
+def _basis_totals(degrees: Sequence[int], cap: int) -> tuple[int, ...]:
+    """Running sums of dim A^0, ..., dim A^cap for the free graded-commutative
+    algebra on generators of these degrees, read off its generating function
+    prod_odd (1 + t^d) / prod_even (1 - t^d); rejects an algebra over budget."""
+    check_basis_budget(cap + 1, "the algebra", cap)
+    dims = [1] + [0] * cap
+    for d in degrees:
+        if d % 2:
+            for k in range(cap, d - 1, -1):
+                dims[k] += dims[k - d]
+        else:
+            for k in range(d, cap + 1):
+                dims[k] += dims[k - d]
+    totals = tuple(accumulate(dims))
+    check_basis_budget(cap + 1 + totals[-1], "the algebra", cap)
+    return totals
 
 
 def poly_is_zero(p: Mapping[Mono, Fraction]) -> bool:
@@ -94,6 +129,7 @@ class SullivanPresentation:
         "_basis_index_cache",
         "_product_cache",
         "_diff_cache",
+        "_basis_totals",
     )
 
     def __init__(
@@ -113,6 +149,7 @@ class SullivanPresentation:
                 raise ValidationError(f"generator {name} has degree {deg}; need >= 1")
         if cap < 0:
             raise ValidationError(f"degree cap {cap} must be nonnegative")
+        self._basis_totals = _basis_totals(degrees, int(cap))
         self.names = names
         self.degrees = degrees
         self.cap = int(cap)
@@ -207,6 +244,13 @@ class SullivanPresentation:
         if len(degs) > 1:
             raise ValidationError(f"inhomogeneous polynomial with degrees {sorted(degs)}")
         return degs.pop()
+
+    def module_basis_slots(self, gen_degrees: Sequence[int], cap: int) -> int:
+        """Slots of a free module on generators of these degrees through
+        degree cap: one per degree plus its basis dimensions."""
+        totals = self._basis_totals
+        top = len(totals) - 1
+        return cap + 1 + sum(totals[min(cap - g, top)] for g in gen_degrees if g <= cap)
 
     # ---- basis enumeration -------------------------------------------
 

@@ -14,6 +14,11 @@ fiber Poincare series identities, equivariant formality, localization at
 the Euler class, cohomological dimension, the almost-free reduction to a
 dgc algebra, the naive product when the Euler map vanishes, and the
 Smith-Gysin inequality for isometric flows.
+
+A report builds each cone once: `action_report` runs every section on one
+private pipeline that validates the data and caches the total-space and
+fixed-set models and the Borel pieces, while each public report function
+builds a pipeline of its own.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cdga import (
     CheckReport,
@@ -201,10 +207,6 @@ def _orbit_module_failure(mod, algebra: SullivanPresentation) -> str | None:
     return None
 
 
-def _require_valid(data: BasicData) -> None:
-    data.validate().raise_if_failed()
-
-
 def _fresh_names(prefix: str, count: int, taken: set[str]) -> tuple[str, ...]:
     out: list[str] = []
     i = 0
@@ -292,33 +294,60 @@ def _cone_result(
     )
 
 
+class _ActionPipeline:
+    """The models that one (BasicData, max_degree) determines, each built once.
+
+    Construction validates the data.  The total-space and fixed-set cones
+    and the Borel pieces are built on first use and then shared by every
+    report section that reads them; they live as long as the pipeline,
+    which each public report function creates afresh.
+    """
+
+    def __init__(self, data: BasicData, max_degree: int):
+        data.validate().raise_if_failed()
+        self.data = data
+        self.max_degree = max_degree
+
+    @cached_property
+    def total(self) -> MinimalModelResult:
+        data = self.data
+        names = _fresh_names("c", data.relative_model.gen_count, set(data.e_prime.target.gen_names))
+        free, iota, cn = free_cone(data.e_prime, gen_names=names, check=False)
+        return _cone_result(free, iota, cn, self.max_degree)
+
+    @cached_property
+    def fixed(self) -> MinimalModelResult:
+        data = self.data
+        if data.fixed_set_empty:
+            raise PreconditionError(
+                "fixed set is declared empty, so there is no fixed-set model; "
+                "use almost_free_model for the dgc reduction"
+            )
+        names = _fresh_names("g", data.relative_model.gen_count, set(data.i_prime.target.gen_names))
+        free, iota, cn = free_cone(data.i_prime, gen_names=names, check=False)
+        result = _cone_result(free, iota, cn, self.max_degree)
+        if data.fixed_components is not None:
+            h0 = module_cohomology(free, 0).betti
+            if h0 != data.fixed_components:
+                raise ValidationError(
+                    f"declared {data.fixed_components} fixed components but H^0 of the "
+                    f"fixed-set model has dimension {h0}"
+                )
+        return result
+
+    @cached_property
+    def borel(self) -> tuple[EquivariantModel, Cone]:
+        return _equivariant_pieces(self.data, self.max_degree)
+
+
 def model_of_total_space(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> MinimalModelResult:
     """Minimal model of the total space: the cone of the Euler map e'."""
-    _require_valid(data)
-    names = _fresh_names("c", data.relative_model.gen_count, set(data.e_prime.target.gen_names))
-    free, iota, cn = free_cone(data.e_prime, gen_names=names, check=False)
-    return _cone_result(free, iota, cn, max_degree)
+    return _ActionPipeline(data, max_degree).total
 
 
 def model_of_fixed_set(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> MinimalModelResult:
     """Minimal model of the fixed-point set: the cone of the inclusion map i'."""
-    _require_valid(data)
-    if data.fixed_set_empty:
-        raise PreconditionError(
-            "fixed set is declared empty, so there is no fixed-set model; "
-            "use almost_free_model for the dgc reduction"
-        )
-    names = _fresh_names("g", data.relative_model.gen_count, set(data.i_prime.target.gen_names))
-    free, iota, cn = free_cone(data.i_prime, gen_names=names, check=False)
-    result = _cone_result(free, iota, cn, max_degree)
-    if data.fixed_components is not None:
-        h0 = module_cohomology(free, 0).betti
-        if h0 != data.fixed_components:
-            raise ValidationError(
-                f"declared {data.fixed_components} fixed components but H^0 of the "
-                f"fixed-set model has dimension {h0}"
-            )
-    return result
+    return _ActionPipeline(data, max_degree).fixed
 
 
 # ---- shared basis --------------------------------------------------------
@@ -338,12 +367,15 @@ def shared_basis_check(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> Sha
     """Both models are free on the relative generators, shifted by d(e') - 1
     for the total space and by -1 for the fixed set; their generator tables
     therefore agree after shifting by the Euler degree."""
-    _require_valid(data)
+    return _shared_basis(_ActionPipeline(data, max_degree))
+
+
+def _shared_basis(p: _ActionPipeline) -> SharedBasisReport:
+    data = p.data
     if data.fixed_set_empty:
         raise PreconditionError("shared-basis comparison needs a nonempty fixed set")
     shift = data.euler_degree
-    total = model_of_total_space(data, max_degree)
-    fixed = model_of_fixed_set(data, max_degree)
+    total, fixed = p.total, p.fixed
     ct = Counter(total.module.gen_degrees[1:])
     cf = Counter(fixed.module.gen_degrees[1:])
     degrees = sorted(set(cf) | {k - shift for k in ct})
@@ -379,7 +411,6 @@ class EquivariantModel:
 def _equivariant_pieces(
     data: BasicData, max_degree: int
 ) -> tuple[EquivariantModel, Cone]:
-    _require_valid(data)
     alg = data.algebra
     m = data.relative_model
     d_e = data.euler_degree
@@ -439,8 +470,7 @@ def _equivariant_pieces(
 
 def equivariant_model(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> EquivariantModel:
     """Minimal Borel model: the cone of q'(b) = e'(b) + i'(b) e over A(x)Lambda(e)."""
-    model, _ = _equivariant_pieces(data, max_degree)
-    return model
+    return _ActionPipeline(data, max_degree).borel[0]
 
 
 @dataclass(frozen=True)
@@ -457,8 +487,12 @@ class EquivariantLesReport:
 def equivariant_les(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> EquivariantLesReport:
     """Exactness of the Borel cone sequence plus an independent recount of
     the equivariant Betti numbers from the connecting ranks."""
-    model, cn = _equivariant_pieces(data, max_degree)
-    table = cone_les(cn, top=max_degree)
+    return _equivariant_les(_ActionPipeline(data, max_degree))
+
+
+def _equivariant_les(p: _ActionPipeline) -> EquivariantLesReport:
+    model, cn = p.borel
+    table = cone_les(cn, top=p.max_degree)
     failures = list(table.failures)
     dims: dict[int, int] = {}
     recount: dict[int, int] = {}
@@ -499,9 +533,13 @@ class ScalarsReport:
 def extension_of_scalars_check(
     data: BasicData, max_degree: int = DEFAULT_DEGREE
 ) -> ScalarsReport:
-    model, _ = _equivariant_pieces(data, max_degree)
-    total = model_of_total_space(data, max_degree)
-    free_e, free_t = model.module, total.module
+    return _extension_of_scalars(_ActionPipeline(data, max_degree))
+
+
+def _extension_of_scalars(p: _ActionPipeline) -> ScalarsReport:
+    data = p.data
+    model, _ = p.borel
+    free_e, free_t = model.module, p.total.module
     alg, alg_e = data.algebra, model.algebra
     e_idx = alg_e.generator_index(model.euler_name)
 
@@ -518,6 +556,7 @@ def extension_of_scalars_check(
             m[:e_idx] + m[e_idx + 1 :]: c for m, c in poly.items() if m[e_idx] == 0
         }
 
+    # the total cone stops at A's cap, so cap is the total model's own cap
     cap = min(free_e.cap, free_t.cap)
     quotient = FreeDgModule(
         alg,
@@ -531,21 +570,9 @@ def extension_of_scalars_check(
         },
         cap=cap,
     )
-    reference = FreeDgModule(
-        alg,
-        list(zip(free_t.gen_names, free_t.gen_degrees)),
-        {
-            free_t.gen_names[j]: {
-                free_t.gen_names[h]: dict(poly)
-                for h, poly in free_t.gen_diffs[j].items()
-            }
-            for j in range(free_t.gen_count)
-        },
-        cap=cap,
-    )
     for j, name in enumerate(free_e.gen_names):
         got = quotient.gen_diffs[j]
-        want = reference.gen_diffs[j]
+        want = free_t.gen_diffs[j]
         keys = set(got) | set(want)
         for h in keys:
             if not poly_eq(got.get(h, {}), want.get(h, {})):
@@ -554,7 +581,7 @@ def extension_of_scalars_check(
                     f"coefficient of {free_e.gen_names[h]} is "
                     f"{alg.poly_str(got.get(h, {}))} vs {alg.poly_str(want.get(h, {}))}"
                 )
-    if not failures and not modules_equal(quotient, reference, labels=True):
+    if not failures and not modules_equal(quotient, free_t, labels=True):
         failures.append("quotient by the Euler class does not match the total-space model")
     return ScalarsReport(not failures, cap - 1, free_e.gen_count, tuple(failures))
 
@@ -577,16 +604,19 @@ class PoincareReport:
 def poincare_relations(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> PoincareReport:
     """Checks P_total = 1 - t^2 + t^2 P_fixed and P_total = (1 - t^2) P_borel,
     all three series read off as generator counts of the minimal models."""
-    _require_valid(data)
+    return _poincare(_ActionPipeline(data, max_degree))
+
+
+def _poincare(p: _ActionPipeline) -> PoincareReport:
+    data, max_degree = p.data, p.max_degree
     if data.fixed_set_empty:
         raise PreconditionError("fiber series identities need a nonempty fixed set")
     if data.euler_degree != 2:
         raise PreconditionError("fiber series identities are stated for a degree-2 Euler class")
     if not data.base_simply_connected:
         raise PreconditionError("fiber series identities assume a simply connected orbit space")
-    total = model_of_total_space(data, max_degree)
-    fixed = model_of_fixed_set(data, max_degree)
-    model, _ = _equivariant_pieces(data, max_degree)
+    total, fixed = p.total, p.fixed
+    model, _ = p.borel
     through = min(max_degree, total.window, fixed.window, model.window)
 
     p_total = PoincareSeries.from_dims(fiber_cohomology(total.module, top=through), through)
@@ -641,7 +671,11 @@ def formality_check(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> Formal
     """Equivariant formality: every class killed by e* must extend to a
     finite string (alpha_n) with e*(alpha_0) = 0 replaced by the cone
     condition, i.e. a kernel element of the combined map q*."""
-    _require_valid(data)
+    return _formality(_ActionPipeline(data, max_degree))
+
+
+def _formality(p: _ActionPipeline) -> FormalityReport:
+    data, max_degree = p.data, p.max_degree
     m = data.relative_model
     a_mod = data.i_prime.target
     d_e = data.euler_degree
@@ -758,7 +792,11 @@ def localization_check(
     class inverted; its inverse is the finite sum of (-1)^n e^{-(n+1)} W^n
     over n below the nilpotency exponent of W.  Both composites are checked
     on every basis class inside the window, with exact Laurent coefficients."""
-    _require_valid(data)
+    return _localization(_ActionPipeline(data, max_degree), nilpotency_exponent)
+
+
+def _localization(p: _ActionPipeline, nilpotency_exponent: int | None) -> LocalizationReport:
+    data, max_degree = p.data, p.max_degree
     m = data.relative_model
     d_e = data.euler_degree
     S = min(max_degree, m.cap - 1)
@@ -877,13 +915,16 @@ def dimc_relation(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> DimcRepo
     fiber have finite cohomological dimension; the report certifies those
     finiteness hypotheses inside the window or flags the degrees that
     persist to the top."""
-    _require_valid(data)
+    return _dimc(_ActionPipeline(data, max_degree))
+
+
+def _dimc(p: _ActionPipeline) -> DimcReport:
+    data = p.data
     if data.fixed_set_empty:
         raise PreconditionError("cohomological dimension comparison needs a nonempty fixed set")
     if data.euler_degree != 2:
         raise PreconditionError("the dichotomy is stated for a degree-2 Euler class")
-    total = model_of_total_space(data, max_degree)
-    fixed = model_of_fixed_set(data, max_degree)
+    total, fixed = p.total, p.fixed
     window = min(total.window, fixed.window)
     bm, bf = total.betti_model, fixed.betti_model
 
@@ -980,7 +1021,11 @@ def almost_free_model(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> Almo
     cocycle; the correspondence (a, b) -> a + b x is checked to be a chain
     isomorphism compatible with the pair product
     (a, b)(a', b') = (a a', a b' + (-1)^{deg a'} b a')."""
-    _require_valid(data)
+    return _almost_free(_ActionPipeline(data, max_degree))
+
+
+def _almost_free(p: _ActionPipeline) -> AlmostFreeReport:
+    data, max_degree = p.data, p.max_degree
     if not data.fixed_set_empty:
         raise PreconditionError("almost-free reduction needs fixed_set_empty")
     m = data.relative_model
@@ -1138,11 +1183,15 @@ def naive_structure(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> NaiveR
     the report checks the dgc axioms on the window basis and tabulates the
     cohomology ring, with a wedge-of-spheres verdict when the differential
     vanishes and all positive products are zero."""
-    _require_valid(data)
+    return _naive(_ActionPipeline(data, max_degree))
+
+
+def _naive(p: _ActionPipeline) -> NaiveReport:
+    data = p.data
     if not _euler_map_is_zero(data):
         raise PreconditionError("naive product needs a vanishing Euler map on the window")
     shift = data.euler_degree - 1
-    total = model_of_total_space(data, max_degree)
+    total = p.total
     free = total.module
     alg = free.algebra
     window = total.window
@@ -1220,14 +1269,17 @@ def naive_structure(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> NaiveR
         h = {n: module_cohomology(free, n) for n in range(window + 1)}
         for i in range(1, window):
             for j in range(i, window + 1 - i):
-                for ai, arep in enumerate(h[i].representatives):
-                    xa = free.vector_combination(arep, i)
-                    for bi, brep in enumerate(h[j].representatives):
-                        prod = _naive_mul(free, shift, xa, free.vector_combination(brep, j))
-                        coords = h[i + j].coords_of(free.combination_vector(prod, i + j))
-                        ring.append(RingEntry(i, ai, j, bi, coords))
-                        if any(coords):
-                            positive_zero = False
+                xs = [free.vector_combination(rep, i) for rep in h[i].representatives]
+                ys = [free.vector_combination(rep, j) for rep in h[j].representatives]
+                pairs = [(ai, bi) for ai in range(len(xs)) for bi in range(len(ys))]
+                products = [
+                    free.combination_vector(_naive_mul(free, shift, xs[ai], ys[bi]), i + j)
+                    for ai, bi in pairs
+                ]
+                for (ai, bi), coords in zip(pairs, h[i + j].coords(products)):
+                    ring.append(RingEntry(i, ai, j, bi, coords))
+                    if any(coords):
+                        positive_zero = False
     else:
         positive_zero = False
 
@@ -1285,15 +1337,18 @@ def smith_gysin_inequality(
     """Evaluates both sides of the Smith-Gysin inequality for an isometric
     flow; the verdict is inconclusive unless both Betti tables vanish in the
     top two window degrees, so the lacunary sums are complete."""
-    _require_valid(data)
+    return _smith_gysin(_ActionPipeline(data, max_degree), r)
+
+
+def _smith_gysin(p: _ActionPipeline, r: int) -> SmithGysinReport:
+    data = p.data
     if data.variant != "isometric_flow":
         raise PreconditionError("the Smith-Gysin inequality is reported for isometric flows")
     if data.fixed_set_empty:
         raise PreconditionError("the Smith-Gysin inequality needs a nonempty fixed set")
     if r < 0:
         raise ValidationError(f"inequality index r = {r} must be nonnegative")
-    total = model_of_total_space(data, max_degree)
-    fixed = model_of_fixed_set(data, max_degree)
+    total, fixed = p.total, p.fixed
     window = min(total.window, fixed.window)
     if r > window:
         return SmithGysinReport(
@@ -1323,12 +1378,12 @@ def semifree_s3_models(
 ) -> tuple[MinimalModelResult, MinimalModelResult]:
     """Total-space and fixed-set models for a semifree quaternionic action,
     built from the same two cones with a degree-4 Euler map."""
-    _require_valid(data)
+    p = _ActionPipeline(data, max_degree)
     if data.variant != "semifree_S3":
         raise PreconditionError(
             "semifree quaternionic models need variant semifree_S3 (degree-4 Euler map)"
         )
-    return model_of_total_space(data, max_degree), model_of_fixed_set(data, max_degree)
+    return p.total, p.fixed
 
 
 # ---- assembly from tabulated complexes --------------------------------------
@@ -1410,7 +1465,7 @@ def from_complexes(
         fixed_components=fixed_components,
         name=name,
     )
-    _require_valid(data)
+    data.validate().raise_if_failed()
     return AssembledData(data, relative, total_quis, fixed_quis)
 
 
@@ -1446,10 +1501,11 @@ class ActionReport:
 def action_report(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> ActionReport:
     """Runs every applicable operation on the basic data and collects the
     results; operations whose hypotheses the data does not meet are skipped
-    with an explanatory note."""
-    _require_valid(data)
+    with an explanatory note.  One pipeline builds each model once and
+    every section reads it from there."""
+    p = _ActionPipeline(data, max_degree)
     notes: list[str] = []
-    total = model_of_total_space(data, max_degree)
+    total = p.total
     fixed = equivariant = les = shared = scalars = None
     poincare = formality = dimc = almost = naive = None
     smith: tuple[SmithGysinReport, ...] = ()
@@ -1460,34 +1516,34 @@ def action_report(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> ActionRe
             "and dimension reports are skipped"
         )
         try:
-            almost = almost_free_model(data, max_degree)
+            almost = _almost_free(p)
         except PreconditionError as exc:
             notes.append(f"almost-free reduction skipped: {exc}")
     else:
-        fixed = model_of_fixed_set(data, max_degree)
-        shared = shared_basis_check(data, max_degree)
-        equivariant = equivariant_model(data, max_degree)
-        les = equivariant_les(data, max_degree)
-        scalars = extension_of_scalars_check(data, max_degree)
-        formality = formality_check(data, max_degree)
+        fixed = p.fixed
+        shared = _shared_basis(p)
+        equivariant, _ = p.borel
+        les = _equivariant_les(p)
+        scalars = _extension_of_scalars(p)
+        formality = _formality(p)
         if data.euler_degree == 2:
-            poincare = poincare_relations(data, max_degree)
-            dimc = dimc_relation(data, max_degree)
+            poincare = _poincare(p)
+            dimc = _dimc(p)
         else:
             notes.append(
                 "fiber-series and cohomological-dimension identities are stated "
                 "for a degree-2 Euler class: skipped"
             )
 
-    localization = localization_check(data, max_degree)
+    localization = _localization(p, None)
 
     if _euler_map_is_zero(data):
-        naive = naive_structure(data, max_degree)
+        naive = _naive(p)
     else:
         notes.append("Euler map is nonzero on the window: naive product report skipped")
 
     if data.variant == "isometric_flow" and not data.fixed_set_empty:
-        smith = tuple(smith_gysin_inequality(data, max_degree, r) for r in (0, 1, 2))
+        smith = tuple(_smith_gysin(p, r) for r in (0, 1, 2))
 
     return ActionReport(
         name=data.name,

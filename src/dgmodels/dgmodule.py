@@ -30,6 +30,7 @@ from .cdga import (
     Mono,
     Poly,
     SullivanPresentation,
+    check_basis_budget,
     parse_polynomial,
     poly_add,
     poly_is_zero,
@@ -88,6 +89,7 @@ class FreeDgModule:
         "_basis_index_cache",
         "_diff_cache",
         "_act_cache",
+        "_coh_cache",
     )
 
     def __init__(
@@ -111,6 +113,7 @@ class FreeDgModule:
                 raise ValidationError(f"bad module generator name {name!r}")
             if deg < 0:
                 raise ValidationError(f"generator {name} has negative degree {deg}")
+        check_basis_budget(algebra.module_basis_slots(degrees, self.cap), "the module", self.cap)
         self.gen_names = names
         self.gen_degrees = degrees
         self._index = {n: i for i, n in enumerate(names)}
@@ -152,6 +155,7 @@ class FreeDgModule:
         self._basis_index_cache: dict[int, dict[tuple[int, Mono], int]] = {}
         self._diff_cache: dict[int, RatMatrix] = {}
         self._act_cache: dict[tuple[int, int], RatMatrix] = {}
+        self._coh_cache: dict[int, CohomologyData] = {}
 
     def gen_index(self, name: str) -> int:
         try:
@@ -323,6 +327,8 @@ class TabulatedDgModule:
         self.cap = int(cap)
         if self.cap < 0:
             raise ValidationError("module cap must be nonnegative")
+        slots = self.cap + 1 + sum(len(ls) for ls in labels.values())
+        check_basis_budget(slots, "the module", self.cap)
         self.labels: dict[int, tuple[str, ...]] = {}
         for k, ls in labels.items():
             if not 0 <= k <= self.cap:
@@ -487,7 +493,7 @@ class DgModuleMap:
     are not materialized and raise on access.
     """
 
-    __slots__ = ("source", "target", "degree", "mats", "name", "window_cap")
+    __slots__ = ("source", "target", "degree", "mats", "name", "window_cap", "_zeros")
 
     def __init__(
         self,
@@ -505,6 +511,8 @@ class DgModuleMap:
         self.window_cap = None if window_cap is None else int(window_cap)
         hi = self.window().stop - 1
         self.mats: dict[int, RatMatrix] = {}
+        # the zero blocks matrix() hands out, built once per degree
+        self._zeros: dict[int, RatMatrix] = {}
         for k, mat in (mats or {}).items():
             if not 0 <= k <= hi:
                 raise ValidationError(f"map matrix at source degree {k} outside the window")
@@ -525,11 +533,13 @@ class DgModuleMap:
                 + ("" if self.window_cap is None else f", window cap {self.window_cap}")
                 + ")"
             )
-        if k < 0 or t < 0:
-            return RatMatrix.zero(self.target.dim(t) if t >= 0 else 0, self.source.dim(k) if k >= 0 else 0)
         if k in self.mats:
             return self.mats[k]
-        return RatMatrix.zero(self.target.dim(t), self.source.dim(k))
+        if k not in self._zeros:
+            self._zeros[k] = RatMatrix.zero(
+                self.target.dim(t) if t >= 0 else 0, self.source.dim(k) if k >= 0 else 0
+            )
+        return self._zeros[k]
 
     def window(self) -> range:
         """Source degrees where the matrix is materializable."""
@@ -914,16 +924,27 @@ def free_cone(
 
 
 def module_cohomology(module: DgModule, n: int) -> CohomologyData:
-    """Cohomology of the module's complex at degree n (needs n <= cap - 1)."""
+    """Cohomology of the module's complex at degree n (needs n <= cap - 1).
+
+    A free module computes it once per degree and keeps it, like its
+    differential and action matrices; a tabulated module keeps only the
+    matrices it was given, so a long-lived input does not grow.
+    """
     if n > module.cap - 1:
         raise DegreeWindowError(
             f"cohomology at degree {n} needs the differential into degree {n + 1}"
         )
     if n < 0:
         return CohomologyData(n, 0)
+    cache = module._coh_cache if isinstance(module, FreeDgModule) else None
+    if cache is not None and n in cache:
+        return cache[n]
     dims = {n - 1: module.dim(n - 1), n: module.dim(n), n + 1: module.dim(n + 1)}
     d_mats = {n - 1: module.differential_matrix(n - 1), n: module.differential_matrix(n)}
-    return cohomology_at(dims, d_mats, n)
+    h = cohomology_at(dims, d_mats, n)
+    if cache is not None:
+        cache[n] = h
+    return h
 
 
 def betti_table(module: DgModule, top: int | None = None) -> GradedDims:
@@ -936,10 +957,8 @@ def induced_map(f: DgModuleMap, source_h: CohomologyData, target_h: CohomologyDa
     """Matrix of f_* between cohomology in the stored representative bases."""
     if target_h.degree != source_h.degree + f.degree:
         raise ValidationError("cohomology degrees do not match the map degree")
-    cols = []
     mat = f.matrix(source_h.degree)
-    for z in source_h.representatives:
-        cols.append(target_h.coords_of(mat.apply(z)))
+    cols = target_h.coords([mat.apply(z) for z in source_h.representatives])
     return RatMatrix.from_cols(cols, nrows=target_h.betti)
 
 

@@ -19,13 +19,15 @@ rows: columns are taken left to right, and the sparsest row reaching a
 column becomes its pivot row.  The reduced echelon form is unique, so that
 choice changes no result.  `rank`, `kernel_basis` and `independent_subset`
 read the pivots and the reduced rows (cached per matrix); `solve`
-eliminates the augmented matrix [A | b] and back-substitutes.  Only
-`rref()` builds the transform T, by eliminating [A | I].
+eliminates the augmented matrix [A | b] and back-substitutes, and
+`CohomologyData.coords` eliminates [boundaries | representatives | Z] once
+for a whole batch Z of cocycles.  Only `rref()` builds the transform T, by
+eliminating [A | I].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -524,28 +526,54 @@ class PoincareSeries:
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohomologyData:
-    """Cohomology of a complex at one degree, with explicit witnesses."""
+    """Cohomology of a complex at one degree, with explicit witnesses.
+
+    Immutable, so that one instance can be cached and shared by every caller.
+    """
 
     degree: int
     betti: int
-    representatives: list[tuple[Fraction, ...]] = field(default_factory=list)
-    boundaries: list[tuple[Fraction, ...]] = field(default_factory=list)
+    representatives: tuple[tuple[Fraction, ...], ...] = ()
+    boundaries: tuple[tuple[Fraction, ...], ...] = ()
     cocycle_dim: int = 0
 
-    def coords_of(self, z: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of a cocycle in the representative basis, mod boundaries."""
-        cols = list(self.boundaries) + list(self.representatives)
+    def coords(self, vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+        """Coordinates of each cocycle in the representative basis, mod boundaries.
+
+        One elimination of [boundaries | representatives | vectors] serves
+        every vector: a vector outside the span makes its column a pivot,
+        and otherwise its coordinates are read off the reduced rows, with
+        free columns set to 0 as `solve` does.
+        """
+        cols = [*self.boundaries, *self.representatives]
+        if not vectors:
+            return []
         if not cols:
-            if any(x != 0 for x in z):
+            if any(x != 0 for z in vectors for x in z):
                 raise ValidationError("vector is not in the recorded cocycle space")
-            return ()
-        m = RatMatrix.from_cols(cols)
-        sol = m.solve(vec(z))
-        if sol is None:
+            return [() for _ in vectors]
+        left = len(cols)
+        rows: list[dict[int, Fraction]] = [{} for _ in cols[0]]
+        for j, v in enumerate([*cols, *(vec(z) for z in vectors)]):
+            if len(v) != len(rows):
+                raise ValidationError("rhs length does not match row count")
+            for i, x in enumerate(v):
+                if x:
+                    rows[i][j] = x
+        echelon, pivots = _eliminate(rows, left + len(vectors))
+        if pivots and pivots[-1] >= left:
             raise ValidationError("vector is not a cocycle modulo recorded boundaries")
-        return tuple(sol[len(self.boundaries):])
+        echelon = _back_reduce(echelon, pivots)
+        skip = len(self.boundaries)
+        out = []
+        for j in range(left, left + len(vectors)):
+            x = [_ZERO] * left
+            for row, p in zip(echelon, pivots):
+                x[p] = row.get(j, _ZERO)
+            out.append(tuple(x[skip:]))
+        return out
 
 
 def cohomology_at(
@@ -576,4 +604,4 @@ def cohomology_at(
     betti = len(kernel) - len(image)
     if betti != len(reps):
         raise ValidationError("boundary space is not contained in the cocycle space")
-    return CohomologyData(n, betti, reps, list(image), cocycle_dim=len(kernel))
+    return CohomologyData(n, betti, tuple(reps), tuple(image), cocycle_dim=len(kernel))

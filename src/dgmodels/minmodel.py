@@ -537,17 +537,18 @@ def _retraction(rho: DgModuleMap, check: bool) -> DgModuleMap:
         offsets.append(total)
         total += dn[k] * dx[k]
 
-    rows: list[list[Fraction]] = []
+    # rows of the system as column -> nonzero Fraction dicts; the blocks of
+    # one row sit at disjoint offsets, so no entry cancels
+    rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
 
     def add_block(blocks: dict[int, RatMatrix], b: RatMatrix | None, nrows: int) -> None:
         for r in range(nrows):
-            row = [Q(0)] * total
+            row: dict[int, Fraction] = {}
             for k, blk in blocks.items():
                 off = offsets[k]
-                for c, val in enumerate(blk.row(r)):
-                    if val:
-                        row[off + c] = val
+                for c, val in blk._nz[r].items():
+                    row[off + c] = val
             rows.append(row)
             rhs.append(b[r // b.cols, r % b.cols] if b is not None else Q(0))
 
@@ -596,7 +597,7 @@ def _retraction(rho: DgModuleMap, check: bool) -> DgModuleMap:
                 nrows,
             )
 
-    system = RatMatrix.from_rows(rows) if rows else RatMatrix.zero(0, total)
+    system = RatMatrix._make(len(rows), total, rows)
     sol = system.solve(vec(rhs))
     if sol is None:
         raise PreconditionError(

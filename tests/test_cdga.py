@@ -3,6 +3,7 @@
 import pytest
 
 from dgmodels.cdga import (
+    BASIS_BUDGET,
     SullivanPresentation,
     adjoin_polynomial_generator,
     extend,
@@ -10,7 +11,10 @@ from dgmodels.cdga import (
     trivial_algebra,
     verify_cdga,
 )
+from dgmodels.circle import equivariant_model
+from dgmodels.dgmodule import FreeDgModule, TabulatedDgModule
 from dgmodels.errors import DegreeWindowError, ValidationError
+from dgmodels.fixtures import fixture
 from dgmodels.linalg import Q
 
 
@@ -112,6 +116,25 @@ def test_parse_polynomial_bounds_powers_and_nesting():
         parse_polynomial(alg, "-" * 100000 + "u")
     with pytest.raises(ValidationError):
         parse_polynomial(alg, "-" * 5000 + "u")
+
+
+def test_basis_budget_bounds_algebras_and_modules():
+    alg = s2_model(cap=12)
+    # for an algebra the generating function is exact: the dims of Lambda(u, v)
+    # through the cap, plus one slot per degree
+    assert alg.module_basis_slots((0,), 12) == 13 + sum(alg.dim(k) for k in range(13))
+    budget = f"over the budget of {BASIS_BUDGET}"
+    with pytest.raises(ValidationError, match=budget):
+        trivial_algebra(cap=100000)
+    with pytest.raises(ValidationError, match=budget):
+        SullivanPresentation([("x", 2), ("y", 2), ("z", 2)], cap=60)
+    with pytest.raises(ValidationError, match=budget):
+        FreeDgModule(alg, [(f"m{i}", 1) for i in range(200)], {}, cap=12)
+    with pytest.raises(ValidationError, match=budget):
+        TabulatedDgModule(alg, 100000, {})
+    # the largest object a shipped fixture builds at window 28
+    borel = equivariant_model(fixture("s4_hopf", 28), 28).module
+    assert borel.algebra.module_basis_slots(borel.gen_degrees, borel.cap) <= BASIS_BUDGET
 
 
 def test_poly_str_round_trips_through_parser():

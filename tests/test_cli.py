@@ -286,3 +286,20 @@ def test_unbounded_algebra_differential_is_one_error_line(tmp_path, expr, messag
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command, fixture", [("circle", "cp2"), ("minmodel", "s4_hopf")])
+def test_oversized_window_is_one_error_line(command, fixture):
+    # rejected from the generators' degrees before any basis is built; the
+    # bound used to be the time it took to build window 100000
+    res = subprocess.run(
+        CLI + [command, "--fixture", fixture, "--max-degree", "100000"],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "over the budget of" in lines[0]

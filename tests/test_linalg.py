@@ -98,8 +98,33 @@ def test_cohomology_coords_of_reduces_mod_boundaries():
     d = {0: RatMatrix.from_rows([[1], [0]])}
     data = cohomology_at(dims, d, 1)
     assert data.betti == 1
-    coords = data.coords_of(vec([3, 5]))
-    assert coords == (Q(5),)
+    assert data.coords([vec([3, 5])]) == [(Q(5),)]
+
+
+def test_cohomology_coords_batch_matches_single_vectors():
+    # H^1 of Q -> Q^3 -> 0 with d(1) = (1, 1, 0): two classes
+    dims = {0: 1, 1: 3, 2: 0}
+    d = {0: RatMatrix.from_rows([[1], [1], [0]])}
+    data = cohomology_at(dims, d, 1)
+    assert data.betti == 2
+    vectors = [vec([3, 5, 0]), vec([0, 0, 2]), vec([1, 1, 0]), vec([0, 0, 0])]
+    assert data.coords(vectors) == [data.coords([v])[0] for v in vectors]
+    assert data.coords(vectors)[2] == (Q(0), Q(0))
+    assert data.coords([]) == []
+    # a 1-dimensional complex with no cohomology and no boundaries
+    empty = cohomology_at({0: 1, 1: 1}, {0: RatMatrix.from_rows([[1]])}, 0)
+    assert empty.coords([vec([0])]) == [()]
+    with pytest.raises(ValidationError, match="not in the recorded cocycle space"):
+        empty.coords([vec([0]), vec([1])])
+
+
+def test_cohomology_coords_rejects_a_non_cocycle_among_many():
+    # H^1 of 0 -> Q^2 -> Q with d = (1, 0): only the second coordinate is closed
+    data = cohomology_at({1: 2, 2: 1}, {1: RatMatrix.from_rows([[1, 0]])}, 1)
+    assert data.coords([vec([0, 4])]) == [(Q(4),)]
+    for vectors in ([vec([1, 0])], [vec([0, 1]), vec([1, 0])], [vec([1, 0]), vec([0, 1])]):
+        with pytest.raises(ValidationError, match="not a cocycle modulo recorded boundaries"):
+            data.coords(vectors)
 
 
 def test_graded_dims_window():
