@@ -33,6 +33,7 @@ from .cdga import (
     Mono,
     Poly,
     SullivanPresentation,
+    check_basis_budget,
     extend,
     poly_add,
     poly_eq,
@@ -304,6 +305,10 @@ class _ActionPipeline:
     """
 
     def __init__(self, data: BasicData, max_degree: int):
+        if data.variant in VARIANTS and isinstance(data.relative_model, FreeDgModule):
+            # the Borel objects are the largest a report builds: reject a window
+            # they cannot fit before verifying the maps, which is quadratic in it
+            _borel_algebra(data)
         data.validate().raise_if_failed()
         self.data = data
         self.max_degree = max_degree
@@ -408,6 +413,22 @@ class EquivariantModel:
     betti: GradedDims
 
 
+def _borel_algebra(data: BasicData) -> SullivanPresentation:
+    """A (x) Lambda(e), e of the Euler degree and named apart from A's generators;
+    checks the budget of the Borel module and its cone before either is built."""
+    e_name = "e"
+    while e_name in data.algebra.names:
+        e_name += "e"
+    alg_e = extend(data.algebra, e_name, data.euler_degree, None)
+    m, d_e = data.relative_model, data.euler_degree
+    m_cap = min(m.cap, alg_e.cap)
+    a_cap = min(alg_e.cap, m_cap + d_e - 1)
+    cone_degrees = (0, *(g + d_e - 1 for g in m.gen_degrees))
+    for degrees, cap in ((m.gen_degrees, m_cap), (cone_degrees, a_cap)):
+        check_basis_budget(alg_e.module_basis_slots(degrees, cap), "the module", cap)
+    return alg_e
+
+
 def _equivariant_pieces(
     data: BasicData, max_degree: int
 ) -> tuple[EquivariantModel, Cone]:
@@ -415,10 +436,8 @@ def _equivariant_pieces(
     m = data.relative_model
     d_e = data.euler_degree
 
-    e_name = "e"
-    while e_name in alg.names:
-        e_name += "e"
-    alg_e = extend(alg, e_name, d_e, None)
+    alg_e = _borel_algebra(data)
+    e_name = alg_e.names[-1]
 
     m_e = FreeDgModule(
         alg_e,

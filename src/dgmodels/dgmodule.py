@@ -209,6 +209,44 @@ class FreeDgModule:
             raise ValidationError(f"inhomogeneous combination with degrees {sorted(degs)}")
         return degs.pop()
 
+    def extend(
+        self, names: Sequence[str], degree: int, diffs: Sequence[Combination], stage: tuple[int, int]
+    ) -> "FreeDgModule":
+        """This module with degree-`degree` generators `names` appended, d(names[j]) = diffs[j].
+
+        The basis is generator-major, so new elements come last in every degree:
+        caches below `degree` are shared, and a cached differential from degree - 1
+        up keeps its columns, padded with zero rows, as no old differential reaches
+        a new generator; for the same reason only the new generators' d^2 is checked.
+        """
+        big = object.__new__(FreeDgModule)
+        big.algebra, big.cap = self.algebra, self.cap
+        big.gen_names = self.gen_names + tuple(names)
+        big.gen_degrees = self.gen_degrees + (degree,) * len(names)
+        slots = self.algebra.module_basis_slots(big.gen_degrees, self.cap)
+        check_basis_budget(slots, "the module", self.cap)
+        big._index = {n: i for i, n in enumerate(big.gen_names)}
+        if len(big._index) != len(big.gen_names):
+            raise ValidationError("module generator names must be distinct")
+        big.stages = self.stages + (stage,) * len(names)
+        big.gen_diffs = self.gen_diffs + tuple(diffs)
+        for name, comb in zip(names, diffs):
+            if big.combination_degree(comb) not in (None, degree + 1):
+                raise ValidationError(f"d({name}) is not of degree {degree + 1}")
+            if not comb_is_zero(big.d_combination(comb)):
+                raise ValidationError(f"d(d({name})) is nonzero")
+        big._basis_cache = {k: b for k, b in self._basis_cache.items() if k < degree}
+        big._basis_index_cache = {k: b for k, b in self._basis_index_cache.items() if k < degree}
+        big._act_cache = {ik: a for ik, a in self._act_cache.items() if sum(ik) < degree}
+        big._coh_cache = {k: h for k, h in self._coh_cache.items() if k + 1 < degree}
+        big._diff_cache = {}
+        for k, mat in self._diff_cache.items():
+            if k + 1 >= degree:
+                pad = RatMatrix.zero(big.dim(k + 1) - mat.rows, mat.cols)
+                mat = mat.vstack(pad).hstack(big._d_columns(k, mat.cols))
+            big._diff_cache[k] = mat
+        return big
+
     # ---- materialized interface ----------------------------------------
 
     def dim(self, k: int) -> int:
@@ -276,12 +314,16 @@ class FreeDgModule:
         if k < 0:
             return RatMatrix.zero(self.dim(k + 1), 0)
         if k not in self._diff_cache:
-            cols = []
-            for gi, m in self.basis(k):
-                image = self.d_combination({gi: {m: Q(1)}})
-                cols.append(self.combination_vector(image, k + 1))
-            self._diff_cache[k] = RatMatrix.from_cols(cols, nrows=self.dim(k + 1))
+            self._diff_cache[k] = self._d_columns(k, 0)
         return self._diff_cache[k]
+
+    def _d_columns(self, k: int, start: int) -> RatMatrix:
+        """Columns start, start + 1, ... of the differential out of degree k."""
+        cols = [
+            self.combination_vector(self.d_combination({gi: {m: Q(1)}}), k + 1)
+            for gi, m in self.basis(k)[start:]
+        ]
+        return RatMatrix.from_cols(cols, nrows=self.dim(k + 1))
 
     def action_matrix(self, i: int, k: int) -> RatMatrix:
         """Multiplication A^i (x) M^k -> M^{i+k}; columns A-major."""
@@ -664,7 +706,7 @@ def map_from_generator_images(
     deg(g) + degree; omitted generators map to zero.  Generators whose
     image degree falls outside the target window must be omitted.
     """
-    img_vectors: dict[int, tuple[Fraction, ...]] = {}
+    img_vectors: dict[int, dict[int, Fraction]] = {}
     for gname, v in images.items():
         gi = source.gen_index(gname)
         t = source.gen_degrees[gi] + degree
@@ -679,30 +721,36 @@ def map_from_generator_images(
             raise ValidationError(
                 f"image of {gname} has length {len(v)}, expected {target.dim(t)}"
             )
-        if any(x != 0 for x in v):
-            img_vectors[gi] = v
-    mats = {}
-    for k in range(min(source.cap, target.cap - degree) + 1):
-        cols = []
-        for gi, m in source.basis(k):
-            img = img_vectors.get(gi)
-            t = source.gen_degrees[gi] + degree
-            if img is None or t < 0:
-                cols.append((Q(0),) * target.dim(k + degree))
-                continue
-            i = source.algebra.mono_degree(m)
-            act = target.action_matrix(i, t)
-            m_idx = source.algebra.basis_index(i)[m]
-            dim_t = target.dim(t)
-            col = [Q(0)] * target.dim(k + degree)
-            for s, c in enumerate(img):
-                if c:
-                    piece = act.col(m_idx * dim_t + s)
-                    col = [x + c * y for x, y in zip(col, piece)]
-            sign = Q(-1 if (i * degree) % 2 else 1)
-            cols.append(tuple(sign * x for x in col))
-        mats[k] = RatMatrix.from_cols(cols, nrows=target.dim(k + degree))
+        img_vectors[gi] = {s: x for s, x in enumerate(v) if x}
+    hi = min(source.cap, target.cap - degree)
+    mats = {k: image_columns(source, target, degree, img_vectors, k, 0) for k in range(hi + 1)}
     return DgModuleMap(source, target, degree, mats, name=name)
+
+
+def image_columns(
+    source: FreeDgModule, target: DgModule, degree: int,
+    images: Mapping[int, Mapping[int, Fraction]], k: int, start: int,
+) -> RatMatrix:
+    """Columns start, start + 1, ... of the degree-k matrix of an A-linear map.
+
+    images maps a generator index to its image's nonzero coordinates; a
+    basis element a.g goes to (-1)^{|a| degree} a.image(g), read off the
+    stored rows of the target's action matrix.
+    """
+    algebra = source.algebra
+    out: list[dict[int, Fraction]] = [{} for _ in range(target.dim(k + degree))]
+    for c, (gi, m) in enumerate(source.basis(k)[start:]):
+        img = images.get(gi)
+        if not img:
+            continue
+        i, t = algebra.mono_degree(m), source.gen_degrees[gi] + degree
+        base = algebra.basis_index(i)[m] * target.dim(t)
+        sign = -1 if (i * degree) % 2 else 1
+        for r, row in enumerate(target.action_matrix(i, t)._nz):
+            x = sum(row[base + s] * y for s, y in img.items() if base + s in row)
+            if x:
+                out[r][c] = sign * x
+    return RatMatrix._make(len(out), source.dim(k) - start, out)
 
 
 @dataclass(frozen=True)

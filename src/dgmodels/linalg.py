@@ -598,7 +598,9 @@ def cohomology_at(
     if d_prev.cols and d_n.cols and not (d_n * d_prev).is_zero():
         raise ValidationError(f"d o d != 0 between degrees {n - 1} and {n + 1}")
     kernel = d_n.kernel_basis()
-    image = independent_subset(d_prev.columns())
+    # the pivot columns of d_prev span the boundaries; its echelon is cached,
+    # so a matrix that served as d_n one degree down is not eliminated again
+    image = [d_prev.col(j) for j in d_prev._echelon()[1]]
     # complete the boundary basis to the kernel, deterministically
     reps = independent_subset(image + kernel)[len(image):]
     betti = len(kernel) - len(image)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cdga import Poly
 from .dgmodule import (
     Combination,
     Cone,
@@ -32,6 +31,7 @@ from .dgmodule import (
     compose,
     cone,
     identity_map,
+    image_columns,
     induced_map,
     is_homotopy,
     map_from_generator_images,
@@ -53,7 +53,6 @@ from .linalg import (
     RatMatrix,
     add_vec,
     cohomology_at,
-    kron,
     scale_vec,
     vec,
     zero_vec,
@@ -88,6 +87,14 @@ def relative_cohomology(
     (t_v, x_v) per basis class, satisfying d t_v = 0 and rho t_v = d x_v;
     a stage-n generator v is adjoined with dv = t_v and rho(v) = x_v.
     """
+    return _obstructions(rho, n, None)[:2]
+
+
+def _obstructions(
+    rho: DgModuleMap, n: int, d_n: RatMatrix | None
+) -> tuple[CohomologyData, tuple[tuple[Vector, Vector], ...], RatMatrix]:
+    """relative_cohomology, given the degree-n relative differential when the
+    caller holds it; also returns the degree-(n+1) one it used."""
     if rho.degree != 0:
         raise ValidationError("relative cohomology needs a degree-0 morphism")
     if n < 0:
@@ -98,37 +105,30 @@ def relative_cohomology(
             f"stage {n} needs source cap >= {n + 2} and target cap >= {n + 1}"
         )
     dims = {k: n_mod.dim(k) + x_mod.dim(k - 1) for k in (n, n + 1, n + 2)}
-    mats = {k: _relative_d(rho, k) for k in (n, n + 1)}
+    mats = {n: _relative_d(rho, n) if d_n is None else d_n, n + 1: _relative_d(rho, n + 1)}
     data = cohomology_at(dims, mats, n + 1)
     split = n_mod.dim(n + 1)
     reps = tuple((z[:split], z[split:]) for z in data.representatives)
-    return data, reps
+    return data, reps, mats[n + 1]
 
 
 @dataclass
 class KSState:
-    """One step of the extension tower: current module, quotient data, stage."""
+    """One step of the extension tower: current module, its quotient map, stage.
+
+    rel_d is the degree-n relative differential of rho when the stage
+    before adjoined nothing and so already built it.
+    """
 
     phi: DgModuleMap
     n_cap: int
     module: FreeDgModule
-    images: tuple[Vector, ...]
+    rho: DgModuleMap
     n: int
     q: int
     batches: tuple[tuple[int, int, tuple[str, ...]], ...] = ()
     max_batches: int = 64
-    rho_map: DgModuleMap | None = field(default=None, repr=False, compare=False)
-
-    def rho(self) -> DgModuleMap:
-        """The quotient map of the current module, built once per module."""
-        if self.rho_map is None:
-            images = {
-                name: v for name, v in zip(self.module.gen_names, self.images)
-            }
-            self.rho_map = map_from_generator_images(
-                self.module, self.phi.target, 0, images, name="rho"
-            )
-        return self.rho_map
+    rel_d: RatMatrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def done(self) -> bool:
@@ -136,58 +136,54 @@ class KSState:
 
 
 def _fresh_name(taken: set[str], base: str) -> str:
+    """base, with x appended until it is not taken; the name is then taken."""
     name = base
     while name in taken:
         name += "x"
+    taken.add(name)
     return name
 
 
 def ks_step(state: KSState) -> KSState:
-    """Advance the tower one batch: adjoin V(n, q+1) or move to stage n+1."""
+    """Advance the tower one batch: adjoin V(n, q+1) or move to stage n+1.
+
+    The tower only appends.  A batch extends the module and rho: below
+    degree n both keep their matrices, and from n up rho gains the
+    columns of the new basis elements.  A stage that adjoins nothing hands
+    its degree-(n+1) relative differential on to the next stage.
+    """
     if state.done:
         return state
-    rho = state.rho()
-    data, reps = relative_cohomology(rho, state.n)
+    rho, n = state.rho, state.n
+    data, reps, d_up = _obstructions(rho, n, state.rel_d)
     if data.betti == 0:
-        return replace(state, n=state.n + 1, q=0, rho_map=rho)
+        return replace(state, n=n + 1, q=0, rel_d=d_up)
     if state.q >= state.max_batches:
         raise InconclusiveWindowError(
-            f"stage {state.n} still has {data.betti} obstruction classes "
+            f"stage {n} still has {data.betti} obstruction classes "
             f"after {state.q} batches"
         )
     module, x_mod = state.module, state.phi.target
     q = state.q + 1
     taken = set(module.gen_names)
-    names: list[str] = []
-    new_images: list[Vector] = []
-    diffs: dict[str, dict[str, Poly]] = {
-        name: {
-            module.gen_names[j]: dict(p)
-            for j, p in module.gen_diffs[i].items()
-        }
-        for i, name in enumerate(module.gen_names)
+    names = [_fresh_name(taken, f"v{n}_{q}_{k}") for k in range(len(reps))]
+    combs = [module.vector_combination(t_v, n + 1) for t_v, _ in reps]
+    bigger = module.extend(names, n, combs, (n, q))
+    images = {
+        module.gen_count + j: {s: x for s, x in enumerate(x_v) if x}
+        for j, (_, x_v) in enumerate(reps)
     }
-    for k, (t_v, x_v) in enumerate(reps):
-        name = _fresh_name(taken, f"v{state.n}_{q}_{k}")
-        taken.add(name)
-        names.append(name)
-        comb = module.vector_combination(t_v, state.n + 1)
-        diffs[name] = {module.gen_names[j]: p for j, p in comb.items()}
-        new_images.append(vec(x_v))
-    generators = list(zip(module.gen_names, module.gen_degrees)) + [
-        (name, state.n) for name in names
-    ]
-    stages = module.stages + ((state.n, q),) * len(names)
-    bigger = FreeDgModule(
-        module.algebra, generators, diffs, cap=module.cap, stages=stages
-    )
+    mats = {k: rho.matrix(k) for k in rho.window()}
+    for k, mat in mats.items():
+        if bigger.dim(k) > mat.cols:
+            mats[k] = mat.hstack(image_columns(bigger, x_mod, 0, images, k, mat.cols))
     return replace(
         state,
         module=bigger,
-        images=state.images + tuple(new_images),
+        rho=DgModuleMap(bigger, x_mod, 0, mats, name="rho"),
         q=q,
-        batches=state.batches + ((state.n, q, tuple(names)),),
-        rho_map=None,
+        batches=state.batches + ((n, q, tuple(names)),),
+        rel_d=None,
     )
 
 
@@ -283,15 +279,15 @@ def minimal_factorization(
         cap=n_cap + 1,
         stages=source.stages,
     )
-    images = tuple(
-        phi.matrix(deg).col(source.basis_index(deg)[(i, algebra.unit_mono())])
-        for i, deg in enumerate(source.gen_degrees)
-    )
+    images = {
+        name: phi.matrix(deg).col(source.basis_index(deg)[(i, algebra.unit_mono())])
+        for i, (name, deg) in enumerate(zip(source.gen_names, source.gen_degrees))
+    }
     state = KSState(
         phi=phi,
         n_cap=n_cap,
         module=base,
-        images=images,
+        rho=map_from_generator_images(base, target, 0, images, name="rho"),
         n=0,
         q=0,
         max_batches=max_batches,
@@ -299,8 +295,7 @@ def minimal_factorization(
     while not state.done:
         state = ks_step(state)
 
-    module = state.module
-    rho = state.rho()
+    module, rho = state.module, state.rho
     inclusion = _prefix_inclusion(source, module)
 
     betti_model: list[int] = []
@@ -508,14 +503,6 @@ def _apply_images(
     return out
 
 
-def _mult_matrix(module: DgModule, i: int, mono_index: int, k: int) -> RatMatrix:
-    """Multiplication by one degree-i algebra basis monomial, as X^k -> X^{i+k}."""
-    act = module.action_matrix(i, k)
-    dim_k = module.dim(k)
-    cols = [act.col(mono_index * dim_k + s) for s in range(dim_k)]
-    return RatMatrix.from_cols(cols, nrows=module.dim(i + k))
-
-
 def _retraction(rho: DgModuleMap, check: bool) -> DgModuleMap:
     """Retraction sigma: X -> N with sigma . rho = id for a quis rho: N -> X.
 
@@ -525,8 +512,6 @@ def _retraction(rho: DgModuleMap, check: bool) -> DgModuleMap:
     solution exists whenever X splits off rho(N) as an A-module summand,
     in particular when X is free.
     """
-    from .linalg import kron
-
     n_mod, x_mod = rho.source, rho.target
     algebra = n_mod.algebra
     top = min(n_mod.cap, x_mod.cap)
@@ -537,65 +522,49 @@ def _retraction(rho: DgModuleMap, check: bool) -> DgModuleMap:
         offsets.append(total)
         total += dn[k] * dx[k]
 
-    # rows of the system as column -> nonzero Fraction dicts; the blocks of
-    # one row sit at disjoint offsets, so no entry cancels
+    # the unknown sigma_k[r, c] is column offsets[k] + r * dx[k] + c; rows are
+    # written from the stored row dicts of the blocks and their transposes
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
 
-    def add_block(blocks: dict[int, RatMatrix], b: RatMatrix | None, nrows: int) -> None:
-        for r in range(nrows):
-            row: dict[int, Fraction] = {}
-            for k, blk in blocks.items():
-                off = offsets[k]
-                for c, val in blk._nz[r].items():
-                    row[off + c] = val
-            rows.append(row)
-            rhs.append(b[r // b.cols, r % b.cols] if b is not None else Q(0))
+    def commute(lo: int, hi: int, b_cols: Sequence[dict], c_rows: Sequence[dict]) -> None:
+        """Rows of sigma_hi . B - C . sigma_lo = 0, from B's columns and C's rows."""
+        for r in range(dn[hi]):
+            base = offsets[hi] + r * dx[hi]
+            for c in range(dx[lo]):
+                row = {base + t: x for t, x in b_cols[c].items()}
+                for s, y in c_rows[r].items():
+                    row[offsets[lo] + s * dx[lo] + c] = -y
+                rows.append(row)
+                rhs.append(Q(0))
 
     for k in range(top + 1):
         # sigma_k . rho_k = id on N^k
-        if dn[k]:
-            ident = RatMatrix.identity(dn[k])
-            add_block(
-                {k: kron(RatMatrix.identity(dn[k]), rho.matrix(k).transpose())},
-                ident,
-                dn[k] * dn[k],
-            )
+        rho_cols = rho.matrix(k).transpose()._nz
+        for r in range(dn[k]):
+            base = offsets[k] + r * dx[k]
+            for j in range(dn[k]):
+                rows.append({base + t: x for t, x in rho_cols[j].items()})
+                rhs.append(Q(1 if r == j else 0))
     for k in range(top):
-        # d . sigma_k = sigma_{k+1} . d
-        nrows = dn[k + 1] * dx[k]
-        if nrows:
-            add_block(
-                {
-                    k: kron(n_mod.differential_matrix(k), RatMatrix.identity(dx[k])),
-                    k + 1: kron(
-                        RatMatrix.identity(dn[k + 1]),
-                        x_mod.differential_matrix(k).transpose(),
-                    ).scale(Q(-1)),
-                },
-                None,
-                nrows,
-            )
+        # sigma_{k+1} . d = d . sigma_k
+        d_x, d_n = x_mod.differential_matrix(k), n_mod.differential_matrix(k)
+        commute(k, k + 1, d_x.transpose()._nz, d_n._nz)
     for gi, gdeg in enumerate(algebra.degrees):
         for k in range(top - gdeg + 1):
-            nrows = dn[k + gdeg] * dx[k]
-            if not nrows:
+            if not (dn[k + gdeg] and dx[k]):
                 continue
             mono = tuple(1 if j == gi else 0 for j in range(len(algebra.names)))
             m_idx = algebra.basis_index(gdeg)[mono]
-            add_block(
-                {
-                    k + gdeg: kron(
-                        RatMatrix.identity(dn[k + gdeg]),
-                        _mult_matrix(x_mod, gdeg, m_idx, k).transpose(),
-                    ),
-                    k: kron(_mult_matrix(n_mod, gdeg, m_idx, k), RatMatrix.identity(dx[k])).scale(
-                        Q(-1)
-                    ),
-                },
-                None,
-                nrows,
-            )
+            # sigma_{k+g} . (g . -) = (g . -) . sigma_k, read off the action
+            # matrices' columns m_idx * dim + s, s < dim of degree k
+            x_cols = x_mod.action_matrix(gdeg, k).transpose()._nz
+            lo = m_idx * dn[k]
+            n_rows = [
+                {j - lo: y for j, y in row.items() if lo <= j < lo + dn[k]}
+                for row in n_mod.action_matrix(gdeg, k)._nz
+            ]
+            commute(k, k + gdeg, x_cols[m_idx * dx[k] : (m_idx + 1) * dx[k]], n_rows)
 
     system = RatMatrix._make(len(rows), total, rows)
     sol = system.solve(vec(rhs))

@@ -303,3 +303,21 @@ def test_oversized_window_is_one_error_line(command, fixture):
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "over the budget of" in lines[0]
+
+
+def test_borel_budget_is_checked_before_the_first_stage():
+    # cp2's own algebra and modules fit the budget at this window, but the
+    # Borel algebra A (x) Lambda(e) does not; the bound used to be the time
+    # it took to verify the structure maps and build the first stages
+    res = subprocess.run(
+        CLI + ["circle", "--fixture", "cp2", "--max-degree", "1000"],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "over the budget of" in lines[0]
+    assert "Traceback" not in res.stderr

@@ -1,0 +1,249 @@
+"""The append-only KS tower and the retraction it feeds.
+
+Random C7-style modules pin the tower's identities and the retraction
+against the Kronecker-product assembly it replaced; a structural test pins
+what an append-only tower shares between steps; and the machine output of
+`dgmodels minmodel` is pinned on every fixture.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dgmodels import cli, minmodel
+from dgmodels.cdga import SullivanPresentation
+from dgmodels.dgmodule import (
+    DgModule,
+    DgModuleMap,
+    FreeDgModule,
+    compose,
+    identity_map,
+    maps_equal,
+    module_cohomology,
+    tabulate,
+    zero_map,
+    zero_module,
+)
+from dgmodels.fixtures import FIXTURES
+from dgmodels.linalg import Q, RatMatrix, kron, vec
+from dgmodels.minmodel import (
+    KSState,
+    ks_step,
+    lift_section,
+    minimal_model,
+    verify_minimal,
+)
+
+CAP = 8
+COEFFS = [Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(3), Q(-1, 3)]
+ALGEBRAS = {
+    "a3": SullivanPresentation([("a", 3)], {}, cap=CAP + 6),
+    "e2": SullivanPresentation([("e", 2)], {}, cap=CAP + 6),
+    # two generators of one degree, so that the retraction picks the columns
+    # of one monomial out of an action matrix
+    "e2f2": SullivanPresentation([("e", 2), ("f", 2)], {}, cap=CAP + 6),
+}
+
+# SHA-256 of `dgmodels minmodel --fixture F --max-degree 14 --format machine`,
+# recorded before the tower became append-only.
+MINMODEL_SHA256 = {
+    "almost_free_hopf": "d8b2b9b7a7ad3f5d9364d56be73babb222458b37a31bcfa386b35dc65ba38a10",
+    "cp2": "63ee61f96869aae81a8a2bc5766fb363b5c8a2538f35ceee6e0f162a62f5adab",
+    "flow_s4": "218a05b2a9a1ddb2407179aa40b88173c2c38980f54672caabbf5ac25fe675e4",
+    "nonformal": "916c1cd93bc3bda4da85e5188e3d5040be129a18844d9b3cb077b208a4dfe46e",
+    "s4_hopf": "78ecd3070d5ff00bef3e5e0659238fc6006918eae42c6843cd51558b5cdc18cf",
+    "semifree_suspension": "ea175229037a57320ffd2ac63bceb6c6e118957ed2c959309a2ab986d00c70ba",
+}
+
+
+@st.composite
+def c7_modules(draw) -> FreeDgModule:
+    """1-3 closed and 0-3 open generators; d hits closed generators only, so
+    d^2 = 0 by construction over a zero-differential algebra."""
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    closed = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    opened = draw(st.lists(st.integers(1, 6), max_size=3))
+    gens = [(f"z{i}", d) for i, d in enumerate(closed)]
+    gens += [(f"w{i}", d) for i, d in enumerate(opened)]
+    diffs = {}
+    for i, deg in enumerate(opened):
+        row = {}
+        for j, zdeg in enumerate(closed):
+            cdeg = deg + 1 - zdeg
+            if 0 <= cdeg and alg.dim(cdeg) and draw(st.booleans()):
+                row[f"z{j}"] = {alg.basis(cdeg)[0]: draw(st.sampled_from(COEFFS))}
+        if row:
+            diffs[f"w{i}"] = row
+    return FreeDgModule(alg, gens, diffs, cap=CAP)
+
+
+def _mult_matrix(module: DgModule, i: int, mono_index: int, k: int) -> RatMatrix:
+    act = module.action_matrix(i, k)
+    dim_k = module.dim(k)
+    cols = [act.col(mono_index * dim_k + s) for s in range(dim_k)]
+    return RatMatrix.from_cols(cols, nrows=module.dim(i + k))
+
+
+def kron_retraction(rho: DgModuleMap) -> DgModuleMap:
+    """The retraction system as it was assembled before, from Kronecker
+    products with identities, transposes and negated copies; the reference
+    for the assembly that writes each row from the blocks' stored rows."""
+    n_mod, x_mod = rho.source, rho.target
+    algebra = n_mod.algebra
+    top = min(n_mod.cap, x_mod.cap)
+    dn = [n_mod.dim(k) for k in range(top + 1)]
+    dx = [x_mod.dim(k) for k in range(top + 1)]
+    offsets, total = [], 0
+    for k in range(top + 1):
+        offsets.append(total)
+        total += dn[k] * dx[k]
+    rows, rhs = [], []
+
+    def add_block(blocks, b, nrows):
+        for r in range(nrows):
+            row = {}
+            for k, blk in blocks.items():
+                for c, val in enumerate(blk.row(r)):
+                    if val:
+                        row[offsets[k] + c] = val
+            rows.append(row)
+            rhs.append(b[r // b.cols, r % b.cols] if b is not None else Q(0))
+
+    for k in range(top + 1):
+        if dn[k]:
+            add_block(
+                {k: kron(RatMatrix.identity(dn[k]), rho.matrix(k).transpose())},
+                RatMatrix.identity(dn[k]),
+                dn[k] * dn[k],
+            )
+    for k in range(top):
+        nrows = dn[k + 1] * dx[k]
+        if nrows:
+            add_block(
+                {
+                    k: kron(n_mod.differential_matrix(k), RatMatrix.identity(dx[k])),
+                    k + 1: kron(
+                        RatMatrix.identity(dn[k + 1]), x_mod.differential_matrix(k).transpose()
+                    ).scale(Q(-1)),
+                },
+                None,
+                nrows,
+            )
+    for gi, gdeg in enumerate(algebra.degrees):
+        for k in range(top - gdeg + 1):
+            nrows = dn[k + gdeg] * dx[k]
+            if not nrows:
+                continue
+            mono = tuple(1 if j == gi else 0 for j in range(len(algebra.names)))
+            m_idx = algebra.basis_index(gdeg)[mono]
+            add_block(
+                {
+                    k + gdeg: kron(
+                        RatMatrix.identity(dn[k + gdeg]),
+                        _mult_matrix(x_mod, gdeg, m_idx, k).transpose(),
+                    ),
+                    k: kron(
+                        _mult_matrix(n_mod, gdeg, m_idx, k), RatMatrix.identity(dx[k])
+                    ).scale(Q(-1)),
+                },
+                None,
+                nrows,
+            )
+    sol = RatMatrix._make(len(rows), total, rows).solve(vec(rhs))
+    assert sol is not None
+    mats = {}
+    for k in range(top + 1):
+        if dn[k] and dx[k]:
+            mats[k] = RatMatrix(
+                dn[k],
+                dx[k],
+                [sol[offsets[k] + r * dx[k] : offsets[k] + (r + 1) * dx[k]] for r in range(dn[k])],
+            )
+    return DgModuleMap(x_mod, n_mod, 0, mats, name="sigma")
+
+
+# X is not minimal here (dw0 = z0 / 2), so rho is not onto and sigma is not
+# fixed by sigma . rho = id alone: the A-linearity rows decide it
+NOT_MINIMAL = FreeDgModule(
+    ALGEBRAS["a3"],
+    [("z0", 2), ("w0", 1), ("w1", 4)],
+    {"w0": {"z0": "1/2"}, "w1": {"z0": "3*a"}},
+    cap=CAP,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c7_modules())
+@example(NOT_MINIMAL)
+def test_tower_preserves_cohomology_and_retraction_matches_reference(module):
+    x = tabulate(module)
+    result = minimal_model(x)
+    assert verify_minimal(result.module).ok
+    for n in range(result.window + 1):
+        assert module_cohomology(result.module, n).betti == module_cohomology(x, n).betti
+    sigma = lift_section(result.rho)
+    assert maps_equal(compose(sigma, result.rho), identity_map(result.module))
+    assert sigma.verify().ok
+    assert maps_equal(sigma, kron_retraction(result.rho))
+
+
+def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
+    # over Lambda(e_2): z0 in degree 0 and z1 in degree 2 give batches at
+    # stages 0 and 2, and w, with dw = e z1, one at stage 3; the stages in
+    # between and after adjoin nothing
+    alg = ALGEBRAS["e2"]
+    x = tabulate(FreeDgModule(alg, [("z0", 0), ("z1", 2), ("w", 3)], {"w": {"z1": "e"}}, cap=CAP))
+    used = []
+    original = minmodel.cohomology_at
+
+    def recording(dims, mats, n):
+        used.append(mats)
+        return original(dims, mats, n)
+
+    monkeypatch.setattr(minmodel, "cohomology_at", recording)
+    zero = zero_module(alg, cap=CAP)
+    phi = zero_map(zero, x, 0)
+    state = KSState(phi=phi, n_cap=CAP - 1, module=zero, rho=phi, n=0, q=0)
+    shared_blocks = carried = 0
+    while not state.done:
+        old_rho = state.rho
+        for k in range(CAP):
+            state.module.differential_matrix(k)
+        new = ks_step(state)
+        if len(new.batches) > len(state.batches):
+            n = state.n
+            assert new.rel_d is None
+            for k in range(n):
+                assert new.rho.mats.get(k) is old_rho.mats.get(k)
+                shared_blocks += k in old_rho.mats
+            for k in range(n - 1):
+                assert new.module.differential_matrix(k) is state.module.differential_matrix(k)
+        elif new.n == state.n + 1 and not new.done:
+            assert new.rel_d is not None and new.rho is old_rho
+            ks_step(new)
+            assert used[-1][new.n] is new.rel_d
+            carried += 1
+        state = new
+    assert [b[0] for b in state.batches] == [0, 2, 3]
+    assert shared_blocks and carried
+    assert state.module.gen_names == minimal_model(x, CAP - 1).module.gen_names
+
+
+def _machine_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_minmodel_machine_output_is_pinned(name):
+    code, out = _machine_output(
+        ["minmodel", "--fixture", name, "--max-degree", "14", "--format", "machine"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == MINMODEL_SHA256[name]
