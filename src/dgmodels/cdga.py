@@ -47,6 +47,23 @@ def check_basis_budget(slots: int, what: str, cap: int) -> None:
         )
 
 
+# Most checks one verification (verify_dgmodule, DgModuleMap.verify,
+# BasicData.validate) may run.  A module's count grows as the cube of its
+# window, a map's as the square; `dgmodels verify` accepts every shipped
+# fixture through window 47 (the relative model takes 20,874 checks at 48).
+CHECK_BUDGET = 20_000
+
+
+def check_check_budget(checks: int, what: str) -> None:
+    """Reject a verification whose check count, known from the window before the
+    first check, is over the budget; the basis budget bounds each check's matrices."""
+    if checks > CHECK_BUDGET:
+        raise ValidationError(
+            f"verifying {what} takes {checks} checks, over the budget of "
+            f"{CHECK_BUDGET}; lower the degree window"
+        )
+
+
 def _basis_totals(degrees: Sequence[int], cap: int) -> tuple[int, ...]:
     """Running sums of dim A^0, ..., dim A^cap for the free graded-commutative
     algebra on generators of these degrees, read off its generating function

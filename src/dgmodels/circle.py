@@ -34,6 +34,7 @@ from .cdga import (
     Poly,
     SullivanPresentation,
     check_basis_budget,
+    check_check_budget,
     extend,
     poly_add,
     poly_eq,
@@ -49,6 +50,7 @@ from .dgmodule import (
     TabulatedDgModule,
     algebra_module,
     betti_table,
+    certify_on_generators,
     comb_add,
     comb_is_zero,
     comb_scale,
@@ -108,6 +110,8 @@ class BasicData:
         return EULER_DEGREES[self.variant]
 
     def validate(self) -> CheckReport:
+        maps = (self.i_prime, self.e_prime, self.euler_self_map)
+        check_check_budget(sum(m.check_count() for m in maps if m is not None), "the basic data")
         failures: list[str] = []
         checks = 0
 
@@ -474,7 +478,7 @@ def _equivariant_pieces(
         if not poly_is_zero(q_poly):
             images[gname] = alg_e.poly_vector(q_poly, t)
     q_prime = map_from_generator_images(m_e, a_mod, d_e, images, name="q'")
-    q_prime.verify().raise_if_failed()
+    certify_on_generators(q_prime).raise_if_failed()
 
     names = _fresh_names("c", m.gen_count, set(a_mod.gen_names))
     free, iota, cn = free_cone(q_prime, gen_names=names, check=False)
@@ -837,7 +841,7 @@ def _localization(p: _ActionPipeline, nilpotency_exponent: int | None) -> Locali
         offsets[s] = at
         at += h[s].betti
 
-    entries = [[Q(0)] * total for _ in range(total)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(total)]
     if data.euler_self_map is not None:
         smax = max(degs)
         if smax + d_e > S:
@@ -851,12 +855,9 @@ def _localization(p: _ActionPipeline, nilpotency_exponent: int | None) -> Locali
             if h.get(t) is None or not h[t].betti:
                 continue
             block = induced_map(data.euler_self_map, h[s], h[t])
-            for r in range(block.rows):
-                for c in range(block.cols):
-                    x = block[r, c]
-                    if x:
-                        entries[offsets[t] + r][offsets[s] + c] = x
-    w_mat = RatMatrix(total, total, entries)
+            for r, row in enumerate(block._nz):
+                rows[offsets[t] + r].update((offsets[s] + c, x) for c, x in row.items())
+    w_mat = RatMatrix._make(total, total, rows)
 
     powers = [RatMatrix.identity(total)]
     p = 1
@@ -1019,18 +1020,15 @@ def _module_over_subalgebra(
     for i in range(1, min(cap, sub.cap) + 1):
         for k in range(cap - i + 1):
             dim_k = big.dim(k)
-            rows = big.dim(i + k)
             index = big.basis_index(i + k)
-            entries = [[Q(0)] * (sub.dim(i) * dim_k) for _ in range(rows)]
+            rows: list[dict[int, Fraction]] = [{} for _ in index]
             for ai, ma in enumerate(sub.basis(i)):
                 big_ma = ma + (0,) * width
                 for bi, mb in enumerate(big.basis(k)):
                     got = big.mono_mul(big_ma, mb)
-                    if got is None:
-                        continue
-                    coeff, mono = got
-                    entries[index[mono]][ai * dim_k + bi] = Q(coeff)
-            act_mats[(i, k)] = RatMatrix(rows, sub.dim(i) * dim_k, entries)
+                    if got is not None:
+                        rows[index[got[1]]][ai * dim_k + bi] = Q(got[0])
+            act_mats[(i, k)] = RatMatrix._make(len(rows), sub.dim(i) * dim_k, rows)
     return TabulatedDgModule(sub, cap, labels, d_mats, act_mats)
 
 
@@ -1069,13 +1067,11 @@ def _almost_free(p: _ActionPipeline) -> AlmostFreeReport:
 
     mats: dict[int, RatMatrix] = {}
     for n in range(min(free.cap, target.cap) + 1):
-        rows = target.dim(n)
         index = alg_x.basis_index(n)
-        entries = [[Q(0)] * free.dim(n) for _ in range(rows)]
+        rows = [{} for _ in range(target.dim(n))]
         for c_idx, (gi, mono) in enumerate(free.basis(n)):
-            big_mono = mono + ((0,) if gi == 0 else (1,))
-            entries[index[big_mono]][c_idx] = Q(1)
-        mats[n] = RatMatrix(rows, free.dim(n), entries)
+            rows[index[mono + ((0,) if gi == 0 else (1,))]][c_idx] = Q(1)
+        mats[n] = RatMatrix._make(len(rows), free.dim(n), rows)
     mu = DgModuleMap(free, target, 0, mats, name="(a,b) -> a + b x")
 
     failures: list[str] = []
@@ -1091,26 +1087,18 @@ def _almost_free(p: _ActionPipeline) -> AlmostFreeReport:
         elif mu.matrix(n).rank() != free.dim(n):
             failures.append(f"degree {n}: the correspondence is not invertible")
 
+    # under (a, b) -> a + b x the pair product sends a.1, a'.1 to a a'; a.1, a'.x
+    # to a a' x; a.x, a'.1 to (-1)^{deg a'} a a' x; and two x terms to 0
     one = Q(1)
     for i in range(window + 1):
         for gi, mi in free.basis(i):
-            left = {mi + ((0,) if gi == 0 else (1,)): one}
+            left = {mi + (min(gi, 1),): one}
             for j in range(window + 1 - i):
                 for gj, mj in free.basis(j):
-                    right = {mj + ((0,) if gj == 0 else (1,)): one}
-                    want = alg_x.poly_mul(left, right)
-                    if gi == 0 and gj == 0:
-                        pair = alg.poly_mul({mi: one}, {mj: one})
-                        got = _inject_poly(pair, 1)
-                    elif gi == 0:
-                        pair = alg.poly_mul({mi: one}, {mj: one})
-                        got = {mm + (1,): c for mm, c in pair.items()}
-                    elif gj == 0:
-                        pair = alg.poly_mul({mi: one}, {mj: one})
-                        sign = -one if alg.mono_degree(mj) % 2 else one
-                        got = {mm + (1,): sign * c for mm, c in pair.items()}
-                    else:
-                        got = {}
+                    want = alg_x.poly_mul(left, {mj + (min(gj, 1),): one})
+                    pair = {} if gi and gj else alg.poly_mul({mi: one}, {mj: one})
+                    sign = -one if gi and alg.mono_degree(mj) % 2 else one
+                    got = {mm + (min(gi + gj, 1),): sign * c for mm, c in pair.items()}
                     if not poly_eq(want, got):
                         failures.append(
                             f"product rule fails on {free.basis_labels(i)[0]} "
@@ -1198,11 +1186,60 @@ def _comb_eq(a: Combination, b: Combination) -> bool:
 
 def naive_structure(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> NaiveReport:
     """When e' = 0 the total-space cone splits and carries the naive product
-    (a, b)(a', b') = (a a', (-1)^{deg a} a b' + (-1)^{deg a' deg b} a' b);
-    the report checks the dgc axioms on the window basis and tabulates the
-    cohomology ring, with a wedge-of-spheres verdict when the differential
-    vanishes and all positive products are zero."""
+    (a, b)(a', b') = (a a', (-1)^{deg a} a b' + (-1)^{deg a' deg b} a' b),
+    the square-zero extension of A by the shifted module: unital, graded
+    commutative and associative for any graded module, and Leibniz unless
+    some (da) b != 0 (Felix-Halperin-Thomas, GTM 205, section 6).  The signs
+    of _naive_pair_mul depend only on the parities of the factors' algebra
+    and module degrees, and each parity class of the window occurs, at no
+    higher degree, among the elements x.g with x the unit or an algebra
+    generator and g a module generator: the report checks the dgc axioms on
+    those.  It tabulates the cohomology ring, with a wedge-of-spheres verdict
+    when the differential vanishes and all positive products are zero."""
     return _naive(_ActionPipeline(data, max_degree))
+
+
+def _naive_axioms(
+    free: FreeDgModule, shift: int, window: int
+) -> tuple[bool, bool, bool, bool, list[str]]:
+    """(unital, graded commutative, associative, Leibniz, failures) of the naive
+    product on the elements x.g of degree <= window, x the unit or an algebra
+    generator and g a module generator, g = 0 the closed degree-0 unit."""
+    alg, d = free.algebra, free.d_combination
+    monos = [alg.unit_mono(), *(next(iter(alg.generator_poly(n))) for n in alg.names)]
+    elts = sorted(
+        (
+            (alg.mono_degree(m) + deg, {gi: {m: Q(1)}})
+            for gi, deg in enumerate(free.gen_degrees)
+            for m in monos
+            if alg.mono_degree(m) + deg <= window
+        ),
+        key=lambda e: e[0],
+    )
+    unit: Combination = {0: {alg.unit_mono(): Q(1)}}
+    failed: list[tuple[str, str]] = []
+
+    def mul(x: Combination, y: Combination) -> Combination:
+        return _naive_mul(free, shift, x, y)
+
+    for i, x in elts:
+        if not _comb_eq(mul(unit, x), x) or not _comb_eq(mul(x, unit), x):
+            failed.append(("unit", f"unit fails on {free.basis_labels(i)}"))
+    for i, x in elts:
+        for j, y in (e for e in elts if i <= e[0] <= window - i):
+            xy = mul(x, y)
+            if not _comb_eq(xy, comb_scale((-1) ** (i * j), mul(y, x))):
+                failed.append(("comm", f"graded commutativity fails at degrees ({i}, {j})"))
+            if not _comb_eq(d(xy), comb_add(mul(d(x), y), comb_scale((-1) ** i, mul(x, d(y))))):
+                failed.append(("leibniz", f"Leibniz fails at degrees ({i}, {j})"))
+    for i, x in elts:
+        for j, y in elts:
+            for k, z in (e for e in elts if i + j + e[0] <= window):
+                if not _comb_eq(mul(mul(x, y), z), mul(x, mul(y, z))):
+                    failed.append(("assoc", f"associativity fails at degrees ({i}, {j}, {k})"))
+    bad = {axiom for axiom, _ in failed}
+    flags = (axiom not in bad for axiom in ("unit", "comm", "assoc", "leibniz"))
+    return (*flags, [msg for _, msg in failed])
 
 
 def _naive(p: _ActionPipeline) -> NaiveReport:
@@ -1212,78 +1249,10 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
     shift = data.euler_degree - 1
     total = p.total
     free = total.module
-    alg = free.algebra
     window = total.window
-
-    def elt_degree(gi: int, m: Mono) -> int:
-        return alg.mono_degree(m) + free.gen_degrees[gi]
-
-    basis_by_degree = {n: free.basis(n) for n in range(window + 1)}
-    failures: list[str] = []
-
-    unital = True
-    unit: Combination = {0: {alg.unit_mono(): Q(1)}}
-    for n in range(window + 1):
-        for gi, m in basis_by_degree[n]:
-            x: Combination = {gi: {m: Q(1)}}
-            if not _comb_eq(_naive_mul(free, shift, unit, x), x) or not _comb_eq(
-                _naive_mul(free, shift, x, unit), x
-            ):
-                unital = False
-                failures.append(f"unit fails on {free.basis_labels(n)}")
-
-    commutative = True
-    leibniz = True
-    for i in range(window + 1):
-        for j in range(i, window + 1 - i):
-            for gi, mi in basis_by_degree[i]:
-                x: Combination = {gi: {mi: Q(1)}}
-                for gj, mj in basis_by_degree[j]:
-                    y: Combination = {gj: {mj: Q(1)}}
-                    xy = _naive_mul(free, shift, x, y)
-                    yx = _naive_mul(free, shift, y, x)
-                    if (i * j) % 2:
-                        yx = comb_scale(Q(-1), yx)
-                    if not _comb_eq(xy, yx):
-                        commutative = False
-                        failures.append(
-                            f"graded commutativity fails at degrees ({i}, {j})"
-                        )
-                    lhs = free.d_combination(xy)
-                    rhs = comb_add(
-                        _naive_mul(free, shift, free.d_combination(x), y),
-                        comb_scale(
-                            Q(-1 if i % 2 else 1),
-                            _naive_mul(free, shift, x, free.d_combination(y)),
-                        ),
-                    )
-                    if not _comb_eq(lhs, rhs):
-                        leibniz = False
-                        failures.append(f"Leibniz fails at degrees ({i}, {j})")
-
-    associative = True
-    for i in range(window + 1):
-        for j in range(window + 1 - i):
-            for k in range(window + 1 - i - j):
-                for gi, mi in basis_by_degree[i]:
-                    x = {gi: {mi: Q(1)}}
-                    for gj, mj in basis_by_degree[j]:
-                        y = {gj: {mj: Q(1)}}
-                        xy = _naive_mul(free, shift, x, y)
-                        for gk, mk in basis_by_degree[k]:
-                            z = {gk: {mk: Q(1)}}
-                            if not _comb_eq(
-                                _naive_mul(free, shift, xy, z),
-                                _naive_mul(free, shift, x, _naive_mul(free, shift, y, z)),
-                            ):
-                                associative = False
-                                failures.append(
-                                    f"associativity fails at degrees ({i}, {j}, {k})"
-                                )
-
+    unital, commutative, associative, leibniz, failures = _naive_axioms(free, shift, window)
     betti = total.betti_model
     ring: list[RingEntry] = []
-    positive_zero = True
     if leibniz:
         h = {n: module_cohomology(free, n) for n in range(window + 1)}
         for i in range(1, window):
@@ -1297,38 +1266,17 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
                 ]
                 for (ai, bi), coords in zip(pairs, h[i + j].coords(products)):
                     ring.append(RingEntry(i, ai, j, bi, coords))
-                    if any(coords):
-                        positive_zero = False
-    else:
-        positive_zero = False
+    positive_zero = leibniz and not any(any(entry.coords) for entry in ring)
 
-    zero_diff = all(
-        free.differential_matrix(k).is_zero() for k in range(window)
-    ) and all(
-        not free.gen_diffs[t]
-        for t in range(free.gen_count)
-        if free.gen_degrees[t] <= window
+    zero_diff = all(free.differential_matrix(k).is_zero() for k in range(window)) and all(
+        not diff for diff, deg in zip(free.gen_diffs, free.gen_degrees) if deg <= window
     )
     wedge = zero_diff and positive_zero and not failures
-    spheres = (
-        tuple(n for n in range(1, window + 1) for _ in range(betti.get(n)))
-        if wedge
-        else None
-    )
+    spheres = tuple(n for n in range(1, window + 1) for _ in range(betti.get(n))) if wedge else None
     ok = unital and commutative and associative and leibniz
     return NaiveReport(
-        ok,
-        window,
-        betti,
-        unital,
-        commutative,
-        associative,
-        leibniz,
-        positive_zero,
-        wedge,
-        spheres,
-        tuple(ring),
-        tuple(failures),
+        ok, window, betti, unital, commutative, associative, leibniz,
+        positive_zero, wedge, spheres, tuple(ring), tuple(failures),
     )
 
 

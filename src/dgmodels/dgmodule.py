@@ -21,9 +21,10 @@ and a module built at cap N certifies cohomology only in degrees
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import lru_cache
 
 from .cdga import (
     CheckReport,
@@ -31,6 +32,7 @@ from .cdga import (
     Poly,
     SullivanPresentation,
     check_basis_budget,
+    check_check_budget,
     parse_polynomial,
     poly_add,
     poly_is_zero,
@@ -347,12 +349,60 @@ class FreeDgModule:
         return self._act_cache[key]
 
 
+@lru_cache(maxsize=1024)
+def _zero_block(rows: int, cols: int) -> RatMatrix:
+    """The zero matrix of a shape, one shared by every reader: matrices and
+    their rows are never mutated, so even its rows share one empty dict."""
+    return RatMatrix._make(rows, cols, ({},) * rows)
+
+
+class LazyBlocks(Mapping):
+    """Read-only blocks on a fixed key set, each built by build(key) and checked
+    against its shape when first read.  build must not hold the module the
+    blocks belong to: that reference cycle would outlive the module's readers.
+    """
+
+    __slots__ = ("_shapes", "_build", "_built")
+
+    def __init__(
+        self,
+        shapes: Mapping[tuple[int, int], tuple[int, int]],
+        build: Callable[[tuple[int, int]], RatMatrix],
+    ):
+        self._shapes = dict(shapes)
+        self._build = build
+        self._built: dict[tuple[int, int], RatMatrix] = {}
+
+    def __getitem__(self, key: tuple[int, int]) -> RatMatrix:
+        mat = self._built.get(key)
+        if mat is None:
+            want = self._shapes[key]
+            mat = self._build(key)
+            if (mat.rows, mat.cols) != want:
+                raise ValidationError(
+                    f"block {key} has shape {(mat.rows, mat.cols)}, expected {want}"
+                )
+            self._built[key] = mat
+        return mat
+
+    def __contains__(self, key) -> bool:  # without building the block
+        return key in self._shapes
+
+    def __iter__(self):
+        return iter(self._shapes)
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+
 class TabulatedDgModule:
     """A-dg module given by explicit per-degree labels and matrices.
 
     Construction checks shapes only; semantic axioms (d^2, Leibniz,
     associativity) are the job of verify_dgmodule, so deliberately broken
-    tables can be built for negative controls.
+    tables can be built for negative controls.  act_mats may instead be a
+    function of the key (i, k): every action block of the window is then
+    built on first read, as a LazyBlocks mapping.
     """
 
     __slots__ = ("algebra", "cap", "labels", "d_mats", "act_mats")
@@ -363,7 +413,7 @@ class TabulatedDgModule:
         cap: int,
         labels: Mapping[int, Sequence[str]],
         d_mats: Mapping[int, RatMatrix] | None = None,
-        act_mats: Mapping[tuple[int, int], RatMatrix] | None = None,
+        act_mats: Mapping[tuple[int, int], RatMatrix] | Callable | None = None,
     ):
         self.algebra = algebra
         self.cap = int(cap)
@@ -385,7 +435,15 @@ class TabulatedDgModule:
                 raise ValidationError(f"differential at degree {k} has wrong shape")
             if not mat.is_zero():
                 self.d_mats[k] = mat
-        self.act_mats: dict[tuple[int, int], RatMatrix] = {}
+        if callable(act_mats):
+            shapes = {
+                (i, k): (self.dim(i + k), algebra.dim(i) * self.dim(k))
+                for i in range(1, min(self.cap, algebra.cap) + 1)
+                for k in range(self.cap - i + 1)
+            }
+            self.act_mats: Mapping[tuple[int, int], RatMatrix] = LazyBlocks(shapes, act_mats)
+            return
+        self.act_mats = {}
         for (i, k), mat in (act_mats or {}).items():
             if i < 1 or k < 0 or i + k > self.cap:
                 raise ValidationError(f"action key ({i}, {k}) outside the window")
@@ -411,9 +469,8 @@ class TabulatedDgModule:
     def differential_matrix(self, k: int) -> RatMatrix:
         if k + 1 > self.cap:
             raise DegreeWindowError(f"differential out of degree {k} exceeds cap {self.cap}")
-        if k in self.d_mats:
-            return self.d_mats[k]
-        return RatMatrix.zero(self.dim(k + 1), max(self.dim(k), 0))
+        mat = self.d_mats.get(k)
+        return _zero_block(self.dim(k + 1), self.dim(k)) if mat is None else mat
 
     def action_matrix(self, i: int, k: int) -> RatMatrix:
         if i < 0:
@@ -422,11 +479,10 @@ class TabulatedDgModule:
             raise DegreeWindowError(f"action into degree {i + k} exceeds cap {self.cap}")
         if i == 0:
             return RatMatrix.identity(self.dim(k))
-        if k < 0:
-            return RatMatrix.zero(self.dim(i + k), 0)
-        if (i, k) in self.act_mats:
-            return self.act_mats[(i, k)]
-        return RatMatrix.zero(self.dim(i + k), self.algebra.dim(i) * self.dim(k))
+        mat = self.act_mats.get((i, k))
+        if mat is None:
+            return _zero_block(self.dim(i + k), self.algebra.dim(i) * self.dim(k))
+        return mat
 
     def __repr__(self) -> str:
         dims = [self.dim(k) for k in range(self.cap + 1)]
@@ -477,9 +533,16 @@ def modules_equal(a: DgModule, b: DgModule, labels: bool = True) -> bool:
 
 
 def verify_dgmodule(module: DgModule, top: int | None = None) -> CheckReport:
-    """Check d^2 = 0, module Leibniz, unit, and action associativity on bases <= top."""
+    """Check d^2 = 0, module Leibniz, unit, and action associativity on bases <= top;
+    the checks are counted and held to the check budget before the first runs."""
     top = module.cap if top is None else min(top, module.cap)
     acap = module.algebra.cap
+    low = min(top, acap)
+    # d^2, unit and Leibniz checks; then per i the low - i values of j of the
+    # associativity triples (i, j, k), each with top + 1 - i - j values of k
+    planned = max(top - 1, 0) + top + 1 + sum(top - i for i in range(1, min(top, acap - 1) + 1))
+    planned += sum((low - i) * (2 * top + 1 - low - i) // 2 for i in range(1, low + 1))
+    check_check_budget(planned, "the module")
     failures: list[str] = []
     checks = 0
 
@@ -535,7 +598,7 @@ class DgModuleMap:
     are not materialized and raise on access.
     """
 
-    __slots__ = ("source", "target", "degree", "mats", "name", "window_cap", "_zeros")
+    __slots__ = ("source", "target", "degree", "mats", "name", "window_cap")
 
     def __init__(
         self,
@@ -553,8 +616,6 @@ class DgModuleMap:
         self.window_cap = None if window_cap is None else int(window_cap)
         hi = self.window().stop - 1
         self.mats: dict[int, RatMatrix] = {}
-        # the zero blocks matrix() hands out, built once per degree
-        self._zeros: dict[int, RatMatrix] = {}
         for k, mat in (mats or {}).items():
             if not 0 <= k <= hi:
                 raise ValidationError(f"map matrix at source degree {k} outside the window")
@@ -577,11 +638,7 @@ class DgModuleMap:
             )
         if k in self.mats:
             return self.mats[k]
-        if k not in self._zeros:
-            self._zeros[k] = RatMatrix.zero(
-                self.target.dim(t) if t >= 0 else 0, self.source.dim(k) if k >= 0 else 0
-            )
-        return self._zeros[k]
+        return _zero_block(self.target.dim(t) if t >= 0 else 0, self.source.dim(k) if k >= 0 else 0)
 
     def window(self) -> range:
         """Source degrees where the matrix is materializable."""
@@ -590,23 +647,41 @@ class DgModuleMap:
             hi = min(hi, self.window_cap)
         return range(0, hi + 1)
 
+    def _check_degrees(self, top: int | None) -> tuple[range, dict[int, range]]:
+        """Source degrees of verify's chain checks, and of its A-linearity
+        checks for each algebra degree i."""
+        p, src, tgt = self.degree, self.source, self.target
+        hi = self.window().stop - 1 if top is None else min(top, self.window().stop - 1)
+        chain = range(min(hi, src.cap - 1, tgt.cap - p - 1) + 1)
+        linear = {
+            i: range(min(hi - i, src.cap - i, tgt.cap - p - i) + 1)
+            for i in range(1, min(hi, src.algebra.cap) + 1)
+        }
+        return chain, linear
+
+    def check_count(self, top: int | None = None) -> int:
+        """How many checks verify(top) runs, counted from the window alone."""
+        chain, linear = self._check_degrees(top)
+        return len(chain) + sum(len(ks) for ks in linear.values())
+
     def verify(self, top: int | None = None) -> CheckReport:
-        """Chain condition d phi = (-1)^p phi d and twisted A-linearity."""
+        """Chain condition d phi = (-1)^p phi d and twisted A-linearity, after
+        holding check_count(top) to the check budget."""
+        check_check_budget(self.check_count(top), f"the map {self.name}".rstrip())
         p = self.degree
         sign = Q(-1 if p % 2 else 1)
-        hi = self.window().stop - 1 if top is None else min(top, self.window().stop - 1)
+        chain, linear = self._check_degrees(top)
         failures: list[str] = []
         checks = 0
-        for k in range(min(hi, self.source.cap - 1, self.target.cap - p - 1) + 1):
+        for k in chain:
             checks += 1
             lhs = self.target.differential_matrix(k + p) * self.matrix(k)
             rhs = (self.matrix(k + 1) * self.source.differential_matrix(k)).scale(sign)
             if lhs != rhs:
                 failures.append(f"chain condition fails at source degree {k}")
-        acap = self.source.algebra.cap
-        for i in range(1, min(hi, acap) + 1):
+        for i, degrees in linear.items():
             ident_a = RatMatrix.identity(self.source.algebra.dim(i))
-            for k in range(min(hi - i, self.source.cap - i, self.target.cap - p - i) + 1):
+            for k in degrees:
                 checks += 1
                 lhs = self.matrix(i + k) * self.source.action_matrix(i, k)
                 tw = Q(-1 if (i * p) % 2 else 1)
@@ -614,9 +689,6 @@ class DgModuleMap:
                 if lhs != rhs:
                     failures.append(f"A-linearity fails for (|a|, |m|) = ({i}, {k})")
         return CheckReport("verify_map", not failures, tuple(failures), checks)
-
-    def is_chain_map(self, top: int | None = None) -> bool:
-        return self.verify(top).ok
 
     def __add__(self, other: "DgModuleMap") -> "DgModuleMap":
         self._check_parallel(other)
@@ -705,6 +777,10 @@ def map_from_generator_images(
     images[name] is a coordinate vector in the target's basis at degree
     deg(g) + degree; omitted generators map to zero.  Generators whose
     image degree falls outside the target window must be omitted.
+    A map out of a semifree module is fixed by its values on the generators
+    (Felix-Halperin-Thomas, Rational Homotopy Theory, GTM 205, section 6): it
+    is A-linear by construction, and a chain map iff d phi(g) = (-1)^p phi(dg)
+    on each generator g, which certify_on_generators checks.
     """
     img_vectors: dict[int, dict[int, Fraction]] = {}
     for gname, v in images.items():
@@ -725,6 +801,33 @@ def map_from_generator_images(
     hi = min(source.cap, target.cap - degree)
     mats = {k: image_columns(source, target, degree, img_vectors, k, 0) for k in range(hi + 1)}
     return DgModuleMap(source, target, degree, mats, name=name)
+
+
+def certify_on_generators(phi: DgModuleMap) -> CheckReport:
+    """The chain condition of an A-linear map out of a free module, checked on
+    the generators in the window.  For phi A-linear, as a map from
+    map_from_generator_images is by construction, D = d phi - (-1)^p phi d is
+    A-linear up to the sign (-1)^{|a|(p+1)}, so it vanishes on every a.g of
+    the window iff it vanishes on each generator g there.  The checks read
+    phi's columns at the generators and the two differentials only."""
+    source, target, p = phi.source, phi.target, phi.degree
+    if not isinstance(source, FreeDgModule):
+        raise ValidationError("a generator certificate needs a free source")
+    sign = -1 if p % 2 else 1
+    top = min(phi.window().stop - 1, source.cap - 1, target.cap - p - 1)
+    unit = source.algebra.unit_mono()
+    failures: list[str] = []
+    checks = 0
+    for gi, (name, k) in enumerate(zip(source.gen_names, source.gen_degrees)):
+        if k > top:
+            continue
+        checks += 1
+        image = phi.matrix(k).col(source.basis_index(k)[(gi, unit)])
+        d_image = target.differential_matrix(k + p).apply(image)
+        image_d = phi.matrix(k + 1).apply(source.combination_vector(source.gen_diffs[gi], k + 1))
+        if d_image != tuple(sign * x for x in image_d):
+            failures.append(f"chain condition fails at generator {name}")
+    return CheckReport("certify_map", not failures, tuple(failures), checks)
 
 
 def image_columns(
@@ -860,30 +963,28 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
     sign_d = Q(-1 if (p - 1) % 2 else 1)
     d_mats = {}
     for n in range(cap):
-        d_mats[n] = RatMatrix.block(
-            [
-                [n_mod.differential_matrix(n), phi.matrix(n - p + 1)],
-                [
-                    RatMatrix.zero(m_dims[n + 1], n_dims[n]),
-                    m_mod.differential_matrix(n - p + 1).scale(sign_d),
-                ],
-            ]
-        )
-    act_mats = {}
-    for i in range(1, min(cap, algebra.cap) + 1):
-        tw = Q(-1 if (i * (p - 1)) % 2 else 1)
-        for n in range(cap - i + 1):
-            da = algebra.dim(i)
-            act_mats[(i, n)] = RatMatrix.block(
-                [
-                    [n_mod.action_matrix(i, n), RatMatrix.zero(n_dims[i + n], da * m_dims[n])],
-                    [
-                        RatMatrix.zero(m_dims[i + n], da * n_dims[n]),
-                        m_mod.action_matrix(i, n - p + 1).scale(tw),
-                    ],
-                ]
-            )
-    module = TabulatedDgModule(algebra, cap, labels, d_mats, act_mats)
+        top = n_mod.differential_matrix(n).hstack(phi.matrix(n - p + 1))
+        low = m_mod.differential_matrix(n - p + 1).scale(sign_d)._nz
+        low = tuple({n_dims[n] + c: x for c, x in row.items()} for row in low)
+        d_mats[n] = RatMatrix._make(top.rows + len(low), top.cols, top._nz + low)
+
+    def action_block(key: tuple[int, int]) -> RatMatrix:
+        # rows N^{i+n} then the shifted M rows; columns A-major over the cone's
+        # basis N^n + M^{n-p+1}, so a's columns for N come before its M columns
+        i, n = key
+        nn, mn = n_dims[n], m_dims[n]
+        tw = -1 if (i * (p - 1)) % 2 else 1
+        rows = [
+            {(c // nn) * (nn + mn) + c % nn: x for c, x in row.items()}
+            for row in n_mod.action_matrix(i, n)._nz
+        ]
+        rows += [
+            {(c // mn) * (nn + mn) + nn + c % mn: tw * x for c, x in row.items()}
+            for row in m_mod.action_matrix(i, n - p + 1)._nz
+        ]
+        return RatMatrix._make(len(rows), algebra.dim(i) * (nn + mn), rows)
+
+    module = TabulatedDgModule(algebra, cap, labels, d_mats, action_block)
 
     incl = {}
     for k in range(min(n_mod.cap, cap) + 1):
@@ -950,20 +1051,14 @@ def free_cone(
 
     free = FreeDgModule(algebra, gens, diffs, cap=cn.cap)
 
+    one, minus = Q(1), Q(-1)
     mats = {}
     for n in range(cn.cap + 1):
-        diag = []
-        for gi, m in free.basis(n):
-            if gi < n_count:
-                diag.append(Q(1))
-            else:
-                i = algebra.mono_degree(m)
-                diag.append(Q(-1 if (i * (p - 1)) % 2 else 1))
-        entries = [
-            [diag[r] if r == c else Q(0) for c in range(free.dim(n))]
-            for r in range(cn.module.dim(n))
-        ]
-        mats[n] = RatMatrix(cn.module.dim(n), free.dim(n), entries)
+        rows: list[dict[int, Fraction]] = [{} for _ in range(cn.module.dim(n))]
+        for r, (gi, m) in enumerate(free.basis(n)[: len(rows)]):
+            odd = gi >= n_count and (algebra.mono_degree(m) * (p - 1)) % 2
+            rows[r][r] = minus if odd else one
+        mats[n] = RatMatrix._make(len(rows), free.dim(n), rows)
     iota = DgModuleMap(free, cn.module, 0, mats, name="cone transport")
     return free, iota, cn
 

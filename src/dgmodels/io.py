@@ -500,7 +500,10 @@ def module_json(module: DgModule) -> dict[str, Any]:
         "cap": module.cap,
         "labels": {str(k): list(ls) for k, ls in module.labels.items()},
         "differentials": {str(k): matrix_json(m) for k, m in module.d_mats.items()},
-        "action": {f"{i},{k}": matrix_json(m) for (i, k), m in module.act_mats.items()},
+        # a cone's action blocks include its zero blocks; the document omits them
+        "action": {
+            f"{i},{k}": matrix_json(m) for (i, k), m in module.act_mats.items() if not m.is_zero()
+        },
     }
 
 

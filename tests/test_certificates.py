@@ -1,0 +1,325 @@
+"""Certificates on generators, and the check budget.
+
+A map from `map_from_generator_images` is certified by the chain condition
+on its generators; the naive product by the dgc axioms on the elements x.g
+with x the unit or an algebra generator.  Hypothesis pins both against the
+full checks they replace: `DgModuleMap.verify` and the basis-wide axiom
+loops that `naive_structure` used to run, kept here as the reference.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dgmodels import circle, dgmodule
+from dgmodels.cdga import CHECK_BUDGET, SullivanPresentation
+from dgmodels.circle import _comb_eq, _naive_axioms, _naive_mul
+from dgmodels.dgmodule import (
+    DgModuleMap,
+    FreeDgModule,
+    certify_on_generators,
+    map_from_generator_images,
+    verify_dgmodule,
+)
+from dgmodels.errors import ValidationError
+from dgmodels.fixtures import FIXTURES, fixture
+from dgmodels.linalg import Q
+
+CAP = 8
+COEFFS = [Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(3), Q(-1, 3)]
+ALGEBRAS = {
+    "a3": SullivanPresentation([("a", 3)], {}, cap=CAP + 6),
+    "e2": SullivanPresentation([("e", 2)], {}, cap=CAP + 6),
+    "e2f2": SullivanPresentation([("e", 2), ("f", 2)], {}, cap=CAP + 6),
+}
+
+
+def _free_module(draw, alg, closed, opened, cap=CAP) -> FreeDgModule:
+    """Closed generators, then open ones whose d hits closed ones only, so
+    d^2 = 0 over a zero-differential algebra."""
+    gens = closed + opened
+    diffs = {}
+    for name, deg in opened:
+        row = {}
+        for zname, zdeg in closed:
+            cdeg = deg + 1 - zdeg
+            if 0 <= cdeg and alg.dim(cdeg) and draw(st.booleans()):
+                mono = draw(st.sampled_from(alg.basis(cdeg)))
+                row[zname] = {mono: draw(st.sampled_from(COEFFS))}
+        if row:
+            diffs[name] = row
+    return FreeDgModule(alg, gens, diffs, cap=cap)
+
+
+@st.composite
+def free_modules(draw, alg=None, prefix="", min_open=0) -> FreeDgModule:
+    alg = alg or ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    closed = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    opened = draw(st.lists(st.integers(1, 6), min_size=min_open, max_size=3))
+    return _free_module(
+        draw,
+        alg,
+        [(f"{prefix}z{i}", d) for i, d in enumerate(closed)],
+        [(f"{prefix}w{i}", d) for i, d in enumerate(opened)],
+    )
+
+
+# ---- the generator certificate of a map -----------------------------------------
+
+
+@st.composite
+def generator_maps(draw):
+    """(source, target, degree, images): multiplication by an algebra basis
+    element, which is a chain map, or random images into a second module."""
+    src = draw(free_modules())
+    alg = src.algebra
+    if draw(st.booleans()):
+        tgt = src
+        p = draw(st.sampled_from([0, *alg.degrees]))
+        mono = draw(st.sampled_from(alg.basis(p)))
+        images = {
+            name: tgt.combination_vector({gi: {mono: Q(1)}}, deg + p)
+            for gi, (name, deg) in enumerate(zip(src.gen_names, src.gen_degrees))
+            if deg + p <= tgt.cap
+        }
+    else:
+        # open generators give the target a differential for the images to miss
+        tgt = draw(free_modules(alg, prefix="t", min_open=1))
+        p = draw(st.integers(-1, 3))
+        images = {}
+        coeffs = st.sampled_from([*COEFFS, Q(0)])
+        for name, deg in zip(src.gen_names, src.gen_degrees):
+            if 0 <= deg + p <= tgt.cap:
+                images[name] = [draw(coeffs) for _ in range(tgt.dim(deg + p))]
+    return src, tgt, p, images
+
+
+def _perturbation(src, tgt, p, top):
+    """(generator, coordinate) whose basis vector has a nonzero differential,
+    at a generator inside the certified window; None if there is none."""
+    for name, deg in zip(src.gen_names, src.gen_degrees):
+        if deg <= top and deg + p >= 0:
+            d = tgt.differential_matrix(deg + p)
+            for s in range(tgt.dim(deg + p)):
+                if any(d.col(s)):
+                    return name, s
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_maps())
+def test_generator_certificate_agrees_with_full_verify(case):
+    src, tgt, p, images = case
+    phi = map_from_generator_images(src, tgt, p, images)
+    cert, full = certify_on_generators(phi), phi.verify()
+    assert cert.ok == full.ok
+    assert cert.checks_run <= src.gen_count
+
+    top = min(phi.window().stop - 1, src.cap - 1, tgt.cap - p - 1)
+    bump = _perturbation(src, tgt, p, top)
+    if bump is None or not full.ok:
+        return
+    name, s = bump
+    deg = src.gen_degrees[src.gen_index(name)]
+    image = list(images.get(name, [Q(0)] * tgt.dim(deg + p)))
+    image[s] += 1
+    bad = map_from_generator_images(src, tgt, p, {**images, name: image})
+    assert not certify_on_generators(bad).ok
+    assert not bad.verify().ok
+
+
+def test_generator_certificate_reads_no_action_matrix(monkeypatch):
+    data = fixture("s4_hopf", 12)
+    reads = []
+    for cls in (FreeDgModule, dgmodule.TabulatedDgModule):
+        original = cls.action_matrix
+
+        def counting(self, i, k, original=original):
+            reads.append((i, k))
+            return original(self, i, k)
+
+        monkeypatch.setattr(cls, "action_matrix", counting)
+    e, m = data.e_prime, data.relative_model
+    report = certify_on_generators(e)
+    top = min(m.cap - 1, e.target.cap - e.degree - 1)
+    assert report.ok and report.checks_run == sum(deg <= top for deg in m.gen_degrees) > 0
+    assert reads == []
+
+
+# ---- the naive product --------------------------------------------------------------
+
+
+def reference_naive_axioms(free, shift, window):
+    """The dgc axioms of the naive product on every basis element of the
+    window: the loops naive_structure ran before it checked generators."""
+    alg = free.algebra
+    basis = {n: free.basis(n) for n in range(window + 1)}
+
+    def mul(x, y):
+        return _naive_mul(free, shift, x, y)
+
+    unit = {0: {alg.unit_mono(): Q(1)}}
+    unital = all(
+        _comb_eq(mul(unit, x), x) and _comb_eq(mul(x, unit), x)
+        for n in range(window + 1)
+        for x in ({gi: {m: Q(1)}} for gi, m in basis[n])
+    )
+    commutative = leibniz = True
+    for i in range(window + 1):
+        for j in range(i, window + 1 - i):
+            for gi, mi in basis[i]:
+                x = {gi: {mi: Q(1)}}
+                for gj, mj in basis[j]:
+                    y = {gj: {mj: Q(1)}}
+                    xy = mul(x, y)
+                    yx = mul(y, x)
+                    if (i * j) % 2:
+                        yx = circle.comb_scale(Q(-1), yx)
+                    commutative &= _comb_eq(xy, yx)
+                    rhs = circle.comb_add(
+                        mul(free.d_combination(x), y),
+                        circle.comb_scale(Q(-1 if i % 2 else 1), mul(x, free.d_combination(y))),
+                    )
+                    leibniz &= _comb_eq(free.d_combination(xy), rhs)
+    associative = True
+    for i in range(window + 1):
+        for j in range(window + 1 - i):
+            for k in range(window + 1 - i - j):
+                for gi, mi in basis[i]:
+                    x = {gi: {mi: Q(1)}}
+                    for gj, mj in basis[j]:
+                        y = {gj: {mj: Q(1)}}
+                        xy = mul(x, y)
+                        for gk, mk in basis[k]:
+                            z = {gk: {mk: Q(1)}}
+                            associative &= _comb_eq(mul(xy, z), mul(x, mul(y, z)))
+    return unital, commutative, associative, leibniz
+
+
+PAIR_MUL = circle._naive_pair_mul
+
+
+def _left_sign_dropped(free, shift, gi, mi, gj, mj):
+    """_naive_pair_mul without the (-1)^{deg a} of a b'."""
+    if gi == 0 and gj != 0:
+        poly = free.algebra.poly_mul({mi: Q(1)}, {mj: Q(1)})
+        return {gj: poly} if poly else {}
+    return PAIR_MUL(free, shift, gi, mi, gj, mj)
+
+
+def _right_sign_dropped(free, shift, gi, mi, gj, mj):
+    """_naive_pair_mul without the (-1)^{deg a' deg b} of a' b."""
+    if gi != 0 and gj == 0:
+        poly = free.algebra.poly_mul({mj: Q(1)}, {mi: Q(1)})
+        return {gi: poly} if poly else {}
+    return PAIR_MUL(free, shift, gi, mi, gj, mj)
+
+
+def _right_sign_unshifted(free, shift, gi, mi, gj, mj):
+    """_naive_pair_mul with the sign of a' b read off the shifted degree of b."""
+    return PAIR_MUL(free, 0, gi, mi, gj, mj)
+
+
+MUTANTS = {
+    "left sign dropped": _left_sign_dropped,
+    "right sign dropped": _right_sign_dropped,
+    "right sign unshifted": _right_sign_unshifted,
+}
+
+# A(u_2, v_3) with dv = u^2 has a differential, so the product's Leibniz rule
+# meets the algebra's own d
+NAIVE_ALGEBRAS = {
+    **ALGEBRAS,
+    "u2v3": SullivanPresentation([("u", 2), ("v", 3)], {"v": {(2, 0): Q(1)}}, cap=CAP + 6),
+}
+
+
+@st.composite
+def unit_modules(draw):
+    """(free module with the closed degree-0 unit generator first, shift, window)."""
+    alg = NAIVE_ALGEBRAS[draw(st.sampled_from(sorted(NAIVE_ALGEBRAS)))]
+    closed = draw(st.lists(st.integers(1, 4), max_size=2))
+    opened = draw(st.lists(st.integers(1, 5), max_size=2))
+    closed = [("1", 0)] + [(f"z{i}", d) for i, d in enumerate(closed)]
+    try:
+        free = _free_module(draw, alg, closed, [(f"w{i}", d) for i, d in enumerate(opened)], 7)
+    except ValidationError:
+        assume(False)
+    return free, draw(st.sampled_from([1, 3])), draw(st.integers(2, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_modules(), st.sampled_from([None, *sorted(MUTANTS)]))
+def test_naive_generator_check_agrees_with_reference_loops(case, mutant):
+    free, shift, window = case
+    with pytest.MonkeyPatch.context() as mp:
+        if mutant is not None:
+            mp.setattr(circle, "_naive_pair_mul", MUTANTS[mutant])
+        *flags, failures = _naive_axioms(free, shift, window)
+        assert tuple(flags) == reference_naive_axioms(free, shift, window)
+    assert all(flags) == (not failures)
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_wrong_naive_sign_fails_both_checks(monkeypatch, mutant):
+    alg = ALGEBRAS["a3"]
+    free = FreeDgModule(alg, [("1", 0), ("c", 2)], {}, cap=8)
+    assert all(_naive_axioms(free, 1, 7)[:4])
+    assert all(reference_naive_axioms(free, 1, 7))
+    monkeypatch.setattr(circle, "_naive_pair_mul", MUTANTS[mutant])
+    *flags, failures = _naive_axioms(free, 1, 7)
+    assert not all(flags) and failures
+    assert not all(reference_naive_axioms(free, 1, 7))
+
+
+# ---- the check budget ---------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_maps())
+def test_check_counts_match_the_checks_run(case):
+    src, tgt, p, images = case
+    phi = map_from_generator_images(src, tgt, p, images)
+    assert phi.check_count() == phi.verify().checks_run
+    for top in (0, 3, CAP):
+        assert phi.check_count(top) == phi.verify(top).checks_run
+
+
+def test_module_check_count_is_planned_before_the_checks(monkeypatch):
+    counts = []
+    monkeypatch.setattr(dgmodule, "check_check_budget", lambda checks, what: counts.append(checks))
+    modules = []
+    for name in FIXTURES:
+        data = fixture(name, 12)
+        modules += [(data.relative_model, None), (data.i_prime.target, 9)]
+    # module caps above and below the algebra's
+    for acap in range(7):
+        alg = SullivanPresentation([("a", 3)], {}, cap=acap)
+        for cap in range(9):
+            module = dgmodule.TabulatedDgModule(alg, cap, {0: ["x"]})
+            modules += [(module, top) for top in (None, 0, 2, 5)]
+    for module, top in modules:
+        counts.clear()
+        report = verify_dgmodule(module, top)
+        assert counts == [report.checks_run]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_fixture_validates_at_window_28(name):
+    data = fixture(name, 28)
+    maps = [data.i_prime, data.e_prime]
+    assert sum(f.check_count() for f in maps) <= CHECK_BUDGET
+    assert data.validate().ok
+    assert verify_dgmodule(data.relative_model).ok
+
+
+def test_over_budget_map_is_rejected_before_its_first_check(monkeypatch):
+    data = fixture("cp2", 12)
+    monkeypatch.setattr("dgmodels.cdga.CHECK_BUDGET", 10)
+    read = []
+    monkeypatch.setattr(DgModuleMap, "matrix", lambda self, k: read.append(k))
+    with pytest.raises(ValidationError, match="the map e' takes .* over the budget of 10"):
+        data.e_prime.verify()
+    with pytest.raises(ValidationError, match="the basic data"):
+        data.validate()
+    assert read == []

@@ -321,3 +321,19 @@ def test_borel_budget_is_checked_before_the_first_stage():
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "over the budget of" in lines[0]
     assert "Traceback" not in res.stderr
+
+
+def test_verify_check_budget_is_one_error_line():
+    # the window fits the basis budget, so only the check count bounds the
+    # verifiers' work, which grows as the cube of the window
+    res = subprocess.run(
+        CLI + ["verify", "--fixture", "cp2", "--max-degree", "1000"],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "checks, over the budget of" in lines[0]

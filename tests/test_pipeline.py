@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,32 @@ GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
 GOLDEN_WINDOW = 16
 
 
+# SHA-256 of `dgmodels circle --fixture F --max-degree W --format machine`,
+# recorded before the Borel stage certified q' on its generators, the cone
+# built its action blocks on first read and the naive product was checked on
+# generators.
+CIRCLE_SHA256 = {
+    ("almost_free_hopf", 12): "a19fcd417880629869ba4f019581cc9d05c07dca5a67f2331c28d78edc0bd17f",
+    ("almost_free_hopf", 20): "bfa8fb57fe94a0e1580f7fc1ba0b325317c71dec894763e7c8056d4b8db5dd27",
+    ("almost_free_hopf", 28): "8e9e072195b37162b14558c156c881df738e5d19831372d6d8cae24ad1ddab44",
+    ("cp2", 12): "cca9e6f3185635b3dcbcbae5eb307ed2f4e1f82f91a578fa075415ec4e882618",
+    ("cp2", 20): "abd11b16b8d410d45fb1db0ad644d76d96b701a2aa1ac4721c60a807fb4ad820",
+    ("cp2", 28): "6143706d13201d87350f328d747195b8f935acec0a66119a49560c636c196ee3",
+    ("flow_s4", 12): "09d43087f49b8b8d2d3524e975064d6a4c7a2466c11283f04dd6d7436be9228f",
+    ("flow_s4", 20): "99b6b7710665f25406d25a0d16d87f0744c1db93fb8bc687d078b01c80134bff",
+    ("flow_s4", 28): "64344a68d0eaa890dc327d7d16b0110f8994d8b54b1967dd8e70b2809128d23f",
+    ("nonformal", 12): "1f5a04601ce6f247cd66c247fb408271ca9c4badb13f0db61de45cd1538f2887",
+    ("nonformal", 20): "8ef8f3a2b8a26f458f28e556ac16c319b14be6154a87f6be8f458e2b58fe2836",
+    ("nonformal", 28): "6a69bbc3d67420791fab08d082f1205a230f74146f90cc76f18c5ee10296492b",
+    ("s4_hopf", 12): "24670f9ade8bebd40795cb85c39a68709b11b8932467d506deaa7ddcdd734214",
+    ("s4_hopf", 20): "30312ddba3d80579c47e6c881498991cf77d1c7b67ad9d915e5f0df1c8f0c5a4",
+    ("s4_hopf", 28): "c279f1cca831f20db34de73410fc6d7a4b78e4a8b8c41c2fe735b1c461daf149",
+    ("semifree_suspension", 12): "e2c2ab561814dad927e046c4a329356b6a51ae20a0ad9f1581f18c9b1abac862",
+    ("semifree_suspension", 20): "d623648afc15fc094fe4548ca5639209d8c5d983a23a5c5b5a470713cacd1d33",
+    ("semifree_suspension", 28): "32070f0784d8fb4715c6f2bb0d6eae97b33985591e99877cf4d85786f1d9833d",
+}
+
+
 def _machine_output(argv):
     """Exit code and stdout bytes of one in-process CLI run."""
     out = io.StringIO()
@@ -57,6 +84,15 @@ def test_circle_machine_output_matches_goldens(name):
     )
     assert code == want["exit"]
     assert hashlib.sha256(out).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("name, window", sorted(CIRCLE_SHA256))
+def test_circle_machine_output_is_pinned(name, window):
+    code, out = _machine_output(
+        ["circle", "--fixture", name, "--max-degree", str(window), "--format", "machine"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == CIRCLE_SHA256[(name, window)]
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -95,7 +131,7 @@ def _value(x):
         )
     if isinstance(x, (list, tuple)):
         return tuple(_value(v) for v in x)
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return tuple((repr(k), _value(v)) for k, v in sorted(x.items(), key=lambda kv: repr(kv[0])))
     if isinstance(x, FreeDgModule):
         return ("free", x.algebra, x.gen_names, x.gen_degrees, _value(x.gen_diffs), x.cap)
