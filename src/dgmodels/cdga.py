@@ -18,7 +18,7 @@ import ast
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DegreeWindowError, ValidationError
 from .linalg import Q, RatMatrix, as_q
@@ -389,15 +389,13 @@ class SullivanPresentation:
         if key not in self._product_cache:
             bi, bj = self.basis(i), self.basis(j)
             target = self.basis_index(i + j)
-            entries = [[Q(0)] * (len(bi) * len(bj)) for _ in range(len(target))]
+            rows: list[dict[int, Fraction]] = [{} for _ in target]
             for a, m1 in enumerate(bi):
                 for b, m2 in enumerate(bj):
                     hit = self.mono_mul(m1, m2)
-                    if hit is None:
-                        continue
-                    sign, m = hit
-                    entries[target[m]][a * len(bj) + b] = Q(sign)
-            self._product_cache[key] = RatMatrix(len(target), len(bi) * len(bj), entries)
+                    if hit is not None:
+                        rows[target[hit[1]]][a * len(bj) + b] = Q(hit[0])
+            self._product_cache[key] = RatMatrix._make(len(target), len(bi) * len(bj), rows)
         return self._product_cache[key]
 
     def differential_matrix(self, n: int) -> RatMatrix:
@@ -405,12 +403,12 @@ class SullivanPresentation:
         if n + 1 > self.cap:
             raise DegreeWindowError(f"differential out of degree {n} exceeds cap {self.cap}")
         if n not in self._diff_cache:
-            source = self.basis(n)
-            mat = RatMatrix.from_cols(
-                [self.poly_vector(self.d_mono(m), n + 1) for m in source],
-                nrows=self.dim(n + 1),
-            )
-            self._diff_cache[n] = mat
+            target = self.basis_index(n + 1)
+            rows: list[dict[int, Fraction]] = [{} for _ in target]
+            for c, m in enumerate(self.basis(n)):
+                for mm, x in self.d_mono(m).items():
+                    rows[target[mm]][c] = x
+            self._diff_cache[n] = RatMatrix._make(len(target), self.dim(n), rows)
         return self._diff_cache[n]
 
     # ---- rendering ----------------------------------------------------

@@ -56,6 +56,7 @@ from .dgmodule import (
     comb_scale,
     cone_les,
     free_cone,
+    generator_image,
     induced_map,
     map_from_generator_images,
     module_cohomology,
@@ -253,13 +254,10 @@ def _vector_label(module, degree: int, v) -> str:
 
 def _generator_image_poly(data: BasicData, phi: DgModuleMap, j: int) -> Poly:
     """Image of the j-th relative generator under a structure map, in A."""
-    m = data.relative_model
-    g = m.gen_degrees[j]
-    t = g + phi.degree
+    t = data.relative_model.gen_degrees[j] + phi.degree
     if t > phi.target.cap:
         return {}
-    col = m.basis_index(g)[(j, data.algebra.unit_mono())]
-    return data.algebra.vector_poly(phi.matrix(g).col(col), t)
+    return data.algebra.vector_poly(generator_image(phi, j), t)
 
 
 def _cone_result(
@@ -1059,23 +1057,22 @@ def _almost_free(p: _ActionPipeline) -> AlmostFreeReport:
         x_name += "x"
     alg_x = extend(alg, x_name, data.euler_degree - 1, e_poly)
 
-    free, iota, cn = free_cone(data.e_prime, gen_names=(x_name,), check=False)
+    free = p.total.module
     window = min(max_degree, free.cap - 1, alg_x.cap - 1)
     if window < 0:
         raise DegreeWindowError("degree window is empty; enlarge the caps")
     target = _module_over_subalgebra(alg_x, alg, cap=min(alg_x.cap, free.cap))
-
-    mats: dict[int, RatMatrix] = {}
-    for n in range(min(free.cap, target.cap) + 1):
-        index = alg_x.basis_index(n)
-        rows = [{} for _ in range(target.dim(n))]
-        for c_idx, (gi, mono) in enumerate(free.basis(n)):
-            rows[index[mono + ((0,) if gi == 0 else (1,))]][c_idx] = Q(1)
-        mats[n] = RatMatrix._make(len(rows), free.dim(n), rows)
-    mu = DgModuleMap(free, target, 0, mats, name="(a,b) -> a + b x")
+    # mu(1) = 1 and mu(c) = x on the two generators of the total-space model
+    unit = alg.unit_mono()
+    images = {
+        name: unit_vec(target.dim(deg), alg_x.basis_index(deg)[unit + (e,)])
+        for e, (name, deg) in enumerate(zip(free.gen_names, free.gen_degrees))
+        if deg <= target.cap
+    }
+    mu = map_from_generator_images(free, target, 0, images, name="(a,b) -> a + b x")
 
     failures: list[str] = []
-    rep = mu.verify(top=window)
+    rep = certify_on_generators(mu)
     if not rep.ok:
         failures.extend(f"chain map: {msg}" for msg in rep.failures)
     for n in range(window + 1):

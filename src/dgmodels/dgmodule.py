@@ -192,14 +192,6 @@ class FreeDgModule:
                     out = comb_add(out, {h: poly_scale(sign, prod)})
         return out
 
-    def act_combination(self, p: Poly, comb: Combination) -> Combination:
-        out: Combination = {}
-        for j, cj in comb.items():
-            prod = self.algebra.poly_mul(p, cj)
-            if not poly_is_zero(prod):
-                out[j] = prod
-        return out
-
     def combination_degree(self, comb: Combination) -> int | None:
         degs = set()
         for j, cj in comb.items():
@@ -321,11 +313,13 @@ class FreeDgModule:
 
     def _d_columns(self, k: int, start: int) -> RatMatrix:
         """Columns start, start + 1, ... of the differential out of degree k."""
-        cols = [
-            self.combination_vector(self.d_combination({gi: {m: Q(1)}}), k + 1)
-            for gi, m in self.basis(k)[start:]
-        ]
-        return RatMatrix.from_cols(cols, nrows=self.dim(k + 1))
+        index = self.basis_index(k + 1)
+        rows: list[dict[int, Fraction]] = [{} for _ in index]
+        for c, (gi, m) in enumerate(self.basis(k)[start:]):
+            for j, poly in self.d_combination({gi: {m: Q(1)}}).items():
+                for mono, x in poly.items():
+                    rows[index[(j, mono)]][c] = x
+        return RatMatrix._make(len(rows), self.dim(k) - start, rows)
 
     def action_matrix(self, i: int, k: int) -> RatMatrix:
         """Multiplication A^i (x) M^k -> M^{i+k}; columns A-major."""
@@ -339,13 +333,17 @@ class FreeDgModule:
             return RatMatrix.identity(self.dim(k))
         key = (i, k)
         if key not in self._act_cache:
-            amonos = self.algebra.basis(i)
-            cols = []
-            for am in amonos:
-                for gi, m in self.basis(k):
-                    image = self.act_combination({am: Q(1)}, {gi: {m: Q(1)}})
-                    cols.append(self.combination_vector(image, i + k))
-            self._act_cache[key] = RatMatrix.from_cols(cols, nrows=self.dim(i + k))
+            # a.(b.g) = (ab).g: column (a, b.g) holds the one signed entry of mono_mul
+            index, basis = self.basis_index(i + k), self.basis(k)
+            rows: list[dict[int, Fraction]] = [{} for _ in index]
+            for a, am in enumerate(self.algebra.basis(i)):
+                for b, (gi, m) in enumerate(basis):
+                    hit = self.algebra.mono_mul(am, m)
+                    if hit is not None:
+                        rows[index[(gi, hit[1])]][a * len(basis) + b] = Q(hit[0])
+            self._act_cache[key] = RatMatrix._make(
+                len(rows), self.algebra.dim(i) * len(basis), rows
+            )
         return self._act_cache[key]
 
 
@@ -815,14 +813,13 @@ def certify_on_generators(phi: DgModuleMap) -> CheckReport:
         raise ValidationError("a generator certificate needs a free source")
     sign = -1 if p % 2 else 1
     top = min(phi.window().stop - 1, source.cap - 1, target.cap - p - 1)
-    unit = source.algebra.unit_mono()
     failures: list[str] = []
     checks = 0
     for gi, (name, k) in enumerate(zip(source.gen_names, source.gen_degrees)):
         if k > top:
             continue
         checks += 1
-        image = phi.matrix(k).col(source.basis_index(k)[(gi, unit)])
+        image = generator_image(phi, gi)
         d_image = target.differential_matrix(k + p).apply(image)
         image_d = phi.matrix(k + 1).apply(source.combination_vector(source.gen_diffs[gi], k + 1))
         if d_image != tuple(sign * x for x in image_d):
@@ -830,29 +827,54 @@ def certify_on_generators(phi: DgModuleMap) -> CheckReport:
     return CheckReport("certify_map", not failures, tuple(failures), checks)
 
 
+def generator_image(phi: DgModuleMap, j: int) -> tuple[Fraction, ...]:
+    """phi(g) for the generator g of index j of phi's free source: the column
+    of phi's matrix at g's own degree."""
+    source = phi.source
+    k = source.gen_degrees[j]
+    return phi.matrix(k).col(source.basis_index(k)[(j, source.algebra.unit_mono())])
+
+
+def apply_images(
+    source: FreeDgModule, target: DgModule, degree: int,
+    images: Mapping[int, Mapping[int, Fraction]], comb: Combination,
+) -> dict[int, Fraction]:
+    """The nonzero coordinates of phi(comb), for the A-linear map phi of this
+    degree with these generator images.
+
+    images maps a generator index to its image's nonzero coordinates; a
+    generator without one maps to zero.  a.g goes to (-1)^{|a| degree}
+    a.image(g), read off the stored rows of the target's action matrix.
+    """
+    algebra = source.algebra
+    out: dict[int, Fraction] = {}
+    for j, poly in comb.items():
+        img = images.get(j)
+        if not img:
+            continue
+        i, t = algebra.poly_degree(poly), source.gen_degrees[j] + degree
+        index, dim_t = algebra.basis_index(i), target.dim(t)
+        sign = -1 if (i * degree) % 2 else 1
+        terms = {
+            index[m] * dim_t + s: sign * c * y for m, c in poly.items() for s, y in img.items()
+        }
+        for r, row in enumerate(target.action_matrix(i, t)._nz):
+            x = sum(row[col] * y for col, y in terms.items() if col in row)
+            if x:
+                out[r] = out[r] + x if r in out else x
+    return {r: x for r, x in out.items() if x}
+
+
 def image_columns(
     source: FreeDgModule, target: DgModule, degree: int,
     images: Mapping[int, Mapping[int, Fraction]], k: int, start: int,
 ) -> RatMatrix:
-    """Columns start, start + 1, ... of the degree-k matrix of an A-linear map.
-
-    images maps a generator index to its image's nonzero coordinates; a
-    basis element a.g goes to (-1)^{|a| degree} a.image(g), read off the
-    stored rows of the target's action matrix.
-    """
-    algebra = source.algebra
+    """Columns start, start + 1, ... of the degree-k matrix of the A-linear
+    map with these generator images, evaluated by apply_images."""
     out: list[dict[int, Fraction]] = [{} for _ in range(target.dim(k + degree))]
     for c, (gi, m) in enumerate(source.basis(k)[start:]):
-        img = images.get(gi)
-        if not img:
-            continue
-        i, t = algebra.mono_degree(m), source.gen_degrees[gi] + degree
-        base = algebra.basis_index(i)[m] * target.dim(t)
-        sign = -1 if (i * degree) % 2 else 1
-        for r, row in enumerate(target.action_matrix(i, t)._nz):
-            x = sum(row[base + s] * y for s, y in img.items() if base + s in row)
-            if x:
-                out[r][c] = sign * x
+        for r, x in apply_images(source, target, degree, images, {gi: {m: Q(1)}}).items():
+            out[r][c] = x
     return RatMatrix._make(len(out), source.dim(k) - start, out)
 
 
@@ -1040,8 +1062,7 @@ def free_cone(
         gdeg = m_mod.gen_degrees[j]
         t = gdeg + p
         if 0 <= t <= n_mod.cap:
-            img = phi.matrix(gdeg).col(m_mod.basis_index(gdeg)[(j, algebra.unit_mono())])
-            for h, poly in n_mod.vector_combination(img, t).items():
+            for h, poly in n_mod.vector_combination(generator_image(phi, j), t).items():
                 comb[n_mod.gen_names[h]] = poly
         for h, poly in m_mod.gen_diffs[j].items():
             cdeg = algebra.poly_degree(poly)

@@ -53,20 +53,12 @@ def vec(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(as_q(x) for x in entries)
 
 
-def zero_vec(n: int) -> tuple[Fraction, ...]:
-    return (Q(0),) * n
-
-
 def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Q(1) if j == i else Q(0) for j in range(n))
 
 
 def add_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def scale_vec(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in v)
 
 
 class RatMatrix:

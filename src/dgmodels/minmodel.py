@@ -19,17 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .dgmodule import (
-    Combination,
-    Cone,
     DgModule,
     DgModuleMap,
     FreeDgModule,
     Homotopy,
+    apply_images,
     compose,
     cone,
+    generator_image,
     identity_map,
     image_columns,
     induced_map,
@@ -51,11 +51,9 @@ from .linalg import (
     GradedDims,
     Q,
     RatMatrix,
-    add_vec,
     cohomology_at,
-    scale_vec,
+    unit_vec,
     vec,
-    zero_vec,
 )
 
 Vector = tuple[Fraction, ...]
@@ -67,15 +65,12 @@ def _relative_d(rho: DgModuleMap, k: int) -> RatMatrix:
     The complex has C^k = N^k + X^{k-1} and d(t, x) = (dt, rho t - dx).
     """
     n_mod, x_mod = rho.source, rho.target
-    return RatMatrix.block(
-        [
-            [
-                n_mod.differential_matrix(k),
-                RatMatrix.zero(n_mod.dim(k + 1), x_mod.dim(k - 1)),
-            ],
-            [rho.matrix(k), x_mod.differential_matrix(k - 1).scale(Q(-1))],
-        ]
-    )
+    split = n_mod.dim(k)
+    rows = list(n_mod.differential_matrix(k)._nz)
+    dx_rows = x_mod.differential_matrix(k - 1)._nz
+    for rho_row, dx_row in zip(rho.matrix(k)._nz, dx_rows, strict=True):
+        rows.append({**rho_row, **{split + c: -x for c, x in dx_row.items()}})
+    return RatMatrix._make(len(rows), split + x_mod.dim(k - 1), rows)
 
 
 def relative_cohomology(
@@ -279,10 +274,7 @@ def minimal_factorization(
         cap=n_cap + 1,
         stages=source.stages,
     )
-    images = {
-        name: phi.matrix(deg).col(source.basis_index(deg)[(i, algebra.unit_mono())])
-        for i, (name, deg) in enumerate(zip(source.gen_names, source.gen_degrees))
-    }
+    images = {name: generator_image(phi, i) for i, name in enumerate(source.gen_names)}
     state = KSState(
         phi=phi,
         n_cap=n_cap,
@@ -296,7 +288,12 @@ def minimal_factorization(
         state = ks_step(state)
 
     module, rho = state.module, state.rho
-    inclusion = _prefix_inclusion(source, module)
+    unit = algebra.unit_mono()
+    units = {
+        name: unit_vec(module.dim(deg), module.basis_index(deg)[(i, unit)])
+        for i, (name, deg) in enumerate(zip(source.gen_names, source.gen_degrees))
+    }
+    inclusion = map_from_generator_images(source, module, 0, units, name="iota")
 
     betti_model: list[int] = []
     betti_target: list[int] = []
@@ -334,20 +331,6 @@ def minimal_factorization(
         ),
         batches=state.batches,
     )
-
-
-def _prefix_inclusion(source: FreeDgModule, module: FreeDgModule) -> DgModuleMap:
-    """Inclusion of a generator-prefix submodule, as unit columns."""
-    mats = {}
-    for k in range(min(source.cap, module.cap) + 1):
-        index = module.basis_index(k)
-        cols = []
-        for key in source.basis(k):
-            col = [Q(0)] * module.dim(k)
-            col[index[key]] = Q(1)
-            cols.append(tuple(col))
-        mats[k] = RatMatrix.from_cols(cols, nrows=module.dim(k))
-    return DgModuleMap(source, module, 0, mats, name="iota")
 
 
 def minimal_model(
@@ -465,45 +448,7 @@ def _ks_order(module: FreeDgModule) -> list[int]:
     return [i for _, _, i in sorted(keyed)]
 
 
-def _apply_images(
-    source: FreeDgModule,
-    target: DgModule,
-    degree: int,
-    images: dict[int, Vector],
-    comb: Combination,
-    out_degree: int,
-) -> Vector:
-    """Evaluate a partial generator-image assignment on a combination.
-
-    Extends A-linearly with the degree twist of a degree-`degree`
-    morphism; every generator appearing in comb must carry an image.
-    """
-    out = zero_vec(target.dim(out_degree))
-    algebra = source.algebra
-    for j, poly in comb.items():
-        img = images[j]
-        if all(x == 0 for x in img):
-            continue
-        t = source.gen_degrees[j] + degree
-        i = algebra.poly_degree(poly)
-        if i is None:
-            continue
-        dim_t = target.dim(t)
-        kv = [Q(0)] * (algebra.dim(i) * dim_t)
-        index = algebra.basis_index(i)
-        for m, c in poly.items():
-            base = index[m] * dim_t
-            for s, x in enumerate(img):
-                if x:
-                    kv[base + s] += c * x
-        piece = target.action_matrix(i, t).apply(kv)
-        if (i * degree) % 2:
-            piece = scale_vec(Q(-1), piece)
-        out = add_vec(out, piece)
-    return out
-
-
-def _retraction(rho: DgModuleMap, check: bool) -> DgModuleMap:
+def _retraction(rho: DgModuleMap) -> DgModuleMap:
     """Retraction sigma: X -> N with sigma . rho = id for a quis rho: N -> X.
 
     sigma is found as one exact linear system: per-degree matrices
@@ -581,12 +526,12 @@ def _retraction(rho: DgModuleMap, check: bool) -> DgModuleMap:
             ]
             mats[k] = RatMatrix(dn[k], dx[k], data)
     sigma = DgModuleMap(x_mod, n_mod, 0, mats, name="sigma")
-    if check and not maps_equal(compose(sigma, rho), identity_map(n_mod)):
+    if not maps_equal(compose(sigma, rho), identity_map(n_mod)):
         raise ValidationError("constructed retraction fails sigma . rho = id")
     return sigma
 
 
-def lift_section(rho: DgModuleMap, check: bool = True) -> DgModuleMap:
+def lift_section(rho: DgModuleMap) -> DgModuleMap:
     """Section or retraction of a quasi-isomorphism against a minimal module.
 
     With rho: X -> N and N free minimal, builds sigma: N -> X with
@@ -600,7 +545,7 @@ def lift_section(rho: DgModuleMap, check: bool = True) -> DgModuleMap:
     x_mod, n_mod = rho.source, rho.target
     if not (isinstance(n_mod, FreeDgModule) and verify_minimal(n_mod).ok):
         if isinstance(x_mod, FreeDgModule) and verify_minimal(x_mod).ok:
-            return _retraction(rho, check)
+            return _retraction(rho)
         raise ValidationError("section needs a free minimal module at one end")
     order = _ks_order(n_mod)
     top_gen = max((n_mod.gen_degrees[i] for i in order), default=0)
@@ -609,32 +554,25 @@ def lift_section(rho: DgModuleMap, check: bool = True) -> DgModuleMap:
             f"source cap {x_mod.cap} cannot host sections of degree-{top_gen} "
             "generators"
         )
-    images: dict[int, Vector] = {}
+    unit = n_mod.algebra.unit_mono()
+    images: dict[int, dict[int, Fraction]] = {}
+    sections: dict[str, Vector] = {}
     for i in order:
         n = n_mod.gen_degrees[i]
-        rhs_chain = _apply_images(
-            n_mod, x_mod, 0, images, n_mod.gen_diffs[i], n + 1
-        )
-        e_v = [Q(0)] * n_mod.dim(n)
-        e_v[n_mod.basis_index(n)[(i, n_mod.algebra.unit_mono())]] = Q(1)
-        system = RatMatrix.vstack(x_mod.differential_matrix(n), rho.matrix(n))
-        sol = system.solve(vec(tuple(rhs_chain) + tuple(e_v)))
+        chain = apply_images(n_mod, x_mod, 0, images, n_mod.gen_diffs[i])
+        rhs = [chain.get(r, 0) for r in range(x_mod.dim(n + 1))]
+        rhs += unit_vec(n_mod.dim(n), n_mod.basis_index(n)[(i, unit)])
+        sol = x_mod.differential_matrix(n).vstack(rho.matrix(n)).solve(rhs)
         if sol is None:
             raise PreconditionError(
                 f"no section through {n_mod.gen_names[i]}: "
                 "the morphism is not a quasi-isomorphism onto this module"
             )
-        images[i] = sol
-    sigma = map_from_generator_images(
-        n_mod,
-        x_mod,
-        0,
-        {n_mod.gen_names[i]: v for i, v in images.items()},
-        name="sigma",
-    )
-    if check:
-        if not maps_equal(compose(rho, sigma), identity_map(n_mod)):
-            raise ValidationError("constructed section fails rho . sigma = id")
+        images[i] = {s: x for s, x in enumerate(sol) if x}
+        sections[n_mod.gen_names[i]] = sol
+    sigma = map_from_generator_images(n_mod, x_mod, 0, sections, name="sigma")
+    if not maps_equal(compose(rho, sigma), identity_map(n_mod)):
+        raise ValidationError("constructed section fails rho . sigma = id")
     return sigma
 
 
@@ -667,55 +605,33 @@ def model_of_morphism(
                 f"model caps cannot host the image of {m_min.gen_names[i]}: "
                 f"need model cap >= {t + 1} and target cap >= {t}"
             )
-    images_phi: dict[int, Vector] = {}
-    images_h: dict[int, Vector] = {}
+    images_phi: dict[int, dict[int, Fraction]] = {}
+    images_h: dict[int, dict[int, Fraction]] = {}
+    named_phi: dict[str, Vector] = {}
+    named_h: dict[str, Vector] = {}
     for i in order:
-        n = m_min.gen_degrees[i]
+        n, name = m_min.gen_degrees[i], m_min.gen_names[i]
         dv = m_min.gen_diffs[i]
-        rhs_chain = scale_vec(
-            sign, _apply_images(m_min, n_min, p, images_phi, dv, n + 1 + p)
-        )
-        v_col = [Q(0)] * m_min.dim(n)
-        v_col[m_min.basis_index(n)[(i, m_min.algebra.unit_mono())]] = Q(1)
-        phi_rho_v = phi.matrix(n).apply(rho_m.matrix(n).apply(v_col))
-        h_dv = _apply_images(m_min, n_mod, p - 1, images_h, dv, n + p)
-        rhs_homotopy = add_vec(phi_rho_v, h_dv)
-        dim_y = n_min.dim(n + p)
-        dim_z = n_mod.dim(n + p - 1)
-        system = RatMatrix.block(
-            [
-                [
-                    n_min.differential_matrix(n + p),
-                    RatMatrix.zero(n_min.dim(n + p + 1), dim_z),
-                ],
-                [
-                    rho_n.matrix(n + p),
-                    n_mod.differential_matrix(n + p - 1).scale(-sign),
-                ],
-            ]
-        )
-        sol = system.solve(vec(tuple(rhs_chain) + tuple(rhs_homotopy)))
+        chain = apply_images(m_min, n_min, p, images_phi, dv)
+        h_dv = apply_images(m_min, n_mod, p - 1, images_h, dv)
+        phi_rho_v = phi.matrix(n).apply(generator_image(rho_m, i))
+        rhs = [sign * chain.get(r, 0) for r in range(n_min.dim(n + 1 + p))]
+        rhs += [x + h_dv.get(r, 0) for r, x in enumerate(phi_rho_v)]
+        # y = phi'(v) and z = h(v) solve d y = (-1)^p phi'(dv) and
+        # rho_n y - (-1)^p d z = phi rho_m(v) + h(dv): the relative differential
+        # of rho_n, solved for (y, (-1)^p z)
+        sol = _relative_d(rho_n, n + p).solve(rhs)
         if sol is None:
             raise PreconditionError(
-                f"no model through {m_min.gen_names[i]}: "
+                f"no model through {name}: "
                 "check that both comparison maps are quasi-isomorphisms"
             )
-        images_phi[i] = sol[:dim_y]
-        images_h[i] = sol[dim_y:]
-    phi_prime = map_from_generator_images(
-        m_min,
-        n_min,
-        p,
-        {m_min.gen_names[i]: v for i, v in images_phi.items()},
-        name="phi'",
-    )
-    h_map = map_from_generator_images(
-        m_min,
-        n_mod,
-        p - 1,
-        {m_min.gen_names[i]: v for i, v in images_h.items()},
-        name="h",
-    )
+        dim_y = n_min.dim(n + p)
+        named_phi[name], named_h[name] = sol[:dim_y], tuple(sign * x for x in sol[dim_y:])
+        images_phi[i] = {s: x for s, x in enumerate(named_phi[name]) if x}
+        images_h[i] = {s: x for s, x in enumerate(named_h[name]) if x}
+    phi_prime = map_from_generator_images(m_min, n_min, p, named_phi, name="phi'")
+    h_map = map_from_generator_images(m_min, n_mod, p - 1, named_h, name="h")
     return phi_prime, Homotopy(h_map)
 
 

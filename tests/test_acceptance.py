@@ -38,6 +38,7 @@ from dgmodels.dgmodule import (
     shift,
     tabulate,
 )
+from dgmodels.errors import ValidationError
 from dgmodels.fixtures import fixture
 from dgmodels.minmodel import lift_section, minimal_model, model_of_morphism
 
@@ -357,6 +358,28 @@ def test_c8_random_maps_cones_shifts_homotopies():
     finish("C8",
            f"{n_maps} random morphisms: exact cones, shift round-trips, "
            f"{n_models} modeled maps with verified homotopies", bad, t0)
+
+
+def test_models_of_odd_degree_maps_carry_verified_homotopies():
+    """model_of_morphism solves for (y, (-1)^p z) and flips z back: at odd p the
+    flip is visible, and some of these maps need a nonzero homotopy."""
+    rng = random.Random(11)
+    nonzero = 0
+    for alg in _random_algebras():
+        for _ in range(10):
+            src, dst = random_table(alg, rng), random_table(alg, rng)
+            p = rng.choice([1, 3])
+            phi = random_chain_map(alg, src, dst, p, rng, mult_coeff=rng.choice([None, Q(1)]))
+            mt, nt = tabulate(src[2]), tabulate(dst[2])
+            phit = DgModuleMap(mt, nt, p, dict(phi.mats))
+            rm, rn = minimal_model(mt), minimal_model(nt)
+            try:
+                phi_p, h = model_of_morphism(phit, rm.rho, rn.rho)
+            except ValidationError:  # a generator whose image the caps cannot host
+                continue
+            assert is_homotopy(h, compose(phit, rm.rho), compose(rn.rho, phi_p))
+            nonzero += bool(h.map.mats)
+    assert nonzero
 
 
 # ---- C9: formality and localization ----------------------------------------------
