@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import DegreeWindowError, ValidationError
-from .linalg import Q, RatMatrix, as_q
+from .linalg import RatMatrix, as_q
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
@@ -89,7 +89,7 @@ def poly_is_zero(p: Mapping[Mono, Fraction]) -> bool:
 def poly_add(p: Mapping[Mono, Fraction], q: Mapping[Mono, Fraction]) -> Poly:
     out: Poly = dict(p)
     for m, c in q.items():
-        s = out.get(m, Q(0)) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
         else:
@@ -98,7 +98,7 @@ def poly_add(p: Mapping[Mono, Fraction], q: Mapping[Mono, Fraction]) -> Poly:
 
 
 def poly_sub(p: Mapping[Mono, Fraction], q: Mapping[Mono, Fraction]) -> Poly:
-    return poly_add(p, poly_scale(Q(-1), q))
+    return poly_add(p, poly_scale(-1, q))
 
 
 def poly_scale(c, p: Mapping[Mono, Fraction]) -> Poly:
@@ -242,13 +242,13 @@ class SullivanPresentation:
     def generator_poly(self, name: str) -> Poly:
         i = self.generator_index(name)
         m = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return {m: Q(1)}
+        return {m: 1}
 
     def unit_mono(self) -> Mono:
         return (0,) * len(self.names)
 
     def unit_poly(self) -> Poly:
-        return {self.unit_mono(): Q(1)}
+        return {self.unit_mono(): 1}
 
     def mono_degree(self, m: Mono) -> int:
         return sum(e * d for e, d in zip(m, self.degrees))
@@ -308,7 +308,7 @@ class SullivanPresentation:
     def poly_vector(self, p: Mapping[Mono, Fraction], n: int) -> tuple[Fraction, ...]:
         """Coordinates of a degree-n polynomial in basis(n)."""
         idx = self.basis_index(n)
-        coords = [Q(0)] * len(idx)
+        coords = [0] * len(idx)
         for m, c in p.items():
             if self.mono_degree(m) != n:
                 raise ValidationError(
@@ -347,7 +347,7 @@ class SullivanPresentation:
                 if hit is None:
                     continue
                 sign, m = hit
-                s = out.get(m, Q(0)) + sign * c1 * c2
+                s = out.get(m, 0) + sign * c1 * c2
                 if s:
                     out[m] = s
                 else:
@@ -364,10 +364,10 @@ class SullivanPresentation:
             if e and self.differentials[i]:
                 left = m[:i] + (e - 1,) + (0,) * (k - i - 1)
                 right = (0,) * (i + 1) + m[i + 1 :]
-                term = self.poly_mul({left: Q(1)}, self.differentials[i])
-                term = self.poly_mul(term, {right: Q(1)})
+                term = self.poly_mul({left: 1}, self.differentials[i])
+                term = self.poly_mul(term, {right: 1})
                 sign = -1 if prefix_deg % 2 else 1
-                out = poly_add(out, poly_scale(Q(sign * e), term))
+                out = poly_add(out, poly_scale(sign * e, term))
             prefix_deg += e * self.degrees[i]
         return out
 
@@ -394,7 +394,7 @@ class SullivanPresentation:
                 for b, m2 in enumerate(bj):
                     hit = self.mono_mul(m1, m2)
                     if hit is not None:
-                        rows[target[hit[1]]][a * len(bj) + b] = Q(hit[0])
+                        rows[target[hit[1]]][a * len(bj) + b] = hit[0]
             self._product_cache[key] = RatMatrix._make(len(target), len(bi) * len(bj), rows)
         return self._product_cache[key]
 
@@ -471,10 +471,10 @@ def verify_cdga(algebra: SullivanPresentation, top: int | None = None) -> CheckR
             for m1 in algebra.basis(i):
                 for m2 in algebra.basis(j):
                     checks += 1
-                    prod = algebra.poly_mul({m1: Q(1)}, {m2: Q(1)})
-                    swapped = algebra.poly_mul({m2: Q(1)}, {m1: Q(1)})
+                    prod = algebra.poly_mul({m1: 1}, {m2: 1})
+                    swapped = algebra.poly_mul({m2: 1}, {m1: 1})
                     sign = -1 if (i * j) % 2 else 1
-                    if not poly_eq(prod, poly_scale(Q(sign), swapped)):
+                    if not poly_eq(prod, poly_scale(sign, swapped)):
                         failures.append(
                             f"commutativity fails on ({algebra.mono_str(m1)}, {algebra.mono_str(m2)})"
                         )
@@ -482,10 +482,10 @@ def verify_cdga(algebra: SullivanPresentation, top: int | None = None) -> CheckR
                         checks += 1
                         lhs = algebra.d_poly(prod)
                         rhs = poly_add(
-                            algebra.poly_mul(algebra.d_mono(m1), {m2: Q(1)}),
+                            algebra.poly_mul(algebra.d_mono(m1), {m2: 1}),
                             poly_scale(
-                                Q(-1 if i % 2 else 1),
-                                algebra.poly_mul({m1: Q(1)}, algebra.d_mono(m2)),
+                                -1 if i % 2 else 1,
+                                algebra.poly_mul({m1: 1}, algebra.d_mono(m2)),
                             ),
                         )
                         if not poly_eq(lhs, rhs):
@@ -500,7 +500,7 @@ def verify_cdga(algebra: SullivanPresentation, top: int | None = None) -> CheckR
     for n in range(top + 1):
         for m in algebra.basis(n):
             checks += 1
-            if not poly_eq(algebra.poly_mul({unit: Q(1)}, {m: Q(1)}), {m: Q(1)}):
+            if not poly_eq(algebra.poly_mul({unit: 1}, {m: 1}), {m: 1}):
                 failures.append(f"unit fails on {algebra.mono_str(m)}")
 
     return CheckReport("verify_cdga", not failures, tuple(failures), checks)
@@ -546,7 +546,7 @@ def parse_polynomial(algebra: SullivanPresentation, text: str) -> Poly:
         return {}
     try:
         tree = ast.parse(source.replace("^", "**"), mode="eval")
-        return _eval_node(algebra, tree.body, text)
+        return {m: as_q(c) for m, c in _eval_node(algebra, tree.body, text).items()}
     except SyntaxError as exc:
         raise ValidationError(f"cannot parse expression {text!r}: {exc.msg}") from None
     except (MemoryError, RecursionError):
@@ -555,9 +555,9 @@ def parse_polynomial(algebra: SullivanPresentation, text: str) -> Poly:
         raise ValidationError(f"expression nested too deeply: {text[:40]!r}...") from None
 
 
-def _poly_as_rational(p: Poly) -> Fraction | None:
+def _poly_as_rational(p: Poly) -> int | Fraction | None:
     if not p:
-        return Q(0)
+        return 0
     if len(p) == 1:
         (m, c), = p.items()
         if not any(m):
@@ -568,13 +568,13 @@ def _poly_as_rational(p: Poly) -> Fraction | None:
 def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return poly_scale(Q(node.value), algebra.unit_poly())
+            return poly_scale(node.value, algebra.unit_poly())
         raise ValidationError(f"non-integer literal {node.value!r} in {text!r}")
     if isinstance(node, ast.Name):
         return algebra.generator_poly(node.id)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         inner = _eval_node(algebra, node.operand, text)
-        return inner if isinstance(node.op, ast.UAdd) else poly_scale(Q(-1), inner)
+        return inner if isinstance(node.op, ast.UAdd) else poly_scale(-1, inner)
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
             base = _eval_node(algebra, node.left, text)
@@ -603,7 +603,7 @@ def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
             c = _poly_as_rational(right)
             if c is None or c == 0:
                 raise ValidationError(f"division only by nonzero rationals in {text!r}")
-            return poly_scale(1 / c, left)
+            return poly_scale(Fraction(1, c), left)
     raise ValidationError(f"unsupported syntax in expression {text!r}")
 
 

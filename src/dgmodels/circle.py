@@ -63,7 +63,7 @@ from .dgmodule import (
     modules_equal,
 )
 from .errors import DegreeWindowError, PreconditionError, ValidationError
-from .linalg import GradedDims, PoincareSeries, Q, RatMatrix, add_vec, in_span, unit_vec, vec
+from .linalg import GradedDims, PoincareSeries, RatMatrix, add_vec, in_span, unit_vec, vec
 from .minmodel import (
     MinimalModelResult,
     cone_quis,
@@ -742,7 +742,7 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
         proj = [kv[: cdim[0]] for kv in kernel]
 
         def class_label(s: int, coords) -> str:
-            z = [Q(0)] * m.dim(s)
+            z = [0] * m.dim(s)
             for c, rep in zip(coords, h_m[s].representatives):
                 if c:
                     z = [x + c * y for x, y in zip(z, rep)]
@@ -765,7 +765,7 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
                 sol = head.solve(vec(k))
                 if sol is None:
                     continue
-                full = [Q(0)] * (sum(cdim))
+                full = [0] * sum(cdim)
                 for c, kv in zip(sol, kernel):
                     if c:
                         full = [x + c * y for x, y in zip(full, kv)]
@@ -882,9 +882,9 @@ def _localization(p: _ActionPipeline, nilpotency_exponent: int | None) -> Locali
     def nabla(x: dict[int, Vector]) -> dict[int, Vector]:
         out: dict[int, Vector] = {}
         for k, v in x.items():
-            out[k + 1] = add_vec(out.get(k + 1, (Q(0),) * total), v)
+            out[k + 1] = add_vec(out.get(k + 1, (0,) * total), v)
             wv = w_mat.apply(v)
-            out[k] = add_vec(out.get(k, (Q(0),) * total), wv)
+            out[k] = add_vec(out.get(k, (0,) * total), wv)
         return prune(out)
 
     def nabla_inv(x: dict[int, Vector]) -> dict[int, Vector]:
@@ -895,7 +895,7 @@ def _localization(p: _ActionPipeline, nilpotency_exponent: int | None) -> Locali
                 if n % 2:
                     wv = tuple(-c for c in wv)
                 key = k - (n + 1)
-                out[key] = add_vec(out.get(key, (Q(0),) * total), wv)
+                out[key] = add_vec(out.get(key, (0,) * total), wv)
         return prune(out)
 
     failures: list[str] = []
@@ -1025,7 +1025,7 @@ def _module_over_subalgebra(
                 for bi, mb in enumerate(big.basis(k)):
                     got = big.mono_mul(big_ma, mb)
                     if got is not None:
-                        rows[index[got[1]]][ai * dim_k + bi] = Q(got[0])
+                        rows[index[got[1]]][ai * dim_k + bi] = got[0]
             act_mats[(i, k)] = RatMatrix._make(len(rows), sub.dim(i) * dim_k, rows)
     return TabulatedDgModule(sub, cap, labels, d_mats, act_mats)
 
@@ -1086,15 +1086,14 @@ def _almost_free(p: _ActionPipeline) -> AlmostFreeReport:
 
     # under (a, b) -> a + b x the pair product sends a.1, a'.1 to a a'; a.1, a'.x
     # to a a' x; a.x, a'.1 to (-1)^{deg a'} a a' x; and two x terms to 0
-    one = Q(1)
     for i in range(window + 1):
         for gi, mi in free.basis(i):
-            left = {mi + (min(gi, 1),): one}
+            left = {mi + (min(gi, 1),): 1}
             for j in range(window + 1 - i):
                 for gj, mj in free.basis(j):
-                    want = alg_x.poly_mul(left, {mj + (min(gj, 1),): one})
-                    pair = {} if gi and gj else alg.poly_mul({mi: one}, {mj: one})
-                    sign = -one if gi and alg.mono_degree(mj) % 2 else one
+                    want = alg_x.poly_mul(left, {mj + (min(gj, 1),): 1})
+                    pair = {} if gi and gj else alg.poly_mul({mi: 1}, {mj: 1})
+                    sign = -1 if gi and alg.mono_degree(mj) % 2 else 1
                     got = {mm + (min(gi + gj, 1),): sign * c for mm, c in pair.items()}
                     if not poly_eq(want, got):
                         failures.append(
@@ -1147,20 +1146,19 @@ def _naive_pair_mul(
     free: FreeDgModule, shift: int, gi: int, mi: Mono, gj: int, mj: Mono
 ) -> Combination:
     alg = free.algebra
-    one = Q(1)
     if gi == 0 and gj == 0:
-        poly = alg.poly_mul({mi: one}, {mj: one})
+        poly = alg.poly_mul({mi: 1}, {mj: 1})
         return {0: poly} if poly else {}
     if gi == 0:
-        poly = alg.poly_mul({mi: one}, {mj: one})
+        poly = alg.poly_mul({mi: 1}, {mj: 1})
         if alg.mono_degree(mi) % 2:
-            poly = poly_scale(Q(-1), poly)
+            poly = poly_scale(-1, poly)
         return {gj: poly} if poly else {}
     if gj == 0:
         beta_deg = alg.mono_degree(mi) + free.gen_degrees[gi] - shift
-        poly = alg.poly_mul({mj: one}, {mi: one})
+        poly = alg.poly_mul({mj: 1}, {mi: 1})
         if (alg.mono_degree(mj) * beta_deg) % 2:
-            poly = poly_scale(Q(-1), poly)
+            poly = poly_scale(-1, poly)
         return {gi: poly} if poly else {}
     return {}
 
@@ -1178,7 +1176,7 @@ def _naive_mul(free: FreeDgModule, shift: int, a: Combination, b: Combination) -
 
 
 def _comb_eq(a: Combination, b: Combination) -> bool:
-    return comb_is_zero(comb_add(a, comb_scale(Q(-1), b)))
+    return comb_is_zero(comb_add(a, comb_scale(-1, b)))
 
 
 def naive_structure(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> NaiveReport:
@@ -1206,14 +1204,14 @@ def _naive_axioms(
     monos = [alg.unit_mono(), *(next(iter(alg.generator_poly(n))) for n in alg.names)]
     elts = sorted(
         (
-            (alg.mono_degree(m) + deg, {gi: {m: Q(1)}})
+            (alg.mono_degree(m) + deg, {gi: {m: 1}})
             for gi, deg in enumerate(free.gen_degrees)
             for m in monos
             if alg.mono_degree(m) + deg <= window
         ),
         key=lambda e: e[0],
     )
-    unit: Combination = {0: {alg.unit_mono(): Q(1)}}
+    unit: Combination = {0: {alg.unit_mono(): 1}}
     failed: list[tuple[str, str]] = []
 
     def mul(x: Combination, y: Combination) -> Combination:

@@ -42,7 +42,6 @@ from .errors import DegreeWindowError, ValidationError
 from .linalg import (
     CohomologyData,
     GradedDims,
-    Q,
     RatMatrix,
     as_q,
     cohomology_at,
@@ -185,7 +184,7 @@ class FreeDgModule:
             dcj = self.algebra.d_poly(cj)
             if not poly_is_zero(dcj):
                 out = comb_add(out, {j: dcj})
-            sign = Q(-1 if deg % 2 else 1)
+            sign = -1 if deg % 2 else 1
             for h, q in self.gen_diffs[j].items():
                 prod = self.algebra.poly_mul(cj, q)
                 if not poly_is_zero(prod):
@@ -280,7 +279,7 @@ class FreeDgModule:
 
     def combination_vector(self, comb: Combination, k: int) -> tuple[Fraction, ...]:
         idx = self.basis_index(k)
-        coords = [Q(0)] * len(idx)
+        coords = [0] * len(idx)
         for j, cj in comb.items():
             for m, c in cj.items():
                 key = (j, m)
@@ -316,7 +315,7 @@ class FreeDgModule:
         index = self.basis_index(k + 1)
         rows: list[dict[int, Fraction]] = [{} for _ in index]
         for c, (gi, m) in enumerate(self.basis(k)[start:]):
-            for j, poly in self.d_combination({gi: {m: Q(1)}}).items():
+            for j, poly in self.d_combination({gi: {m: 1}}).items():
                 for mono, x in poly.items():
                     rows[index[(j, mono)]][c] = x
         return RatMatrix._make(len(rows), self.dim(k) - start, rows)
@@ -340,7 +339,7 @@ class FreeDgModule:
                 for b, (gi, m) in enumerate(basis):
                     hit = self.algebra.mono_mul(am, m)
                     if hit is not None:
-                        rows[index[(gi, hit[1])]][a * len(basis) + b] = Q(hit[0])
+                        rows[index[(gi, hit[1])]][a * len(basis) + b] = hit[0]
             self._act_cache[key] = RatMatrix._make(
                 len(rows), self.algebra.dim(i) * len(basis), rows
             )
@@ -562,7 +561,7 @@ def verify_dgmodule(module: DgModule, top: int | None = None) -> CheckReport:
             checks += 1
             lhs = module.differential_matrix(i + k) * module.action_matrix(i, k)
             rhs = module.action_matrix(i + 1, k) * kron(d_a, RatMatrix.identity(module.dim(k)))
-            sign = Q(-1 if i % 2 else 1)
+            sign = -1 if i % 2 else 1
             rhs = rhs + (
                 module.action_matrix(i, k + 1)
                 * kron(RatMatrix.identity(module.algebra.dim(i)), module.differential_matrix(k))
@@ -667,7 +666,7 @@ class DgModuleMap:
         holding check_count(top) to the check budget."""
         check_check_budget(self.check_count(top), f"the map {self.name}".rstrip())
         p = self.degree
-        sign = Q(-1 if p % 2 else 1)
+        sign = -1 if p % 2 else 1
         chain, linear = self._check_degrees(top)
         failures: list[str] = []
         checks = 0
@@ -682,7 +681,7 @@ class DgModuleMap:
             for k in degrees:
                 checks += 1
                 lhs = self.matrix(i + k) * self.source.action_matrix(i, k)
-                tw = Q(-1 if (i * p) % 2 else 1)
+                tw = -1 if (i * p) % 2 else 1
                 rhs = (self.target.action_matrix(i, k + p) * kron(ident_a, self.matrix(k))).scale(tw)
                 if lhs != rhs:
                     failures.append(f"A-linearity fails for (|a|, |m|) = ({i}, {k})")
@@ -705,7 +704,7 @@ class DgModuleMap:
         )
 
     def __neg__(self) -> "DgModuleMap":
-        return self.scale(Q(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "DgModuleMap":
         mats = {k: self.matrix(k).scale(c) for k in self.window()}
@@ -873,7 +872,7 @@ def image_columns(
     map with these generator images, evaluated by apply_images."""
     out: list[dict[int, Fraction]] = [{} for _ in range(target.dim(k + degree))]
     for c, (gi, m) in enumerate(source.basis(k)[start:]):
-        for r, x in apply_images(source, target, degree, images, {gi: {m: Q(1)}}).items():
+        for r, x in apply_images(source, target, degree, images, {gi: {m: 1}}).items():
             out[r][c] = x
     return RatMatrix._make(len(out), source.dim(k) - start, out)
 
@@ -897,7 +896,7 @@ def is_homotopy(
     if psi.degree != p or hmap.degree != p - 1:
         raise ValidationError("homotopy degrees are inconsistent")
     src, tgt = phi.source, phi.target
-    sign = Q(-1 if p % 2 else 1)
+    sign = -1 if p % 2 else 1
     hi = min(
         src.cap - 1,
         tgt.cap - p,
@@ -925,12 +924,12 @@ def shift(module: DgModule, p: int) -> TabulatedDgModule:
             raise DegreeWindowError(
                 f"shift by {p} pushes degree {k} below zero (window underflow)"
             )
-    sign_d = Q(-1 if p % 2 else 1)
+    sign_d = -1 if p % 2 else 1
     labels = {n: module.basis_labels(n - p) for n in range(new_cap + 1)}
     d_mats = {n: module.differential_matrix(n - p).scale(sign_d) for n in range(new_cap)}
     act_mats = {}
     for i in range(1, min(new_cap, module.algebra.cap) + 1):
-        tw = Q(-1 if (i * p) % 2 else 1)
+        tw = -1 if (i * p) % 2 else 1
         for n in range(new_cap - i + 1):
             act_mats[(i, n)] = module.action_matrix(i, n - p).scale(tw)
     return TabulatedDgModule(module.algebra, new_cap, labels, d_mats, act_mats)
@@ -982,7 +981,7 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
             f"{lbl}[{shift_tag}]" for lbl in m_mod.basis_labels(n - p + 1)
         )
 
-    sign_d = Q(-1 if (p - 1) % 2 else 1)
+    sign_d = -1 if (p - 1) % 2 else 1
     d_mats = {}
     for n in range(cap):
         top = n_mod.differential_matrix(n).hstack(phi.matrix(n - p + 1))
@@ -1066,19 +1065,18 @@ def free_cone(
                 comb[n_mod.gen_names[h]] = poly
         for h, poly in m_mod.gen_diffs[j].items():
             cdeg = algebra.poly_degree(poly)
-            sign = Q(-1 if ((cdeg + 1) * (p - 1)) % 2 else 1)
+            sign = -1 if ((cdeg + 1) * (p - 1)) % 2 else 1
             comb[gen_names[h]] = poly_scale(sign, poly)
         diffs[nm] = comb
 
     free = FreeDgModule(algebra, gens, diffs, cap=cn.cap)
 
-    one, minus = Q(1), Q(-1)
     mats = {}
     for n in range(cn.cap + 1):
         rows: list[dict[int, Fraction]] = [{} for _ in range(cn.module.dim(n))]
         for r, (gi, m) in enumerate(free.basis(n)[: len(rows)]):
             odd = gi >= n_count and (algebra.mono_degree(m) * (p - 1)) % 2
-            rows[r][r] = minus if odd else one
+            rows[r][r] = -1 if odd else 1
         mats[n] = RatMatrix._make(len(rows), free.dim(n), rows)
     iota = DgModuleMap(free, cn.module, 0, mats, name="cone transport")
     return free, iota, cn

@@ -14,7 +14,6 @@ from .cdga import SullivanPresentation, trivial_algebra
 from .circle import BasicData
 from .dgmodule import FreeDgModule, algebra_module, map_from_generator_images
 from .errors import ValidationError
-from .linalg import Q
 
 
 def s4_hopf(max_degree: int = 12) -> BasicData:
@@ -38,7 +37,7 @@ def s4_hopf(max_degree: int = 12) -> BasicData:
             break
         gens.append((f"b{n}", deg))
         if n >= 2:
-            diffs[f"b{n}"] = {f"b{n - 2}": {(1,): Q(1)}}
+            diffs[f"b{n}"] = {f"b{n - 2}": {(1,): 1}}
         n += 1
     m = FreeDgModule(alg, gens, diffs, cap=max_degree + 1)
     a_mod = algebra_module(alg, cap=cap)
@@ -79,7 +78,7 @@ def almost_free_hopf(max_degree: int = 12) -> BasicData:
     """
     cap = max_degree + 2
     alg = SullivanPresentation(
-        [("u", 2), ("v", 3)], {"v": {(2, 0): Q(1)}}, cap=cap
+        [("u", 2), ("v", 3)], {"v": {(2, 0): 1}}, cap=cap
     )
     m = FreeDgModule(alg, [("m0", 0)], {}, cap=max_degree + 1)
     a_mod = algebra_module(alg, cap=cap)
@@ -147,7 +146,7 @@ def semifree_suspension(max_degree: int = 12) -> BasicData:
             break
         gens.append((f"b{n}", deg))
         if n >= 2:
-            diffs[f"b{n}"] = {f"b{n - 2}": {(1,): Q(1)}}
+            diffs[f"b{n}"] = {f"b{n - 2}": {(1,): 1}}
         n += 1
     m = FreeDgModule(alg, gens, diffs, cap=max_degree + 1)
     a_mod = algebra_module(alg, cap=cap)

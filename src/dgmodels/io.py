@@ -33,7 +33,7 @@ from .dgmodule import (
     map_from_generator_images,
 )
 from .errors import ValidationError
-from .linalg import Q, RatMatrix
+from .linalg import RatMatrix, as_q
 
 DEFAULT_MAX_DEGREE = 12
 
@@ -54,19 +54,21 @@ _ACTION_TRIPLE = {"relative_model", "i_prime", "e_prime", "euler_self_map"}
 _ACTION_COMPLEXES = {"orbit_quis", "inclusion", "euler"}
 
 
-def rational_str(x: Fraction) -> str:
+def rational_str(x: int | Fraction) -> str:
+    if x.__class__ is int:
+        return str(x)
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(value: Any, where: str = "value") -> Fraction:
+def parse_rational(value: Any, where: str = "value") -> int | Fraction:
     if isinstance(value, bool):
         raise ValidationError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
-        return Q(value)
+        return value
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            return as_q(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"{where}: {value!r} is not a rational p/q") from None
     raise ValidationError(f"{where}: expected an integer or 'p/q' string, got {value!r}")

@@ -2,13 +2,19 @@
 
 Everything downstream (bases of graded pieces, differentials, induced maps
 on cohomology) reduces to products and row reduction of matrices with
-Fraction entries, so determinism here makes the whole package
+exact rational entries, so determinism here makes the whole package
 reproducible: pivots are always the leftmost nonzero columns, kernel
 vectors are listed by ascending free column, and particular solutions set
 every free variable to 0.
 
+An exact scalar is an `int` or a `Fraction`.  `as_q`, `vec` and the
+`RatMatrix` constructor store an integral value as an `int`, and the one
+division, `_eliminate` scaling a pivot row to a leading 1, does the same
+with each quotient; sums and products are not normalised, so a result may
+hold an integral `Fraction`.  Compare results by value, never by type.
+
 `RatMatrix` has one storage: each row is a dict from column to a nonzero
-Fraction, and a zero is never stored.  Every operation (products, sums,
+scalar, and a zero is never stored.  Every operation (products, sums,
 scaling, `kron`, stacking, transposition, equality and hashing) reads and
 writes only the nonzeros; a product accumulates row i of A times the rows
 of B that A's row i reaches.  `data`, `row`, `col`, `columns` and
@@ -34,27 +40,26 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 
 Q = Fraction
-_ZERO = Q(0)
-_ONE = Q(1)
 
 
-def as_q(x) -> Fraction:
-    """Coerce ints, strings like '3/2', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def as_q(x) -> int | Fraction:
+    """Coerce ints, strings like '3/2', and Fractions to an exact scalar:
+    an int when the value is integral, a Fraction otherwise."""
+    if x.__class__ is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ValidationError(f"not an exact rational: {x!r}")
+    if isinstance(x, (int, str)):
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise ValidationError(f"not an exact rational: {x!r}")
+    return x.numerator if x.denominator == 1 else x
 
 
-def vec(entries: Iterable) -> tuple[Fraction, ...]:
+def vec(entries: Iterable) -> tuple[int | Fraction, ...]:
     return tuple(as_q(x) for x in entries)
 
 
 def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def add_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -62,9 +67,9 @@ def add_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...
 
 
 class RatMatrix:
-    """Immutable row-sparse matrix of Fractions, rows x cols, 0-sized shapes allowed.
+    """Immutable row-sparse matrix of exact rationals, rows x cols, 0-sized shapes allowed.
 
-    Row i is stored as a dict from column index to a nonzero Fraction; zeros
+    Row i is stored as a dict from column index to a nonzero scalar; zeros
     are never stored, and a stored row dict is never mutated once the matrix
     holds it (operations that need scratch rows copy them first).
     """
@@ -84,7 +89,7 @@ class RatMatrix:
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValidationError("matrix data does not match declared shape")
         self._nz = tuple(
-            {j: q for j, x in enumerate(row) if (q := x if x.__class__ is Q else as_q(x))}
+            {j: q for j, x in enumerate(row) if (q := x if x.__class__ is int else as_q(x))}
             for row in data
         )
 
@@ -119,7 +124,7 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls._make(n, n, [{i: _ONE} for i in range(n)])
+        return cls._make(n, n, [{i: 1} for i in range(n)])
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -128,17 +133,17 @@ class RatMatrix:
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._nz[i].get(range(self.cols)[j], _ZERO)
+        return self._nz[i].get(range(self.cols)[j], 0)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        out = [_ZERO] * self.cols
+        out = [0] * self.cols
         for j, x in self._nz[i].items():
             out[j] = x
         return tuple(out)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         j = range(self.cols)[j]
-        return tuple(row.get(j, _ZERO) for row in self._nz)
+        return tuple(row.get(j, 0) for row in self._nz)
 
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.col(j) for j in range(self.cols)]
@@ -163,16 +168,16 @@ class RatMatrix:
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
-        out = [_subtract(dict(r1), -_ONE, r2) for r1, r2 in zip(self._nz, other._nz)]
+        out = [_subtract(dict(r1), -1, r2) for r1, r2 in zip(self._nz, other._nz)]
         return RatMatrix._make(self.rows, self.cols, out)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
-        out = [_subtract(dict(r1), _ONE, r2) for r1, r2 in zip(self._nz, other._nz)]
+        out = [_subtract(dict(r1), 1, r2) for r1, r2 in zip(self._nz, other._nz)]
         return RatMatrix._make(self.rows, self.cols, out)
 
     def __neg__(self) -> "RatMatrix":
-        return self.scale(Q(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "RatMatrix":
         c = as_q(c)
@@ -218,7 +223,7 @@ class RatMatrix:
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValidationError("vector length does not match column count")
-        return tuple(sum((a * v[j] for j, a in row.items()), _ZERO) for row in self._nz)
+        return tuple(sum(a * v[j] for j, a in row.items()) for row in self._nz)
 
     def transpose(self) -> "RatMatrix":
         out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
@@ -281,7 +286,7 @@ class RatMatrix:
         n, m = self.rows, self.cols
         aug = self._sparse_rows()
         for i, row in enumerate(aug):
-            row[m + i] = Q(1)
+            row[m + i] = 1
         rows, aug_pivots = _eliminate(aug, m + n)
         rows = _back_reduce(rows, aug_pivots)
         pivots = tuple(p for p in aug_pivots if p < m)
@@ -306,8 +311,8 @@ class RatMatrix:
         for free in range(self.cols):
             if free in pivot_set:
                 continue
-            v = [Q(0)] * self.cols
-            v[free] = Q(1)
+            v = [0] * self.cols
+            v[free] = 1
             for row, p in zip(rows, pivots):
                 x = row.get(free)
                 if x:
@@ -328,9 +333,9 @@ class RatMatrix:
         if pivots and pivots[-1] == m:
             return None
         # back substitution over the pivot columns; free variables stay 0
-        x = [Q(0)] * m
+        x = [0] * m
         for row, p in zip(reversed(rows), reversed(pivots)):
-            val = row.get(m, Q(0))
+            val = row.get(m, 0)
             for j, a in row.items():
                 if j != p and j != m:
                     val -= a * x[j]
@@ -348,7 +353,8 @@ def _eliminate(
     pivot column the sparsest becomes the pivot row, which only limits
     fill-in: the pivot columns, and everything read off the reduced form,
     do not depend on that choice.  Returns the pivot rows, each scaled to
-    a leading 1 in its pivot column, in pivot order.
+    a leading 1 in its pivot column (the only division here; an integral
+    quotient is stored as an int), in pivot order.
     """
     active = [row for row in rows if row]
     pivot_rows: list[dict[int, Fraction]] = []
@@ -361,7 +367,12 @@ def _eliminate(
             continue
         chosen = min(hits, key=len)
         lead = chosen[c]
-        pivot = chosen if lead == 1 else {j: x / lead for j, x in chosen.items()}
+        if lead == 1:
+            pivot = chosen
+        elif lead == -1:
+            pivot = {j: -x for j, x in chosen.items()}
+        else:
+            pivot = {j: as_q(Fraction(x, lead)) for j, x in chosen.items()}
         remaining = []
         for row in active:
             if row is chosen:
@@ -561,9 +572,9 @@ class CohomologyData:
         skip = len(self.boundaries)
         out = []
         for j in range(left, left + len(vectors)):
-            x = [_ZERO] * left
+            x = [0] * left
             for row, p in zip(echelon, pivots):
-                x[p] = row.get(j, _ZERO)
+                x[p] = row.get(j, 0)
             out.append(tuple(x[skip:]))
         return out
 

@@ -49,7 +49,6 @@ from .errors import (
 from .linalg import (
     CohomologyData,
     GradedDims,
-    Q,
     RatMatrix,
     cohomology_at,
     unit_vec,
@@ -481,7 +480,7 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
                 for s, y in c_rows[r].items():
                     row[offsets[lo] + s * dx[lo] + c] = -y
                 rows.append(row)
-                rhs.append(Q(0))
+                rhs.append(0)
 
     for k in range(top + 1):
         # sigma_k . rho_k = id on N^k
@@ -490,7 +489,7 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
             base = offsets[k] + r * dx[k]
             for j in range(dn[k]):
                 rows.append({base + t: x for t, x in rho_cols[j].items()})
-                rhs.append(Q(1 if r == j else 0))
+                rhs.append(1 if r == j else 0)
     for k in range(top):
         # sigma_{k+1} . d = d . sigma_k
         d_x, d_n = x_mod.differential_matrix(k), n_mod.differential_matrix(k)
@@ -596,7 +595,7 @@ def model_of_morphism(
     if not isinstance(m_min, FreeDgModule) or not isinstance(n_min, FreeDgModule):
         raise ValidationError("both models must be free minimal modules")
     p = phi.degree
-    sign = Q(-1 if p % 2 else 1)
+    sign = -1 if p % 2 else 1
     order = _ks_order(m_min)
     for i in order:
         t = m_min.gen_degrees[i] + p
@@ -658,13 +657,13 @@ def cone_quis(
     if is_homotopy(h_map, front, back):
         base = h_map
     elif is_homotopy(h_map, back, front):
-        base = h_map.scale(Q(-1))
+        base = h_map.scale(-1)
     else:
         raise PreconditionError(
             "h is not a homotopy between phi . rho_m and rho_n . phi' "
             "in either orientation"
         )
-    tilde = base.scale(Q(-1 if p % 2 else 1))
+    tilde = base.scale(-1 if p % 2 else 1)
     cn_prime = cone(phi_prime, check=False)
     cn = cone(phi, check=False)
     mats = {}

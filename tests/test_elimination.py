@@ -4,7 +4,9 @@ The reference below is the dense elimination linalg.py used before: it
 scans each column for the first nonzero row, swaps it up, and clears the
 column in every other row while carrying the transform T along.  Reduced
 row echelon form is unique, so pivots, R, kernel vectors, particular
-solutions and greedy independent subsets must agree exactly.
+solutions and greedy independent subsets must agree exactly.  The
+reference divides, so it first turns every entry into a Fraction: an int
+entry divided by an int would give a float.
 """
 
 from fractions import Fraction
@@ -13,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgmodels.linalg import Q, RatMatrix, independent_subset
+from exact import stores_exact_scalars
 
 
 def dense_rref(m: RatMatrix):
-    work = [list(row) for row in m.data]
+    work = [[Fraction(x) for x in row] for row in m.data]
     trans = [[Q(1) if i == j else Q(0) for j in range(m.rows)] for i in range(m.rows)]
     pivots = []
     r = 0
@@ -78,7 +81,7 @@ def dense_independent_subset(vectors):
     chosen = []
     pivot_rows = {}
     for v in vectors:
-        w = list(v)
+        w = [Fraction(x) for x in v]
         while True:
             lead = next((j for j, x in enumerate(w) if x != 0), None)
             if lead is None or lead not in pivot_rows:
@@ -92,10 +95,9 @@ def dense_independent_subset(vectors):
     return chosen
 
 
-nonzero = st.builds(
-    Fraction,
+nonzero = st.one_of(
     st.integers(-9, 9).filter(bool),
-    st.sampled_from((1, 1, 1, 2, 3, 7)),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 7))),
 )
 
 
@@ -139,6 +141,7 @@ def matrices(draw):
 def test_echelon_form_matches_dense_reference(m):
     ref_r, ref_pivots, _ = dense_rref(m)
     reduced, pivots, trans = m.rref()
+    assert stores_exact_scalars(reduced) and stores_exact_scalars(trans)
     assert pivots == ref_pivots
     assert reduced == ref_r
     assert trans * m == reduced
@@ -150,7 +153,7 @@ def test_echelon_form_matches_dense_reference(m):
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_solve_matches_dense_reference(m, data):
-    x = [data.draw(st.sampled_from((Q(0), Q(1), Q(-2), Q(1, 3)))) for _ in range(m.cols)]
+    x = [data.draw(st.sampled_from((0, 1, -2, Q(1, 3)))) for _ in range(m.cols)]
     b = m.apply(x)
     sol = m.solve(b)
     assert sol == dense_solve(m, b)

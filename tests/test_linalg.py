@@ -18,10 +18,11 @@ from dgmodels.linalg import (
 )
 
 
-def test_vec_coerces_to_fractions():
-    v = vec([1, "2/3", Fraction(1, 5)])
-    assert v == (Q(1), Q(2, 3), Q(1, 5))
-    assert all(isinstance(x, Fraction) for x in v)
+def test_vec_coerces_to_exact_scalars():
+    # an integral value becomes an int, whichever form it came in
+    v = vec([1, "2/3", Fraction(1, 5), Fraction(4, 2), "4/2", True])
+    assert v == (1, Q(2, 3), Q(1, 5), 2, 2, 1)
+    assert [x.__class__ for x in v] == [int, Fraction, Fraction, int, int, int]
 
 
 def test_matrix_shape_validation():

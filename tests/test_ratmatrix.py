@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgmodels.linalg import Q, RatMatrix, kron
+from exact import stores_exact_scalars
 
 
 class Dense:
@@ -103,12 +104,12 @@ def same(m, ref):
         for j in range(m.cols)
     )
     assert m.is_zero() == ref.is_zero()
-    assert all(isinstance(x, Fraction) for row in m.data for x in row)
+    assert stores_exact_scalars(m)
     return True
 
 
 values = st.one_of(
-    st.integers(-9, 9).map(Q),
+    st.integers(-9, 9),
     st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7))),
 )
 

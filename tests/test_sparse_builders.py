@@ -6,10 +6,8 @@ the same for its product and differential matrices; and `apply_images`
 evaluates generator images on a combination through the target's stored
 action rows.  The dense column builders below are the earlier code, kept
 as the reference: every matrix of the window must agree, and every stored
-entry must be a nonzero `Fraction`.
+entry must be a nonzero `int` or `Fraction`.
 """
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,9 +17,10 @@ from dgmodels.cdga import SullivanPresentation
 from dgmodels.dgmodule import FreeDgModule, apply_images
 from dgmodels.errors import ValidationError
 from dgmodels.linalg import Q, RatMatrix
+from exact import is_stored_scalar, stores_exact_scalars
 
 CAP = 8
-COEFFS = [Q(1), Q(-1), Q(2), Q(-1, 2), Q(3)]
+COEFFS = [1, -1, 2, Q(-1, 2), Q(3)]
 ALGEBRAS = {
     "a3": SullivanPresentation([("a", 3)], {}, cap=CAP + 4),
     "e2f2": SullivanPresentation([("e", 2), ("f", 2)], {}, cap=CAP + 4),
@@ -96,10 +95,6 @@ def dense_apply_images(source, target, degree, images, comb, out_degree):
     return tuple(out)
 
 
-def stored_entries_are_fractions(mat: RatMatrix) -> bool:
-    return all(type(x) is Fraction and x for row in mat._nz for x in row.values())
-
-
 # ---- random free modules ---------------------------------------------------------
 
 
@@ -134,7 +129,7 @@ def test_free_module_matrices_match_the_dense_builders(module):
     for k in range(module.cap):
         d = module.differential_matrix(k)
         assert d == dense_differential_matrix(module, k)
-        assert stored_entries_are_fractions(d)
+        assert stores_exact_scalars(d)
         # the columns that extend appends to a cached differential
         start = module.dim(k) // 2
         tail = dense_differential_matrix(module, k).columns()[start:]
@@ -143,7 +138,7 @@ def test_free_module_matrices_match_the_dense_builders(module):
         for k in range(module.cap - i + 1):
             act = module.action_matrix(i, k)
             assert act == dense_action_matrix(module, i, k)
-            assert stored_entries_are_fractions(act)
+            assert stores_exact_scalars(act)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -152,12 +147,12 @@ def test_algebra_matrices_match_the_dense_builders(name):
     for n in range(alg.cap):
         d = alg.differential_matrix(n)
         assert d == dense_algebra_differential(alg, n)
-        assert stored_entries_are_fractions(d)
+        assert stores_exact_scalars(d)
     for i in range(alg.cap + 1):
         for j in range(alg.cap + 1 - i):
             prod = alg.product_matrix(i, j)
             assert prod == dense_product_matrix(alg, i, j)
-            assert stored_entries_are_fractions(prod)
+            assert stores_exact_scalars(prod)
 
 
 @st.composite
@@ -194,6 +189,6 @@ def test_apply_images_matches_the_dense_evaluator(case):
     src, tgt, p, images, comb, n = case
     sparse = {j: {s: x for s, x in enumerate(v) if x} for j, v in images.items()}
     got = apply_images(src, tgt, p, sparse, comb)
-    assert all(type(x) is Fraction and x for x in got.values())
+    assert all(is_stored_scalar(x) for x in got.values())
     want = dense_apply_images(src, tgt, p, images, comb, n + p)
     assert tuple(got.get(r, Q(0)) for r in range(tgt.dim(n + p))) == want
