@@ -47,7 +47,7 @@ def check_basis_budget(slots: int, what: str, cap: int) -> None:
         )
 
 
-# Most checks one verification (verify_dgmodule, DgModuleMap.verify,
+# Most checks one verification (verify_cdga, verify_dgmodule, DgModuleMap.verify,
 # BasicData.validate) may run.  A module's count grows as the cube of its
 # window, a map's as the square; `dgmodels verify` accepts every shipped
 # fixture through window 47 (the relative model takes 20,874 checks at 48).
@@ -452,8 +452,18 @@ def trivial_algebra(cap: int = 12) -> SullivanPresentation:
 
 
 def verify_cdga(algebra: SullivanPresentation, top: int | None = None) -> CheckReport:
-    """Check d(d(x)) = 0, Leibniz, unit, and graded commutativity on bases <= top."""
+    """Check d(d(x)) = 0, Leibniz, unit, and graded commutativity on bases <= top;
+    the checks are counted and held to the check budget before the first runs."""
     top = algebra.cap if top is None else min(top, algebra.cap)
+    dims = [algebra.dim(n) for n in range(top + 1)]
+    # d^2 below top and unit on each basis element; commutativity on each pair of
+    # degrees (i, j) with i + j <= top, and Leibniz too when i + j < top
+    planned = 2 * sum(dims) - dims[top] + sum(
+        dims[i] * dims[j] * (2 if i + j < top else 1)
+        for i in range(top + 1)
+        for j in range(top + 1 - i)
+    )
+    check_check_budget(planned, "the algebra")
     failures: list[str] = []
     checks = 0
 
@@ -522,15 +532,6 @@ def extend(
     }
     diffs[name] = {m + (0,): as_q(c) for m, c in (differential or {}).items() if c}
     return SullivanPresentation(gens, diffs, cap=algebra.cap)
-
-
-def adjoin_polynomial_generator(
-    algebra: SullivanPresentation, name: str, degree: int = 2
-) -> SullivanPresentation:
-    """Tensor with a polynomial algebra on one even closed generator."""
-    if degree % 2 or degree < 2:
-        raise ValidationError(f"polynomial generator needs positive even degree, got {degree}")
-    return extend(algebra, name, degree, None)
 
 
 def parse_polynomial(algebra: SullivanPresentation, text: str) -> Poly:

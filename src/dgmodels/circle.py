@@ -276,19 +276,9 @@ def _cone_result(
     betti_cone = betti_table(cn.module, top=window)
     if betti_model.dims != betti_cone.dims:
         raise ValidationError("free presentation of the cone disagrees with the cone cohomology")
-    target = cn.phi.target
-    idx = free.basis_index(target.gen_degrees[0])[(0, free.algebra.unit_mono())]
-    inclusion = map_from_generator_images(
-        target,
-        free,
-        0,
-        {target.gen_names[0]: unit_vec(free.dim(target.gen_degrees[0]), idx)},
-        name="base inclusion",
-    )
     return MinimalModelResult(
         module=free,
         rho=iota,
-        inclusion=inclusion,
         window=window,
         mono_degree=None,
         betti_model=betti_model,
@@ -307,10 +297,11 @@ class _ActionPipeline:
     """
 
     def __init__(self, data: BasicData, max_degree: int):
+        # the Borel objects are the largest a report builds: reject a window they
+        # cannot fit before verifying the maps, which is quadratic in it.  Data that
+        # validates has a known variant and a free relative model, so has this algebra.
         if data.variant in VARIANTS and isinstance(data.relative_model, FreeDgModule):
-            # the Borel objects are the largest a report builds: reject a window
-            # they cannot fit before verifying the maps, which is quadratic in it
-            _borel_algebra(data)
+            self.borel_algebra = _borel_algebra(data)
         data.validate().raise_if_failed()
         self.data = data
         self.max_degree = max_degree
@@ -344,7 +335,7 @@ class _ActionPipeline:
 
     @cached_property
     def borel(self) -> tuple[EquivariantModel, Cone]:
-        return _equivariant_pieces(self.data, self.max_degree)
+        return _equivariant_pieces(self.data, self.borel_algebra, self.max_degree)
 
 
 def model_of_total_space(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> MinimalModelResult:
@@ -432,13 +423,11 @@ def _borel_algebra(data: BasicData) -> SullivanPresentation:
 
 
 def _equivariant_pieces(
-    data: BasicData, max_degree: int
+    data: BasicData, alg_e: SullivanPresentation, max_degree: int
 ) -> tuple[EquivariantModel, Cone]:
     alg = data.algebra
     m = data.relative_model
     d_e = data.euler_degree
-
-    alg_e = _borel_algebra(data)
     e_name = alg_e.names[-1]
 
     m_e = FreeDgModule(
@@ -602,7 +591,7 @@ def _extension_of_scalars(p: _ActionPipeline) -> ScalarsReport:
                     f"coefficient of {free_e.gen_names[h]} is "
                     f"{alg.poly_str(got.get(h, {}))} vs {alg.poly_str(want.get(h, {}))}"
                 )
-    if not failures and not modules_equal(quotient, free_t, labels=True):
+    if not failures and not modules_equal(quotient, free_t):
         failures.append("quotient by the Euler class does not match the total-space model")
     return ScalarsReport(not failures, cap - 1, free_e.gen_count, tuple(failures))
 

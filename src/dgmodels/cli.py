@@ -36,7 +36,7 @@ from .io import (
     loads_document,
     model_document,
 )
-from .linalg import GradedDims, PoincareSeries
+from .linalg import GradedDims
 from .minmodel import MinimalModelResult, minimal_model
 
 
@@ -146,10 +146,6 @@ def _model_json(result: MinimalModelResult) -> dict[str, Any]:
         "betti_model": result.betti_model.as_list(),
         "betti_target": result.betti_target.as_list(),
     }
-
-
-def _series_str(series: PoincareSeries) -> str:
-    return str(series)
 
 
 # ---- verify ---------------------------------------------------------------------
@@ -454,9 +450,9 @@ def _render_circle(rep: ActionReport, source: dict[str, str]) -> list[str]:
     if rep.poincare is not None:
         verdict = "hold" if rep.poincare.ok else "FAIL"
         lines.append(f"  poincare identities     {verdict} through degree {rep.poincare.through}")
-        lines.append(f"      total fiber series  {_series_str(rep.poincare.total_fiber)}")
-        lines.append(f"      fixed fiber series  {_series_str(rep.poincare.fixed_fiber)}")
-        lines.append(f"      borel fiber series  {_series_str(rep.poincare.borel_fiber)}")
+        lines.append(f"      total fiber series  {rep.poincare.total_fiber}")
+        lines.append(f"      fixed fiber series  {rep.poincare.fixed_fiber}")
+        lines.append(f"      borel fiber series  {rep.poincare.borel_fiber}")
         for failure in rep.poincare.failures[:3]:
             lines.append(f"      {failure}")
     if rep.formality is not None:

@@ -498,9 +498,9 @@ def zero_module(algebra: SullivanPresentation, cap: int | None = None) -> FreeDg
     return FreeDgModule(algebra, [], {}, cap=cap)
 
 
-def tabulate(module: DgModule, cap: int | None = None) -> TabulatedDgModule:
+def tabulate(module: DgModule) -> TabulatedDgModule:
     """Materialize any module into the tabulated representation."""
-    cap = module.cap if cap is None else min(cap, module.cap)
+    cap = module.cap
     labels = {k: module.basis_labels(k) for k in range(cap + 1)}
     d_mats = {k: module.differential_matrix(k) for k in range(cap)}
     act_mats = {}
@@ -510,14 +510,14 @@ def tabulate(module: DgModule, cap: int | None = None) -> TabulatedDgModule:
     return TabulatedDgModule(module.algebra, cap, labels, d_mats, act_mats)
 
 
-def modules_equal(a: DgModule, b: DgModule, labels: bool = True) -> bool:
+def modules_equal(a: DgModule, b: DgModule) -> bool:
     """Exact equality of the materialized structure over the common interface."""
     if a.algebra != b.algebra or a.cap != b.cap:
         return False
     for k in range(a.cap + 1):
         if a.dim(k) != b.dim(k):
             return False
-        if labels and a.basis_labels(k) != b.basis_labels(k):
+        if a.basis_labels(k) != b.basis_labels(k):
             return False
     for k in range(a.cap):
         if a.differential_matrix(k) != b.differential_matrix(k):
@@ -687,42 +687,11 @@ class DgModuleMap:
                     failures.append(f"A-linearity fails for (|a|, |m|) = ({i}, {k})")
         return CheckReport("verify_map", not failures, tuple(failures), checks)
 
-    def __add__(self, other: "DgModuleMap") -> "DgModuleMap":
-        self._check_parallel(other)
-        hi = min(self.window().stop, other.window().stop) - 1
-        mats = {k: self.matrix(k) + other.matrix(k) for k in range(hi + 1)}
-        return DgModuleMap(
-            self.source, self.target, self.degree, mats, window_cap=self._merged_cap(other)
-        )
-
-    def __sub__(self, other: "DgModuleMap") -> "DgModuleMap":
-        self._check_parallel(other)
-        hi = min(self.window().stop, other.window().stop) - 1
-        mats = {k: self.matrix(k) - other.matrix(k) for k in range(hi + 1)}
-        return DgModuleMap(
-            self.source, self.target, self.degree, mats, window_cap=self._merged_cap(other)
-        )
-
-    def __neg__(self) -> "DgModuleMap":
-        return self.scale(-1)
-
     def scale(self, c) -> "DgModuleMap":
         mats = {k: self.matrix(k).scale(c) for k in self.window()}
         return DgModuleMap(
             self.source, self.target, self.degree, mats, window_cap=self.window_cap
         )
-
-    def _merged_cap(self, other: "DgModuleMap") -> int | None:
-        caps = [c for c in (self.window_cap, other.window_cap) if c is not None]
-        return min(caps) if caps else None
-
-    def _check_parallel(self, other: "DgModuleMap") -> None:
-        if (
-            self.source is not other.source
-            or self.target is not other.target
-            or self.degree != other.degree
-        ):
-            raise ValidationError("maps are not parallel")
 
     def __repr__(self) -> str:
         tag = f" {self.name}" if self.name else ""
@@ -753,12 +722,10 @@ def compose(g: DgModuleMap, f: DgModuleMap) -> DgModuleMap:
     return DgModuleMap(f.source, g.target, degree, mats, window_cap=window_cap)
 
 
-def maps_equal(f: DgModuleMap, g: DgModuleMap, top: int | None = None) -> bool:
+def maps_equal(f: DgModuleMap, g: DgModuleMap) -> bool:
     if f.degree != g.degree:
         return False
     hi = min(f.window().stop, g.window().stop) - 1
-    if top is not None:
-        hi = min(hi, top)
     return all(f.matrix(k) == g.matrix(k) for k in range(hi + 1))
 
 
@@ -877,23 +844,10 @@ def image_columns(
     return RatMatrix._make(len(out), source.dim(k) - start, out)
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    """Degree-(p-1) map h asserted to satisfy (-1)^p dh + hd = psi - phi."""
-
-    map: DgModuleMap
-
-
-def is_homotopy(
-    h: Homotopy | DgModuleMap,
-    phi: DgModuleMap,
-    psi: DgModuleMap,
-    top: int | None = None,
-) -> bool:
+def is_homotopy(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap) -> bool:
     """Whether (-1)^p d h + h d = psi - phi holds as matrices on the window."""
-    hmap = h.map if isinstance(h, Homotopy) else h
     p = phi.degree
-    if psi.degree != p or hmap.degree != p - 1:
+    if psi.degree != p or h.degree != p - 1:
         raise ValidationError("homotopy degrees are inconsistent")
     src, tgt = phi.source, phi.target
     sign = -1 if p % 2 else 1
@@ -902,13 +856,11 @@ def is_homotopy(
         tgt.cap - p,
         phi.window().stop - 1,
         psi.window().stop - 1,
-        hmap.window().stop - 2,
+        h.window().stop - 2,
     )
-    if top is not None:
-        hi = min(hi, top)
     for k in range(hi + 1):
-        lhs = (tgt.differential_matrix(k + p - 1) * hmap.matrix(k)).scale(sign)
-        lhs = lhs + hmap.matrix(k + 1) * src.differential_matrix(k)
+        lhs = (tgt.differential_matrix(k + p - 1) * h.matrix(k)).scale(sign)
+        lhs = lhs + h.matrix(k + 1) * src.differential_matrix(k)
         if lhs != psi.matrix(k) - phi.matrix(k):
             return False
     return True
@@ -1124,11 +1076,9 @@ def induced_map(f: DgModuleMap, source_h: CohomologyData, target_h: CohomologyDa
     return RatMatrix.from_cols(cols, nrows=target_h.betti)
 
 
-def is_quis(f: DgModuleMap, top: int | None = None) -> bool:
+def is_quis(f: DgModuleMap) -> bool:
     """Whether f induces cohomology isomorphisms in all window degrees."""
     hi = min(f.source.cap - 1, f.target.cap - 1 - f.degree, f.window().stop - 2)
-    if top is not None:
-        hi = min(hi, top)
     for n in range(hi + 1):
         hs = module_cohomology(f.source, n)
         ht = module_cohomology(f.target, n + f.degree)

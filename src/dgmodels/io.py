@@ -100,12 +100,6 @@ class InputDocument:
             return int(override)
         return int(self.options.get("max_degree", DEFAULT_MAX_DEGREE))
 
-    def module_name(self, module: DgModule) -> str | None:
-        for name, m in self.modules.items():
-            if m is module:
-                return name
-        return None
-
 
 def _expect_mapping(obj: Any, where: str) -> dict:
     if not isinstance(obj, dict):
@@ -312,21 +306,17 @@ def _parse_action(
             "action: needs either relative_model/i_prime/e_prime or orbit_quis/inclusion/euler"
         )
 
-    def common(key: str, default):
-        value = raw.get(key, default)
-        return value
-
-    variant = common("variant", "circle")
+    variant = raw.get("variant", "circle")
     if variant not in VARIANTS:
         raise ValidationError(f"action: unknown variant {variant!r}; expected one of {VARIANTS}")
-    fixed_set_empty = bool(common("fixed_set_empty", False))
-    base_sc = bool(common("base_simply_connected", True))
-    fixed_components = common("fixed_components", None)
+    fixed_set_empty = bool(raw.get("fixed_set_empty", False))
+    base_sc = bool(raw.get("base_simply_connected", True))
+    fixed_components = raw.get("fixed_components")
     if fixed_components is not None and (
         isinstance(fixed_components, bool) or not isinstance(fixed_components, int)
     ):
         raise ValidationError("action: 'fixed_components' must be an integer")
-    action_name = str(common("name", doc_name))
+    action_name = str(raw.get("name", doc_name))
 
     def named_map(key: str) -> DgModuleMap:
         value = raw.get(key)

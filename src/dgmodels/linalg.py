@@ -17,8 +17,8 @@ hold an integral `Fraction`.  Compare results by value, never by type.
 scalar, and a zero is never stored.  Every operation (products, sums,
 scaling, `kron`, stacking, transposition, equality and hashing) reads and
 writes only the nonzeros; a product accumulates row i of A times the rows
-of B that A's row i reaches.  `data`, `row`, `col`, `columns` and
-`to_lists` build dense views on request.
+of B that A's row i reaches.  `data`, `row`, `col` and `to_lists` build
+dense views on request.
 
 Elimination is one sparse routine, `_eliminate`, over copies of the stored
 rows: columns are taken left to right, and the sparsest row reaching a
@@ -104,12 +104,6 @@ class RatMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(r, c, rows)
-
-    @classmethod
     def from_cols(cls, cols: Sequence[Sequence], nrows: int | None = None) -> "RatMatrix":
         if not cols:
             return cls(nrows or 0, 0)
@@ -144,9 +138,6 @@ class RatMatrix:
     def col(self, j: int) -> tuple[Fraction, ...]:
         j = range(self.cols)[j]
         return tuple(row.get(j, 0) for row in self._nz)
-
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.col(j) for j in range(self.cols)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -505,9 +496,6 @@ class PoincareSeries:
         if 0 <= at <= self.top:
             out[at] += c
         return PoincareSeries(out, self.top)
-
-    def agrees_with(self, other: "PoincareSeries", through: int) -> bool:
-        return all(self.coeff(n) == other.coeff(n) for n in range(through + 1))
 
     def first_disagreement(self, other: "PoincareSeries", through: int) -> int | None:
         for n in range(through + 1):

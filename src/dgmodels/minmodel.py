@@ -25,7 +25,6 @@ from .dgmodule import (
     DgModule,
     DgModuleMap,
     FreeDgModule,
-    Homotopy,
     apply_images,
     compose,
     cone,
@@ -34,6 +33,7 @@ from .dgmodule import (
     image_columns,
     induced_map,
     is_homotopy,
+    is_quis,
     map_from_generator_images,
     maps_equal,
     module_cohomology,
@@ -57,6 +57,9 @@ from .linalg import (
 
 Vector = tuple[Fraction, ...]
 
+# Most batches one stage may adjoin before the tower gives up on the window.
+MAX_BATCHES = 64
+
 
 def _relative_d(rho: DgModuleMap, k: int) -> RatMatrix:
     """Differential of the relative complex of rho at position k.
@@ -73,22 +76,16 @@ def _relative_d(rho: DgModuleMap, k: int) -> RatMatrix:
 
 
 def relative_cohomology(
-    rho: DgModuleMap, n: int
-) -> tuple[CohomologyData, tuple[tuple[Vector, Vector], ...]]:
+    rho: DgModuleMap, n: int, d_n: RatMatrix | None
+) -> tuple[CohomologyData, tuple[tuple[Vector, Vector], ...], RatMatrix]:
     """Obstruction space V(n) = H^{n+1} of the relative complex of rho.
 
     Returns the cohomology data together with one section pair
     (t_v, x_v) per basis class, satisfying d t_v = 0 and rho t_v = d x_v;
     a stage-n generator v is adjoined with dv = t_v and rho(v) = x_v.
+    d_n is the degree-n relative differential when the caller holds it, else
+    None; the degree-(n+1) one used here is returned third.
     """
-    return _obstructions(rho, n, None)[:2]
-
-
-def _obstructions(
-    rho: DgModuleMap, n: int, d_n: RatMatrix | None
-) -> tuple[CohomologyData, tuple[tuple[Vector, Vector], ...], RatMatrix]:
-    """relative_cohomology, given the degree-n relative differential when the
-    caller holds it; also returns the degree-(n+1) one it used."""
     if rho.degree != 0:
         raise ValidationError("relative cohomology needs a degree-0 morphism")
     if n < 0:
@@ -121,7 +118,6 @@ class KSState:
     n: int
     q: int
     batches: tuple[tuple[int, int, tuple[str, ...]], ...] = ()
-    max_batches: int = 64
     rel_d: RatMatrix | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -149,10 +145,10 @@ def ks_step(state: KSState) -> KSState:
     if state.done:
         return state
     rho, n = state.rho, state.n
-    data, reps, d_up = _obstructions(rho, n, state.rel_d)
+    data, reps, d_up = relative_cohomology(rho, n, state.rel_d)
     if data.betti == 0:
         return replace(state, n=n + 1, q=0, rel_d=d_up)
-    if state.q >= state.max_batches:
+    if state.q >= MAX_BATCHES:
         raise InconclusiveWindowError(
             f"stage {n} still has {data.betti} obstruction classes "
             f"after {state.q} batches"
@@ -192,7 +188,6 @@ class MinimalModelResult:
 
     module: FreeDgModule
     rho: DgModuleMap
-    inclusion: DgModuleMap
     window: int
     mono_degree: int | None
     betti_model: GradedDims
@@ -220,9 +215,7 @@ def _h0_kernel_labels(phi: DgModuleMap) -> list[str]:
     return labels
 
 
-def minimal_factorization(
-    phi: DgModuleMap, n_cap: int | None = None, max_batches: int = 64
-) -> MinimalModelResult:
+def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> MinimalModelResult:
     """Factor phi: M -> X through a minimal extension of M.
 
     Requires phi of degree 0 with free source and H^0(phi) injective.
@@ -281,18 +274,11 @@ def minimal_factorization(
         rho=map_from_generator_images(base, target, 0, images, name="rho"),
         n=0,
         q=0,
-        max_batches=max_batches,
     )
     while not state.done:
         state = ks_step(state)
 
     module, rho = state.module, state.rho
-    unit = algebra.unit_mono()
-    units = {
-        name: unit_vec(module.dim(deg), module.basis_index(deg)[(i, unit)])
-        for i, (name, deg) in enumerate(zip(source.gen_names, source.gen_degrees))
-    }
-    inclusion = map_from_generator_images(source, module, 0, units, name="iota")
 
     betti_model: list[int] = []
     betti_target: list[int] = []
@@ -319,7 +305,6 @@ def minimal_factorization(
     return MinimalModelResult(
         module=module,
         rho=rho,
-        inclusion=inclusion,
         window=n_cap - 1,
         mono_degree=mono_degree,
         betti_model=GradedDims(
@@ -332,17 +317,13 @@ def minimal_factorization(
     )
 
 
-def minimal_model(
-    module: DgModule, n_cap: int | None = None, max_batches: int = 64
-) -> MinimalModelResult:
+def minimal_model(module: DgModule, n_cap: int | None = None) -> MinimalModelResult:
     """Minimal model of a dg module: the factorization of 0 -> module."""
     algebra = module.algebra
     if n_cap is None:
         n_cap = min(module.cap, algebra.cap - 1)
     zero = zero_module(algebra, cap=n_cap + 1)
-    return minimal_factorization(
-        zero_map(zero, module, 0), n_cap=n_cap, max_batches=max_batches
-    )
+    return minimal_factorization(zero_map(zero, module, 0), n_cap=n_cap)
 
 
 @dataclass(frozen=True)
@@ -577,7 +558,7 @@ def lift_section(rho: DgModuleMap) -> DgModuleMap:
 
 def model_of_morphism(
     phi: DgModuleMap, rho_m: DgModuleMap, rho_n: DgModuleMap
-) -> tuple[DgModuleMap, Homotopy]:
+) -> tuple[DgModuleMap, DgModuleMap]:
     """Model phi: M -> N on minimal models M', N' of its ends.
 
     Returns (phi', h) with phi': M' -> N' of the same degree and
@@ -631,7 +612,7 @@ def model_of_morphism(
         images_h[i] = {s: x for s, x in enumerate(named_h[name]) if x}
     phi_prime = map_from_generator_images(m_min, n_min, p, named_phi, name="phi'")
     h_map = map_from_generator_images(m_min, n_mod, p - 1, named_h, name="h")
-    return phi_prime, Homotopy(h_map)
+    return phi_prime, h_map
 
 
 def cone_quis(
@@ -639,7 +620,7 @@ def cone_quis(
     phi_prime: DgModuleMap,
     rho_m: DgModuleMap,
     rho_n: DgModuleMap,
-    h: Homotopy | DgModuleMap,
+    h: DgModuleMap,
 ) -> DgModuleMap:
     """Quasi-isomorphism between the cones of a morphism and its model.
 
@@ -648,16 +629,15 @@ def cone_quis(
     rho_n . phi' (either orientation is accepted and normalized).  The
     chain-map identity and degreewise cohomology ranks are verified.
     """
-    h_map = h.map if isinstance(h, Homotopy) else h
     p = phi.degree
     if phi_prime.degree != p:
         raise ValidationError("phi and its model must share one degree")
     front = compose(phi, rho_m)
     back = compose(rho_n, phi_prime)
-    if is_homotopy(h_map, front, back):
-        base = h_map
-    elif is_homotopy(h_map, back, front):
-        base = h_map.scale(-1)
+    if is_homotopy(h, front, back):
+        base = h
+    elif is_homotopy(h, back, front):
+        base = h.scale(-1)
     else:
         raise PreconditionError(
             "h is not a homotopy between phi . rho_m and rho_n . phi' "
@@ -683,13 +663,6 @@ def cone_quis(
         raise ValidationError(
             "cone comparison is not a morphism: " + "; ".join(report.failures)
         )
-    top = min(cn_prime.cap, cn.cap) - 1
-    for k in range(top + 1):
-        h_src = module_cohomology(cn_prime.module, k)
-        h_tgt = module_cohomology(cn.module, k)
-        rank = induced_map(result, h_src, h_tgt).rank()
-        if not (h_src.betti == h_tgt.betti == rank):
-            raise ValidationError(
-                f"cone comparison fails to be a quasi-isomorphism at degree {k}"
-            )
+    if not is_quis(result):
+        raise ValidationError("cone comparison fails to be a quasi-isomorphism in the window")
     return result

@@ -378,7 +378,7 @@ def test_models_of_odd_degree_maps_carry_verified_homotopies():
             except ValidationError:  # a generator whose image the caps cannot host
                 continue
             assert is_homotopy(h, compose(phit, rm.rho), compose(rn.rho, phi_p))
-            nonzero += bool(h.map.mats)
+            nonzero += bool(h.mats)
     assert nonzero
 
 

@@ -5,7 +5,6 @@ import pytest
 from dgmodels.cdga import (
     BASIS_BUDGET,
     SullivanPresentation,
-    adjoin_polynomial_generator,
     extend,
     parse_polynomial,
     trivial_algebra,
@@ -160,14 +159,6 @@ def test_extend_preserves_old_differentials():
     assert verify_cdga(big).ok
     with pytest.raises(ValidationError):
         extend(alg, "u", 2, None)
-
-
-def test_adjoin_polynomial_generator_requires_even_degree():
-    alg = trivial_algebra(8)
-    big = adjoin_polynomial_generator(alg, "e", 2)
-    assert big.dim(4) == 1  # e^2
-    with pytest.raises(ValidationError):
-        adjoin_polynomial_generator(alg, "x", 3)
 
 
 def test_poly_vector_round_trip():

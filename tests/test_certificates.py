@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dgmodels import circle, dgmodule
-from dgmodels.cdga import CHECK_BUDGET, SullivanPresentation
+from dgmodels import cdga, circle, dgmodule
+from dgmodels.cdga import CHECK_BUDGET, SullivanPresentation, verify_cdga
 from dgmodels.circle import _comb_eq, _naive_axioms, _naive_mul
 from dgmodels.dgmodule import (
     DgModuleMap,
@@ -302,6 +302,28 @@ def test_module_check_count_is_planned_before_the_checks(monkeypatch):
         counts.clear()
         report = verify_dgmodule(module, top)
         assert counts == [report.checks_run]
+
+
+def test_algebra_check_count_is_planned_before_the_checks(monkeypatch):
+    counts = []
+    monkeypatch.setattr(cdga, "check_check_budget", lambda checks, what: counts.append(checks))
+    algebras = [fixture(name, 47).algebra for name in FIXTURES]
+    algebras += [
+        SullivanPresentation([("u", 2), ("v", 3)], {"v": {(2, 0): 1}}, cap=cap) for cap in range(8)
+    ]
+    algebras.append(SullivanPresentation([(f"x{i}", 1) for i in range(5)], {}, cap=5))
+    for algebra in algebras:
+        for top in (None, 0, 1, 4):
+            counts.clear()
+            report = verify_cdga(algebra, top)
+            assert report.ok and counts == [report.checks_run]
+
+
+def test_every_fixture_algebra_verifies_at_window_47():
+    # the largest, almost_free_hopf's, takes 2,405 checks
+    for name in FIXTURES:
+        report = verify_cdga(fixture(name, 47).algebra)
+        assert report.ok and report.checks_run <= CHECK_BUDGET
 
 
 @pytest.mark.parametrize("name", FIXTURES)

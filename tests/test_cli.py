@@ -323,6 +323,21 @@ def test_borel_budget_is_checked_before_the_first_stage():
     assert "Traceback" not in res.stderr
 
 
+def test_algebra_check_budget_is_one_error_line(tmp_path):
+    # nine degree-1 generators through cap 9: 263,167 algebra checks, which
+    # ran for about two seconds before the algebra's checks were budgeted
+    doc = tmp_path / "wide.json"
+    gens = [[f"x{i}", 1] for i in range(9)]
+    doc.write_text(json.dumps({"algebra": {"generators": gens, "cap": 9}}))
+    res = run("verify", "--input", str(doc))
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: verifying the algebra takes 263167 checks")
+    assert "over the budget of" in lines[0]
+
+
 def test_verify_check_budget_is_one_error_line():
     # the window fits the basis budget, so only the check count bounds the
     # verifiers' work, which grows as the cube of the window

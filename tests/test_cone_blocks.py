@@ -60,7 +60,7 @@ def a_major(block, da, nn, mn):
 
     The eager assembly put every N column before every M column, which is
     A-major only when dim A^i <= 1 or one of the two parts is empty."""
-    cols = block.columns()
+    cols = [block.col(j) for j in range(block.cols)]
     order = []
     for a in range(da):
         order += [a * nn + s for s in range(nn)]

@@ -258,9 +258,7 @@ def test_is_homotopy_accepts_exact_difference():
     zero = zero_map(m, m, 0)
     ident = identity_map(m)
     # h = 0 shows phi ~ phi
-    from dgmodels.dgmodule import Homotopy
-
-    h = Homotopy(zero_map(m, m, -1))
+    h = zero_map(m, m, -1)
     assert is_homotopy(h, ident, ident)
     assert not is_homotopy(h, ident, zero)
 

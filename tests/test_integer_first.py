@@ -94,7 +94,7 @@ def test_mixed_scalars_agree_with_all_fractions_and_never_float(data):
 
     # coordinates modulo the column space of a, in a basis completing it
     if a.rows:
-        bounds = independent_subset(a.columns())
+        bounds = independent_subset([a.col(j) for j in range(a.cols)])
         units = [unit_vec(a.rows, i) for i in range(a.rows)]
         reps = independent_subset(bounds + units)[len(bounds):]
         h = CohomologyData(0, len(reps), tuple(reps), tuple(bounds), a.rows)

@@ -1,7 +1,10 @@
 """Minimal models: construction, verification, sections, morphism models."""
 
+import json
+
 import pytest
 
+from dgmodels import cli, minmodel
 from dgmodels.cdga import SullivanPresentation
 from dgmodels.dgmodule import (
     FreeDgModule,
@@ -20,7 +23,7 @@ from dgmodels.dgmodule import (
     zero_map,
     zero_module,
 )
-from dgmodels.errors import PreconditionError, ValidationError
+from dgmodels.errors import InconclusiveWindowError, PreconditionError, ValidationError
 from dgmodels.linalg import Q
 from dgmodels.minmodel import (
     cone_quis,
@@ -172,6 +175,39 @@ def test_model_of_morphism_and_cone_quis(sphere):
 def test_relative_cohomology_of_zero_map(sphere, s4_cone_model):
     x, _ = s4_cone_model
     z = zero_module(sphere, cap=13)
-    data, reps = relative_cohomology(zero_map(z, x, 0), 4)
+    data, reps, _ = relative_cohomology(zero_map(z, x, 0), 4, None)
     assert data.betti == module_cohomology(x, 4).betti
     assert len(reps) == data.betti
+
+
+# Over Lambda(t), |t| = 1, the free module on z and w in degree 0 with dw = t.z,
+# tabulated: its minimal model adjoins two batches at stage 0, (0, 1) and (0, 2).
+TWO_BATCH_DOC = {
+    "algebra": {"generators": [["t", 1]], "cap": 4},
+    "modules": {
+        "X": {
+            "tabulated": True,
+            "cap": 4,
+            "labels": {"0": ["z", "w"], "1": ["t*z", "t*w"]},
+            "differentials": {"0": [["0", "1"], ["0", "0"]]},
+            "action": {"1,0": [["1", "0"], ["0", "1"]]},
+        }
+    },
+}
+
+
+def test_ks_batch_cap_is_inconclusive(monkeypatch, tmp_path, capsys):
+    alg = SullivanPresentation([("t", 1)], {}, cap=4)
+    x = tabulate(FreeDgModule(alg, [("z", 0), ("w", 0)], {"w": {"z": "t"}}, cap=4))
+    assert [b[:2] for b in minimal_model(x).batches] == [(0, 1), (0, 2)]
+    monkeypatch.setattr(minmodel, "MAX_BATCHES", 1)
+    message = "stage 0 still has 1 obstruction classes after 1 batches"
+    with pytest.raises(InconclusiveWindowError, match=message):
+        minimal_model(x)
+    doc = tmp_path / "two_batches.json"
+    doc.write_text(json.dumps(TWO_BATCH_DOC))
+    capsys.readouterr()
+    assert cli.main(["minmodel", "--input", str(doc)]) == InconclusiveWindowError.exit_code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"inconclusive: {message}"]

@@ -98,9 +98,10 @@ def test_circle_machine_output_is_pinned(name, window):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_action_report_builds_each_stage_once(monkeypatch, name):
     data = fixture(name, 12)
-    validated = []
+    validated, borel_algebras = [], []
     cones = Counter()
     validate, free_cone = BasicData.validate, dgmodule.free_cone
+    borel_algebra = circle._borel_algebra
 
     def counting_validate(self):
         validated.append(self)
@@ -110,12 +111,17 @@ def test_action_report_builds_each_stage_once(monkeypatch, name):
         cones[phi.name] += 1
         return free_cone(phi, gen_names, check)
 
+    def counting_borel_algebra(data):
+        borel_algebras.append(data)
+        return borel_algebra(data)
+
     monkeypatch.setattr(BasicData, "validate", counting_validate)
     for module in (dgmodule, circle):
         monkeypatch.setattr(module, "free_cone", counting_free_cone)
+    monkeypatch.setattr(circle, "_borel_algebra", counting_borel_algebra)
     action_report(data, 12)
 
-    assert validated == [data]
+    assert validated == borel_algebras == [data]
     # one cone per structure map, whatever names its generators are given
     assert cones and set(cones.values()) == {1}
     assert set(cones) <= {"e'", "i'", "q'"}

@@ -97,7 +97,6 @@ def same(m, ref):
     assert m.to_lists() == [list(row) for row in ref.data]
     assert [m.row(i) for i in range(m.rows)] == list(ref.data)
     assert [m.col(j) for j in range(m.cols)] == [ref.col(j) for j in range(ref.cols)]
-    assert m.columns() == [ref.col(j) for j in range(ref.cols)]
     assert all(
         m[i, j] == ref.data[i][j] and m[i, j - m.cols] == ref.data[i][j]
         for i in range(m.rows)
