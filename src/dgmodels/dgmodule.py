@@ -45,6 +45,7 @@ from .linalg import (
     RatMatrix,
     as_q,
     cohomology_at,
+    cohomology_count,
     kron,
     vec,
 )
@@ -529,10 +530,10 @@ def modules_equal(a: DgModule, b: DgModule) -> bool:
     return True
 
 
-def verify_dgmodule(module: DgModule, top: int | None = None) -> CheckReport:
-    """Check d^2 = 0, module Leibniz, unit, and action associativity on bases <= top;
+def verify_dgmodule(module: DgModule) -> CheckReport:
+    """Check d^2 = 0, module Leibniz, unit, and action associativity through the cap;
     the checks are counted and held to the check budget before the first runs."""
-    top = module.cap if top is None else min(top, module.cap)
+    top = module.cap
     acap = module.algebra.cap
     low = min(top, acap)
     # d^2, unit and Leibniz checks; then per i the low - i values of j of the
@@ -592,10 +593,10 @@ class DgModuleMap:
     Degrees with the source or the target outside [0, cap] carry the zero
     map; degrees above either cap, or above an explicit window_cap (used
     by compositions that are only defined on part of the nominal window),
-    are not materialized and raise on access.
+    are not materialized and raise on access.  The window is fixed in __init__.
     """
 
-    __slots__ = ("source", "target", "degree", "mats", "name", "window_cap")
+    __slots__ = ("source", "target", "degree", "mats", "name", "window_cap", "_stop")
 
     def __init__(
         self,
@@ -611,10 +612,11 @@ class DgModuleMap:
         self.degree = int(degree)
         self.name = name
         self.window_cap = None if window_cap is None else int(window_cap)
-        hi = self.window().stop - 1
+        stop = min(source.cap, target.cap - self.degree) + 1
+        self._stop = stop if window_cap is None else min(stop, self.window_cap + 1)
         self.mats: dict[int, RatMatrix] = {}
         for k, mat in (mats or {}).items():
-            if not 0 <= k <= hi:
+            if not 0 <= k < self._stop:
                 raise ValidationError(f"map matrix at source degree {k} outside the window")
             want = (target.dim(k + self.degree), source.dim(k))
             if (mat.rows, mat.cols) != want:
@@ -625,8 +627,7 @@ class DgModuleMap:
                 self.mats[k] = mat
 
     def matrix(self, k: int) -> RatMatrix:
-        t = k + self.degree
-        if k >= self.window().stop:
+        if k >= self._stop:
             raise DegreeWindowError(
                 f"map matrix at source degree {k} is above the window "
                 f"(source cap {self.source.cap}, target cap {self.target.cap}"
@@ -635,20 +636,18 @@ class DgModuleMap:
             )
         if k in self.mats:
             return self.mats[k]
+        t = k + self.degree
         return _zero_block(self.target.dim(t) if t >= 0 else 0, self.source.dim(k) if k >= 0 else 0)
 
     def window(self) -> range:
         """Source degrees where the matrix is materializable."""
-        hi = min(self.source.cap, self.target.cap - self.degree)
-        if self.window_cap is not None:
-            hi = min(hi, self.window_cap)
-        return range(0, hi + 1)
+        return range(self._stop)
 
-    def _check_degrees(self, top: int | None) -> tuple[range, dict[int, range]]:
+    def _check_degrees(self) -> tuple[range, dict[int, range]]:
         """Source degrees of verify's chain checks, and of its A-linearity
         checks for each algebra degree i."""
         p, src, tgt = self.degree, self.source, self.target
-        hi = self.window().stop - 1 if top is None else min(top, self.window().stop - 1)
+        hi = self._stop - 1
         chain = range(min(hi, src.cap - 1, tgt.cap - p - 1) + 1)
         linear = {
             i: range(min(hi - i, src.cap - i, tgt.cap - p - i) + 1)
@@ -656,18 +655,18 @@ class DgModuleMap:
         }
         return chain, linear
 
-    def check_count(self, top: int | None = None) -> int:
-        """How many checks verify(top) runs, counted from the window alone."""
-        chain, linear = self._check_degrees(top)
+    def check_count(self) -> int:
+        """How many checks verify runs, counted from the window alone."""
+        chain, linear = self._check_degrees()
         return len(chain) + sum(len(ks) for ks in linear.values())
 
-    def verify(self, top: int | None = None) -> CheckReport:
+    def verify(self) -> CheckReport:
         """Chain condition d phi = (-1)^p phi d and twisted A-linearity, after
-        holding check_count(top) to the check budget."""
-        check_check_budget(self.check_count(top), f"the map {self.name}".rstrip())
+        holding check_count() to the check budget."""
+        check_check_budget(self.check_count(), f"the map {self.name}".rstrip())
         p = self.degree
         sign = -1 if p % 2 else 1
-        chain, linear = self._check_degrees(top)
+        chain, linear = self._check_degrees()
         failures: list[str] = []
         checks = 0
         for k in chain:
@@ -1062,9 +1061,11 @@ def module_cohomology(module: DgModule, n: int) -> CohomologyData:
 
 
 def betti_table(module: DgModule, top: int | None = None) -> GradedDims:
-    """Betti numbers in degrees 0..top (default: the certified window cap-1)."""
+    """Betti numbers in degrees 0..top (default: the certified window cap-1), by rank counts."""
     top = module.cap - 1 if top is None else min(top, module.cap - 1)
-    return GradedDims({n: module_cohomology(module, n).betti for n in range(top + 1)}, top)
+    dims = {n: module.dim(n) for n in range(top + 2)}
+    d = {n: module.differential_matrix(n) for n in range(-1, top + 1)}
+    return GradedDims({n: cohomology_count(dims, d, n) for n in range(top + 1)}, top)
 
 
 def induced_map(f: DgModuleMap, source_h: CohomologyData, target_h: CohomologyData) -> RatMatrix:

@@ -567,14 +567,11 @@ class CohomologyData:
         return out
 
 
-def cohomology_at(
-    dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int
-) -> CohomologyData:
-    """Cohomology at degree n of a complex given by per-degree matrices.
-
-    d_mats[k] maps degree k to degree k+1 and must have shape
-    dims[k+1] x dims[k]; d(d(x)) = 0 is checked at the degrees involved.
-    """
+def cohomology_count(dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int) -> int:
+    """dim H^n of a complex given by per-degree matrices, from ranks alone: after
+    the check of d(d(x)) = 0 at the degrees involved, dims[n] - rank d_n -
+    rank d_{n-1}, read off the cached echelons.  d_mats[k] maps degree k to
+    degree k+1, with shape dims[k+1] x dims[k]; an absent one is zero."""
     dim_n = dims.get(n, 0)
     d_n = d_mats.get(n)
     d_prev = d_mats.get(n - 1)
@@ -588,13 +585,22 @@ def cohomology_at(
         raise ValidationError(f"differential shapes do not match dims at degree {n}")
     if d_prev.cols and d_n.cols and not (d_n * d_prev).is_zero():
         raise ValidationError(f"d o d != 0 between degrees {n - 1} and {n + 1}")
-    kernel = d_n.kernel_basis()
-    # the pivot columns of d_prev span the boundaries; its echelon is cached,
-    # so a matrix that served as d_n one degree down is not eliminated again
-    image = [d_prev.col(j) for j in d_prev._echelon()[1]]
+    return dim_n - d_n.rank() - d_prev.rank()
+
+
+def cohomology_at(
+    dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int
+) -> CohomologyData:
+    """Cohomology at degree n, checked and counted by `cohomology_count`;
+    representatives are built only when the count is positive."""
+    betti = cohomology_count(dims, d_mats, n)
+    d_n, d_prev = d_mats.get(n), d_mats.get(n - 1)
+    # the pivot columns of d_prev span the boundaries
+    image = () if d_prev is None else tuple(d_prev.col(j) for j in d_prev._echelon()[1])
+    if not betti:
+        return CohomologyData(n, 0, (), image, cocycle_dim=len(image))
+    dim_n = dims.get(n, 0)
+    kernel = [unit_vec(dim_n, i) for i in range(dim_n)] if d_n is None else d_n.kernel_basis()
     # complete the boundary basis to the kernel, deterministically
-    reps = independent_subset(image + kernel)[len(image):]
-    betti = len(kernel) - len(image)
-    if betti != len(reps):
-        raise ValidationError("boundary space is not contained in the cocycle space")
-    return CohomologyData(n, betti, tuple(reps), tuple(image), cocycle_dim=len(kernel))
+    reps = independent_subset([*image, *kernel])[len(image):]
+    return CohomologyData(n, betti, tuple(reps), image, cocycle_dim=len(kernel))

@@ -26,6 +26,7 @@ from .dgmodule import (
     DgModuleMap,
     FreeDgModule,
     apply_images,
+    betti_table,
     compose,
     cone,
     generator_image,
@@ -41,16 +42,15 @@ from .dgmodule import (
     zero_map,
 )
 from .errors import (
-    DegreeWindowError,
     InconclusiveWindowError,
     PreconditionError,
     ValidationError,
 )
 from .linalg import (
-    CohomologyData,
     GradedDims,
     RatMatrix,
     cohomology_at,
+    cohomology_count,
     unit_vec,
     vec,
 )
@@ -76,31 +76,18 @@ def _relative_d(rho: DgModuleMap, k: int) -> RatMatrix:
 
 
 def relative_cohomology(
-    rho: DgModuleMap, n: int, d_n: RatMatrix | None
-) -> tuple[CohomologyData, tuple[tuple[Vector, Vector], ...], RatMatrix]:
-    """Obstruction space V(n) = H^{n+1} of the relative complex of rho.
+    rho: DgModuleMap, n: int, dims: dict[int, int], mats: dict[int, RatMatrix]
+) -> tuple[tuple[Vector, Vector], ...]:
+    """Obstruction space V(n) = H^{n+1} of the relative complex of rho, from
+    the dims of its degrees n..n+2 and its differentials D_n and D_{n+1}.
 
-    Returns the cohomology data together with one section pair
-    (t_v, x_v) per basis class, satisfying d t_v = 0 and rho t_v = d x_v;
-    a stage-n generator v is adjoined with dv = t_v and rho(v) = x_v.
-    d_n is the degree-n relative differential when the caller holds it, else
-    None; the degree-(n+1) one used here is returned third.
+    Returns one section pair (t_v, x_v) per basis class, satisfying
+    d t_v = 0 and rho t_v = d x_v; a stage-n generator v is adjoined with
+    dv = t_v and rho(v) = x_v.
     """
-    if rho.degree != 0:
-        raise ValidationError("relative cohomology needs a degree-0 morphism")
-    if n < 0:
-        raise ValidationError("stage degree must be nonnegative")
-    n_mod, x_mod = rho.source, rho.target
-    if n + 2 > n_mod.cap or n + 1 > x_mod.cap:
-        raise DegreeWindowError(
-            f"stage {n} needs source cap >= {n + 2} and target cap >= {n + 1}"
-        )
-    dims = {k: n_mod.dim(k) + x_mod.dim(k - 1) for k in (n, n + 1, n + 2)}
-    mats = {n: _relative_d(rho, n) if d_n is None else d_n, n + 1: _relative_d(rho, n + 1)}
     data = cohomology_at(dims, mats, n + 1)
-    split = n_mod.dim(n + 1)
-    reps = tuple((z[:split], z[split:]) for z in data.representatives)
-    return data, reps, mats[n + 1]
+    split = rho.source.dim(n + 1)
+    return tuple((z[:split], z[split:]) for z in data.representatives)
 
 
 @dataclass
@@ -137,6 +124,8 @@ def _fresh_name(taken: set[str], base: str) -> str:
 def ks_step(state: KSState) -> KSState:
     """Advance the tower one batch: adjoin V(n, q+1) or move to stage n+1.
 
+    The rank count of H^{n+1} of the relative complex decides which; only a
+    positive count builds the section pairs, from the same two matrices.
     The tower only appends.  A batch extends the module and rho: below
     degree n both keep their matrices, and from n up rho gains the
     columns of the new basis elements.  A stage that adjoins nothing hands
@@ -145,14 +134,17 @@ def ks_step(state: KSState) -> KSState:
     if state.done:
         return state
     rho, n = state.rho, state.n
-    data, reps, d_up = relative_cohomology(rho, n, state.rel_d)
-    if data.betti == 0:
-        return replace(state, n=n + 1, q=0, rel_d=d_up)
+    dims = {k: rho.source.dim(k) + rho.target.dim(k - 1) for k in (n, n + 1, n + 2)}
+    d_n = _relative_d(rho, n) if state.rel_d is None else state.rel_d
+    mats = {n: d_n, n + 1: _relative_d(rho, n + 1)}
+    count = cohomology_count(dims, mats, n + 1)
+    if not count:
+        return replace(state, n=n + 1, q=0, rel_d=mats[n + 1])
     if state.q >= MAX_BATCHES:
         raise InconclusiveWindowError(
-            f"stage {n} still has {data.betti} obstruction classes "
-            f"after {state.q} batches"
+            f"stage {n} still has {count} obstruction classes after {state.q} batches"
         )
+    reps = relative_cohomology(rho, n, dims, mats)
     module, x_mod = state.module, state.phi.target
     q = state.q + 1
     taken = set(module.gen_names)
@@ -163,14 +155,14 @@ def ks_step(state: KSState) -> KSState:
         module.gen_count + j: {s: x for s, x in enumerate(x_v) if x}
         for j, (_, x_v) in enumerate(reps)
     }
-    mats = {k: rho.matrix(k) for k in rho.window()}
-    for k, mat in mats.items():
+    blocks = {k: rho.matrix(k) for k in rho.window()}
+    for k, mat in blocks.items():
         if bigger.dim(k) > mat.cols:
-            mats[k] = mat.hstack(image_columns(bigger, x_mod, 0, images, k, mat.cols))
+            blocks[k] = mat.hstack(image_columns(bigger, x_mod, 0, images, k, mat.cols))
     return replace(
         state,
         module=bigger,
-        rho=DgModuleMap(bigger, x_mod, 0, mats, name="rho"),
+        rho=DgModuleMap(bigger, x_mod, 0, blocks, name="rho"),
         q=q,
         batches=state.batches + ((n, q, tuple(names)),),
         rel_d=None,
@@ -197,22 +189,10 @@ class MinimalModelResult:
 
 def _h0_kernel_labels(phi: DgModuleMap) -> list[str]:
     """Labels of H^0 classes of the source killed by phi, if any."""
-    src, tgt = phi.source, phi.target
-    if src.dim(0) == 0:
+    if phi.source.dim(0) == 0 or not (h_src := module_cohomology(phi.source, 0)).betti:
         return []
-    h_src = module_cohomology(src, 0)
-    h_tgt = module_cohomology(tgt, 0)
-    if h_src.betti == 0:
-        return []
-    ind = induced_map(phi, h_src, h_tgt)
-    kernel = ind.kernel_basis()
-    labels = []
-    for w in kernel:
-        parts = [
-            f"{c}*[{i}]" for i, c in enumerate(w) if c
-        ]
-        labels.append(" + ".join(parts))
-    return labels
+    kernel = induced_map(phi, h_src, module_cohomology(phi.target, 0)).kernel_basis()
+    return [" + ".join(f"{c}*[{i}]" for i, c in enumerate(w) if c) for w in kernel]
 
 
 def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> MinimalModelResult:
@@ -278,43 +258,55 @@ def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> Minimal
     while not state.done:
         state = ks_step(state)
 
-    module, rho = state.module, state.rho
-
-    betti_model: list[int] = []
-    betti_target: list[int] = []
-    mono_degree: int | None = None
-    for i in range(n_cap):
-        h_n = module_cohomology(module, i)
-        h_x = module_cohomology(target, i)
-        rank = induced_map(rho, h_n, h_x).rank()
-        if not (h_n.betti == h_x.betti == rank):
-            raise ValidationError(
-                f"window verification failed at degree {i}: "
-                f"model {h_n.betti}, target {h_x.betti}, rank {rank}"
-            )
-        betti_model.append(h_n.betti)
-        betti_target.append(h_x.betti)
-    if target.cap >= n_cap + 1:
-        h_n = module_cohomology(module, n_cap)
-        h_x = module_cohomology(target, n_cap)
-        if induced_map(rho, h_n, h_x).rank() != h_n.betti:
-            raise ValidationError(
-                f"window verification failed: not injective at degree {n_cap}"
-            )
-        mono_degree = n_cap
+    betti_model, betti_target, mono_degree = certify_window(state.rho, n_cap)
     return MinimalModelResult(
-        module=module,
-        rho=rho,
+        module=state.module,
+        rho=state.rho,
         window=n_cap - 1,
         mono_degree=mono_degree,
-        betti_model=GradedDims(
-            {i: b for i, b in enumerate(betti_model) if b}, n_cap - 1
-        ),
-        betti_target=GradedDims(
-            {i: b for i, b in enumerate(betti_target) if b}, n_cap - 1
-        ),
+        betti_model=betti_model,
+        betti_target=betti_target,
         batches=state.batches,
     )
+
+
+def certify_window(
+    rho: DgModuleMap, n_cap: int
+) -> tuple[GradedDims, GradedDims, int | None]:
+    """Certify rho: N -> X in the window by rank counts of its relative complex.
+
+    C^k = N^k + X^{k-1} with D(t, x) = (dt, rho t - dx), so that
+    D^2(t, x) = (d^2 t, rho dt - d rho t + d^2 x): D_k D_{k-1} = 0 for all
+    k <= n_cap checks d_N and d_X and that rho is a chain map out of each
+    degree below n_cap.  Then 0 -> X[-1] -> C -> N -> 0 is exact with
+    connecting map rho_*, and its long exact sequence (Felix-Halperin-Thomas,
+    GTM 205, section 6) ... -> H^{k-1}(N) -> H^{k-1}(X) -> H^k(C) -> H^k(N)
+    -> H^k(X) -> ... gives the theorem: if the rank counts
+    dim C^k - rank D_k - rank D_{k-1} vanish for all k <= n_cap, rho_* is an
+    isomorphism below n_cap and one-to-one at n_cap into X^{n_cap} modulo
+    boundaries.  When X reaches degree n_cap + 1, the chain condition out of
+    n_cap makes that a monomorphism into H^{n_cap}(X), and n_cap is returned
+    as the monomorphism degree (else None), after the Betti tables of N and
+    X below n_cap, which are rank counts and must agree.
+    """
+    n_mod, x_mod = rho.source, rho.target
+    dims = {j: n_mod.dim(j) + x_mod.dim(j - 1) for j in range(n_cap + 2)}
+    d_prev = None
+    for k in range(n_cap + 1):
+        d_k = _relative_d(rho, k)  # one degree at a time
+        if count := cohomology_count(dims, {k - 1: d_prev, k: d_k}, k):
+            raise ValidationError(f"window verification failed at degree {k}: rank count {count}")
+        d_prev = d_k
+    mono_degree = n_cap if x_mod.cap >= n_cap + 1 else None
+    if mono_degree is not None and (
+        x_mod.differential_matrix(n_cap) * rho.matrix(n_cap)
+        != rho.matrix(n_cap + 1) * n_mod.differential_matrix(n_cap)
+    ):
+        raise ValidationError(f"window verification failed: rho is no chain map at degree {n_cap}")
+    betti_model, betti_target = betti_table(n_mod, n_cap - 1), betti_table(x_mod, n_cap - 1)
+    if betti_model != betti_target:
+        raise ValidationError("window verification failed: the Betti tables differ")
+    return betti_model, betti_target, mono_degree
 
 
 def minimal_model(module: DgModule, n_cap: int | None = None) -> MinimalModelResult:

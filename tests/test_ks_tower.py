@@ -1,9 +1,11 @@
 """The append-only KS tower and the retraction it feeds.
 
 Random C7-style modules pin the tower's identities and the retraction
-against the Kronecker-product assembly it replaced; a structural test pins
-what an append-only tower shares between steps; and the machine output of
-`dgmodels minmodel` is pinned on every fixture.
+against the Kronecker-product assembly it replaced; structural tests pin
+what an append-only tower shares between steps and that it builds
+representatives only for the batches it adjoins; the rank certificate of
+the window is tested against the per-degree cohomology loop it replaced;
+and the machine output of `dgmodels minmodel` is pinned on every fixture.
 """
 
 import contextlib
@@ -21,17 +23,22 @@ from dgmodels.dgmodule import (
     DgModuleMap,
     FreeDgModule,
     compose,
+    generator_image,
     identity_map,
+    induced_map,
+    map_from_generator_images,
     maps_equal,
     module_cohomology,
     tabulate,
     zero_map,
     zero_module,
 )
+from dgmodels.errors import ValidationError
 from dgmodels.fixtures import FIXTURES
-from dgmodels.linalg import Q, RatMatrix, kron, vec
+from dgmodels.linalg import GradedDims, Q, RatMatrix, cohomology_at, kron, vec
 from dgmodels.minmodel import (
     KSState,
+    certify_window,
     ks_step,
     lift_section,
     minimal_model,
@@ -191,21 +198,25 @@ def test_tower_preserves_cohomology_and_retraction_matches_reference(module):
     assert maps_equal(sigma, kron_retraction(result.rho))
 
 
-def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
+def _e2_tower_input():
     # over Lambda(e_2): z0 in degree 0 and z1 in degree 2 give batches at
     # stages 0 and 2, and w, with dw = e z1, one at stage 3; the stages in
     # between and after adjoin nothing
     alg = ALGEBRAS["e2"]
-    x = tabulate(FreeDgModule(alg, [("z0", 0), ("z1", 2), ("w", 3)], {"w": {"z1": "e"}}, cap=CAP))
+    return tabulate(FreeDgModule(alg, [("z0", 0), ("z1", 2), ("w", 3)], {"w": {"z1": "e"}}, cap=CAP))
+
+
+def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
+    x = _e2_tower_input()
     used = []
-    original = minmodel.cohomology_at
+    original = minmodel.cohomology_count
 
     def recording(dims, mats, n):
         used.append(mats)
         return original(dims, mats, n)
 
-    monkeypatch.setattr(minmodel, "cohomology_at", recording)
-    zero = zero_module(alg, cap=CAP)
+    monkeypatch.setattr(minmodel, "cohomology_count", recording)
+    zero = zero_module(x.algebra, cap=CAP)
     phi = zero_map(zero, x, 0)
     state = KSState(phi=phi, n_cap=CAP - 1, module=zero, rho=phi, n=0, q=0)
     shared_blocks = carried = 0
@@ -223,7 +234,9 @@ def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
             for k in range(n - 1):
                 assert new.module.differential_matrix(k) is state.module.differential_matrix(k)
         elif new.n == state.n + 1 and not new.done:
+            # the stage that adjoined nothing counted with the matrix it carries
             assert new.rel_d is not None and new.rho is old_rho
+            assert used[-1][new.n] is new.rel_d
             ks_step(new)
             assert used[-1][new.n] is new.rel_d
             carried += 1
@@ -231,6 +244,137 @@ def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
     assert [b[0] for b in state.batches] == [0, 2, 3]
     assert shared_blocks and carried
     assert state.module.gen_names == minimal_model(x, CAP - 1).module.gen_names
+
+
+def _two_batch_input():
+    # over Lambda(t), |t| = 1: dw = t z needs batches (0, 1) and (0, 2)
+    alg = SullivanPresentation([("t", 1)], {}, cap=4)
+    return tabulate(FreeDgModule(alg, [("z", 0), ("w", 0)], {"w": {"z": "t"}}, cap=4))
+
+
+@pytest.mark.parametrize(
+    "make, stages", [(_e2_tower_input, [0, 2, 3]), (_two_batch_input, [0, 0])]
+)
+def test_relative_cohomology_runs_once_per_batch(monkeypatch, make, stages):
+    counted, built = [], []
+    count, cohomology = minmodel.cohomology_count, minmodel.relative_cohomology
+
+    def counting(dims, mats, n):
+        counted.append(mats)
+        return count(dims, mats, n)
+
+    def building(rho, n, dims, mats):
+        # the representatives come from the very matrices just counted
+        assert mats is counted[-1] and count(dims, mats, n + 1)
+        built.append(n)
+        return cohomology(rho, n, dims, mats)
+
+    monkeypatch.setattr(minmodel, "cohomology_count", counting)
+    monkeypatch.setattr(minmodel, "relative_cohomology", building)
+    result = minimal_model(make())
+    assert built == [n for n, _, _ in result.batches] == stages
+
+
+def reference_window_check(rho: DgModuleMap, n_cap: int):
+    """The window check `minimal_factorization` ran before it counted ranks:
+    per degree, the cohomology of model and target and the rank of rho_*.
+
+    That loop read rho on cocycles only, and at a target cap of n_cap not at
+    degree n_cap at all; it could, because the tower's rho is a chain map.
+    On any other rho the reference first checks the chain condition out of
+    each degree where the rank certificate reads it, and at a target cap of
+    n_cap it checks injectivity at n_cap into X^{n_cap} modulo boundaries,
+    which the certificate certifies there too.  Returns what the
+    certificate returns; raises ValidationError when a check fails.
+    """
+    module, target = rho.source, rho.target
+    top = n_cap if target.cap >= n_cap + 1 else n_cap - 1
+    for k in range(top + 1):
+        lhs = target.differential_matrix(k) * rho.matrix(k)
+        if lhs != rho.matrix(k + 1) * module.differential_matrix(k):
+            raise ValidationError(f"rho is no chain map at degree {k}")
+    betti_model: list[int] = []
+    betti_target: list[int] = []
+    mono_degree = None
+    for i in range(n_cap):
+        h_n = module_cohomology(module, i)
+        h_x = module_cohomology(target, i)
+        rank = induced_map(rho, h_n, h_x).rank()
+        if not (h_n.betti == h_x.betti == rank):
+            raise ValidationError(
+                f"window verification failed at degree {i}: "
+                f"model {h_n.betti}, target {h_x.betti}, rank {rank}"
+            )
+        betti_model.append(h_n.betti)
+        betti_target.append(h_x.betti)
+    h_n = module_cohomology(module, n_cap)
+    if target.cap >= n_cap + 1:
+        h_x = module_cohomology(target, n_cap)
+        mono_degree = n_cap
+    else:
+        dims = {n_cap - 1: target.dim(n_cap - 1), n_cap: target.dim(n_cap)}
+        h_x = cohomology_at(dims, {n_cap - 1: target.differential_matrix(n_cap - 1)}, n_cap)
+    if induced_map(rho, h_n, h_x).rank() != h_n.betti:
+        raise ValidationError(f"window verification failed: not injective at degree {n_cap}")
+    return (
+        GradedDims({i: b for i, b in enumerate(betti_model) if b}, n_cap - 1),
+        GradedDims({i: b for i, b in enumerate(betti_target) if b}, n_cap - 1),
+        mono_degree,
+    )
+
+
+def _verdict(check, rho, n_cap):
+    try:
+        betti_model, betti_target, mono_degree = check(rho, n_cap)
+    except ValidationError:
+        return "rejected"
+    return betti_model.as_list(), betti_target.as_list(), mono_degree
+
+
+def _zero_generator_image(rho: DgModuleMap, j: int) -> DgModuleMap:
+    module = rho.source
+    images = {
+        name: generator_image(rho, i) if i != j else (0,) * rho.target.dim(deg)
+        for i, (name, deg) in enumerate(zip(module.gen_names, module.gen_degrees))
+    }
+    return map_from_generator_images(module, rho.target, 0, images)
+
+
+def _zero_column(rho: DgModuleMap, k: int, c: int) -> DgModuleMap:
+    mats = {j: rho.matrix(j) for j in rho.window()}
+    m = mats[k]
+    mats[k] = RatMatrix.from_cols([(0,) * m.rows if j == c else m.col(j) for j in range(m.cols)], nrows=m.rows)
+    return DgModuleMap(rho.source, rho.target, 0, mats)
+
+
+# over Lambda(e_2), dw = e z1 with z1 in degree 2: the model adjoins v with
+# dv = e v', and zeroing rho(v) breaks the chain condition although no cocycle
+# involves v, so that only the D^2 check sees it; the window ends at
+# n_cap = 4, one above v, so that the break is out of degree n_cap - 1
+CHAIN_BREAK = FreeDgModule(ALGEBRAS["e2"], [("z1", 2), ("w", 3)], {"w": {"z1": "e"}}, cap=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c7_modules(), st.booleans(), st.integers(0, 63), st.integers(0, 1023))
+@example(CHAIN_BREAK, False, 1, 0)
+@example(CHAIN_BREAK, True, 1, 0)
+def test_rank_certificate_agrees_with_the_reference_window_check(module, below, gen, col):
+    x = tabulate(module)
+    # below: a window below the target's cap, so that a monomorphism degree is claimed
+    n_cap = min(x.cap, x.algebra.cap - 1) - below
+    result = minimal_model(x, n_cap)
+    rho = result.rho
+    assert _verdict(certify_window, rho, n_cap) == _verdict(reference_window_check, rho, n_cap)
+    assert _verdict(certify_window, rho, n_cap)[2] == result.mono_degree
+    mutants = []
+    if rho.source.gen_count:
+        mutants.append(_zero_generator_image(rho, gen % rho.source.gen_count))
+    columns = [(k, c) for k in rho.window() for c in range(rho.source.dim(k))]
+    if columns:
+        mutants.append(_zero_column(rho, *columns[col % len(columns)]))
+    for mutant in mutants:
+        verdict = _verdict(certify_window, mutant, n_cap)
+        assert verdict == _verdict(reference_window_check, mutant, n_cap)
 
 
 def _machine_output(argv):

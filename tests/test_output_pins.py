@@ -1,4 +1,5 @@
-"""Window-12 outputs of every subcommand, pinned by SHA-256.
+"""Window-12 outputs of every subcommand, and `minmodel` at window 14,
+pinned by SHA-256.
 
 The digests were recorded while every matrix entry and coefficient was
 still a `Fraction`, so they hold the integer-first arithmetic to the bytes
@@ -214,3 +215,69 @@ def _run(argv):
 def test_window_12_output_is_pinned(command, name):
     code, out = _run([*ARGV[command], "--fixture", name, "--max-degree", WINDOW])
     assert (code, hashlib.sha256(out).hexdigest()) == PINNED[(command, name)]
+
+
+# `minmodel --max-degree 14` in machine format and in text: the generator table,
+# both Betti tables and the monomorphism degree, recorded before the window
+# check counted ranks of the relative complex instead of computing cohomology.
+MINMODEL_ARGV = {
+    "minmodel": ["minmodel", "--format", "machine"],
+    "minmodel-text": ["minmodel"],
+}
+
+MINMODEL_PINNED = {
+    ("minmodel", "almost_free_hopf"): (
+        0,
+        "d8b2b9b7a7ad3f5d9364d56be73babb222458b37a31bcfa386b35dc65ba38a10",
+    ),
+    ("minmodel-text", "almost_free_hopf"): (
+        0,
+        "dd4dd9ac8ec8fcff3746bf6f3871fbdf70d040964a55bbafc2037959c3b46145",
+    ),
+    ("minmodel", "cp2"): (
+        0,
+        "63ee61f96869aae81a8a2bc5766fb363b5c8a2538f35ceee6e0f162a62f5adab",
+    ),
+    ("minmodel-text", "cp2"): (
+        0,
+        "1e5b99a79ba9c73068fd6290c559503adb7341c58718490f9c3cdeacacdd303e",
+    ),
+    ("minmodel", "flow_s4"): (
+        0,
+        "218a05b2a9a1ddb2407179aa40b88173c2c38980f54672caabbf5ac25fe675e4",
+    ),
+    ("minmodel-text", "flow_s4"): (
+        0,
+        "cf203a5ecca9ae7df9be471ba458f1a3ffc6649df9a64efa0278578e190cb7e8",
+    ),
+    ("minmodel", "nonformal"): (
+        0,
+        "916c1cd93bc3bda4da85e5188e3d5040be129a18844d9b3cb077b208a4dfe46e",
+    ),
+    ("minmodel-text", "nonformal"): (
+        0,
+        "386a80b5e52efd2d2286b3d64d86ea1a08ffa7a0082d72896e3dbc0261c87f9f",
+    ),
+    ("minmodel", "s4_hopf"): (
+        0,
+        "78ecd3070d5ff00bef3e5e0659238fc6006918eae42c6843cd51558b5cdc18cf",
+    ),
+    ("minmodel-text", "s4_hopf"): (
+        0,
+        "23e2bfa6c7cb89c8be4735d87af8206b6aa4da630471f2356f35eca39fe2a24e",
+    ),
+    ("minmodel", "semifree_suspension"): (
+        0,
+        "ea175229037a57320ffd2ac63bceb6c6e118957ed2c959309a2ab986d00c70ba",
+    ),
+    ("minmodel-text", "semifree_suspension"): (
+        0,
+        "c4f18b785af92ffa35673dacbf6c21efa390c062271f2fa8bd170903ede5f843",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(MINMODEL_PINNED))
+def test_minmodel_output_is_pinned(command, name):
+    code, out = _run([*MINMODEL_ARGV[command], "--fixture", name, "--max-degree", "14"])
+    assert (code, hashlib.sha256(out).hexdigest()) == MINMODEL_PINNED[(command, name)]
