@@ -1111,7 +1111,8 @@ class RingEntry:
 
 @dataclass(frozen=True, eq=False)
 class NaiveReport:
-    """The naive product on the total-space cone when the Euler map vanishes."""
+    """The naive product on the total-space cone when the Euler map vanishes;
+    sphere_degrees is None unless the cohomology is a wedge of spheres."""
 
     ok: bool
     window: int
@@ -1131,34 +1132,27 @@ def _euler_map_is_zero(data: BasicData) -> bool:
     return all(data.e_prime.matrix(k).is_zero() for k in data.e_prime.window())
 
 
-def _naive_pair_mul(
-    free: FreeDgModule, shift: int, gi: int, mi: Mono, gj: int, mj: Mono
-) -> Combination:
+def _naive_pair_mul(free: FreeDgModule, gi: int, mi: Mono, gj: int, mj: Mono) -> Combination:
     alg = free.algebra
-    if gi == 0 and gj == 0:
-        poly = alg.poly_mul({mi: 1}, {mj: 1})
-        return {0: poly} if poly else {}
-    if gi == 0:
-        poly = alg.poly_mul({mi: 1}, {mj: 1})
-        if alg.mono_degree(mi) % 2:
-            poly = poly_scale(-1, poly)
-        return {gj: poly} if poly else {}
-    if gj == 0:
-        beta_deg = alg.mono_degree(mi) + free.gen_degrees[gi] - shift
+    if gi and gj:
+        return {}
+    if gi:
+        # n a' = (-1)^{|n||a'|} a' n, with |n| the degree of n in the module
         poly = alg.poly_mul({mj: 1}, {mi: 1})
-        if (alg.mono_degree(mj) * beta_deg) % 2:
+        if (alg.mono_degree(mj) * (alg.mono_degree(mi) + free.gen_degrees[gi])) % 2:
             poly = poly_scale(-1, poly)
-        return {gi: poly} if poly else {}
-    return {}
+    else:
+        poly = alg.poly_mul({mi: 1}, {mj: 1})
+    return {gi or gj: poly} if poly else {}
 
 
-def _naive_mul(free: FreeDgModule, shift: int, a: Combination, b: Combination) -> Combination:
+def _naive_mul(free: FreeDgModule, a: Combination, b: Combination) -> Combination:
     out: Combination = {}
     for gi, pi in a.items():
         for mi, ci in pi.items():
             for gj, pj in b.items():
                 for mj, cj in pj.items():
-                    term = _naive_pair_mul(free, shift, gi, mi, gj, mj)
+                    term = _naive_pair_mul(free, gi, mi, gj, mj)
                     if term:
                         out = comb_add(out, comb_scale(ci * cj, term))
     return out
@@ -1169,23 +1163,23 @@ def _comb_eq(a: Combination, b: Combination) -> bool:
 
 
 def naive_structure(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> NaiveReport:
-    """When e' = 0 the total-space cone splits and carries the naive product
-    (a, b)(a', b') = (a a', (-1)^{deg a} a b' + (-1)^{deg a' deg b} a' b),
-    the square-zero extension of A by the shifted module: unital, graded
-    commutative and associative for any graded module, and Leibniz unless
-    some (da) b != 0 (Felix-Halperin-Thomas, GTM 205, section 6).  The signs
-    of _naive_pair_mul depend only on the parities of the factors' algebra
-    and module degrees, and each parity class of the window occurs, at no
-    higher degree, among the elements x.g with x the unit or an algebra
-    generator and g a module generator: the report checks the dgc axioms on
-    those.  It tabulates the cohomology ring, with a wedge-of-spheres verdict
-    when the differential vanishes and all positive products are zero."""
+    """When e' = 0 the unit generator splits off the total-space cone, whose
+    other generators span a dg A-module N with its own action.  The naive
+    product is the square-zero extension of A by N,
+    (a, n)(a', n') = (a a', a n' + (-1)^{|n||a'|} a' n), with |n| the degree
+    of n in N; for every dg A-module it is a dgc algebra: unital, graded
+    commutative, associative and Leibniz (Felix-Halperin-Thomas, GTM 205,
+    section 6).  The signs of _naive_pair_mul depend only on the parities of
+    the factors' algebra and module degrees, and each parity class of the
+    window occurs, at no higher degree, among the elements x.g with x the
+    unit or an algebra generator and g a module generator: the report checks
+    the dgc axioms on those, which guards the implementation.  It tabulates
+    the cohomology ring, with a wedge-of-spheres verdict when the
+    differential vanishes and all positive products are zero."""
     return _naive(_ActionPipeline(data, max_degree))
 
 
-def _naive_axioms(
-    free: FreeDgModule, shift: int, window: int
-) -> tuple[bool, bool, bool, bool, list[str]]:
+def _naive_axioms(free: FreeDgModule, window: int) -> tuple[bool, bool, bool, bool, list[str]]:
     """(unital, graded commutative, associative, Leibniz, failures) of the naive
     product on the elements x.g of degree <= window, x the unit or an algebra
     generator and g a module generator, g = 0 the closed degree-0 unit."""
@@ -1204,7 +1198,7 @@ def _naive_axioms(
     failed: list[tuple[str, str]] = []
 
     def mul(x: Combination, y: Combination) -> Combination:
-        return _naive_mul(free, shift, x, y)
+        return _naive_mul(free, x, y)
 
     for i, x in elts:
         if not _comb_eq(mul(unit, x), x) or not _comb_eq(mul(x, unit), x):
@@ -1230,11 +1224,10 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
     data = p.data
     if not _euler_map_is_zero(data):
         raise PreconditionError("naive product needs a vanishing Euler map on the window")
-    shift = data.euler_degree - 1
     total = p.total
     free = total.module
     window = total.window
-    unital, commutative, associative, leibniz, failures = _naive_axioms(free, shift, window)
+    unital, commutative, associative, leibniz, failures = _naive_axioms(free, window)
     betti = total.betti_model
     ring: list[RingEntry] = []
     if leibniz:
@@ -1245,7 +1238,7 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
                 ys = [free.vector_combination(rep, j) for rep in h[j].representatives]
                 pairs = [(ai, bi) for ai in range(len(xs)) for bi in range(len(ys))]
                 products = [
-                    free.combination_vector(_naive_mul(free, shift, xs[ai], ys[bi]), i + j)
+                    free.combination_vector(_naive_mul(free, xs[ai], ys[bi]), i + j)
                     for ai, bi in pairs
                 ]
                 for (ai, bi), coords in zip(pairs, h[i + j].coords(products)):
@@ -1256,11 +1249,11 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
         not diff for diff, deg in zip(free.gen_diffs, free.gen_degrees) if deg <= window
     )
     wedge = zero_diff and positive_zero and not failures
-    spheres = tuple(n for n in range(1, window + 1) for _ in range(betti.get(n))) if wedge else None
+    spheres = tuple(n for n in range(1, window + 1) for _ in range(betti.get(n))) if wedge else ()
     ok = unital and commutative and associative and leibniz
     return NaiveReport(
         ok, window, betti, unital, commutative, associative, leibniz,
-        positive_zero, wedge, spheres, tuple(ring), tuple(failures),
+        positive_zero, wedge, spheres or None, tuple(ring), tuple(failures),
     )
 
 
@@ -1430,9 +1423,6 @@ class ActionReport:
     name: str
     variant: str
     max_degree: int
-    betti_total: GradedDims
-    betti_fixed: GradedDims | None
-    betti_borel: GradedDims | None
     total: MinimalModelResult
     fixed: MinimalModelResult | None
     equivariant: EquivariantModel | None
@@ -1447,6 +1437,18 @@ class ActionReport:
     naive: NaiveReport | None
     smith_gysin: tuple[SmithGysinReport, ...]
     notes: tuple[str, ...]
+
+    @property
+    def betti_total(self) -> GradedDims:
+        return self.total.betti_model
+
+    @property
+    def betti_fixed(self) -> GradedDims | None:
+        return self.fixed.betti_model if self.fixed else None
+
+    @property
+    def betti_borel(self) -> GradedDims | None:
+        return self.equivariant.betti if self.equivariant else None
 
 
 def action_report(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> ActionReport:
@@ -1500,9 +1502,6 @@ def action_report(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> ActionRe
         name=data.name,
         variant=data.variant,
         max_degree=max_degree,
-        betti_total=total.betti_model,
-        betti_fixed=fixed.betti_model if fixed else None,
-        betti_borel=equivariant.betti if equivariant else None,
         total=total,
         fixed=fixed,
         equivariant=equivariant,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields, is_dataclass
 from typing import Any
 
 from .cdga import verify_cdga
 from .circle import (
     ActionReport,
-    EquivariantModel,
     action_report,
     equivariant_model,
     model_of_fixed_set,
@@ -36,7 +36,7 @@ from .io import (
     loads_document,
     model_document,
 )
-from .linalg import GradedDims
+from .linalg import GradedDims, PoincareSeries
 from .minmodel import MinimalModelResult, minimal_model
 
 
@@ -254,6 +254,20 @@ def cmd_minmodel(
 # ---- circle ---------------------------------------------------------------------
 
 
+def _record_json(value: Any) -> Any:
+    """A report record as JSON: dataclass fields under their own names, Betti
+    tables and fiber series as integer lists, tuples as lists."""
+    if isinstance(value, GradedDims):
+        return value.as_list()
+    if isinstance(value, PoincareSeries):
+        return value.coeffs
+    if is_dataclass(value):
+        return {f.name: _record_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_record_json(v) for v in value]
+    return value
+
+
 def _report_json(rep: ActionReport) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "command": "circle",
@@ -280,121 +294,29 @@ def _report_json(rep: ActionReport) -> dict[str, Any]:
         payload["les"] = {
             "ok": rep.les.ok,
             "top": rep.les.table.top,
-            "rows": [
-                [
-                    row.n,
-                    row.dim_h_target,
-                    row.dim_h_cone,
-                    row.dim_h_source,
-                    row.rank_into_cone,
-                    row.rank_onto_source,
-                    row.rank_connecting,
-                    row.exact_at_cone,
-                    row.exact_at_source,
-                ]
-                for row in rep.les.table.rows
-            ],
+            "rows": [list(astuple(row)) for row in rep.les.table.rows],
             "failures": list(rep.les.failures),
         }
-    if rep.shared_basis is not None:
-        payload["shared_basis"] = {
-            "ok": rep.shared_basis.ok,
-            "shift": rep.shared_basis.shift,
-            "rows": [list(r) for r in rep.shared_basis.rows],
-            "failures": list(rep.shared_basis.failures),
-        }
-    if rep.scalars is not None:
-        payload["extension_of_scalars"] = {
-            "ok": rep.scalars.ok,
-            "window": rep.scalars.window,
-            "generators": rep.scalars.generators,
-            "failures": list(rep.scalars.failures),
-        }
-    if rep.poincare is not None:
-        payload["poincare"] = {
-            "ok": rep.poincare.ok,
-            "through": rep.poincare.through,
-            "total_fiber": rep.poincare.total_fiber.coeffs,
-            "fixed_fiber": rep.poincare.fixed_fiber.coeffs,
-            "borel_fiber": rep.poincare.borel_fiber.coeffs,
-            "failures": list(rep.poincare.failures),
-        }
-    if rep.formality is not None:
-        payload["formality"] = {
-            "formal": rep.formality.formal,
-            "window": rep.formality.window,
-            "kernel_dims": rep.formality.kernel_dims.as_list(),
-            "strings": [
-                {"degree": s.degree, "steps": list(s.steps)} for s in rep.formality.strings
-            ],
-            "witness_degree": rep.formality.witness_degree,
-            "witness_label": rep.formality.witness_label,
-            "failures": list(rep.formality.failures),
-        }
-    payload["localization"] = {
-        "verdict": rep.localization.verdict,
-        "window": rep.localization.window,
-        "exponent": rep.localization.exponent,
-        "h_dims": rep.localization.h_dims.as_list(),
-        "basis_checked": rep.localization.basis_checked,
-        "reason": rep.localization.reason,
+    sections = {
+        "shared_basis": rep.shared_basis,
+        "extension_of_scalars": rep.scalars,
+        "poincare": rep.poincare,
+        "formality": rep.formality,
+        "localization": rep.localization,
+        "dimc": rep.dimc,
+        "almost_free": rep.almost_free,
+        "naive": rep.naive,
+        "smith_gysin": rep.smith_gysin,
     }
-    if rep.dimc is not None:
-        payload["dimc"] = {
-            "applicable": rep.dimc.applicable,
-            "reasons": list(rep.dimc.reasons),
-            "window": rep.dimc.window,
-            "dimc_total": rep.dimc.dimc_total,
-            "dimc_fixed": rep.dimc.dimc_fixed,
-            "dimc_base": rep.dimc.dimc_base,
-            "total_fiber": rep.dimc.total_fiber,
-            "fixed_fiber": rep.dimc.fixed_fiber,
-            "case": rep.dimc.case,
-        }
-    if rep.almost_free is not None:
-        payload["almost_free"] = {
-            "ok": rep.almost_free.ok,
-            "window": rep.almost_free.window,
-            "generator_name": rep.almost_free.generator_name,
-            "euler_poly": rep.almost_free.euler_poly,
-            "betti": rep.almost_free.betti.as_list(),
-            "failures": list(rep.almost_free.failures),
-        }
+    payload.update((key, _record_json(record)) for key, record in sections.items() if record)
     if rep.naive is not None:
-        payload["naive"] = {
-            "ok": rep.naive.ok,
-            "window": rep.naive.window,
-            "betti": rep.naive.betti.as_list(),
-            "unital": rep.naive.unital,
-            "graded_commutative": rep.naive.graded_commutative,
-            "associative": rep.naive.associative,
-            "leibniz": rep.naive.leibniz,
-            "positive_products_zero": rep.naive.positive_products_zero,
-            "wedge_of_spheres": rep.naive.wedge_of_spheres,
-            "sphere_degrees": list(rep.naive.sphere_degrees or ()) or None,
-            "ring": [
-                {
-                    "left": [e.left_degree, e.left_index],
-                    "right": [e.right_degree, e.right_index],
-                    "coords": [str(c) for c in e.coords],
-                }
-                for e in rep.naive.ring
-            ],
-            "failures": list(rep.naive.failures),
-        }
-    if rep.smith_gysin:
-        payload["smith_gysin"] = [
+        payload["naive"]["ring"] = [
             {
-                "r": s.r,
-                "verdict": s.verdict,
-                "window": s.window,
-                "relative_term": s.relative_term,
-                "fixed_sum": s.fixed_sum,
-                "total_sum": s.total_sum,
-                "stabilized": s.stabilized,
-                "reason": s.reason,
+                "left": [e.left_degree, e.left_index],
+                "right": [e.right_degree, e.right_index],
+                "coords": [str(c) for c in e.coords],
             }
-            for s in rep.smith_gysin
+            for e in rep.naive.ring
         ]
     return payload
 
@@ -558,40 +480,19 @@ def _export_payload(doc: InputDocument, max_degree: int, what: str) -> tuple[dic
     if doc.action is None:
         raise ValidationError(f"export of {what!r} needs an action section")
     data = doc.action
-    label = doc.name or data.name or "action"
+    algebra = data.algebra
     if what == "relative":
-        module = (
-            doc.assembled.relative.module if doc.assembled is not None else data.relative_model
-        )
-        return (
-            model_document(f"{label} relative model", data.algebra, module, "relative", max_degree),
-            module,
-            "relative",
-        )
-    if what == "total":
+        module = doc.assembled.relative.module if doc.assembled else data.relative_model
+    elif what == "total":
         module = model_of_total_space(data, max_degree).module
-        return (
-            model_document(f"{label} total model", data.algebra, module, "total", max_degree),
-            module,
-            "total",
-        )
-    if what == "fixed":
+    elif what == "fixed":
         module = model_of_fixed_set(data, max_degree).module
-        return (
-            model_document(f"{label} fixed model", data.algebra, module, "fixed", max_degree),
-            module,
-            "fixed",
-        )
-    if what == "equivariant":
-        em: EquivariantModel = equivariant_model(data, max_degree)
-        return (
-            model_document(
-                f"{label} borel model", em.algebra, em.module, "equivariant", max_degree
-            ),
-            em.module,
-            "equivariant",
-        )
-    raise ValidationError(f"unknown export kind {what!r}")
+    else:
+        em = equivariant_model(data, max_degree)
+        algebra, module = em.algebra, em.module
+    noun = "borel" if what == "equivariant" else what
+    title = f"{doc.name or data.name or 'action'} {noun} model"
+    return model_document(title, algebra, module, what, max_degree), module, what
 
 
 def cmd_export(

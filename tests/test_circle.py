@@ -276,13 +276,18 @@ def test_s4_action_report_sections(s4):
     )
     assert ar.naive is None
     assert ar.smith_gysin == ()
+    # the README quick start
+    assert ar.betti_total.as_list()[:6] == [1, 0, 0, 0, 1, 0]
+    assert ar.betti_fixed.as_list()[:3] == [2, 0, 0]
+    assert ar.localization.verdict == "bijective"
+    assert ar.betti_borel is ar.equivariant.betti
 
 
 def test_variant_reports_pick_matching_sections():
     af = fixture("almost_free_hopf", 12)
     ar_af = action_report(af, 12)
     assert ar_af.almost_free is not None
-    assert ar_af.fixed is None
+    assert ar_af.fixed is None and ar_af.betti_fixed is None and ar_af.betti_borel is None
     fl = fixture("flow_s4", 12)
     ar_fl = action_report(fl, 12)
     assert len(ar_fl.smith_gysin) == 3

@@ -33,6 +33,18 @@ INCONCLUSIVE_DOC = """
 }
 """
 
+# cp2's relative model over a rational 2-sphere: the base has dv = u^2 and
+# both structure maps vanish, so the naive product meets the base's own d
+NAIVE_OVER_DIFFERENTIAL_DOC = {
+    "name": "cp2 over a rational 2-sphere",
+    "algebra": {"generators": [["u", 2], ["v", 3]], "differentials": {"v": "u^2"}},
+    "modules": {"M": {"generators": [["m1", 1], ["m3", 3]]}},
+    "maps": {"i": {"source": "M", "target": "A", "degree": 0, "images": {}},
+             "e": {"source": "M", "target": "A", "degree": 2, "images": {}}},
+    "action": {"variant": "circle", "relative_model": "M", "i_prime": "i", "e_prime": "e"},
+    "options": {"max_degree": 10},
+}
+
 ALMOST_FREE_VARIANT_DOC = {
     "algebra": {"generators": [["a", 3]]},
     "modules": {"M": {"generators": [["b0", 1], ["b1", 3], ["b2", 3]],
@@ -165,6 +177,18 @@ def test_circle_smith_gysin_rows():
     res = run("circle", "--fixture", "flow_s4")
     assert res.returncode == 0
     assert "smith-gysin" in res.stdout
+
+
+def test_naive_product_is_leibniz_over_a_base_with_differential(tmp_path):
+    doc = tmp_path / "naive.json"
+    doc.write_text(json.dumps(NAIVE_OVER_DIFFERENTIAL_DOC))
+    res = run("circle", "--input", str(doc), "--format", "machine")
+    assert res.returncode == 0
+    naive = json.loads(res.stdout)["naive"]
+    assert naive["leibniz"] is True and naive["ok"] is True
+    assert naive["failures"] == []
+    # the two classes of H^2, u and m1, have a nonzero product in H^4
+    assert {"left": [2, 0], "right": [2, 1], "coords": ["1", "0"]} in naive["ring"]
 
 
 def test_circle_inconclusive_exit_three(tmp_path):
