@@ -60,10 +60,9 @@ from .dgmodule import (
     induced_map,
     map_from_generator_images,
     module_cohomology,
-    modules_equal,
 )
 from .errors import DegreeWindowError, PreconditionError, ValidationError
-from .linalg import GradedDims, PoincareSeries, RatMatrix, add_vec, in_span, unit_vec, vec
+from .linalg import GradedDims, PoincareSeries, RatMatrix, add_vec, unit_vec, vec
 from .minmodel import (
     MinimalModelResult,
     cone_quis,
@@ -266,8 +265,6 @@ def _cone_result(
     cn: Cone,
     max_degree: int,
 ) -> MinimalModelResult:
-    if free.cap < 0:
-        raise DegreeWindowError("cone window is empty")
     window = min(max_degree, free.cap - 1)
     if window < 0:
         raise DegreeWindowError("degree window is empty; enlarge the caps")
@@ -566,34 +563,23 @@ def _extension_of_scalars(p: _ActionPipeline) -> ScalarsReport:
             m[:e_idx] + m[e_idx + 1 :]: c for m, c in poly.items() if m[e_idx] == 0
         }
 
-    # the total cone stops at A's cap, so cap is the total model's own cap
-    cap = min(free_e.cap, free_t.cap)
-    quotient = FreeDgModule(
-        alg,
-        list(zip(free_e.gen_names, free_e.gen_degrees)),
-        {
-            free_e.gen_names[j]: {
-                free_e.gen_names[h]: drop(poly)
-                for h, poly in free_e.gen_diffs[j].items()
-            }
-            for j in range(free_e.gen_count)
-        },
-        cap=cap,
-    )
     for j, name in enumerate(free_e.gen_names):
-        got = quotient.gen_diffs[j]
+        got = {h: drop(poly) for h, poly in free_e.gen_diffs[j].items()}
         want = free_t.gen_diffs[j]
-        keys = set(got) | set(want)
-        for h in keys:
+        for h in set(got) | set(want):
             if not poly_eq(got.get(h, {}), want.get(h, {})):
                 failures.append(
                     f"d({name}) differs after setting {model.euler_name} = 0: "
                     f"coefficient of {free_e.gen_names[h]} is "
                     f"{alg.poly_str(got.get(h, {}))} vs {alg.poly_str(want.get(h, {}))}"
                 )
-    if not failures and not modules_equal(quotient, free_t):
+    # a free module is a function of its algebra, generator table, differentials
+    # and cap; with the first three equal, the quotient by the Euler class (at the
+    # smaller cap) is the total-space model unless the Borel model stops below it
+    if not failures and free_e.cap < free_t.cap:
         failures.append("quotient by the Euler class does not match the total-space model")
-    return ScalarsReport(not failures, cap - 1, free_e.gen_count, tuple(failures))
+    window = min(free_e.cap, free_t.cap) - 1
+    return ScalarsReport(not failures, window, free_e.gen_count, tuple(failures))
 
 
 # ---- fiber Poincare series -----------------------------------------------
@@ -737,7 +723,9 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
                     z = [x + c * y for x, y in zip(z, rep)]
             return _vector_label(m, s, z)
 
-        missing = [k for k in ker_e if not in_span(proj, k)]
+        head = RatMatrix.from_cols(proj, nrows=cdim[0])
+        solutions = [head.solve(vec(k)) for k in ker_e]
+        missing = [k for k, sol in zip(ker_e, solutions) if sol is None]
         if missing:
             label = class_label(u, missing[0])
             if witness_degree is None:
@@ -748,24 +736,19 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
                 "to the kernel of q*"
             )
             continue
-        if kernel:
-            head = RatMatrix.from_cols(proj, nrows=cdim[0])
-            for k in ker_e:
-                sol = head.solve(vec(k))
-                if sol is None:
-                    continue
-                full = [0] * sum(cdim)
-                for c, kv in zip(sol, kernel):
-                    if c:
-                        full = [x + c * y for x, y in zip(full, kv)]
-                steps = []
-                off = 0
-                for n in range(n_blocks):
-                    block = tuple(full[off : off + cdim[n]])
-                    off += cdim[n]
-                    if any(block):
-                        steps.append(class_label(u - d_e * n, block))
-                strings.append(FormalityString(u, tuple(steps)))
+        for sol in solutions:
+            full = [0] * sum(cdim)
+            for c, kv in zip(sol, kernel):
+                if c:
+                    full = [x + c * y for x, y in zip(full, kv)]
+            steps = []
+            off = 0
+            for n in range(n_blocks):
+                block = tuple(full[off : off + cdim[n]])
+                off += cdim[n]
+                if any(block):
+                    steps.append(class_label(u - d_e * n, block))
+            strings.append(FormalityString(u, tuple(steps)))
 
     return FormalityReport(
         not failures,
@@ -793,19 +776,15 @@ class LocalizationReport:
     reason: str | None
 
 
-def localization_check(
-    data: BasicData,
-    max_degree: int = DEFAULT_DEGREE,
-    nilpotency_exponent: int | None = None,
-) -> LocalizationReport:
+def localization_check(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> LocalizationReport:
     """The connecting map nabla([w]) = e [w] + [w e] on H(M) with the Euler
     class inverted; its inverse is the finite sum of (-1)^n e^{-(n+1)} W^n
     over n below the nilpotency exponent of W.  Both composites are checked
     on every basis class inside the window, with exact Laurent coefficients."""
-    return _localization(_ActionPipeline(data, max_degree), nilpotency_exponent)
+    return _localization(_ActionPipeline(data, max_degree))
 
 
-def _localization(p: _ActionPipeline, nilpotency_exponent: int | None) -> LocalizationReport:
+def _localization(p: _ActionPipeline) -> LocalizationReport:
     data, max_degree = p.data, p.max_degree
     m = data.relative_model
     d_e = data.euler_degree
@@ -818,7 +797,7 @@ def _localization(p: _ActionPipeline, nilpotency_exponent: int | None) -> Locali
     total = sum(h[s].betti for s in degs)
     if total == 0:
         return LocalizationReport(
-            "bijective", S, nilpotency_exponent or 1, dims, 0,
+            "bijective", S, 1, dims, 0,
             "relative cohomology vanishes on the window",
         )
 
@@ -855,15 +834,6 @@ def _localization(p: _ActionPipeline, nilpotency_exponent: int | None) -> Locali
         p += 1
         if p > S + 2:
             raise PreconditionError("Euler self-map is not nilpotent on the window")
-    if nilpotency_exponent is not None:
-        if nilpotency_exponent < p:
-            raise PreconditionError(
-                f"declared nilpotency exponent {nilpotency_exponent} but W^"
-                f"{nilpotency_exponent} is nonzero (true exponent {p})"
-            )
-        p = nilpotency_exponent
-        while len(powers) < p:
-            powers.append(powers[-1] * w_mat)
 
     def prune(x: dict[int, Vector]) -> dict[int, Vector]:
         return {k: v for k, v in x.items() if any(v)}
@@ -1022,9 +992,14 @@ def _module_over_subalgebra(
 def almost_free_model(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> AlmostFreeReport:
     """For an action without fixed points and a rank-one relative model, the
     total-space model is the dgc algebra A(x)Lambda(x) with dx the Euler
-    cocycle; the correspondence (a, b) -> a + b x is checked to be a chain
-    isomorphism compatible with the pair product
-    (a, b)(a', b') = (a a', a b' + (-1)^{deg a'} b a')."""
+    cocycle.  The correspondence mu(a.1 + b.c) = a + b x is certified as a
+    chain map on generators and checked to be invertible degree by degree.
+    On the cone A.1 + A.c, with |c| = d(e') - 1 odd, the naive product of
+    naive_structure is the graded product of A(x)Lambda(c): both are
+    A-bilinear with the sign (-1)^{|n||a'|} of n a', which depends only on
+    parities.  So the product rule mu(y z) = mu(y) mu(z) is decided on the
+    elements a.g with a the unit or a generator of A and g in {1, c}, which
+    meet every parity class of the window at no higher degree."""
     return _almost_free(_ActionPipeline(data, max_degree))
 
 
@@ -1073,22 +1048,16 @@ def _almost_free(p: _ActionPipeline) -> AlmostFreeReport:
         elif mu.matrix(n).rank() != free.dim(n):
             failures.append(f"degree {n}: the correspondence is not invertible")
 
-    # under (a, b) -> a + b x the pair product sends a.1, a'.1 to a a'; a.1, a'.x
-    # to a a' x; a.x, a'.1 to (-1)^{deg a'} a a' x; and two x terms to 0
-    for i in range(window + 1):
-        for gi, mi in free.basis(i):
-            left = {mi + (min(gi, 1),): 1}
-            for j in range(window + 1 - i):
-                for gj, mj in free.basis(j):
-                    want = alg_x.poly_mul(left, {mj + (min(gj, 1),): 1})
-                    pair = {} if gi and gj else alg.poly_mul({mi: 1}, {mj: 1})
-                    sign = -1 if gi and alg.mono_degree(mj) % 2 else 1
-                    got = {mm + (min(gi + gj, 1),): sign * c for mm, c in pair.items()}
-                    if not poly_eq(want, got):
-                        failures.append(
-                            f"product rule fails on {free.basis_labels(i)[0]} "
-                            f"type pair at degrees ({i}, {j})"
-                        )
+    def mu_poly(y: Combination) -> Poly:
+        # mu(a.g) = a x^g, g = 0 the unit and g = 1 the generator c
+        return {mono + (g,): c for g, poly in y.items() for mono, c in poly.items()}
+
+    elts = _generator_elements(free, window)
+    for i, y in elts:
+        for j, z in (e for e in elts if e[0] <= window - i):
+            want = alg_x.poly_mul(mu_poly(y), mu_poly(z))
+            if not poly_eq(mu_poly(_naive_mul(free, y, z)), want):
+                failures.append(f"product rule fails at degrees ({i}, {j})")
     betti = betti_table(free, top=window)
     return AlmostFreeReport(
         not failures, window, x_name, alg.poly_str(e_poly), betti, tuple(failures)
@@ -1179,13 +1148,12 @@ def naive_structure(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> NaiveR
     return _naive(_ActionPipeline(data, max_degree))
 
 
-def _naive_axioms(free: FreeDgModule, window: int) -> tuple[bool, bool, bool, bool, list[str]]:
-    """(unital, graded commutative, associative, Leibniz, failures) of the naive
-    product on the elements x.g of degree <= window, x the unit or an algebra
-    generator and g a module generator, g = 0 the closed degree-0 unit."""
-    alg, d = free.algebra, free.d_combination
+def _generator_elements(free: FreeDgModule, window: int) -> list[tuple[int, Combination]]:
+    """(degree, x.g) for the elements x.g of degree <= window, x the unit or an
+    algebra generator and g a module generator, in order of degree."""
+    alg = free.algebra
     monos = [alg.unit_mono(), *(next(iter(alg.generator_poly(n))) for n in alg.names)]
-    elts = sorted(
+    return sorted(
         (
             (alg.mono_degree(m) + deg, {gi: {m: 1}})
             for gi, deg in enumerate(free.gen_degrees)
@@ -1194,6 +1162,14 @@ def _naive_axioms(free: FreeDgModule, window: int) -> tuple[bool, bool, bool, bo
         ),
         key=lambda e: e[0],
     )
+
+
+def _naive_axioms(free: FreeDgModule, window: int) -> tuple[bool, bool, bool, bool, list[str]]:
+    """(unital, graded commutative, associative, Leibniz, failures) of the naive
+    product on the generator elements x.g of degree <= window, g = 0 the
+    closed degree-0 unit."""
+    alg, d = free.algebra, free.d_combination
+    elts = _generator_elements(free, window)
     unit: Combination = {0: {alg.unit_mono(): 1}}
     failed: list[tuple[str, str]] = []
 
@@ -1488,7 +1464,7 @@ def action_report(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> ActionRe
                 "for a degree-2 Euler class: skipped"
             )
 
-    localization = _localization(p, None)
+    localization = _localization(p)
 
     if _euler_map_is_zero(data):
         naive = _naive(p)

@@ -18,6 +18,7 @@ from typing import Any
 
 from .cdga import verify_cdga
 from .circle import (
+    DEFAULT_DEGREE,
     ActionReport,
     action_report,
     equivariant_model,
@@ -28,7 +29,6 @@ from .dgmodule import DgModule, FreeDgModule, modules_equal, verify_dgmodule
 from .errors import InconclusiveWindowError, PreconditionError, ValidationError
 from .fixtures import FIXTURES, fixture
 from .io import (
-    DEFAULT_MAX_DEGREE,
     InputDocument,
     document_json,
     dump_json,
@@ -75,7 +75,7 @@ def _resolve_input(args) -> tuple[InputDocument, int, dict[str, str]]:
     if bool(args.input) == bool(args.fixture):
         raise ValidationError("give exactly one of --input PATH or --fixture NAME")
     if args.fixture:
-        n = args.max_degree if args.max_degree is not None else DEFAULT_MAX_DEGREE
+        n = args.max_degree if args.max_degree is not None else DEFAULT_DEGREE
         doc = _document_from_fixture(args.fixture, n)
         return doc, n, {"fixture": args.fixture}
     doc = load_document(args.input, max_degree=args.max_degree)
@@ -570,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help=f"certification window (default {DEFAULT_MAX_DEGREE})",
+            help=f"certification window (default {DEFAULT_DEGREE})",
         )
         p.add_argument(
             "--format", choices=("text", "machine"), default="text", dest="fmt",

@@ -11,12 +11,12 @@ from __future__ import annotations
 import dataclasses
 
 from .cdga import SullivanPresentation, trivial_algebra
-from .circle import BasicData
+from .circle import DEFAULT_DEGREE, BasicData
 from .dgmodule import FreeDgModule, algebra_module, map_from_generator_images
 from .errors import ValidationError
 
 
-def s4_hopf(max_degree: int = 12) -> BasicData:
+def s4_hopf(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     """Rotation of the 4-sphere with two fixed points.
 
     The orbit space has the rational type of S^3 (one closed generator a in
@@ -49,7 +49,7 @@ def s4_hopf(max_degree: int = 12) -> BasicData:
     )
 
 
-def cp2(max_degree: int = 12) -> BasicData:
+def cp2(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     """Rotation of the complex projective plane fixing a point and a line.
 
     The orbit space is rationally trivial; the relative model has two
@@ -68,7 +68,7 @@ def cp2(max_degree: int = 12) -> BasicData:
     )
 
 
-def almost_free_hopf(max_degree: int = 12) -> BasicData:
+def almost_free_hopf(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     """Free Hopf-type action with orbit space the rational 2-sphere.
 
     The orbit algebra is Lambda(u, v) with dv = u^2; the relative model is
@@ -97,14 +97,14 @@ def almost_free_hopf(max_degree: int = 12) -> BasicData:
     )
 
 
-def flow_s4(max_degree: int = 12) -> BasicData:
+def flow_s4(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     """The 4-sphere dataset read as an isometric flow (same basic data)."""
     return dataclasses.replace(
         s4_hopf(max_degree), variant="isometric_flow", name="flow_s4"
     )
 
 
-def nonformal(max_degree: int = 12) -> BasicData:
+def nonformal(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     """A dataset failing the equivariant formality criterion.
 
     The orbit algebra is polynomial on one degree-2 class u; the relative
@@ -124,7 +124,7 @@ def nonformal(max_degree: int = 12) -> BasicData:
     )
 
 
-def semifree_suspension(max_degree: int = 12) -> BasicData:
+def semifree_suspension(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     """Semifree quaternionic action with a degree-4 Euler map.
 
     The orbit space has the rational type of S^7; the relative ladder
@@ -174,7 +174,7 @@ FIXTURES = {
 }
 
 
-def fixture(name: str, max_degree: int = 12) -> BasicData:
+def fixture(name: str, max_degree: int = DEFAULT_DEGREE) -> BasicData:
     try:
         builder = FIXTURES[name]
     except KeyError:

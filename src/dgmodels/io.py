@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .cdga import SullivanPresentation, parse_polynomial, trivial_algebra
-from .circle import VARIANTS, AssembledData, BasicData, from_complexes
+from .circle import DEFAULT_DEGREE, VARIANTS, AssembledData, BasicData, from_complexes
 from .dgmodule import (
     DgModule,
     DgModuleMap,
@@ -34,8 +34,6 @@ from .dgmodule import (
 )
 from .errors import ValidationError
 from .linalg import RatMatrix, as_q
-
-DEFAULT_MAX_DEGREE = 12
 
 _DOC_KEYS = {"name", "algebra", "modules", "maps", "action", "options"}
 _OPTION_KEYS = {"max_degree"}
@@ -98,7 +96,7 @@ class InputDocument:
     def max_degree(self, override: int | None = None) -> int:
         if override is not None:
             return int(override)
-        return int(self.options.get("max_degree", DEFAULT_MAX_DEGREE))
+        return int(self.options.get("max_degree", DEFAULT_DEGREE))
 
 
 def _expect_mapping(obj: Any, where: str) -> dict:
@@ -384,7 +382,7 @@ def loads_document(text: str, max_degree: int | None = None) -> InputDocument:
     resolved_n = (
         int(max_degree)
         if max_degree is not None
-        else int(options.get("max_degree", DEFAULT_MAX_DEGREE))
+        else int(options.get("max_degree", DEFAULT_DEGREE))
     )
 
     name = raw.get("name", "")

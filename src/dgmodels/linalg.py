@@ -443,13 +443,6 @@ def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Frac
     return [vectors[j] for j in pivots]
 
 
-def in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
-    if not vectors:
-        return all(x == 0 for x in v)
-    m = RatMatrix.from_cols(list(vectors))
-    return m.solve(vec(v)) is not None
-
-
 @dataclass
 class GradedDims:
     """Dimensions per degree over a window [0, top]."""

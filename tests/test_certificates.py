@@ -1,24 +1,38 @@
 """Certificates on generators, and the check budget.
 
 A map from `map_from_generator_images` is certified by the chain condition
-on its generators; the naive product by the dgc axioms on the elements x.g
-with x the unit or an algebra generator.  Hypothesis pins both against the
-full checks they replace: `DgModuleMap.verify` and the basis-wide axiom
-loops that `naive_structure` used to run, kept here as the reference.
+on its generators; the naive product by the dgc axioms, and the almost-free
+product rule, on the elements x.g with x the unit or an algebra generator;
+extension of scalars by comparing generator tables and caps.  Hypothesis
+and the fixtures pin each against the full check it replaces:
+`DgModuleMap.verify`, the basis-wide loops that `naive_structure` and
+`almost_free_model` used to run, and the quotient module compared by
+`modules_equal`, kept here as the references.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dgmodels import cdga, circle, dgmodule
-from dgmodels.cdga import CHECK_BUDGET, SullivanPresentation, verify_cdga
-from dgmodels.circle import _comb_eq, _naive_axioms, _naive_mul
+from dgmodels.cdga import (
+    CHECK_BUDGET,
+    SullivanPresentation,
+    extend,
+    parse_polynomial,
+    poly_eq,
+    verify_cdga,
+)
+from dgmodels.circle import BasicData, _comb_eq, _naive_axioms, _naive_mul, almost_free_model
 from dgmodels.dgmodule import (
     DgModuleMap,
     FreeDgModule,
+    algebra_module,
     certify_on_generators,
     map_from_generator_images,
+    modules_equal,
     verify_dgmodule,
 )
 from dgmodels.errors import ValidationError
@@ -297,6 +311,154 @@ def test_wrong_naive_sign_fails_both_checks(monkeypatch, mutant):
     *flags, failures = _naive_axioms(free, 7)
     assert not all(flags) and failures
     assert not all(reference_naive_axioms(free, 7))
+
+
+# ---- the almost-free product rule ----------------------------------------------------
+
+
+def reference_product_rule(free, alg_x, window):
+    """The product rule under (a, b) -> a + b x on every pair of basis elements
+    of the window, with the pair product written out: the loop almost_free_model
+    ran before it checked the generator elements."""
+    alg = free.algebra
+    for i in range(window + 1):
+        for gi, mi in free.basis(i):
+            left = {mi + (gi,): Q(1)}
+            for j in range(window + 1 - i):
+                for gj, mj in free.basis(j):
+                    want = alg_x.poly_mul(left, {mj + (gj,): Q(1)})
+                    # a.1 a'.1 = a a'; a.1 a'.c = a a' c; a.c a'.1 = (-1)^{|a'|} a a' c
+                    pair = {} if gi and gj else alg.poly_mul({mi: Q(1)}, {mj: Q(1)})
+                    sign = -1 if gi and alg.mono_degree(mj) % 2 else 1
+                    got = {mm + (gi + gj,): sign * c for mm, c in pair.items()}
+                    if not poly_eq(want, got):
+                        return False
+    return True
+
+
+# (generators, differentials, Euler class): each has an odd generator, so that
+# every sign of the naive product is met
+ALMOST_FREE_BASES = {
+    "u2v3": ([("u", 2), ("v", 3)], {"v": {(2, 0): 1}}, "u"),
+    "a3u2": ([("a", 3), ("u", 2)], {}, "u"),
+    "x1y1": ([("x", 1), ("y", 1)], {}, "x*y"),
+}
+
+
+def almost_free_data(base, scale, window):
+    """Rank-one relative model on m0 with i'(m0) = 1 and e'(m0) = scale times
+    the base's Euler class, and no fixed points, sized as almost_free_hopf."""
+    gens, diffs, euler = ALMOST_FREE_BASES[base]
+    alg = SullivanPresentation(gens, diffs, cap=window + 2)
+    m = FreeDgModule(alg, [("m0", 0)], {}, cap=window + 1)
+    a_mod = algebra_module(alg, cap=window + 2)
+    e_poly = {mono: scale * c for mono, c in parse_polynomial(alg, euler).items()}
+    e_prime = map_from_generator_images(m, a_mod, 2, {"m0": alg.poly_vector(e_poly, 2)})
+    i_prime = map_from_generator_images(m, a_mod, 0, {"m0": alg.poly_vector(alg.unit_poly(), 0)})
+    data = BasicData(alg, m, i_prime, e_prime, fixed_set_empty=True, name=base)
+    return data, e_poly
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(ALMOST_FREE_BASES)),
+    st.sampled_from(COEFFS),
+    st.integers(4, 14),
+)
+def test_almost_free_generator_check_agrees_with_reference_loop(base, scale, window):
+    data, e_poly = almost_free_data(base, scale, window)
+    report = almost_free_model(data, window)
+    free = circle._ActionPipeline(data, window).total.module
+    alg_x = extend(data.algebra, report.generator_name, 1, e_poly)
+    assert report.ok == reference_product_rule(free, alg_x, report.window)
+    assert report.ok and report.window == window
+
+
+# the first pairs of odd elements, c of degree 1 times the odd generator of least degree
+FIRST_ODD_PAIRS = {"u2v3": {(1, 3), (3, 1)}, "a3u2": {(1, 3), (3, 1)}, "x1y1": {(1, 1)}}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize("base", sorted(ALMOST_FREE_BASES))
+def test_wrong_naive_sign_fails_the_almost_free_product_rule(monkeypatch, base, mutant):
+    # the reference loop writes its pair product out, so no mutant reaches it
+    data, _ = almost_free_data(base, Q(1), 6)
+    assert almost_free_model(data, 6).ok
+    monkeypatch.setattr(circle, "_naive_pair_mul", MUTANTS[mutant])
+    report = almost_free_model(data, 6)
+    assert not report.ok
+    assert report.failures[0] in {
+        f"product rule fails at degrees ({i}, {j})" for i, j in FIRST_ODD_PAIRS[base]
+    }
+
+
+# ---- extension of scalars -----------------------------------------------------------
+
+
+def reference_extension_of_scalars(p):
+    """The Borel model with its Euler class set to zero, built as a free module
+    and compared with the total-space model by modules_equal: the route
+    extension_of_scalars_check took before it compared generator tables."""
+    model, _ = p.borel
+    free_e, free_t = model.module, p.total.module
+    if (free_e.gen_names, free_e.gen_degrees) != (free_t.gen_names, free_t.gen_degrees):
+        return False
+    e_idx = model.algebra.generator_index(model.euler_name)
+
+    def drop(poly):
+        return {m[:e_idx] + m[e_idx + 1 :]: c for m, c in poly.items() if m[e_idx] == 0}
+
+    names = free_e.gen_names
+    diffs = {
+        names[j]: {names[h]: drop(poly) for h, poly in comb.items()}
+        for j, comb in enumerate(free_e.gen_diffs)
+    }
+    cap = min(free_e.cap, free_t.cap)
+    quotient = FreeDgModule(p.data.algebra, list(zip(names, free_e.gen_degrees)), diffs, cap)
+    return modules_equal(quotient, free_t)
+
+
+WITH_FIXED_SET = [name for name in FIXTURES if not fixture(name, 12).fixed_set_empty]
+
+
+@pytest.mark.parametrize("window", [12, 20])
+@pytest.mark.parametrize("name", WITH_FIXED_SET)
+def test_extension_of_scalars_agrees_with_the_quotient_module(name, window):
+    p = circle._ActionPipeline(fixture(name, window), window)
+    report = circle._extension_of_scalars(p)
+    assert report.ok == reference_extension_of_scalars(p)
+    assert report.ok and report.window == min(p.borel[0].module.cap, p.total.module.cap) - 1
+
+
+def test_extension_of_scalars_reports_a_changed_coefficient():
+    p = circle._ActionPipeline(fixture("s4_hopf", 12), 12)
+    free_t = p.total.module
+    names = free_t.gen_names
+    j = next(j for j, comb in enumerate(free_t.gen_diffs) if comb)
+    h, poly = next(iter(free_t.gen_diffs[j].items()))
+    diffs = {
+        names[i]: {names[k]: q for k, q in comb.items()} for i, comb in enumerate(free_t.gen_diffs)
+    }
+    diffs[names[j]][names[h]] = {m: 2 * c for m, c in poly.items()}
+    changed = FreeDgModule(free_t.algebra, list(zip(names, free_t.gen_degrees)), diffs, free_t.cap)
+    # replaces the pipeline's cached total-space model
+    p.total = dataclasses.replace(p.total, module=changed)
+    report = circle._extension_of_scalars(p)
+    assert not report.ok and not reference_extension_of_scalars(p)
+    assert report.failures == (
+        f"d({names[j]}) differs after setting e = 0: coefficient of {names[h]} is "
+        f"{free_t.algebra.poly_str(poly)} vs 2*{free_t.algebra.poly_str(poly)}",
+    )
+
+
+def test_extension_of_scalars_reports_a_higher_cap():
+    p = circle._ActionPipeline(fixture("s4_hopf", 12), 12)
+    free_t = p.total.module
+    p.total = dataclasses.replace(p.total, module=_at_cap(free_t, free_t.cap + 1))
+    report = circle._extension_of_scalars(p)
+    assert not report.ok and not reference_extension_of_scalars(p)
+    assert report.failures == ("quotient by the Euler class does not match the total-space model",)
+    assert report.window == free_t.cap - 1
 
 
 # ---- the check budget ---------------------------------------------------------------

@@ -3,20 +3,16 @@
 Random C7-style modules pin the tower's identities and the retraction
 against the Kronecker-product assembly it replaced; structural tests pin
 what an append-only tower shares between steps and that it builds
-representatives only for the batches it adjoins; the rank certificate of
-the window is tested against the per-degree cohomology loop it replaced;
-and the machine output of `dgmodels minmodel` is pinned on every fixture.
+representatives only for the batches it adjoins; and the rank certificate
+of the window is tested against the per-degree cohomology loop it replaced.
+The machine output of `dgmodels minmodel` is pinned in test_output_pins.py.
 """
-
-import contextlib
-import hashlib
-import io
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgmodels import cli, minmodel
+from dgmodels import minmodel
 from dgmodels.cdga import SullivanPresentation
 from dgmodels.dgmodule import (
     DgModule,
@@ -34,7 +30,6 @@ from dgmodels.dgmodule import (
     zero_module,
 )
 from dgmodels.errors import ValidationError
-from dgmodels.fixtures import FIXTURES
 from dgmodels.linalg import GradedDims, Q, RatMatrix, cohomology_at, kron, vec
 from dgmodels.minmodel import (
     KSState,
@@ -53,17 +48,6 @@ ALGEBRAS = {
     # two generators of one degree, so that the retraction picks the columns
     # of one monomial out of an action matrix
     "e2f2": SullivanPresentation([("e", 2), ("f", 2)], {}, cap=CAP + 6),
-}
-
-# SHA-256 of `dgmodels minmodel --fixture F --max-degree 14 --format machine`,
-# recorded before the tower became append-only.
-MINMODEL_SHA256 = {
-    "almost_free_hopf": "d8b2b9b7a7ad3f5d9364d56be73babb222458b37a31bcfa386b35dc65ba38a10",
-    "cp2": "63ee61f96869aae81a8a2bc5766fb363b5c8a2538f35ceee6e0f162a62f5adab",
-    "flow_s4": "218a05b2a9a1ddb2407179aa40b88173c2c38980f54672caabbf5ac25fe675e4",
-    "nonformal": "916c1cd93bc3bda4da85e5188e3d5040be129a18844d9b3cb077b208a4dfe46e",
-    "s4_hopf": "78ecd3070d5ff00bef3e5e0659238fc6006918eae42c6843cd51558b5cdc18cf",
-    "semifree_suspension": "ea175229037a57320ffd2ac63bceb6c6e118957ed2c959309a2ab986d00c70ba",
 }
 
 
@@ -375,19 +359,3 @@ def test_rank_certificate_agrees_with_the_reference_window_check(module, below, 
     for mutant in mutants:
         verdict = _verdict(certify_window, mutant, n_cap)
         assert verdict == _verdict(reference_window_check, mutant, n_cap)
-
-
-def _machine_output(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    return code, out.getvalue().encode("utf-8")
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_minmodel_machine_output_is_pinned(name):
-    code, out = _machine_output(
-        ["minmodel", "--fixture", name, "--max-degree", "14", "--format", "machine"]
-    )
-    assert code == 0
-    assert hashlib.sha256(out).hexdigest() == MINMODEL_SHA256[name]

@@ -11,7 +11,6 @@ from dgmodels.linalg import (
     Q,
     RatMatrix,
     cohomology_at,
-    in_span,
     independent_subset,
     kron,
     vec,
@@ -74,8 +73,6 @@ def test_kron_agrees_with_block_scaling():
 def test_span_helpers():
     vs = [vec([1, 0]), vec([2, 0]), vec([0, 1])]
     assert len(independent_subset(vs)) == 2
-    assert in_span(vs, vec([5, 7]))
-    assert not in_span([vec([1, 0])], vec([0, 1]))
 
 
 def test_cohomology_at_circle_complex():
