@@ -398,7 +398,6 @@ class EquivariantModel:
     euler_name: str
     module: FreeDgModule
     rho: DgModuleMap
-    q_prime: DgModuleMap
     window: int
     betti: GradedDims
 
@@ -471,7 +470,7 @@ def _equivariant_pieces(
         raise DegreeWindowError("degree window is empty; enlarge the caps")
     verify_minimal(free).raise_if_failed()
     betti = betti_table(free, top=window)
-    model = EquivariantModel(alg_e, e_name, free, iota, q_prime, window, betti)
+    model = EquivariantModel(alg_e, e_name, free, iota, window, betti)
     return model, cn
 
 
@@ -485,8 +484,6 @@ class EquivariantLesReport:
     """Cone long exact sequence of the Borel model, with a rank recount."""
 
     table: LesTable
-    h_equivariant: GradedDims
-    h_from_ranks: GradedDims
     ok: bool
     failures: tuple[str, ...]
 
@@ -501,15 +498,12 @@ def _equivariant_les(p: _ActionPipeline) -> EquivariantLesReport:
     model, cn = p.borel
     table = cone_les(cn, top=p.max_degree)
     failures = list(table.failures)
-    dims: dict[int, int] = {}
-    recount: dict[int, int] = {}
     for row in table.rows:
         r_in = table.rows[row.n - 1].rank_connecting if row.n >= 1 else 0
-        dims[row.n] = row.dim_h_cone
-        recount[row.n] = (row.dim_h_target - r_in) + (row.dim_h_source - row.rank_connecting)
-        if recount[row.n] != row.dim_h_cone:
+        recount = (row.dim_h_target - r_in) + (row.dim_h_source - row.rank_connecting)
+        if recount != row.dim_h_cone:
             failures.append(
-                f"degree {row.n}: rank recount gives {recount[row.n]} but the Borel "
+                f"degree {row.n}: rank recount gives {recount} but the Borel "
                 f"model has Betti {row.dim_h_cone}"
             )
         if model.betti.get(row.n) != row.dim_h_cone:
@@ -517,13 +511,7 @@ def _equivariant_les(p: _ActionPipeline) -> EquivariantLesReport:
                 f"degree {row.n}: free Borel presentation has Betti "
                 f"{model.betti.get(row.n)} but the cone has {row.dim_h_cone}"
             )
-    return EquivariantLesReport(
-        table,
-        GradedDims(dims, table.top),
-        GradedDims(recount, table.top),
-        not failures,
-        tuple(failures),
-    )
+    return EquivariantLesReport(table, not failures, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -1311,12 +1299,10 @@ def semifree_s3_models(
 
 @dataclass(frozen=True, eq=False)
 class AssembledData:
-    """Basic data produced from tabulated complexes, with quis certificates."""
+    """Basic data produced from tabulated complexes, and the relative model."""
 
     data: BasicData
     relative: MinimalModelResult
-    total_cone_quis: DgModuleMap
-    fixed_cone_quis: DgModuleMap
 
 
 def from_complexes(
@@ -1371,8 +1357,9 @@ def from_complexes(
 
     i_prime, h_i = model_of_morphism(inclusion_map, rho_m, rho_n)
     e_prime, h_e = model_of_morphism(euler_map, rho_m, rho_n)
-    fixed_quis = cone_quis(inclusion_map, i_prime, rho_m, rho_n, h_i)
-    total_quis = cone_quis(euler_map, e_prime, rho_m, rho_n, h_e)
+    # each cone_quis raises unless the transported cone is quasi-isomorphic
+    cone_quis(inclusion_map, i_prime, rho_m, rho_n, h_i)
+    cone_quis(euler_map, e_prime, rho_m, rho_n, h_e)
 
     data = BasicData(
         algebra=alg,
@@ -1386,7 +1373,7 @@ def from_complexes(
         name=name,
     )
     data.validate().raise_if_failed()
-    return AssembledData(data, relative, total_quis, fixed_quis)
+    return AssembledData(data, relative)
 
 
 # ---- full report -------------------------------------------------------------

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 precondition failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import astuple, fields, is_dataclass
 from typing import Any
@@ -87,6 +88,24 @@ def _echo(command: str, source: dict[str, str], max_degree: int) -> str:
     return f"dgmodels {command} --{key.replace('_', '-')} {value} --max-degree {max_degree}"
 
 
+# ---- output ---------------------------------------------------------------------
+
+
+def _write(text: str) -> None:
+    """Write command output to stdout and flush it.
+
+    Output that cannot be written (a closed pipe, a full device) is a
+    validation failure.  The stdout file descriptor is pointed at os.devnull
+    first, so that the flush at interpreter shutdown cannot fail again.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValidationError(f"cannot write output: {exc.strerror or exc}") from None
+
+
 # ---- rendering helpers ----------------------------------------------------------
 
 
@@ -120,13 +139,6 @@ def _comb_str(module: FreeDgModule, comb) -> str:
         else:
             parts.append(f"{body}*{gen}")
     return " + ".join(parts)
-
-
-def _generator_rows(module: FreeDgModule) -> list[tuple[str, str, str]]:
-    rows = [("generator", "degree", "differential")]
-    for i, name in enumerate(module.gen_names):
-        rows.append((name, str(module.gen_degrees[i]), _comb_str(module, module.gen_diffs[i])))
-    return rows
 
 
 def _generators_json(module: FreeDgModule) -> list[list[Any]]:
@@ -179,13 +191,13 @@ def cmd_verify(doc: InputDocument, max_degree: int, source: dict[str, str], fmt:
                 for label, rep in groups
             ],
         }
-        sys.stdout.write(dump_json(payload))
+        _write(dump_json(payload))
         return 0 if ok else 1
 
     lines = [_echo("verify", source, max_degree)]
     if not groups:
         lines.append("empty document: nothing to check; trivially valid")
-        print("\n".join(lines))
+        _write("\n".join(lines) + "\n")
         return 0
     for label, rep in groups:
         status = "ok  " if rep.ok else "FAIL"
@@ -200,7 +212,7 @@ def cmd_verify(doc: InputDocument, max_degree: int, source: dict[str, str], fmt:
     else:
         bad = sum(1 for _, rep in groups if not rep.ok)
         lines.append(f"{bad} of {len(groups)} groups failed")
-    print("\n".join(lines))
+    _write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -234,12 +246,11 @@ def cmd_minmodel(
             "target": target,
             "model": _model_json(result),
         }
-        sys.stdout.write(dump_json(payload))
+        _write(dump_json(payload))
         return 0
 
     lines = [_echo("minmodel", source, max_degree) + f" --target {target}"]
-    lines.append(f"minimal model of {target!r} (window {result.window})")
-    lines.extend(_table(_generator_rows(result.module)))
+    lines += _model_table(f"minimal model of {target!r} (window {result.window})", result.module)
     lines.append("cohomology (model vs input)")
     rows = [("degree", "model", "input")]
     for n in range(result.window + 1):
@@ -247,7 +258,7 @@ def cmd_minmodel(
     lines.extend(_table(rows))
     if result.mono_degree is not None:
         lines.append(f"injective on cohomology in degree {result.mono_degree}")
-    print("\n".join(lines))
+    _write("\n".join(lines) + "\n")
     return 0
 
 
@@ -321,140 +332,102 @@ def _report_json(rep: ActionReport) -> dict[str, Any]:
     return payload
 
 
-def _render_circle(rep: ActionReport, source: dict[str, str]) -> list[str]:
-    lines = [_echo("circle", source, rep.max_degree)]
-    lines.append(f"circle action report: {rep.name or '(unnamed)'} (variant {rep.variant})")
-    lines.append("")
-    lines.append("cohomology dimensions, degrees 0..top of each window")
-    lines.append(f"  total  {_dims_str(rep.betti_total)}")
-    if rep.betti_fixed is not None:
-        lines.append(f"  fixed  {_dims_str(rep.betti_fixed)}")
-    if rep.betti_borel is not None:
-        lines.append(f"  borel  {_dims_str(rep.betti_borel)}")
+def _model_table(title: str, module: FreeDgModule) -> list[str]:
+    """A model's title line over its table of generators, degrees and differentials."""
+    rows = [("generator", "degree", "differential")]
+    for i, name in enumerate(module.gen_names):
+        rows.append((name, str(module.gen_degrees[i]), _comb_str(module, module.gen_diffs[i])))
+    return [title, *_table(rows)]
 
-    lines.append("")
-    lines.append(f"total-space model (window {rep.total.window})")
-    lines.extend(_table(_generator_rows(rep.total.module)))
-    if rep.fixed is not None:
-        lines.append("")
-        lines.append(f"fixed-set model (window {rep.fixed.window})")
-        lines.extend(_table(_generator_rows(rep.fixed.module)))
-    if rep.equivariant is not None:
-        lines.append("")
-        lines.append(
-            f"borel model (window {rep.equivariant.window}, "
-            f"euler class {rep.equivariant.euler_name})"
-        )
-        lines.extend(_table(_generator_rows(rep.equivariant.module)))
 
-    lines.append("")
-    lines.append("verdicts")
-    if rep.les is not None:
-        verdict = "exact at every node" if rep.les.ok else "NOT EXACT"
-        lines.append(f"  long exact sequence     {verdict} through degree {rep.les.table.top}")
-        for failure in rep.les.failures[:3]:
-            lines.append(f"      {failure}")
-    if rep.shared_basis is not None:
-        verdict = "ok" if rep.shared_basis.ok else "MISMATCH"
-        lines.append(
-            f"  shared basis            {verdict} (degree shift {rep.shared_basis.shift})"
-        )
-        for failure in rep.shared_basis.failures[:3]:
-            lines.append(f"      {failure}")
-    if rep.scalars is not None:
-        verdict = "ok" if rep.scalars.ok else "FAIL"
-        lines.append(
-            f"  extension of scalars    {verdict} "
-            f"(euler class to zero; {rep.scalars.generators} generators compared)"
-        )
-        for failure in rep.scalars.failures[:3]:
-            lines.append(f"      {failure}")
-    if rep.poincare is not None:
-        verdict = "hold" if rep.poincare.ok else "FAIL"
-        lines.append(f"  poincare identities     {verdict} through degree {rep.poincare.through}")
-        lines.append(f"      total fiber series  {rep.poincare.total_fiber}")
-        lines.append(f"      fixed fiber series  {rep.poincare.fixed_fiber}")
-        lines.append(f"      borel fiber series  {rep.poincare.borel_fiber}")
-        for failure in rep.poincare.failures[:3]:
-            lines.append(f"      {failure}")
-    if rep.formality is not None:
-        f = rep.formality
-        verdict = "equivariantly formal" if f.formal else "NOT equivariantly formal"
-        lines.append(f"  formality               {verdict} (window {f.window})")
-        if f.formal:
-            for s in f.strings:
-                steps = ", ".join(s.steps)
-                lines.append(f"      degree {s.degree}: {steps}")
-        else:
-            lines.append(
-                f"      witness: degree {f.witness_degree}, class {f.witness_label}"
-            )
-    loc = rep.localization
-    detail = f"exponent {loc.exponent}" if loc.exponent is not None else "no exponent"
-    lines.append(
-        f"  localization            {loc.verdict} "
-        f"({detail}, {loc.basis_checked} classes checked)"
-    )
-    if loc.reason:
-        lines.append(f"      {loc.reason}")
-    if rep.dimc is not None:
-        d = rep.dimc
-        if d.applicable:
-            lines.append(
-                f"  dimc                    case {d.case}: "
-                f"total {d.dimc_total}, fixed {d.dimc_fixed}"
-            )
-        else:
-            lines.append(f"  dimc                    not applicable (case {d.case})")
-            for reason in d.reasons:
-                lines.append(f"      {reason}")
-    if rep.almost_free is not None:
-        a = rep.almost_free
-        verdict = "ok" if a.ok else "FAIL"
-        lines.append(
-            f"  almost-free model       {verdict} "
-            f"(generator {a.generator_name}, euler {a.euler_poly})"
-        )
-        lines.append(f"      cohomology  {' '.join(str(x) for x in a.betti.as_list())}")
-        for failure in a.failures[:3]:
-            lines.append(f"      {failure}")
-    if rep.naive is not None:
-        nv = rep.naive
-        verdict = "ok" if nv.ok else "FAIL"
-        lines.append(f"  naive product           {verdict} (window {nv.window})")
-        lines.append(
-            "      unital "
-            + _yn(nv.unital)
-            + ", graded-commutative "
-            + _yn(nv.graded_commutative)
-            + ", associative "
-            + _yn(nv.associative)
-            + ", leibniz "
-            + _yn(nv.leibniz)
-        )
-        if nv.wedge_of_spheres:
-            degs = ", ".join(str(d) for d in (nv.sphere_degrees or ()))
-            lines.append(f"      wedge of spheres in degrees {degs}")
-        for failure in nv.failures[:3]:
-            lines.append(f"      {failure}")
-    for s in rep.smith_gysin:
-        lhs = f"{s.relative_term} + {s.fixed_sum}"
-        lines.append(
-            f"  smith-gysin r={s.r}         {s.verdict}: {lhs} <= {s.total_sum}"
-        )
-        if s.reason:
-            lines.append(f"      {s.reason}")
-
-    if rep.notes:
-        lines.append("")
-        lines.append("notes")
-        for note in rep.notes:
-            lines.append(f"  {note}")
-    return lines
+def _verdict_lines(label: str, head: str, details=(), failures=()) -> list[str]:
+    """One verdict: the label padded to 24 columns after a two-space indent,
+    then its detail lines and at most three failures, indented six spaces."""
+    return [f"  {label:<24}{head}", *(f"      {line}" for line in (*details, *failures[:3]))]
 
 
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
+
+
+def _render_circle(rep: ActionReport, source: dict[str, str]) -> list[str]:
+    lines = [
+        _echo("circle", source, rep.max_degree),
+        f"circle action report: {rep.name or '(unnamed)'} (variant {rep.variant})",
+        "",
+        "cohomology dimensions, degrees 0..top of each window",
+    ]
+    betti = {"total": rep.betti_total, "fixed": rep.betti_fixed, "borel": rep.betti_borel}
+    for key, dims in betti.items():
+        if dims is not None:
+            lines.append(f"  {key}  {_dims_str(dims)}")
+
+    models = [(f"total-space model (window {rep.total.window})", rep.total.module)]
+    if rep.fixed is not None:
+        models.append((f"fixed-set model (window {rep.fixed.window})", rep.fixed.module))
+    if (em := rep.equivariant) is not None:
+        title = f"borel model (window {em.window}, euler class {em.euler_name})"
+        models.append((title, em.module))
+    for title, module in models:
+        lines += ["", *_model_table(title, module)]
+
+    lines += ["", "verdicts"]
+    if (les := rep.les) is not None:
+        verdict = "exact at every node" if les.ok else "NOT EXACT"
+        head = f"{verdict} through degree {les.table.top}"
+        lines += _verdict_lines("long exact sequence", head, failures=les.failures)
+    if (sb := rep.shared_basis) is not None:
+        head = f"{'ok' if sb.ok else 'MISMATCH'} (degree shift {sb.shift})"
+        lines += _verdict_lines("shared basis", head, failures=sb.failures)
+    if (sc := rep.scalars) is not None:
+        verdict = "ok" if sc.ok else "FAIL"
+        head = f"{verdict} (euler class to zero; {sc.generators} generators compared)"
+        lines += _verdict_lines("extension of scalars", head, failures=sc.failures)
+    if (pc := rep.poincare) is not None:
+        head = f"{'hold' if pc.ok else 'FAIL'} through degree {pc.through}"
+        details = [
+            f"total fiber series  {pc.total_fiber}",
+            f"fixed fiber series  {pc.fixed_fiber}",
+            f"borel fiber series  {pc.borel_fiber}",
+        ]
+        lines += _verdict_lines("poincare identities", head, details, pc.failures)
+    if (f := rep.formality) is not None:
+        verdict = "equivariantly formal" if f.formal else "NOT equivariantly formal"
+        if f.formal:
+            details = [f"degree {s.degree}: {', '.join(s.steps)}" for s in f.strings]
+        else:
+            details = [f"witness: degree {f.witness_degree}, class {f.witness_label}"]
+        lines += _verdict_lines("formality", f"{verdict} (window {f.window})", details)
+    loc = rep.localization
+    detail = f"exponent {loc.exponent}" if loc.exponent is not None else "no exponent"
+    head = f"{loc.verdict} ({detail}, {loc.basis_checked} classes checked)"
+    lines += _verdict_lines("localization", head, [loc.reason] if loc.reason else ())
+    if (d := rep.dimc) is not None and d.applicable:
+        head = f"case {d.case}: total {d.dimc_total}, fixed {d.dimc_fixed}"
+        lines += _verdict_lines("dimc", head)
+    elif d is not None:
+        lines += _verdict_lines("dimc", f"not applicable (case {d.case})", d.reasons)
+    if (a := rep.almost_free) is not None:
+        head = f"{'ok' if a.ok else 'FAIL'} (generator {a.generator_name}, euler {a.euler_poly})"
+        details = [f"cohomology  {_dims_str(a.betti)}"]
+        lines += _verdict_lines("almost-free model", head, details, a.failures)
+    if (nv := rep.naive) is not None:
+        details = [
+            f"unital {_yn(nv.unital)}, graded-commutative {_yn(nv.graded_commutative)}, "
+            f"associative {_yn(nv.associative)}, leibniz {_yn(nv.leibniz)}"
+        ]
+        if nv.wedge_of_spheres:
+            degs = ", ".join(str(d) for d in (nv.sphere_degrees or ()))
+            details.append(f"wedge of spheres in degrees {degs}")
+        head = f"{'ok' if nv.ok else 'FAIL'} (window {nv.window})"
+        lines += _verdict_lines("naive product", head, details, nv.failures)
+    for s in rep.smith_gysin:
+        head = f"{s.verdict}: {s.relative_term} + {s.fixed_sum} <= {s.total_sum}"
+        lines += _verdict_lines(f"smith-gysin r={s.r}", head, [s.reason] if s.reason else ())
+
+    if rep.notes:
+        lines += ["", "notes", *(f"  {note}" for note in rep.notes)]
+    return lines
 
 
 def cmd_circle(doc: InputDocument, max_degree: int, source: dict[str, str], fmt: str) -> int:
@@ -465,9 +438,9 @@ def cmd_circle(doc: InputDocument, max_degree: int, source: dict[str, str], fmt:
         s.verdict == "inconclusive" for s in rep.smith_gysin
     )
     if fmt == "machine":
-        sys.stdout.write(dump_json(_report_json(rep)))
+        _write(dump_json(_report_json(rep)))
     else:
-        print("\n".join(_render_circle(rep, source)))
+        _write("\n".join(_render_circle(rep, source)) + "\n")
     return 3 if inconclusive else 0
 
 
@@ -520,23 +493,21 @@ def cmd_export(
                 fh.write(text)
         except OSError as exc:
             raise ValidationError(f"cannot write {output}: {exc.strerror}") from None
+        size = len(text.encode())
         if fmt == "machine":
-            sys.stdout.write(
-                dump_json(
-                    {
-                        "command": "export",
-                        "source": source,
-                        "what": what,
-                        "path": output,
-                        "bytes": len(text.encode()),
-                        "round_trip": "ok",
-                    }
-                )
-            )
+            summary = {
+                "command": "export",
+                "source": source,
+                "what": what,
+                "path": output,
+                "bytes": size,
+                "round_trip": "ok",
+            }
+            _write(dump_json(summary))
         else:
-            print(f"wrote {output} ({len(text.encode())} bytes, round-trip verified)")
+            _write(f"wrote {output} ({size} bytes, round-trip verified)\n")
         return 0
-    sys.stdout.write(text)
+    _write(text)
     return 0
 
 
@@ -544,7 +515,11 @@ def cmd_export(
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors are validation problems: exit 1, not argparse's 2."""
+    """Argument errors are validation problems: exit 1, not argparse's 2.
+    Help goes through the command-output writer."""
+
+    def print_help(self, file=None):
+        _write(self.format_help())
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -597,9 +572,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.max_degree is not None and args.max_degree < 0:
             raise ValidationError("--max-degree must be nonnegative")
         doc, max_degree, source = _resolve_input(args)

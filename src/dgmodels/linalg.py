@@ -521,7 +521,6 @@ class CohomologyData:
     betti: int
     representatives: tuple[tuple[Fraction, ...], ...] = ()
     boundaries: tuple[tuple[Fraction, ...], ...] = ()
-    cocycle_dim: int = 0
 
     def coords(self, vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
         """Coordinates of each cocycle in the representative basis, mod boundaries.
@@ -591,9 +590,9 @@ def cohomology_at(
     # the pivot columns of d_prev span the boundaries
     image = () if d_prev is None else tuple(d_prev.col(j) for j in d_prev._echelon()[1])
     if not betti:
-        return CohomologyData(n, 0, (), image, cocycle_dim=len(image))
+        return CohomologyData(n, 0, (), image)
     dim_n = dims.get(n, 0)
     kernel = [unit_vec(dim_n, i) for i in range(dim_n)] if d_n is None else d_n.kernel_basis()
     # complete the boundary basis to the kernel, deterministically
     reps = independent_subset([*image, *kernel])[len(image):]
-    return CohomologyData(n, betti, tuple(reps), image, cocycle_dim=len(kernel))
+    return CohomologyData(n, betti, tuple(reps), image)

@@ -92,15 +92,14 @@ def relative_cohomology(
 
 @dataclass
 class KSState:
-    """One step of the extension tower: current module, its quotient map, stage.
+    """One step of the extension tower: rho from the current module to the
+    target, and the stage.
 
     rel_d is the degree-n relative differential of rho when the stage
     before adjoined nothing and so already built it.
     """
 
-    phi: DgModuleMap
     n_cap: int
-    module: FreeDgModule
     rho: DgModuleMap
     n: int
     q: int
@@ -145,7 +144,7 @@ def ks_step(state: KSState) -> KSState:
             f"stage {n} still has {count} obstruction classes after {state.q} batches"
         )
     reps = relative_cohomology(rho, n, dims, mats)
-    module, x_mod = state.module, state.phi.target
+    module, x_mod = rho.source, rho.target
     q = state.q + 1
     taken = set(module.gen_names)
     names = [_fresh_name(taken, f"v{n}_{q}_{k}") for k in range(len(reps))]
@@ -161,7 +160,6 @@ def ks_step(state: KSState) -> KSState:
             blocks[k] = mat.hstack(image_columns(bigger, x_mod, 0, images, k, mat.cols))
     return replace(
         state,
-        module=bigger,
         rho=DgModuleMap(bigger, x_mod, 0, blocks, name="rho"),
         q=q,
         batches=state.batches + ((n, q, tuple(names)),),
@@ -247,20 +245,14 @@ def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> Minimal
         stages=source.stages,
     )
     images = {name: generator_image(phi, i) for i, name in enumerate(source.gen_names)}
-    state = KSState(
-        phi=phi,
-        n_cap=n_cap,
-        module=base,
-        rho=map_from_generator_images(base, target, 0, images, name="rho"),
-        n=0,
-        q=0,
-    )
+    rho = map_from_generator_images(base, target, 0, images, name="rho")
+    state = KSState(n_cap=n_cap, rho=rho, n=0, q=0)
     while not state.done:
         state = ks_step(state)
 
     betti_model, betti_target, mono_degree = certify_window(state.rho, n_cap)
     return MinimalModelResult(
-        module=state.module,
+        module=state.rho.source,
         rho=state.rho,
         window=n_cap - 1,
         mono_degree=mono_degree,

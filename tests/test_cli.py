@@ -1,6 +1,7 @@
 """End-to-end command-line checks run through a subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -376,3 +377,50 @@ def test_verify_check_budget_is_one_error_line():
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "checks, over the budget of" in lines[0]
+
+
+# ---- output that cannot be written ------------------------------------------
+
+UNWRITABLE = [
+    ["circle", "--fixture", "cp2"],
+    ["circle", "--fixture", "cp2", "--format", "machine"],
+    ["verify", "--fixture", "cp2"],
+    ["minmodel", "--fixture", "cp2"],
+    ["export", "--fixture", "cp2"],
+    ["--help"],
+]
+
+
+def _assert_one_error_line(res):
+    assert res.returncode == ValidationError.exit_code
+    assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+def test_closed_stdout_is_one_error_line(argv, unbuffered):
+    # unbuffered, the write itself fails; buffered, the flush at exit would
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write fails
+    try:
+        res = subprocess.run(
+            CLI + argv, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, env=env
+        )
+    finally:
+        os.close(write_end)
+    _assert_one_error_line(res)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=" ".join)
+def test_full_device_is_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            CLI + argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120
+        )
+    _assert_one_error_line(res)

@@ -97,13 +97,12 @@ def test_mixed_scalars_agree_with_all_fractions_and_never_float(data):
         bounds = independent_subset([a.col(j) for j in range(a.cols)])
         units = [unit_vec(a.rows, i) for i in range(a.rows)]
         reps = independent_subset(bounds + units)[len(bounds):]
-        h = CohomologyData(0, len(reps), tuple(reps), tuple(bounds), a.rows)
+        h = CohomologyData(0, len(reps), tuple(reps), tuple(bounds))
         fh = CohomologyData(
             0,
             len(reps),
             tuple(tuple(map(Fraction, v)) for v in reps),
             tuple(tuple(map(Fraction, v)) for v in bounds),
-            a.rows,
         )
         vectors = [tuple(data.draw(scalars) for _ in range(a.rows)) for _ in range(2)]
         coords = h.coords(vectors)

@@ -202,12 +202,12 @@ def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
     monkeypatch.setattr(minmodel, "cohomology_count", recording)
     zero = zero_module(x.algebra, cap=CAP)
     phi = zero_map(zero, x, 0)
-    state = KSState(phi=phi, n_cap=CAP - 1, module=zero, rho=phi, n=0, q=0)
+    state = KSState(n_cap=CAP - 1, rho=phi, n=0, q=0)
     shared_blocks = carried = 0
     while not state.done:
         old_rho = state.rho
         for k in range(CAP):
-            state.module.differential_matrix(k)
+            state.rho.source.differential_matrix(k)
         new = ks_step(state)
         if len(new.batches) > len(state.batches):
             n = state.n
@@ -215,8 +215,9 @@ def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
             for k in range(n):
                 assert new.rho.mats.get(k) is old_rho.mats.get(k)
                 shared_blocks += k in old_rho.mats
+            old_module = state.rho.source
             for k in range(n - 1):
-                assert new.module.differential_matrix(k) is state.module.differential_matrix(k)
+                assert new.rho.source.differential_matrix(k) is old_module.differential_matrix(k)
         elif new.n == state.n + 1 and not new.done:
             # the stage that adjoined nothing counted with the matrix it carries
             assert new.rel_d is not None and new.rho is old_rho
@@ -227,7 +228,7 @@ def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
         state = new
     assert [b[0] for b in state.batches] == [0, 2, 3]
     assert shared_blocks and carried
-    assert state.module.gen_names == minimal_model(x, CAP - 1).module.gen_names
+    assert state.rho.source.gen_names == minimal_model(x, CAP - 1).module.gen_names
 
 
 def _two_batch_input():
