@@ -21,6 +21,7 @@ and a module built at cap N certifies cohomology only in degrees
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +88,7 @@ class FreeDgModule:
         "gen_diffs",
         "stages",
         "_index",
+        "_dims",
         "_basis_cache",
         "_basis_index_cache",
         "_diff_cache",
@@ -119,6 +121,9 @@ class FreeDgModule:
         self.gen_names = names
         self.gen_degrees = degrees
         self._index = {n: i for i, n in enumerate(names)}
+        self._dims = (0,) * (self.cap + 1)
+        for deg, count in Counter(degrees).items():
+            self._dims = _grow_dims(self._dims, algebra, deg, count)
         self.stages = tuple(stages) if stages is not None else (None,) * len(names)
         if len(self.stages) != len(names):
             raise ValidationError("stages must align with generators")
@@ -209,9 +214,11 @@ class FreeDgModule:
         """This module with degree-`degree` generators `names` appended, d(names[j]) = diffs[j].
 
         The basis is generator-major, so new elements come last in every degree:
-        caches below `degree` are shared, and a cached differential from degree - 1
-        up keeps its columns, padded with zero rows, as no old differential reaches
-        a new generator; for the same reason only the new generators' d^2 is checked.
+        caches below `degree` are shared, the dims and cached bases from `degree`
+        up gain the new generators' part at their end, and a cached differential
+        from degree - 1 up keeps its columns, padded with zero rows, as no old
+        differential reaches a new generator; for the same reason only the new
+        generators' d^2 is checked.
         """
         big = object.__new__(FreeDgModule)
         big.algebra, big.cap = self.algebra, self.cap
@@ -229,21 +236,43 @@ class FreeDgModule:
                 raise ValidationError(f"d({name}) is not of degree {degree + 1}")
             if not comb_is_zero(big.d_combination(comb)):
                 raise ValidationError(f"d(d({name})) is nonzero")
-        big._basis_cache = {k: b for k, b in self._basis_cache.items() if k < degree}
-        big._basis_index_cache = {k: b for k, b in self._basis_index_cache.items() if k < degree}
+        big._dims = _grow_dims(self._dims, self.algebra, degree, len(names))
+        new = range(self.gen_count, big.gen_count)
+        big._basis_cache, big._basis_index_cache = {}, {}
+        for k, basis in self._basis_cache.items():
+            if k >= degree:
+                if k >= len(big._dims):
+                    continue
+                basis += tuple([(gi, m) for gi in new for m in self.algebra.basis(k - degree)])
+            big._basis_cache[k] = basis
+        for k, index in self._basis_index_cache.items():
+            if k >= degree:
+                if k not in big._basis_cache:
+                    continue
+                index = dict(index)
+                for i, b in enumerate(big._basis_cache[k][len(index):], len(index)):
+                    index[b] = i
+            big._basis_index_cache[k] = index
         big._act_cache = {ik: a for ik, a in self._act_cache.items() if sum(ik) < degree}
         big._coh_cache = {k: h for k, h in self._coh_cache.items() if k + 1 < degree}
         big._diff_cache = {}
         for k, mat in self._diff_cache.items():
             if k + 1 >= degree:
-                pad = RatMatrix.zero(big.dim(k + 1) - mat.rows, mat.cols)
-                mat = mat.vstack(pad).hstack(big._d_columns(k, mat.cols))
+                rows = (*mat._nz, *({},) * (big.dim(k + 1) - mat.rows))
+                if big.dim(k) > mat.cols:
+                    rows = [
+                        {**row, **{mat.cols + c: x for c, x in extra.items()}} if extra else row
+                        for row, extra in zip(rows, big._d_columns(k, mat.cols)._nz)
+                    ]
+                mat = RatMatrix._make(len(rows), big.dim(k), rows)
             big._diff_cache[k] = mat
         return big
 
     # ---- materialized interface ----------------------------------------
 
     def dim(self, k: int) -> int:
+        if 0 <= k < len(self._dims):
+            return self._dims[k]
         return len(self.basis(k))
 
     def basis(self, k: int) -> tuple[tuple[int, Mono], ...]:
@@ -312,13 +341,30 @@ class FreeDgModule:
         return self._diff_cache[k]
 
     def _d_columns(self, k: int, start: int) -> RatMatrix:
-        """Columns start, start + 1, ... of the differential out of degree k."""
+        """Columns start, start + 1, ... of the differential out of degree k,
+        d(m.g) = d(m).g + (-1)^{|m|} m.dg, the Leibniz rule of d_combination
+        written straight into the rows."""
+        algebra = self.algebra
         index = self.basis_index(k + 1)
         rows: list[dict[int, Fraction]] = [{} for _ in index]
+
+        def add(row: dict[int, Fraction], c: int, x: Fraction) -> None:
+            if c not in row:
+                row[c] = x
+            elif y := row[c] + x:
+                row[c] = y
+            else:
+                del row[c]
+
         for c, (gi, m) in enumerate(self.basis(k)[start:]):
-            for j, poly in self.d_combination({gi: {m: 1}}).items():
+            for mono, x in algebra.d_mono(m).items():
+                add(rows[index[(gi, mono)]], c, x)
+            sign = -1 if algebra.mono_degree(m) % 2 else 1
+            for h, poly in self.gen_diffs[gi].items():
                 for mono, x in poly.items():
-                    rows[index[(j, mono)]][c] = x
+                    hit = algebra.mono_mul(m, mono)
+                    if hit is not None:
+                        add(rows[index[(h, hit[1])]], c, sign * (hit[0] * x))
         return RatMatrix._make(len(rows), self.dim(k) - start, rows)
 
     def action_matrix(self, i: int, k: int) -> RatMatrix:
@@ -345,6 +391,19 @@ class FreeDgModule:
                 len(rows), self.algebra.dim(i) * len(basis), rows
             )
         return self._act_cache[key]
+
+
+def _grow_dims(
+    dims: tuple[int, ...], algebra: SullivanPresentation, degree: int, count: int
+) -> tuple[int, ...]:
+    """dim M^k, k = 0, 1, ..., of a free module after count generators of this
+    degree join it; degrees whose basis the algebra's cap no longer reaches
+    are cut off, for basis() to reject."""
+    if not count:
+        return dims
+    reach = min(len(dims), degree + algebra.cap + 1)
+    grown = [x + count * algebra.dim(k - degree) for k, x in enumerate(dims[degree:reach], degree)]
+    return (*dims[:degree], *grown)
 
 
 @lru_cache(maxsize=1024)
@@ -403,7 +462,7 @@ class TabulatedDgModule:
     built on first read, as a LazyBlocks mapping.
     """
 
-    __slots__ = ("algebra", "cap", "labels", "d_mats", "act_mats")
+    __slots__ = ("algebra", "cap", "labels", "d_mats", "act_mats", "_dims")
 
     def __init__(
         self,
@@ -425,6 +484,7 @@ class TabulatedDgModule:
                 raise ValidationError(f"labels at degree {k} outside [0, {self.cap}]")
             if ls:
                 self.labels[k] = tuple(str(s) for s in ls)
+        self._dims = tuple([len(self.labels.get(k, ())) for k in range(self.cap + 1)])
         self.d_mats: dict[int, RatMatrix] = {}
         for k, mat in (d_mats or {}).items():
             if not 0 <= k <= self.cap - 1:
@@ -451,11 +511,11 @@ class TabulatedDgModule:
                 self.act_mats[(i, k)] = mat
 
     def dim(self, k: int) -> int:
+        if 0 <= k <= self.cap:
+            return self._dims[k]
         if k < 0:
             return 0
-        if k > self.cap:
-            raise DegreeWindowError(f"degree {k} exceeds module cap {self.cap}")
-        return len(self.labels.get(k, ()))
+        raise DegreeWindowError(f"degree {k} exceeds module cap {self.cap}")
 
     def basis_labels(self, k: int) -> tuple[str, ...]:
         if k < 0:
@@ -809,13 +869,21 @@ def apply_images(
 
     images maps a generator index to its image's nonzero coordinates; a
     generator without one maps to zero.  a.g goes to (-1)^{|a| degree}
-    a.image(g), read off the stored rows of the target's action matrix.
+    a.image(g), read off the stored rows of the target's action matrix; a
+    unit coefficient c maps it to c.image(g) directly.
     """
     algebra = source.algebra
+    unit = algebra.unit_mono()
     out: dict[int, Fraction] = {}
     for j, poly in comb.items():
         img = images.get(j)
         if not img:
+            continue
+        if len(poly) == 1 and unit in poly:
+            c = poly[unit]
+            for s, y in img.items():
+                x = c * y
+                out[s] = out[s] + x if s in out else x
             continue
         i, t = algebra.poly_degree(poly), source.gen_degrees[j] + degree
         index, dim_t = algebra.basis_index(i), target.dim(t)

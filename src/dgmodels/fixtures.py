@@ -16,6 +16,12 @@ from .dgmodule import FreeDgModule, algebra_module, map_from_generator_images
 from .errors import ValidationError
 
 
+def _require_window(name: str, max_degree: int, least: int) -> None:
+    """Reject a window too small to hold the fixture's structure maps."""
+    if max_degree < least:
+        raise ValidationError(f"fixture '{name}' needs max_degree >= {least}")
+
+
 def s4_hopf(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     """Rotation of the 4-sphere with two fixed points.
 
@@ -24,8 +30,10 @@ def s4_hopf(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     deg b_n = 2 floor((n+1)/2) + 1, d b_0 = d b_1 = 0 and
     d b_{n+2} = a b_n; the Euler map sends b_0 to a, the inclusion map
     sends b_1 to a.  Its cohomology is one class in degree 1 and one in
-    degree 3, matching the pair (S^3, two points).
+    degree 3, matching the pair (S^3, two points).  The inclusion map needs
+    b_1, of degree 3, inside the module cap max_degree + 1.
     """
+    _require_window("s4_hopf", max_degree, 2)
     cap = max_degree + 2
     alg = SullivanPresentation([("a", 3)], {}, cap=cap)
     gens: list[tuple[str, int]] = []
@@ -98,7 +106,9 @@ def almost_free_hopf(max_degree: int = DEFAULT_DEGREE) -> BasicData:
 
 
 def flow_s4(max_degree: int = DEFAULT_DEGREE) -> BasicData:
-    """The 4-sphere dataset read as an isometric flow (same basic data)."""
+    """The 4-sphere dataset read as an isometric flow (same basic data, so
+    the same least window, checked here under this fixture's name)."""
+    _require_window("flow_s4", max_degree, 2)
     return dataclasses.replace(
         s4_hopf(max_degree), variant="isometric_flow", name="flow_s4"
     )
@@ -133,8 +143,7 @@ def semifree_suspension(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     sends b_1 to a.  The total space computes to a rational 10-sphere and
     the fixed set to a rational 2-sphere inside the window.
     """
-    if max_degree < 6:
-        raise ValidationError("fixture 'semifree_suspension' needs max_degree >= 6")
+    _require_window("semifree_suspension", max_degree, 6)
     cap = max_degree + 4
     alg = SullivanPresentation([("a", 7)], {}, cap=cap)
     gens: list[tuple[str, int]] = []

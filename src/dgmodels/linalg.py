@@ -21,9 +21,9 @@ of B that A's row i reaches.  `data`, `row`, `col` and `to_lists` build
 dense views on request.
 
 Elimination is one sparse routine, `_eliminate`, over copies of the stored
-rows: columns are taken left to right, and the sparsest row reaching a
-column becomes its pivot row.  The reduced echelon form is unique, so that
-choice changes no result.  `rank`, `kernel_basis` and `independent_subset`
+rows: columns are taken left to right, each row is filed under its leading
+column, and the sparsest row reaching a column becomes its pivot row.  The
+reduced echelon form is unique, so that choice changes no result.  `rank`, `kernel_basis` and `independent_subset`
 read the pivots and the reduced rows (cached per matrix); `solve`
 eliminates the augmented matrix [A | b] and back-substitutes, and
 `CohomologyData.coords` eliminates [boundaries | representatives | Z] once
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -251,6 +252,15 @@ class RatMatrix:
             rows = stacked if rows is None else rows.vstack(stacked)
         return rows if rows is not None else cls.zero(0, 0)
 
+    def with_zero_rows(self, at: int, count: int) -> "RatMatrix":
+        """This matrix with count zero rows inserted before row at.  Zero rows
+        change no pivot and no reduced row, so a cached echelon form carries
+        over."""
+        nz = (*self._nz[:at], *({},) * count, *self._nz[at:])
+        m = RatMatrix._make(self.rows + count, self.cols, nz)
+        m._rref = self._rref
+        return m
+
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -340,43 +350,47 @@ def _eliminate(
     """Sparse forward elimination; consumes rows.
 
     Columns are taken left to right, so the pivot columns are the leftmost
-    ones (those where the column rank grows).  Among the rows that reach a
-    pivot column the sparsest becomes the pivot row, which only limits
-    fill-in: the pivot columns, and everything read off the reduced form,
-    do not depend on that choice.  Returns the pivot rows, each scaled to
-    a leading 1 in its pivot column (the only division here; an integral
-    quotient is stored as an int), in pivot order.
+    ones (those where the column rank grows).  Each active row is filed
+    under its leading column: every column to the left is already cleared,
+    so the rows filed at c are exactly the rows that reach c, and no other
+    row is visited there.  Among them the sparsest becomes the pivot row,
+    the first in input order on a tie, which only limits fill-in: the pivot
+    columns, and everything read off the reduced form, do not depend on
+    that choice.  Returns the pivot rows, each scaled to a leading 1 in its
+    pivot column (the only division here; an integral quotient is stored
+    as an int), in pivot order.
     """
-    active = [row for row in rows if row]
+    filed: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row and (c := min(row)) < ncols:
+            filed.setdefault(c, []).append(i)
+    heads = sorted(filed)
     pivot_rows: list[dict[int, Fraction]] = []
     pivots: list[int] = []
-    for c in range(ncols):
-        if not active:
-            break
-        hits = [row for row in active if c in row]
-        if not hits:
-            continue
-        chosen = min(hits, key=len)
-        lead = chosen[c]
+    while heads:
+        c = heappop(heads)
+        hits = filed.pop(c)
+        chosen = hits[0] if len(hits) == 1 else min(hits, key=lambda i: (len(rows[i]), i))
+        row = rows[chosen]
+        lead = row[c]
         if lead == 1:
-            pivot = chosen
+            pivot = row
         elif lead == -1:
-            pivot = {j: -x for j, x in chosen.items()}
+            pivot = {j: -x for j, x in row.items()}
         else:
-            pivot = {j: as_q(Fraction(x, lead)) for j, x in chosen.items()}
-        remaining = []
-        for row in active:
-            if row is chosen:
+            pivot = {j: as_q(Fraction(x, lead)) for j, x in row.items()}
+        for i in hits:
+            if i == chosen:
                 continue
-            f = row.get(c)
-            if f is not None:
-                _subtract(row, f, pivot)
-                if not row:
-                    continue
-            remaining.append(row)
+            row = _subtract(rows[i], rows[i][c], pivot)
+            if row and (nc := min(row)) < ncols:
+                if nc in filed:
+                    filed[nc].append(i)
+                else:
+                    filed[nc] = [i]
+                    heappush(heads, nc)
         pivot_rows.append(pivot)
         pivots.append(c)
-        active = remaining
     return pivot_rows, tuple(pivots)
 
 
@@ -581,11 +595,13 @@ def cohomology_count(dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int)
 
 
 def cohomology_at(
-    dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int
+    dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int, betti: int | None = None
 ) -> CohomologyData:
-    """Cohomology at degree n, checked and counted by `cohomology_count`;
+    """Cohomology at degree n, checked and counted by `cohomology_count`
+    unless the caller passes the count it already made from these matrices;
     representatives are built only when the count is positive."""
-    betti = cohomology_count(dims, d_mats, n)
+    if betti is None:
+        betti = cohomology_count(dims, d_mats, n)
     d_n, d_prev = d_mats.get(n), d_mats.get(n - 1)
     # the pivot columns of d_prev span the boundaries
     image = () if d_prev is None else tuple(d_prev.col(j) for j in d_prev._echelon()[1])

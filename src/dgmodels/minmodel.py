@@ -17,7 +17,7 @@ quasi-isomorphism between graded cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,7 +26,6 @@ from .dgmodule import (
     DgModuleMap,
     FreeDgModule,
     apply_images,
-    betti_table,
     compose,
     cone,
     generator_image,
@@ -49,10 +48,10 @@ from .errors import (
 from .linalg import (
     GradedDims,
     RatMatrix,
+    as_q,
     cohomology_at,
     cohomology_count,
     unit_vec,
-    vec,
 )
 
 Vector = tuple[Fraction, ...]
@@ -76,16 +75,17 @@ def _relative_d(rho: DgModuleMap, k: int) -> RatMatrix:
 
 
 def relative_cohomology(
-    rho: DgModuleMap, n: int, dims: dict[int, int], mats: dict[int, RatMatrix]
+    rho: DgModuleMap, n: int, dims: dict[int, int], mats: dict[int, RatMatrix], count: int
 ) -> tuple[tuple[Vector, Vector], ...]:
     """Obstruction space V(n) = H^{n+1} of the relative complex of rho, from
-    the dims of its degrees n..n+2 and its differentials D_n and D_{n+1}.
+    the dims of its degrees n..n+2, its differentials D_n and D_{n+1} and
+    the rank count `cohomology_count` made of them.
 
     Returns one section pair (t_v, x_v) per basis class, satisfying
     d t_v = 0 and rho t_v = d x_v; a stage-n generator v is adjoined with
     dv = t_v and rho(v) = x_v.
     """
-    data = cohomology_at(dims, mats, n + 1)
+    data = cohomology_at(dims, mats, n + 1, count)
     split = rho.source.dim(n + 1)
     return tuple((z[:split], z[split:]) for z in data.representatives)
 
@@ -95,8 +95,9 @@ class KSState:
     """One step of the extension tower: rho from the current module to the
     target, and the stage.
 
-    rel_d is the degree-n relative differential of rho when the stage
-    before adjoined nothing and so already built it.
+    rel holds the relative differentials D_0, D_1, ... of rho that earlier
+    steps built and that rho's batches since have not changed: at least
+    D_0 .. D_{n-1}, and D_n too when the stage before adjoined nothing.
     """
 
     n_cap: int
@@ -104,7 +105,7 @@ class KSState:
     n: int
     q: int
     batches: tuple[tuple[int, int, tuple[str, ...]], ...] = ()
-    rel_d: RatMatrix | None = field(default=None, repr=False, compare=False)
+    rel: tuple[RatMatrix, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def done(self) -> bool:
@@ -124,26 +125,27 @@ def ks_step(state: KSState) -> KSState:
     """Advance the tower one batch: adjoin V(n, q+1) or move to stage n+1.
 
     The rank count of H^{n+1} of the relative complex decides which; only a
-    positive count builds the section pairs, from the same two matrices.
-    The tower only appends.  A batch extends the module and rho: below
-    degree n both keep their matrices, and from n up rho gains the
-    columns of the new basis elements.  A stage that adjoins nothing hands
-    its degree-(n+1) relative differential on to the next stage.
+    positive count builds the section pairs, from the same two matrices and
+    the same count.  The tower only appends.  A batch extends the module and
+    rho: below degree n both keep their matrices, and from n up rho gains
+    the columns of the new basis elements.  So D_k for k < n - 1 stays,
+    D_{n-1} only gains the zero rows of the new generators, and D_n and
+    D_{n+1} are built again; a stage that adjoins nothing hands both on.
     """
     if state.done:
         return state
-    rho, n = state.rho, state.n
+    rho, n, rel = state.rho, state.n, state.rel
     dims = {k: rho.source.dim(k) + rho.target.dim(k - 1) for k in (n, n + 1, n + 2)}
-    d_n = _relative_d(rho, n) if state.rel_d is None else state.rel_d
+    d_n = rel[n] if len(rel) > n else _relative_d(rho, n)
     mats = {n: d_n, n + 1: _relative_d(rho, n + 1)}
     count = cohomology_count(dims, mats, n + 1)
     if not count:
-        return replace(state, n=n + 1, q=0, rel_d=mats[n + 1])
+        return KSState(state.n_cap, rho, n + 1, 0, state.batches, (*rel[:n], d_n, mats[n + 1]))
     if state.q >= MAX_BATCHES:
         raise InconclusiveWindowError(
             f"stage {n} still has {count} obstruction classes after {state.q} batches"
         )
-    reps = relative_cohomology(rho, n, dims, mats)
+    reps = relative_cohomology(rho, n, dims, mats, count)
     module, x_mod = rho.source, rho.target
     q = state.q + 1
     taken = set(module.gen_names)
@@ -154,16 +156,21 @@ def ks_step(state: KSState) -> KSState:
         module.gen_count + j: {s: x for s, x in enumerate(x_v) if x}
         for j, (_, x_v) in enumerate(reps)
     }
-    blocks = {k: rho.matrix(k) for k in rho.window()}
-    for k, mat in blocks.items():
-        if bigger.dim(k) > mat.cols:
+    blocks = dict(rho.mats)
+    for k in range(n, rho.window().stop):
+        if bigger.dim(k) > module.dim(k):
+            mat = rho.matrix(k)
             blocks[k] = mat.hstack(image_columns(bigger, x_mod, 0, images, k, mat.cols))
-    return replace(
-        state,
-        rho=DgModuleMap(bigger, x_mod, 0, blocks, name="rho"),
-        q=q,
-        batches=state.batches + ((n, q, tuple(names)),),
-        rel_d=None,
+    if n:
+        # the rows of D_{n-1} at N^n gain the new generators, after the old ones
+        rel = (*rel[: n - 1], rel[n - 1].with_zero_rows(module.dim(n), len(names)))
+    return KSState(
+        state.n_cap,
+        DgModuleMap(bigger, x_mod, 0, blocks, name="rho"),
+        n,
+        q,
+        state.batches + ((n, q, tuple(names)),),
+        rel,
     )
 
 
@@ -250,7 +257,7 @@ def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> Minimal
     while not state.done:
         state = ks_step(state)
 
-    betti_model, betti_target, mono_degree = certify_window(state.rho, n_cap)
+    betti_model, betti_target, mono_degree = certify_window(state.rho, n_cap, state.rel)
     return MinimalModelResult(
         module=state.rho.source,
         rho=state.rho,
@@ -263,7 +270,7 @@ def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> Minimal
 
 
 def certify_window(
-    rho: DgModuleMap, n_cap: int
+    rho: DgModuleMap, n_cap: int, rel: Sequence[RatMatrix] = ()
 ) -> tuple[GradedDims, GradedDims, int | None]:
     """Certify rho: N -> X in the window by rank counts of its relative complex.
 
@@ -279,13 +286,16 @@ def certify_window(
     boundaries.  When X reaches degree n_cap + 1, the chain condition out of
     n_cap makes that a monomorphism into H^{n_cap}(X), and n_cap is returned
     as the monomorphism degree (else None), after the Betti tables of N and
-    X below n_cap, which are rank counts and must agree.
+    X below n_cap, which are rank counts and must agree.  Their d^2 = 0 is
+    covered by the D_k D_{k-1} products.  rel may hold D_0, D_1, ... as the
+    tower built them from this rho, with their rank counts; the rest are
+    built here.
     """
     n_mod, x_mod = rho.source, rho.target
     dims = {j: n_mod.dim(j) + x_mod.dim(j - 1) for j in range(n_cap + 2)}
     d_prev = None
     for k in range(n_cap + 1):
-        d_k = _relative_d(rho, k)  # one degree at a time
+        d_k = rel[k] if k < len(rel) else _relative_d(rho, k)
         if count := cohomology_count(dims, {k - 1: d_prev, k: d_k}, k):
             raise ValidationError(f"window verification failed at degree {k}: rank count {count}")
         d_prev = d_k
@@ -295,10 +305,18 @@ def certify_window(
         != rho.matrix(n_cap + 1) * n_mod.differential_matrix(n_cap)
     ):
         raise ValidationError(f"window verification failed: rho is no chain map at degree {n_cap}")
-    betti_model, betti_target = betti_table(n_mod, n_cap - 1), betti_table(x_mod, n_cap - 1)
+    betti_model, betti_target = _rank_betti(n_mod, n_cap), _rank_betti(x_mod, n_cap)
     if betti_model != betti_target:
         raise ValidationError("window verification failed: the Betti tables differ")
     return betti_model, betti_target, mono_degree
+
+
+def _rank_betti(module: DgModule, n_cap: int) -> GradedDims:
+    """Betti numbers in degrees below n_cap, dim M^k - rank d_k - rank d_{k-1}.
+    No d o d product is formed: certify_window's D_k D_{k-1} = 0 for k <= n_cap
+    already checked d^2 = 0 on N and X through degree n_cap."""
+    ranks = [0, *(module.differential_matrix(k).rank() for k in range(n_cap))]
+    return GradedDims({k: module.dim(k) - ranks[k + 1] - ranks[k] for k in range(n_cap)}, n_cap - 1)
 
 
 def minimal_model(module: DgModule, n_cap: int | None = None) -> MinimalModelResult:
@@ -432,17 +450,22 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
         total += dn[k] * dx[k]
 
     # the unknown sigma_k[r, c] is column offsets[k] + r * dx[k] + c; rows are
-    # written from the stored row dicts of the blocks and their transposes
+    # written from the stored row dicts of the blocks and their transposes,
+    # and a row with no unknown and a zero right-hand side is left out
     rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
+    rhs: list[int] = []
 
     def commute(lo: int, hi: int, b_cols: Sequence[dict], c_rows: Sequence[dict]) -> None:
         """Rows of sigma_hi . B - C . sigma_lo = 0, from B's columns and C's rows."""
         for r in range(dn[hi]):
             base = offsets[hi] + r * dx[hi]
+            c_row = c_rows[r]
             for c in range(dx[lo]):
-                row = {base + t: x for t, x in b_cols[c].items()}
-                for s, y in c_rows[r].items():
+                b_col = b_cols[c]
+                if not (b_col or c_row):
+                    continue
+                row = {base + t: x for t, x in b_col.items()}
+                for s, y in c_row.items():
                     row[offsets[lo] + s * dx[lo] + c] = -y
                 rows.append(row)
                 rhs.append(0)
@@ -453,8 +476,9 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
         for r in range(dn[k]):
             base = offsets[k] + r * dx[k]
             for j in range(dn[k]):
-                rows.append({base + t: x for t, x in rho_cols[j].items()})
-                rhs.append(1 if r == j else 0)
+                if rho_cols[j] or r == j:
+                    rows.append({base + t: x for t, x in rho_cols[j].items()})
+                    rhs.append(1 if r == j else 0)
     for k in range(top):
         # sigma_{k+1} . d = d . sigma_k
         d_x, d_n = x_mod.differential_matrix(k), n_mod.differential_matrix(k)
@@ -475,8 +499,7 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
             ]
             commute(k, k + gdeg, x_cols[m_idx * dx[k] : (m_idx + 1) * dx[k]], n_rows)
 
-    system = RatMatrix._make(len(rows), total, rows)
-    sol = system.solve(vec(rhs))
+    sol = RatMatrix._make(len(rows), total, rows).solve(rhs)
     if sol is None:
         raise PreconditionError(
             "no retraction onto the minimal module: the target does not split "
@@ -485,13 +508,14 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
     mats = {}
     for k in range(top + 1):
         if dn[k] and dx[k]:
-            data = [
-                sol[offsets[k] + r * dx[k] : offsets[k] + (r + 1) * dx[k]] for r in range(dn[k])
-            ]
-            mats[k] = RatMatrix(dn[k], dx[k], data)
+            at = [offsets[k] + r * dx[k] for r in range(dn[k] + 1)]
+            block = [{c: as_q(x) for c, x in enumerate(sol[a:b]) if x} for a, b in zip(at, at[1:])]
+            mats[k] = RatMatrix._make(dn[k], dx[k], block)
     sigma = DgModuleMap(x_mod, n_mod, 0, mats, name="sigma")
-    if not maps_equal(compose(sigma, rho), identity_map(n_mod)):
-        raise ValidationError("constructed retraction fails sigma . rho = id")
+    # sigma . rho = id, degree by degree over the window both maps share
+    for k in range(top + 1):
+        if sigma.matrix(k) * rho.matrix(k) != RatMatrix.identity(dn[k]):
+            raise ValidationError("constructed retraction fails sigma . rho = id")
     return sigma
 
 

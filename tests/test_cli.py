@@ -330,6 +330,14 @@ def test_oversized_window_is_one_error_line(command, fixture):
     assert lines[0].startswith("error: ") and "over the budget of" in lines[0]
 
 
+@pytest.mark.parametrize("fixture, window", [("s4_hopf", "1"), ("flow_s4", "0")])
+def test_too_small_fixture_window_is_one_error_line(fixture, window):
+    res = run("verify", "--fixture", fixture, "--max-degree", window)
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"error: fixture '{fixture}' needs max_degree >= 2"]
+
+
 def test_borel_budget_is_checked_before_the_first_stage():
     # cp2's own algebra and modules fit the budget at this window, but the
     # Borel algebra A (x) Lambda(e) does not; the bound used to be the time

@@ -103,8 +103,23 @@ nonzero = st.one_of(
 
 @st.composite
 def matrices(draw):
-    """Small dense, tall sparse (under 10 % nonzero) and low-rank products."""
-    kind = draw(st.sampled_from(("dense", "tall_sparse", "low_rank")))
+    """Small dense, tall sparse (under 10 % nonzero) and low-rank products,
+    and rows sharing a leading column, some of them repeated: the eliminator
+    picks the pivot row among those, the sparsest and then the first."""
+    kind = draw(st.sampled_from(("dense", "tall_sparse", "low_rank", "shared_lead")))
+    if kind == "shared_lead":
+        rows, cols = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+        lead = draw(st.integers(0, cols - 1))
+        data = []
+        for _ in range(rows):
+            if data and draw(st.booleans()):
+                data.append(list(draw(st.sampled_from(data))))
+                continue
+            row = [Q(0)] * cols
+            for j in draw(st.sets(st.integers(lead, cols - 1), max_size=3)) | {lead}:
+                row[j] = draw(nonzero)
+            data.append(row)
+        return RatMatrix(rows, cols, data)
     if kind == "low_rank":
         rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
         inner = draw(st.integers(0, min(rows, cols) - 1))

@@ -1,5 +1,7 @@
 """Shipped fixtures: catalog, structure, and validity at the default window."""
 
+import re
+
 import pytest
 
 from dgmodels.errors import ValidationError
@@ -29,6 +31,25 @@ def test_every_fixture_validates(name):
     data = fixture(name, 12)
     rep = data.validate()
     assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_small_windows_build_or_name_the_fixture(name):
+    # below its least window a fixture raises one message that names it; from
+    # there on every window builds and validates
+    least = None
+    for window in range(7):
+        try:
+            data = fixture(name, window)
+        except ValidationError as exc:
+            assert least is None
+            match = re.fullmatch(rf"fixture '{name}' needs max_degree >= (\d+)", str(exc))
+            assert match and window < int(match.group(1))
+            continue
+        least = window if least is None else least
+        rep = data.validate()
+        assert rep.ok, rep.failures
+    assert least is not None
 
 
 def test_s4_hopf_presentation():

@@ -182,6 +182,86 @@ def test_tower_preserves_cohomology_and_retraction_matches_reference(module):
     assert maps_equal(sigma, kron_retraction(result.rho))
 
 
+# The bases where A^1 != 0 or d_A != 0: a module's differential then needs
+# cocycle coefficients, and the tower's carried caches meet odd products and
+# the algebra's own differential
+COCYCLE_ALGEBRAS = {
+    "u2v3": SullivanPresentation([("u", 2), ("v", 3)], {"v": {(2, 0): 1}}, cap=CAP + 6),
+    "a3u2v3": SullivanPresentation(
+        [("a", 3), ("u", 2), ("v", 3)], {"v": {(0, 2, 0): 1}}, cap=CAP + 6
+    ),
+    "x1y1": SullivanPresentation([("x", 1), ("y", 1)], {}, cap=CAP + 6),
+}
+
+
+@st.composite
+def cocycle_modules(draw) -> FreeDgModule:
+    """C7-style tables whose coefficients are cocycles of A, drawn from the
+    kernel of d_A, so that d^2 = 0 over a base with a differential too."""
+    alg = COCYCLE_ALGEBRAS[draw(st.sampled_from(sorted(COCYCLE_ALGEBRAS)))]
+    closed = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    opened = draw(st.lists(st.integers(1, 5), max_size=3))
+    gens = [(f"z{i}", d) for i, d in enumerate(closed)]
+    gens += [(f"w{i}", d) for i, d in enumerate(opened)]
+    diffs = {}
+    for i, deg in enumerate(opened):
+        row = {}
+        for j, zdeg in enumerate(closed):
+            cdeg = deg + 1 - zdeg
+            if cdeg < 0 or not draw(st.booleans()):
+                continue
+            cocycles = alg.differential_matrix(cdeg).kernel_basis()
+            if cocycles:
+                v = draw(st.sampled_from(cocycles))
+                c = draw(st.sampled_from(COEFFS))
+                row[f"z{j}"] = {m: c * x for m, x in zip(alg.basis(cdeg), v) if x}
+        if row:
+            diffs[f"w{i}"] = row
+    return FreeDgModule(alg, gens, diffs, cap=CAP - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cocycle_modules())
+def test_tower_and_retraction_over_bases_with_odd_generators_or_a_differential(module):
+    x = tabulate(module)
+    n_cap = x.cap - 1
+    rho = zero_map(zero_module(x.algebra, cap=x.cap), x, 0)
+    state = KSState(n_cap=n_cap, rho=rho, n=0, q=0)
+    while not state.done:
+        state = ks_step(state)
+    # the relative differentials the tower carried are the fresh builds
+    assert len(state.rel) == n_cap + 1
+    for k, d_k in enumerate(state.rel):
+        assert d_k == minmodel._relative_d(state.rho, k)
+    result = minimal_model(x)
+    model = result.module
+    assert model.gen_names == state.rho.source.gen_names
+    assert verify_minimal(model).ok
+    for n in range(result.window + 1):
+        assert module_cohomology(model, n).betti == module_cohomology(x, n).betti
+    # the bases and differentials that extend carried match a module built
+    # from the same table
+    fresh = FreeDgModule(
+        model.algebra,
+        list(zip(model.gen_names, model.gen_degrees)),
+        {
+            name: {model.gen_names[j]: p for j, p in model.gen_diffs[i].items()}
+            for i, name in enumerate(model.gen_names)
+        },
+        cap=model.cap,
+    )
+    for k in range(model.cap + 1):
+        assert model.dim(k) == fresh.dim(k) == len(model.basis(k))
+        assert model.basis(k) == fresh.basis(k)
+        assert model.basis_index(k) == fresh.basis_index(k)
+    for k in range(model.cap):
+        assert model.differential_matrix(k) == fresh.differential_matrix(k)
+    sigma = lift_section(result.rho)
+    assert maps_equal(compose(sigma, result.rho), identity_map(model))
+    assert sigma.verify().ok
+    assert maps_equal(sigma, kron_retraction(result.rho))
+
+
 def _e2_tower_input():
     # over Lambda(e_2): z0 in degree 0 and z1 in degree 2 give batches at
     # stages 0 and 2, and w, with dw = e z1, one at stage 3; the stages in
@@ -203,15 +283,26 @@ def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
     zero = zero_module(x.algebra, cap=CAP)
     phi = zero_map(zero, x, 0)
     state = KSState(n_cap=CAP - 1, rho=phi, n=0, q=0)
-    shared_blocks = carried = 0
+    shared_blocks = carried = grown = 0
     while not state.done:
         old_rho = state.rho
         for k in range(CAP):
             state.rho.source.differential_matrix(k)
         new = ks_step(state)
+        # every relative differential the tower carries is the fresh build
+        assert len(new.rel) >= new.n
+        for k, d_k in enumerate(new.rel):
+            assert d_k == minmodel._relative_d(new.rho, k)
         if len(new.batches) > len(state.batches):
             n = state.n
-            assert new.rel_d is None
+            assert len(new.rel) == n
+            for k in range(n - 1):
+                assert new.rel[k] is state.rel[k]
+            if n:
+                # D_{n-1} only gained zero rows, and kept its echelon form
+                assert new.rel[n - 1].rows > state.rel[n - 1].rows
+                assert new.rel[n - 1]._rref is state.rel[n - 1]._rref is not None
+                grown += 1
             for k in range(n):
                 assert new.rho.mats.get(k) is old_rho.mats.get(k)
                 shared_blocks += k in old_rho.mats
@@ -219,15 +310,16 @@ def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
             for k in range(n - 1):
                 assert new.rho.source.differential_matrix(k) is old_module.differential_matrix(k)
         elif new.n == state.n + 1 and not new.done:
-            # the stage that adjoined nothing counted with the matrix it carries
-            assert new.rel_d is not None and new.rho is old_rho
-            assert used[-1][new.n] is new.rel_d
+            # the stage that adjoined nothing counted with the matrices it carries
+            assert new.rho is old_rho
+            assert used[-1][new.n] is new.rel[new.n]
             ks_step(new)
-            assert used[-1][new.n] is new.rel_d
+            assert used[-1][new.n] is new.rel[new.n]
             carried += 1
         state = new
     assert [b[0] for b in state.batches] == [0, 2, 3]
-    assert shared_blocks and carried
+    assert shared_blocks and carried and grown
+    assert len(state.rel) == CAP
     assert state.rho.source.gen_names == minimal_model(x, CAP - 1).module.gen_names
 
 
@@ -248,11 +340,12 @@ def test_relative_cohomology_runs_once_per_batch(monkeypatch, make, stages):
         counted.append(mats)
         return count(dims, mats, n)
 
-    def building(rho, n, dims, mats):
-        # the representatives come from the very matrices just counted
-        assert mats is counted[-1] and count(dims, mats, n + 1)
+    def building(rho, n, dims, mats, betti):
+        # the representatives come from the very matrices just counted, and
+        # from their count
+        assert mats is counted[-1] and betti == count(dims, mats, n + 1) > 0
         built.append(n)
-        return cohomology(rho, n, dims, mats)
+        return cohomology(rho, n, dims, mats, betti)
 
     monkeypatch.setattr(minmodel, "cohomology_count", counting)
     monkeypatch.setattr(minmodel, "relative_cohomology", building)

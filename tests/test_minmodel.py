@@ -180,7 +180,7 @@ def test_relative_cohomology_of_zero_map(sphere, s4_cone_model):
     mats = {k: minmodel._relative_d(rho, k) for k in (4, 5)}
     betti = cohomology_count(dims, mats, 5)
     assert betti == module_cohomology(x, 4).betti
-    assert len(relative_cohomology(rho, 4, dims, mats)) == betti
+    assert len(relative_cohomology(rho, 4, dims, mats, betti)) == betti
 
 
 # Over Lambda(t), |t| = 1, the free module on z and w in degree 0 with dw = t.z,
