@@ -27,8 +27,8 @@ reduced echelon form is unique, so that choice changes no result.  `rank`, `kern
 read the pivots and the reduced rows (cached per matrix); `solve`
 eliminates the augmented matrix [A | b] and back-substitutes, and
 `CohomologyData.coords` eliminates [boundaries | representatives | Z] once
-for a whole batch Z of cocycles.  Only `rref()` builds the transform T, by
-eliminating [A | I].
+for a whole batch Z of cocycles.  `rref()` builds the transform T, and
+`inverse()` the inverse of a square matrix, by eliminating [A | I].
 """
 
 from __future__ import annotations
@@ -300,6 +300,22 @@ class RatMatrix:
                 else:
                     trans[r][j - m] = x
         return RatMatrix._make(n, m, reduced), pivots, RatMatrix._make(n, n, trans)
+
+    def inverse(self) -> "RatMatrix | None":
+        """The inverse, read off one elimination of [self | I], or None when
+        the matrix is not square or is singular.  Integral entries are ints."""
+        n = self.rows
+        if self.cols != n:
+            return None
+        aug = self._sparse_rows()
+        for i, row in enumerate(aug):
+            row[n + i] = 1
+        rows, pivots = _eliminate(aug, n)
+        if len(pivots) < n:
+            return None
+        rows = _back_reduce(rows, pivots)
+        inv = [{j - n: as_q(x) for j, x in row.items() if j >= n} for row in rows]
+        return RatMatrix._make(n, n, inv)
 
     def rank(self) -> int:
         return len(self._echelon()[1])

@@ -30,7 +30,6 @@ from .dgmodule import (
     cone,
     generator_image,
     identity_map,
-    image_columns,
     induced_map,
     is_homotopy,
     is_quis,
@@ -58,6 +57,11 @@ Vector = tuple[Fraction, ...]
 
 # Most batches one stage may adjoin before the tower gives up on the window.
 MAX_BATCHES = 64
+
+NO_RETRACTION = (
+    "no retraction onto the minimal module: the target does not split "
+    "off the image as an A-module summand"
+)
 
 
 def _relative_d(rho: DgModuleMap, k: int) -> RatMatrix:
@@ -128,9 +132,10 @@ def ks_step(state: KSState) -> KSState:
     positive count builds the section pairs, from the same two matrices and
     the same count.  The tower only appends.  A batch extends the module and
     rho: below degree n both keep their matrices, and from n up rho gains
-    the columns of the new basis elements.  So D_k for k < n - 1 stays,
-    D_{n-1} only gains the zero rows of the new generators, and D_n and
-    D_{n+1} are built again; a stage that adjoins nothing hands both on.
+    the new basis elements' columns, one product a degree.  So D_k for
+    k < n - 1 stays, D_{n-1} only gains the zero rows of the new generators,
+    and D_n and D_{n+1} are built again; a stage that adjoins nothing hands
+    both on.
     """
     if state.done:
         return state
@@ -152,15 +157,16 @@ def ks_step(state: KSState) -> KSState:
     names = [_fresh_name(taken, f"v{n}_{q}_{k}") for k in range(len(reps))]
     combs = [module.vector_combination(t_v, n + 1) for t_v, _ in reps]
     bigger = module.extend(names, n, combs, (n, q))
-    images = {
-        module.gen_count + j: {s: x for s, x in enumerate(x_v) if x}
-        for j, (_, x_v) in enumerate(reps)
-    }
+    # rho(a.v) = a.x_v, with no sign as rho has degree 0: at degree n + i the new
+    # columns (v, a), generator-major, are the action A^i (x) X^n -> X^{n+i},
+    # A-major, times P with P[(a, s), (v, a)] = x_v[s]; at i = 0, P is [x_v]
+    x_rows = [{v: x_v[s] for v, (_, x_v) in enumerate(reps) if x_v[s]} for s in range(x_mod.dim(n))]
     blocks = dict(rho.mats)
     for k in range(n, rho.window().stop):
-        if bigger.dim(k) > module.dim(k):
-            mat = rho.matrix(k)
-            blocks[k] = mat.hstack(image_columns(bigger, x_mod, 0, images, k, mat.cols))
+        if dim_a := module.algebra.dim(k - n):
+            p = [{v * dim_a + a: x for v, x in row.items()} for a in range(dim_a) for row in x_rows]
+            new = RatMatrix._make(len(p), len(names) * dim_a, p)
+            blocks[k] = rho.matrix(k).hstack(new if k == n else x_mod.action_matrix(k - n, n) * new)
     if n:
         # the rows of D_{n-1} at N^n gain the new generators, after the old ones
         rel = (*rel[: n - 1], rel[n - 1].with_zero_rows(module.dim(n), len(names)))
@@ -438,85 +444,102 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
     algebra generator, and to restrict to the identity along rho.  A
     solution exists whenever X splits off rho(N) as an A-module summand,
     in particular when X is free.
+
+    Where rho_k is invertible, sigma_k rho_k = id forces sigma_k = rho_k^-1,
+    which goes to the right-hand side; a row left without unknowns must read
+    0 = 0.  The result is the whole system's solution: those rows are
+    invertible on sigma_k's columns and zero elsewhere, so these columns are
+    pivots, and every other column keeps its pivot or free status and value.
     """
     n_mod, x_mod = rho.source, rho.target
     algebra = n_mod.algebra
     top = min(n_mod.cap, x_mod.cap)
     dn = [n_mod.dim(k) for k in range(top + 1)]
     dx = [x_mod.dim(k) for k in range(top + 1)]
-    offsets, total = [], 0
+    known = {k: inv for k in range(top + 1) if (inv := rho.matrix(k).inverse()) is not None}
+    offsets, total = {}, 0
     for k in range(top + 1):
-        offsets.append(total)
-        total += dn[k] * dx[k]
+        if k not in known:
+            offsets[k] = total
+            total += dn[k] * dx[k]
 
     # the unknown sigma_k[r, c] is column offsets[k] + r * dx[k] + c; rows are
-    # written from the stored row dicts of the blocks and their transposes,
-    # and a row with no unknown and a zero right-hand side is left out
+    # written from the stored row dicts of the blocks and their transposes
     rows: list[dict[int, Fraction]] = []
-    rhs: list[int] = []
+    rhs: list[Fraction] = []
 
-    def commute(lo: int, hi: int, b_cols: Sequence[dict], c_rows: Sequence[dict]) -> None:
+    def equation(row: dict[int, Fraction], b: Fraction) -> None:
+        """One row; without unknowns it is checked, not kept."""
+        if row:
+            rows.append(row)
+            rhs.append(b)
+        elif b:
+            raise PreconditionError(NO_RETRACTION)
+
+    def commute(lo: int, hi: int, b: RatMatrix, c: RatMatrix) -> None:
         """Rows of sigma_hi . B - C . sigma_lo = 0, from B's columns and C's rows."""
+        s_hi, s_lo = known.get(hi), known.get(lo)
+        if s_hi is not None and s_lo is not None:
+            if s_hi * b != c * s_lo:
+                raise PreconditionError(NO_RETRACTION)
+            return
+        # the known side's entries are the right-hand side
+        fixed = c * s_lo if s_lo is not None else -(s_hi * b) if s_hi is not None else None
+        b_cols, c_rows = b.transpose()._nz, c._nz
         for r in range(dn[hi]):
-            base = offsets[hi] + r * dx[hi]
-            c_row = c_rows[r]
-            for c in range(dx[lo]):
-                b_col = b_cols[c]
-                if not (b_col or c_row):
-                    continue
-                row = {base + t: x for t, x in b_col.items()}
-                for s, y in c_row.items():
-                    row[offsets[lo] + s * dx[lo] + c] = -y
-                rows.append(row)
-                rhs.append(0)
+            known_row = fixed._nz[r] if fixed is not None else {}
+            for col in range(dx[lo]):
+                row = {}
+                if s_hi is None:
+                    row = {offsets[hi] + r * dx[hi] + t: x for t, x in b_cols[col].items()}
+                if s_lo is None:
+                    for s, y in c_rows[r].items():
+                        row[offsets[lo] + s * dx[lo] + col] = -y
+                equation(row, known_row.get(col, 0))
 
-    for k in range(top + 1):
+    for k in offsets:
         # sigma_k . rho_k = id on N^k
         rho_cols = rho.matrix(k).transpose()._nz
         for r in range(dn[k]):
             base = offsets[k] + r * dx[k]
             for j in range(dn[k]):
-                if rho_cols[j] or r == j:
-                    rows.append({base + t: x for t, x in rho_cols[j].items()})
-                    rhs.append(1 if r == j else 0)
+                equation({base + t: x for t, x in rho_cols[j].items()}, 1 if r == j else 0)
     for k in range(top):
         # sigma_{k+1} . d = d . sigma_k
-        d_x, d_n = x_mod.differential_matrix(k), n_mod.differential_matrix(k)
-        commute(k, k + 1, d_x.transpose()._nz, d_n._nz)
+        commute(k, k + 1, x_mod.differential_matrix(k), n_mod.differential_matrix(k))
     for gi, gdeg in enumerate(algebra.degrees):
         for k in range(top - gdeg + 1):
             if not (dn[k + gdeg] and dx[k]):
                 continue
             mono = tuple(1 if j == gi else 0 for j in range(len(algebra.names)))
             m_idx = algebra.basis_index(gdeg)[mono]
-            # sigma_{k+g} . (g . -) = (g . -) . sigma_k, read off the action
-            # matrices' columns m_idx * dim + s, s < dim of degree k
-            x_cols = x_mod.action_matrix(gdeg, k).transpose()._nz
-            lo = m_idx * dn[k]
-            n_rows = [
-                {j - lo: y for j, y in row.items() if lo <= j < lo + dn[k]}
-                for row in n_mod.action_matrix(gdeg, k)._nz
-            ]
-            commute(k, k + gdeg, x_cols[m_idx * dx[k] : (m_idx + 1) * dx[k]], n_rows)
+            # sigma_{k+g} . (g . -) = (g . -) . sigma_k, on g's columns of the actions
+            x_act = _monomial_columns(x_mod.action_matrix(gdeg, k), m_idx, dx[k])
+            n_act = _monomial_columns(n_mod.action_matrix(gdeg, k), m_idx, dn[k])
+            commute(k, k + gdeg, x_act, n_act)
 
-    sol = RatMatrix._make(len(rows), total, rows).solve(rhs)
+    sol = RatMatrix._make(len(rows), total, rows).solve(rhs) if total else ()
     if sol is None:
-        raise PreconditionError(
-            "no retraction onto the minimal module: the target does not split "
-            "off the image as an A-module summand"
-        )
-    mats = {}
-    for k in range(top + 1):
-        if dn[k] and dx[k]:
-            at = [offsets[k] + r * dx[k] for r in range(dn[k] + 1)]
-            block = [{c: as_q(x) for c, x in enumerate(sol[a:b]) if x} for a, b in zip(at, at[1:])]
-            mats[k] = RatMatrix._make(dn[k], dx[k], block)
+        raise PreconditionError(NO_RETRACTION)
+    mats = dict(known)
+    for k in offsets:
+        at = [offsets[k] + r * dx[k] for r in range(dn[k] + 1)]
+        block = [{c: as_q(x) for c, x in enumerate(sol[a:b]) if x} for a, b in zip(at, at[1:])]
+        mats[k] = RatMatrix._make(dn[k], dx[k], block)
     sigma = DgModuleMap(x_mod, n_mod, 0, mats, name="sigma")
     # sigma . rho = id, degree by degree over the window both maps share
     for k in range(top + 1):
         if sigma.matrix(k) * rho.matrix(k) != RatMatrix.identity(dn[k]):
             raise ValidationError("constructed retraction fails sigma . rho = id")
     return sigma
+
+
+def _monomial_columns(act: RatMatrix, m_idx: int, dim: int) -> RatMatrix:
+    """The columns m_idx * dim + s, s < dim, of an action matrix: the
+    multiplication by the algebra's basis element m_idx."""
+    lo = m_idx * dim
+    rows = [{j - lo: x for j, x in row.items() if lo <= j < lo + dim} for row in act._nz]
+    return RatMatrix._make(act.rows, dim, rows)
 
 
 def lift_section(rho: DgModuleMap) -> DgModuleMap:

@@ -11,7 +11,7 @@ entry divided by an int would give a float.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgmodels.linalg import Q, RatMatrix, independent_subset
@@ -187,3 +187,37 @@ def test_solve_matches_dense_reference(m, data):
 def test_independent_subset_matches_dense_reference(m):
     for vectors in ([m.col(j) for j in range(m.cols)], list(m.data)):
         assert independent_subset(vectors) == dense_independent_subset(vectors)
+
+
+@st.composite
+def invertible_matrices(draw):
+    """P L U with L unit lower and U upper triangular, U's diagonal drawn
+    from ±1 (an integral inverse) or from all nonzero scalars, P a row
+    permutation."""
+    n = draw(st.integers(0, 6))
+    diagonal = st.sampled_from((1, -1)) if draw(st.booleans()) else nonzero
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[draw(diagonal) if i == j else draw(entry) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    product = RatMatrix(n, n, lower) * RatMatrix(n, n, upper)
+    return RatMatrix(n, n, [product.row(i) for i in order])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(matrices(), invertible_matrices()))
+@example(RatMatrix(2, 2, [[2, 1], [1, 1]]))
+@example(RatMatrix(2, 2, [[1, 2], [2, 4]]))
+@example(RatMatrix(2, 3, [[1, 0, 0], [0, 1, 0]]))
+def test_inverse_matches_dense_reference(m):
+    inv = m.inverse()
+    _, pivots, trans = dense_rref(m)
+    if m.rows != m.cols or len(pivots) < m.rows:
+        assert inv is None
+        return
+    # the reduced form of an invertible matrix is I, so its transform T is the inverse
+    assert inv == trans
+    assert inv * m == m * inv == RatMatrix.identity(m.rows)
+    assert stores_exact_scalars(inv)
+    assert all(x.__class__ is int for row in inv._nz for x in row.values() if x.denominator == 1)

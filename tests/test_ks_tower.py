@@ -8,6 +8,8 @@ of the window is tested against the per-degree cohomology loop it replaced.
 The machine output of `dgmodels minmodel` is pinned in test_output_pins.py.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -260,6 +262,78 @@ def test_tower_and_retraction_over_bases_with_odd_generators_or_a_differential(m
     assert maps_equal(compose(sigma, result.rho), identity_map(model))
     assert sigma.verify().ok
     assert maps_equal(sigma, kron_retraction(result.rho))
+
+
+def _regime_module(alg: SullivanPresentation, seed: int, pair: int | None) -> FreeDgModule:
+    """A seeded minimal module: two closed generators of one degree, so that a
+    batch adjoins two at once, a third closed one in degree 3 and up to two
+    open ones whose differentials have cocycle coefficients of positive
+    degree; pair, when given, adds the contractible pair p -> q of degrees
+    pair, pair + 1."""
+    rng = random.Random(seed)
+    closed = [rng.randint(0, 2)] * 2 + [3]
+    opened = [rng.randint(2, 4) for _ in range(rng.randint(0, 2))]
+    gens = [(f"z{i}", d) for i, d in enumerate(closed)]
+    gens += [(f"w{i}", d) for i, d in enumerate(opened)]
+    diffs = {}
+    for i, deg in enumerate(opened):
+        row = {}
+        for j, zdeg in enumerate(closed):
+            cdeg = deg + 1 - zdeg
+            if cdeg >= 2 and (cocycles := alg.differential_matrix(cdeg).kernel_basis()):
+                v = rng.choice(cocycles)
+                c = rng.choice(COEFFS)
+                row[f"z{j}"] = {m: c * x for m, x in zip(alg.basis(cdeg), v) if x}
+        if row:
+            diffs[f"w{i}"] = row
+    if pair is not None:
+        gens += [("p", pair), ("q", pair + 1)]
+        diffs["p"] = {"q": "1"}
+    return FreeDgModule(alg, gens, diffs, cap=6)
+
+
+def _regime(rho: DgModuleMap) -> str:
+    """Whether rho_k is invertible in every degree of the retraction's window
+    where N^k or X^k is not 0, in some, or in none."""
+    top = min(rho.source.cap, rho.target.cap)
+    invertible = [
+        rho.matrix(k).inverse() is not None
+        for k in range(top + 1)
+        if rho.source.dim(k) or rho.target.dim(k)
+    ]
+    return "every" if all(invertible) else "some" if any(invertible) else "none"
+
+
+# Over the infinite bases a pair in degree 0 leaves no degree of X without
+# it, and one in degree 3 leaves the degrees below: sigma is known below the
+# unknown degrees.  Over Lambda(a_3) a pair in degree 0 reaches degrees 0, 1,
+# 3 and 4 only, and the closed generator in degree 3 reaches 6: sigma_6 is
+# known, and sigma_3 is not.
+@pytest.mark.parametrize(
+    "base, pair, regime",
+    [
+        ("e2f2", None, "every"),
+        ("e2f2", 3, "some"),
+        ("e2f2", 0, "none"),
+        ("a3u2v3", None, "every"),
+        ("a3u2v3", 3, "some"),
+        ("a3u2v3", 0, "none"),
+        ("a3", 0, "some"),
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_retraction_and_rho_in_each_regime_of_invertible_degrees(base, pair, regime, seed):
+    alg = ALGEBRAS.get(base) or COCYCLE_ALGEBRAS[base]
+    x = tabulate(_regime_module(alg, seed, pair))
+    result = minimal_model(x)
+    rho = result.rho
+    assert _regime(rho) == regime
+    assert maps_equal(lift_section(rho), kron_retraction(rho))
+    # the batches' product-built columns of rho are the A-linear map of its
+    # generator images, evaluated one column at a time
+    module = rho.source
+    images = {name: generator_image(rho, i) for i, name in enumerate(module.gen_names)}
+    assert maps_equal(rho, map_from_generator_images(module, x, 0, images))
 
 
 def _e2_tower_input():

@@ -7,6 +7,7 @@ import pytest
 from dgmodels import cli, minmodel
 from dgmodels.cdga import SullivanPresentation
 from dgmodels.dgmodule import (
+    DgModuleMap,
     FreeDgModule,
     algebra_module,
     compose,
@@ -24,7 +25,7 @@ from dgmodels.dgmodule import (
     zero_module,
 )
 from dgmodels.errors import InconclusiveWindowError, PreconditionError, ValidationError
-from dgmodels.linalg import Q, cohomology_count
+from dgmodels.linalg import Q, RatMatrix, cohomology_count
 from dgmodels.minmodel import (
     cone_quis,
     fiber_cohomology,
@@ -150,6 +151,50 @@ def test_lift_section_retraction_onto_minimal_source(s4_cone_model):
     assert sigma.source is x and sigma.target is result.module
     assert maps_equal(compose(sigma, result.rho), identity_map(result.module))
     assert sigma.verify().ok
+
+
+# The retraction's "no retraction" error, reached two ways.  Over Lambda(e_2),
+# X = N tabulated, and rho is the identity but for 2 * id at degree 4: every
+# rho_k is invertible, so sigma is forced everywhere, and the chain rows out
+# of degree 3 (dw = e z1) and the A-linearity rows from degree 2 do not hold.
+# Then N = <z> in degree 2 maps to X = <y, y2> of degrees 0 and 2 by
+# rho(z) = e y: rho(N) = e X^0 is no summand, sigma_2 is unknown, and
+# sigma_2 rho_2 = id contradicts sigma_2 (e y) = e sigma_0(y) = 0.
+def _scaled_identity():
+    alg = SullivanPresentation([("e", 2)], {}, cap=8)
+    n_mod = FreeDgModule(alg, [("z0", 0), ("z1", 2), ("w", 3)], {"w": {"z1": "e"}}, cap=6)
+    x = tabulate(n_mod)
+    mats = {k: RatMatrix.identity(x.dim(k)).scale(2 if k == 4 else 1) for k in range(7)}
+    return DgModuleMap(n_mod, x, 0, mats)
+
+
+def _no_summand():
+    alg = SullivanPresentation([("e", 2)], {}, cap=8)
+    n_mod = FreeDgModule(alg, [("z", 2)], {}, cap=6)
+    x = tabulate(FreeDgModule(alg, [("y", 0), ("y2", 2)], {}, cap=6))
+    return map_from_generator_images(n_mod, x, 0, {"z": (1, 0)})
+
+
+@pytest.mark.parametrize("make, solved", [(_scaled_identity, []), (_no_summand, [None])])
+def test_retraction_reports_a_target_that_does_not_split(monkeypatch, make, solved):
+    rho = make()
+    invertible = [rho.matrix(k).inverse() is not None for k in rho.window()]
+    assert all(invertible) if make is _scaled_identity else not all(invertible)
+    solutions, solve = [], RatMatrix.solve
+
+    def recording(m, b):
+        solutions.append(solve(m, b))
+        return solutions[-1]
+
+    monkeypatch.setattr(RatMatrix, "solve", recording)
+    with pytest.raises(PreconditionError) as caught:
+        lift_section(rho)
+    # a substituted row fails first, or the solve of the unknowns finds none
+    assert solutions == solved
+    assert str(caught.value) == (
+        "no retraction onto the minimal module: the target does not split "
+        "off the image as an A-module summand"
+    )
 
 
 def test_lift_section_needs_minimal_end(sphere):
