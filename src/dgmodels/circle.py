@@ -50,6 +50,7 @@ from .dgmodule import (
     TabulatedDgModule,
     algebra_module,
     betti_table,
+    certify_free_map,
     certify_on_generators,
     comb_add,
     comb_is_zero,
@@ -152,7 +153,7 @@ class BasicData:
         if not failures:
             for label, phi in (("i'", self.i_prime), ("e'", self.e_prime)):
                 checks += 1
-                rep = phi.verify()
+                rep = certify_free_map(phi)
                 if not rep.ok:
                     failures.extend(f"{label}: {msg}" for msg in rep.failures)
 
@@ -186,7 +187,7 @@ class BasicData:
                     f"euler_self_map has degree {w.degree}; expected {self.euler_degree}"
                 )
             else:
-                rep = w.verify()
+                rep = certify_free_map(w)
                 if not rep.ok:
                     failures.extend(f"euler_self_map: {msg}" for msg in rep.failures)
 
@@ -295,7 +296,7 @@ class _ActionPipeline:
 
     def __init__(self, data: BasicData, max_degree: int):
         # the Borel objects are the largest a report builds: reject a window they
-        # cannot fit before verifying the maps, which is quadratic in it.  Data that
+        # cannot fit before validation builds a matrix per degree of it.  Data that
         # validates has a known variant and a free relative model, so has this algebra.
         if data.variant in VARIANTS and isinstance(data.relative_model, FreeDgModule):
             self.borel_algebra = _borel_algebra(data)

@@ -822,14 +822,35 @@ def map_from_generator_images(
             )
         img_vectors[gi] = {s: x for s, x in enumerate(v) if x}
     hi = min(source.cap, target.cap - degree)
-    mats = {k: image_columns(source, target, degree, img_vectors, k, 0) for k in range(hi + 1)}
+    mats = {}
+    for k in range(hi + 1):
+        # column a.g sits at col0(g) + a in the generator-major basis and is
+        # (-1)^{|a| degree} a.img(g): one walk over the target's action rows
+        rows: list[dict[int, Fraction]] = [{} for _ in range(target.dim(k + degree))]
+        col0 = 0
+        for gi, deg in enumerate(source.gen_degrees):
+            if deg > k:
+                continue
+            i, t, img = k - deg, deg + degree, img_vectors.get(gi)
+            if img:
+                dim_t, sign = target.dim(t), -1 if (i * degree) % 2 else 1
+                for out, row in zip(rows, target.action_matrix(i, t)._nz):
+                    for col, x in row.items():
+                        a, s = divmod(col, dim_t)
+                        if s in img:
+                            c, y = col0 + a, sign * x * img[s]
+                            out[c] = out[c] + y if c in out else y
+            col0 += source.algebra.dim(i)
+        rows = [{c: x for c, x in row.items() if x} for row in rows]
+        mats[k] = RatMatrix._make(len(rows), source.dim(k), rows)
     return DgModuleMap(source, target, degree, mats, name=name)
 
 
 def certify_on_generators(phi: DgModuleMap) -> CheckReport:
     """The chain condition of an A-linear map out of a free module, checked on
     the generators in the window.  For phi A-linear, as a map from
-    map_from_generator_images is by construction, D = d phi - (-1)^p phi d is
+    map_from_generator_images is by construction and certify_free_map
+    decides for any other, D = d phi - (-1)^p phi d is
     A-linear up to the sign (-1)^{|a|(p+1)}, so it vanishes on every a.g of
     the window iff it vanishes on each generator g there.  The checks read
     phi's columns at the generators and the two differentials only."""
@@ -850,6 +871,39 @@ def certify_on_generators(phi: DgModuleMap) -> CheckReport:
         if d_image != tuple(sign * x for x in image_d):
             failures.append(f"chain condition fails at generator {name}")
     return CheckReport("certify_map", not failures, tuple(failures), checks)
+
+
+def certify_free_map(phi: DgModuleMap) -> CheckReport:
+    """Twisted A-linearity and the chain condition of a map out of a free
+    module into a module, decided on its generator images in the window.
+    phi(a.m) = (-1)^{|a| p} a.phi(m) holds for every pair (a, m) that verify
+    checks iff each column a.g is (-1)^{|a| p} a.phi(g): those columns are
+    among verify's pairs, and the map they define is A-linear, the target's
+    action being associative (GTM 205, section 6).  So phi is A-linear iff
+    it equals the map built from its own generator images, and a differing
+    column a.g names a pair (|a|, |g|) that verify fails too.  An A-linear
+    phi then goes to certify_on_generators."""
+    source, p = phi.source, phi.degree
+    if not isinstance(source, FreeDgModule):
+        raise ValidationError("a generator certificate needs a free source")
+    window = phi.window()
+    images = {
+        name: generator_image(phi, gi)
+        for gi, (name, k) in enumerate(zip(source.gen_names, source.gen_degrees))
+        if k in window
+    }
+    rebuilt = map_from_generator_images(source, phi.target, p, images)
+    failures: list[str] = []
+    for k in window:
+        got, want = phi.matrix(k), rebuilt.matrix(k)
+        if got != want:
+            col = next(c for c in range(got.cols) if got.col(c) != want.col(c))
+            deg = source.gen_degrees[source.basis(k)[col][0]]
+            failures.append(f"A-linearity fails for (|a|, |m|) = ({k - deg}, {deg})")
+    if failures:
+        return CheckReport("certify_map", False, tuple(failures), len(window))
+    chain = certify_on_generators(phi)
+    return CheckReport("certify_map", chain.ok, chain.failures, len(window) + chain.checks_run)
 
 
 def generator_image(phi: DgModuleMap, j: int) -> tuple[Fraction, ...]:
@@ -896,19 +950,6 @@ def apply_images(
             if x:
                 out[r] = out[r] + x if r in out else x
     return {r: x for r, x in out.items() if x}
-
-
-def image_columns(
-    source: FreeDgModule, target: DgModule, degree: int,
-    images: Mapping[int, Mapping[int, Fraction]], k: int, start: int,
-) -> RatMatrix:
-    """Columns start, start + 1, ... of the degree-k matrix of the A-linear
-    map with these generator images, evaluated by apply_images."""
-    out: list[dict[int, Fraction]] = [{} for _ in range(target.dim(k + degree))]
-    for c, (gi, m) in enumerate(source.basis(k)[start:]):
-        for r, x in apply_images(source, target, degree, images, {gi: {m: 1}}).items():
-            out[r][c] = x
-    return RatMatrix._make(len(out), source.dim(k) - start, out)
 
 
 def is_homotopy(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap) -> bool:

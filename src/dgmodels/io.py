@@ -370,6 +370,10 @@ def loads_document(text: str, max_degree: int | None = None) -> InputDocument:
         raise ValidationError(
             f"input is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ValidationError("input has an integer literal with too many digits") from None
+    except RecursionError:
+        raise ValidationError("input is nested too deeply") from None
     raw = _expect_mapping(raw, "document")
     _check_keys(raw, _DOC_KEYS, "document")
 

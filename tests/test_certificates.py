@@ -1,7 +1,8 @@
 """Certificates on generators, and the check budget.
 
 A map from `map_from_generator_images` is certified by the chain condition
-on its generators; the naive product by the dgc axioms, and the almost-free
+on its generators, and any other map out of a free module first by
+comparing it with the map its own generator images define; the naive product by the dgc axioms, and the almost-free
 product rule, on the elements x.g with x the unit or an algebra generator;
 extension of scalars by comparing generator tables and caps.  Hypothesis
 and the fixtures pin each against the full check it replaces:
@@ -30,6 +31,7 @@ from dgmodels.dgmodule import (
     DgModuleMap,
     FreeDgModule,
     algebra_module,
+    certify_free_map,
     certify_on_generators,
     map_from_generator_images,
     modules_equal,
@@ -37,7 +39,7 @@ from dgmodels.dgmodule import (
 )
 from dgmodels.errors import ValidationError
 from dgmodels.fixtures import FIXTURES, fixture
-from dgmodels.linalg import Q
+from dgmodels.linalg import Q, RatMatrix
 
 CAP = 8
 COEFFS = [Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(3), Q(-1, 3)]
@@ -92,10 +94,10 @@ def _at_cap(module: FreeDgModule, cap: int) -> FreeDgModule:
 
 
 @st.composite
-def generator_maps(draw):
+def generator_maps(draw, alg=None):
     """(source, target, degree, images): multiplication by an algebra basis
     element, which is a chain map, or random images into a second module."""
-    src = draw(free_modules())
+    src = draw(free_modules(alg))
     alg = src.algebra
     if draw(st.booleans()):
         tgt = src
@@ -150,6 +152,43 @@ def test_generator_certificate_agrees_with_full_verify(case):
     bad = map_from_generator_images(src, tgt, p, {**images, name: image})
     assert not certify_on_generators(bad).ok
     assert not bad.verify().ok
+
+
+@st.composite
+def perturbed_maps(draw, alg=None):
+    """A map from generator_maps(), and maybe one matrix entry of it moved, on
+    a generator's column or off it, so that A-linearity can break anywhere."""
+    src, tgt, p, images = draw(generator_maps(alg))
+    phi = map_from_generator_images(src, tgt, p, images)
+    cells = [
+        (k, r, c)
+        for k in phi.window()
+        for r in range(phi.matrix(k).rows)
+        for c in range(phi.matrix(k).cols)
+    ]
+    if not cells or draw(st.booleans()):
+        return phi
+    k, r, c = draw(st.sampled_from(cells))
+    entries = phi.matrix(k).to_lists()
+    entries[r][c] += draw(st.sampled_from(COEFFS))
+    mats = {j: phi.matrix(j) for j in phi.window()}
+    mats[k] = RatMatrix(len(entries), phi.matrix(k).cols, entries)
+    return DgModuleMap(src, tgt, p, mats)
+
+
+# Lambda(e2, f2) has dim A^i > 1 in every even degree i > 0, and over it an odd
+# p comes only from the draws of random images
+@pytest.mark.parametrize("alg", sorted(ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_free_map_certificate_agrees_with_full_verify(alg, data):
+    phi = data.draw(perturbed_maps(ALGEBRAS[alg]))
+    cert, full = certify_free_map(phi), phi.verify()
+    assert cert.ok == full.ok
+    # each pair the certificate names is one that verify fails
+    linear = [msg for msg in full.failures if msg.startswith("A-linearity")]
+    if linear:
+        assert not cert.ok and set(cert.failures) <= set(linear)
 
 
 def test_generator_certificate_reads_no_action_matrix(monkeypatch):
@@ -528,6 +567,17 @@ def test_every_fixture_validates_at_window_28(name):
     assert sum(f.check_count() for f in maps) <= CHECK_BUDGET
     assert data.validate().ok
     assert verify_dgmodule(data.relative_model).ok
+
+
+def test_validate_certifies_the_structure_maps_without_verify(monkeypatch):
+    monkeypatch.setattr(DgModuleMap, "verify", lambda self: pytest.fail("verify was called"))
+    data = fixture("nonformal", 12)
+    assert data.validate().ok
+    mats = {k: data.i_prime.matrix(k) for k in data.i_prime.window()}
+    mats[4] = mats[4].scale(2)  # u.b -> 2u^2, off the generator b -> u
+    i_prime = DgModuleMap(data.relative_model, data.i_prime.target, 0, mats)
+    report = dataclasses.replace(data, i_prime=i_prime).validate()
+    assert report.failures == ("i': A-linearity fails for (|a|, |m|) = (2, 2)",)
 
 
 def test_over_budget_map_is_rejected_before_its_first_check(monkeypatch):

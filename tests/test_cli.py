@@ -266,6 +266,25 @@ def test_bad_json_reports_line(tmp_path):
     assert "line 2" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"name": ' + "1" * 5001 + "}", "too many digits"),
+        ("[" * 100000 + "]" * 100000, "nested too deeply"),
+    ],
+    ids=["long_integer", "deep_arrays"],
+)
+def test_json_beyond_the_reader_is_one_error_line(tmp_path, text, message):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    res = run("verify", "--input", str(doc))
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_missing_file_exits_one():
     res = run("verify", "--input", "/nonexistent/never.json")
     assert res.returncode == 1
@@ -283,6 +302,34 @@ def test_almost_free_is_not_a_variant(tmp_path):
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "unknown variant 'almost_free'" in lines[0]
     assert "Traceback" not in res.stderr
+
+
+def test_structure_map_wrong_off_its_generators_is_one_error_line(tmp_path):
+    # i'(b) = u is right on the generator, but i'(u.b) must be u^2, not 2u^2
+    doc = tmp_path / "not_linear.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "algebra": {"generators": [["u", 2]], "cap": 6},
+                "modules": {"M": {"generators": [["b", 2]], "cap": 5}},
+                "maps": {
+                    "i": {"source": "M", "target": "A", "degree": 0,
+                          "matrices": {"2": [["1"]], "4": [["2"]]}},
+                    "e": {"source": "M", "target": "A", "degree": 2, "images": {}},
+                },
+                "action": {"relative_model": "M", "i_prime": "i", "e_prime": "e",
+                           "fixed_components": 1},
+                "options": {"max_degree": 4},
+            }
+        )
+    )
+    res = run("circle", "--input", str(doc))
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "A-linearity fails for (|a|, |m|) = (2, 2)" in lines[0]
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 
 `FreeDgModule` writes its action matrices from `mono_mul` and its
 differential from `d_combination` straight into row dicts; the algebra does
-the same for its product and differential matrices; and `apply_images`
+the same for its product and differential matrices; `apply_images`
 evaluates generator images on a combination through the target's stored
-action rows.  The dense column builders below are the earlier code, kept
-as the reference: every matrix of the window must agree, and every stored
-entry must be a nonzero `int` or `Fraction`.
+action rows; and `map_from_generator_images` builds each degree of a map
+in one walk over those rows.  The dense column builders below, and the
+per-column route through `apply_images`, are the earlier code, kept as the
+reference: every matrix of the window must agree, and every stored entry
+must be a nonzero `int` or `Fraction`.
 """
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dgmodels.cdga import SullivanPresentation
-from dgmodels.dgmodule import FreeDgModule, apply_images
+from dgmodels.dgmodule import FreeDgModule, apply_images, map_from_generator_images, tabulate
 from dgmodels.errors import ValidationError
 from dgmodels.linalg import Q, RatMatrix
 from exact import is_stored_scalar, stores_exact_scalars
@@ -93,6 +95,16 @@ def dense_apply_images(source, target, degree, images, comb, out_degree):
             piece = tuple(-x for x in piece)
         out = [a + b for a, b in zip(out, piece, strict=True)]
     return tuple(out)
+
+
+def reference_image_columns(source, target, degree, images, k):
+    """The degree-k matrix of the A-linear map with these generator images,
+    one apply_images call per basis column a.g."""
+    out = [{} for _ in range(target.dim(k + degree))]
+    for c, (gi, m) in enumerate(source.basis(k)):
+        for r, x in apply_images(source, target, degree, images, {gi: {m: 1}}).items():
+            out[r][c] = x
+    return RatMatrix._make(len(out), source.dim(k), out)
 
 
 # ---- random free modules ---------------------------------------------------------
@@ -193,3 +205,18 @@ def test_apply_images_matches_the_dense_evaluator(case):
     assert all(is_stored_scalar(x) for x in got.values())
     want = dense_apply_images(src, tgt, p, images, comb, n + p)
     assert tuple(got.get(r, Q(0)) for r in range(tgt.dim(n + p))) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(image_cases(), st.booleans())
+def test_map_from_generator_images_matches_the_per_column_route(case, tabulated):
+    src, tgt, p, images, _, _ = case
+    if tabulated:
+        tgt = tabulate(tgt)
+    named = {src.gen_names[j]: v for j, v in images.items()}
+    phi = map_from_generator_images(src, tgt, p, named)
+    sparse = {j: {s: x for s, x in enumerate(v) if x} for j, v in images.items()}
+    for k in phi.window():
+        got = phi.matrix(k)
+        assert got == reference_image_columns(src, tgt, p, sparse, k)
+        assert stores_exact_scalars(got)
