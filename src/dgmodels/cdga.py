@@ -27,8 +27,9 @@ Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
 
 # Longest numerator or denominator, in bits, that a power in a parsed
-# expression may produce; a power of a degree-0 base never meets the cap.
-_MAX_POWER_BITS = 4096
+# expression may produce, and that a rational in a document may have; a
+# power of a degree-0 base never meets the cap.
+MAX_COEFF_BITS = 4096
 
 # Most basis slots an algebra or a free module may span through its cap:
 # one slot per degree plus the basis dimensions, estimated from the degrees
@@ -540,7 +541,7 @@ def parse_polynomial(algebra: SullivanPresentation, text: str) -> Poly:
     Grammar: rational literals (2, -1, 3/4), generator names, +, -, *,
     and nonnegative integer powers written u^2 or u**2.  A power with a
     term above the algebra's cap raises DegreeWindowError, and one with a
-    coefficient longer than _MAX_POWER_BITS bits raises ValidationError.
+    coefficient longer than MAX_COEFF_BITS bits raises ValidationError.
     """
     source = text.strip()
     if not source:
@@ -616,8 +617,8 @@ def _bounded_power(algebra: SullivanPresentation, p: Poly, text: str) -> Poly:
                 f"power in {text!r} reaches degree {deg} above cap {algebra.cap}; "
                 "rejected, not truncated"
             )
-        if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_POWER_BITS:
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS:
             raise ValidationError(
-                f"power in {text!r} has a coefficient longer than {_MAX_POWER_BITS} bits"
+                f"power in {text!r} has a coefficient longer than {MAX_COEFF_BITS} bits"
             )
     return p

@@ -58,6 +58,7 @@ from .dgmodule import (
     cone_les,
     free_cone,
     generator_image,
+    identity_map,
     induced_map,
     map_from_generator_images,
     module_cohomology,
@@ -260,27 +261,25 @@ def _generator_image_poly(data: BasicData, phi: DgModuleMap, j: int) -> Poly:
     return data.algebra.vector_poly(generator_image(phi, j), t)
 
 
-def _cone_result(
-    free: FreeDgModule,
-    iota: DgModuleMap,
-    cn: Cone,
-    max_degree: int,
-) -> MinimalModelResult:
-    window = min(max_degree, free.cap - 1)
+def _certify_cone(cn: Cone, max_degree: int) -> tuple[int, GradedDims]:
+    """The window of a free cone's model and its Betti table there, after
+    checking that the cone is minimal."""
+    window = min(max_degree, cn.cap - 1)
     if window < 0:
         raise DegreeWindowError("degree window is empty; enlarge the caps")
-    verify_minimal(free).raise_if_failed()
-    betti_model = betti_table(free, top=window)
-    betti_cone = betti_table(cn.module, top=window)
-    if betti_model.dims != betti_cone.dims:
-        raise ValidationError("free presentation of the cone disagrees with the cone cohomology")
+    verify_minimal(cn.module).raise_if_failed()
+    return window, betti_table(cn.module, top=window)
+
+
+def _cone_result(cn: Cone, max_degree: int) -> MinimalModelResult:
+    window, betti = _certify_cone(cn, max_degree)
     return MinimalModelResult(
-        module=free,
-        rho=iota,
+        module=cn.module,
+        rho=identity_map(cn.module),
         window=window,
         mono_degree=None,
-        betti_model=betti_model,
-        betti_target=betti_cone,
+        betti_model=betti,
+        betti_target=betti,
         batches=(),
     )
 
@@ -308,8 +307,8 @@ class _ActionPipeline:
     def total(self) -> MinimalModelResult:
         data = self.data
         names = _fresh_names("c", data.relative_model.gen_count, set(data.e_prime.target.gen_names))
-        free, iota, cn = free_cone(data.e_prime, gen_names=names, check=False)
-        return _cone_result(free, iota, cn, self.max_degree)
+        cn = free_cone(data.e_prime, gen_names=names, check=False)
+        return _cone_result(cn, self.max_degree)
 
     @cached_property
     def fixed(self) -> MinimalModelResult:
@@ -320,10 +319,10 @@ class _ActionPipeline:
                 "use almost_free_model for the dgc reduction"
             )
         names = _fresh_names("g", data.relative_model.gen_count, set(data.i_prime.target.gen_names))
-        free, iota, cn = free_cone(data.i_prime, gen_names=names, check=False)
-        result = _cone_result(free, iota, cn, self.max_degree)
+        cn = free_cone(data.i_prime, gen_names=names, check=False)
+        result = _cone_result(cn, self.max_degree)
         if data.fixed_components is not None:
-            h0 = module_cohomology(free, 0).betti
+            h0 = module_cohomology(result.module, 0).betti
             if h0 != data.fixed_components:
                 raise ValidationError(
                     f"declared {data.fixed_components} fixed components but H^0 of the "
@@ -398,7 +397,6 @@ class EquivariantModel:
     algebra: SullivanPresentation
     euler_name: str
     module: FreeDgModule
-    rho: DgModuleMap
     window: int
     betti: GradedDims
 
@@ -465,14 +463,8 @@ def _equivariant_pieces(
     certify_on_generators(q_prime).raise_if_failed()
 
     names = _fresh_names("c", m.gen_count, set(a_mod.gen_names))
-    free, iota, cn = free_cone(q_prime, gen_names=names, check=False)
-    window = min(max_degree, free.cap - 1)
-    if window < 0:
-        raise DegreeWindowError("degree window is empty; enlarge the caps")
-    verify_minimal(free).raise_if_failed()
-    betti = betti_table(free, top=window)
-    model = EquivariantModel(alg_e, e_name, free, iota, window, betti)
-    return model, cn
+    cn = free_cone(q_prime, gen_names=names, check=False)
+    return EquivariantModel(alg_e, e_name, cn.module, *_certify_cone(cn, max_degree)), cn
 
 
 def equivariant_model(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> EquivariantModel:
@@ -496,7 +488,7 @@ def equivariant_les(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> Equiva
 
 
 def _equivariant_les(p: _ActionPipeline) -> EquivariantLesReport:
-    model, cn = p.borel
+    _, cn = p.borel
     table = cone_les(cn, top=p.max_degree)
     failures = list(table.failures)
     for row in table.rows:
@@ -506,11 +498,6 @@ def _equivariant_les(p: _ActionPipeline) -> EquivariantLesReport:
             failures.append(
                 f"degree {row.n}: rank recount gives {recount} but the Borel "
                 f"model has Betti {row.dim_h_cone}"
-            )
-        if model.betti.get(row.n) != row.dim_h_cone:
-            failures.append(
-                f"degree {row.n}: free Borel presentation has Betti "
-                f"{model.betti.get(row.n)} but the cone has {row.dim_h_cone}"
             )
     return EquivariantLesReport(table, not failures, tuple(failures))
 

@@ -413,53 +413,12 @@ def _zero_block(rows: int, cols: int) -> RatMatrix:
     return RatMatrix._make(rows, cols, ({},) * rows)
 
 
-class LazyBlocks(Mapping):
-    """Read-only blocks on a fixed key set, each built by build(key) and checked
-    against its shape when first read.  build must not hold the module the
-    blocks belong to: that reference cycle would outlive the module's readers.
-    """
-
-    __slots__ = ("_shapes", "_build", "_built")
-
-    def __init__(
-        self,
-        shapes: Mapping[tuple[int, int], tuple[int, int]],
-        build: Callable[[tuple[int, int]], RatMatrix],
-    ):
-        self._shapes = dict(shapes)
-        self._build = build
-        self._built: dict[tuple[int, int], RatMatrix] = {}
-
-    def __getitem__(self, key: tuple[int, int]) -> RatMatrix:
-        mat = self._built.get(key)
-        if mat is None:
-            want = self._shapes[key]
-            mat = self._build(key)
-            if (mat.rows, mat.cols) != want:
-                raise ValidationError(
-                    f"block {key} has shape {(mat.rows, mat.cols)}, expected {want}"
-                )
-            self._built[key] = mat
-        return mat
-
-    def __contains__(self, key) -> bool:  # without building the block
-        return key in self._shapes
-
-    def __iter__(self):
-        return iter(self._shapes)
-
-    def __len__(self) -> int:
-        return len(self._shapes)
-
-
 class TabulatedDgModule:
     """A-dg module given by explicit per-degree labels and matrices.
 
     Construction checks shapes only; semantic axioms (d^2, Leibniz,
     associativity) are the job of verify_dgmodule, so deliberately broken
-    tables can be built for negative controls.  act_mats may instead be a
-    function of the key (i, k): every action block of the window is then
-    built on first read, as a LazyBlocks mapping.
+    tables can be built for negative controls.
     """
 
     __slots__ = ("algebra", "cap", "labels", "d_mats", "act_mats", "_dims")
@@ -470,7 +429,7 @@ class TabulatedDgModule:
         cap: int,
         labels: Mapping[int, Sequence[str]],
         d_mats: Mapping[int, RatMatrix] | None = None,
-        act_mats: Mapping[tuple[int, int], RatMatrix] | Callable | None = None,
+        act_mats: Mapping[tuple[int, int], RatMatrix] | None = None,
     ):
         self.algebra = algebra
         self.cap = int(cap)
@@ -493,15 +452,7 @@ class TabulatedDgModule:
                 raise ValidationError(f"differential at degree {k} has wrong shape")
             if not mat.is_zero():
                 self.d_mats[k] = mat
-        if callable(act_mats):
-            shapes = {
-                (i, k): (self.dim(i + k), algebra.dim(i) * self.dim(k))
-                for i in range(1, min(self.cap, algebra.cap) + 1)
-                for k in range(self.cap - i + 1)
-            }
-            self.act_mats: Mapping[tuple[int, int], RatMatrix] = LazyBlocks(shapes, act_mats)
-            return
-        self.act_mats = {}
+        self.act_mats: dict[tuple[int, int], RatMatrix] = {}
         for (i, k), mat in (act_mats or {}).items():
             if i < 1 or k < 0 or i + k > self.cap:
                 raise ValidationError(f"action key ({i}, {k}) outside the window")
@@ -997,9 +948,12 @@ def shift(module: DgModule, p: int) -> TabulatedDgModule:
 
 @dataclass
 class Cone:
-    """Graded cone N +_phi M of a degree-p map, with its structure maps."""
+    """Graded cone N +_phi M of a degree-p map, with its structure maps.
 
-    module: TabulatedDgModule
+    In degree n the module's basis is N^n followed by M^{n-p+1}: the
+    inclusion is [I; 0] and the projection [0 | S], S diagonal."""
+
+    module: DgModule
     phi: DgModuleMap
     degree: int
     n_dims: dict[int, int]
@@ -1012,8 +966,11 @@ class Cone:
         return self.module.cap
 
 
-def cone(phi: DgModuleMap, check: bool = True) -> Cone:
-    """The graded cone on N^n + M^{n-p+1} with the displayed sign conventions."""
+def _cone_window(phi: DgModuleMap, check: bool) -> tuple[int, dict[int, int], dict[int, int]]:
+    """The cone's cap and, per degree n up to it, dim N^n and dim M^{n-p+1};
+    after checking that phi is a morphism (when asked), that N and M share one
+    algebra, that the window is not empty and that no part of M falls below
+    degree 0."""
     if check:
         report = phi.verify()
         if not report.ok:
@@ -1029,17 +986,43 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
             raise DegreeWindowError(
                 f"cone places M^{k} below degree 0 (window underflow)"
             )
+    n_dims = {n: n_mod.dim(n) for n in range(cap + 1)}
+    m_dims = {n: m_mod.dim(n - p + 1) for n in range(cap + 1)}
+    return cap, n_dims, m_dims
 
+
+def _cone_of(
+    phi: DgModuleMap,
+    module: DgModule,
+    n_dims: dict[int, int],
+    m_dims: dict[int, int],
+    signs: Callable[[int], Sequence[int]],
+) -> Cone:
+    """The Cone of phi on module, with the projection's diagonal signs(n) in
+    degree n; the maps are written from the basis layout, not multiplied."""
+    m_mod, n_mod, p = phi.source, phi.target, phi.degree
+    incl, proj = {}, {}
+    for n in range(module.cap + 1):
+        nn, mn = n_dims[n], m_dims[n]
+        incl[n] = RatMatrix._make(nn + mn, nn, [{r: 1} for r in range(nn)] + [{}] * mn)
+        proj[n] = RatMatrix._make(mn, nn + mn, [{nn + r: s} for r, s in enumerate(signs(n))])
+    inclusion = DgModuleMap(n_mod, module, 0, incl, name="cone inclusion")
+    projection = DgModuleMap(module, m_mod, 1 - p, proj, name="cone projection")
+    return Cone(module, phi, p, n_dims, m_dims, inclusion, projection)
+
+
+def cone(phi: DgModuleMap, check: bool = True) -> Cone:
+    """The graded cone on N^n + M^{n-p+1} with the displayed sign conventions,
+    tabulated; maps of free modules also have free_cone."""
+    cap, n_dims, m_dims = _cone_window(phi, check)
+    m_mod, n_mod, p = phi.source, phi.target, phi.degree
     algebra = n_mod.algebra
     shift_tag = 1 - p
-    labels = {}
-    n_dims, m_dims = {}, {}
-    for n in range(cap + 1):
-        n_dims[n] = n_mod.dim(n)
-        m_dims[n] = m_mod.dim(n - p + 1)
-        labels[n] = n_mod.basis_labels(n) + tuple(
-            f"{lbl}[{shift_tag}]" for lbl in m_mod.basis_labels(n - p + 1)
-        )
+    labels = {
+        n: n_mod.basis_labels(n)
+        + tuple(f"{lbl}[{shift_tag}]" for lbl in m_mod.basis_labels(n - p + 1))
+        for n in range(cap + 1)
+    }
 
     sign_d = -1 if (p - 1) % 2 else 1
     d_mats = {}
@@ -1049,10 +1032,9 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
         low = tuple({n_dims[n] + c: x for c, x in row.items()} for row in low)
         d_mats[n] = RatMatrix._make(top.rows + len(low), top.cols, top._nz + low)
 
-    def action_block(key: tuple[int, int]) -> RatMatrix:
+    def action_block(i: int, n: int) -> RatMatrix:
         # rows N^{i+n} then the shifted M rows; columns A-major over the cone's
         # basis N^n + M^{n-p+1}, so a's columns for N come before its M columns
-        i, n = key
         nn, mn = n_dims[n], m_dims[n]
         tw = -1 if (i * (p - 1)) % 2 else 1
         rows = [
@@ -1065,38 +1047,33 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
         ]
         return RatMatrix._make(len(rows), algebra.dim(i) * (nn + mn), rows)
 
-    module = TabulatedDgModule(algebra, cap, labels, d_mats, action_block)
-
-    incl = {}
-    for k in range(min(n_mod.cap, cap) + 1):
-        incl[k] = RatMatrix.identity(n_dims[k]).vstack(RatMatrix.zero(m_dims[k], n_dims[k]))
-    inclusion = DgModuleMap(n_mod, module, 0, incl, name="cone inclusion")
-
-    proj = {}
-    for n in range(cap + 1):
-        if 0 <= n - p + 1 <= m_mod.cap:
-            proj[n] = RatMatrix.zero(m_dims[n], n_dims[n]).hstack(RatMatrix.identity(m_dims[n]))
-    projection = DgModuleMap(module, m_mod, 1 - p, proj, name="cone projection")
-
-    return Cone(module, phi, p, n_dims, m_dims, inclusion, projection)
+    act_mats = {
+        (i, n): action_block(i, n)
+        for i in range(1, min(cap, algebra.cap) + 1)
+        for n in range(cap - i + 1)
+    }
+    module = TabulatedDgModule(algebra, cap, labels, d_mats, act_mats)
+    return _cone_of(phi, module, n_dims, m_dims, lambda n: (1,) * m_dims[n])
 
 
 def free_cone(
     phi: DgModuleMap,
     gen_names: Sequence[str] | None = None,
     check: bool = True,
-) -> tuple[FreeDgModule, DgModuleMap, Cone]:
-    """Cone of a map of free modules, presented again as a free module.
+) -> Cone:
+    """The cone of a map of free modules, as a free module F.
 
-    Returns (F, iota, cone) where F is free on the target's generators
-    together with one generator per source generator shifted by p - 1, and
-    iota: F -> cone.module is a degree-0 isomorphism of A-dg modules
-    (diagonal, with the action twist signs on the shifted block).
+    F is free on the target's generators followed by one generator per
+    source generator, shifted by p - 1 and named by gen_names (default: the
+    source names primed).  Its degree-n basis is generator-major, so it is
+    N^n followed by the shifted M^{n-p+1}, and F is isomorphic to cone(phi)
+    by the diagonal that twists each a.c_j by (-1)^{|a|(p-1)}; the
+    projection carries that twist.
     """
     m_mod, n_mod, p = phi.source, phi.target, phi.degree
     if not isinstance(m_mod, FreeDgModule) or not isinstance(n_mod, FreeDgModule):
         raise ValidationError("free_cone needs free source and target")
-    cn = cone(phi, check=check)
+    cap, n_dims, m_dims = _cone_window(phi, check)
     algebra = n_mod.algebra
 
     if gen_names is None:
@@ -1110,7 +1087,6 @@ def free_cone(
     if len(taken) != len(gens):
         raise ValidationError("cone generator names collide")
 
-    n_count = n_mod.gen_count
     diffs: dict[str, dict[str, Poly]] = {}
     for j, name in enumerate(n_mod.gen_names):
         diffs[name] = {
@@ -1129,17 +1105,16 @@ def free_cone(
             comb[gen_names[h]] = poly_scale(sign, poly)
         diffs[nm] = comb
 
-    free = FreeDgModule(algebra, gens, diffs, cap=cn.cap)
+    free = FreeDgModule(algebra, gens, diffs, cap=cap)
 
-    mats = {}
-    for n in range(cn.cap + 1):
-        rows: list[dict[int, Fraction]] = [{} for _ in range(cn.module.dim(n))]
-        for r, (gi, m) in enumerate(free.basis(n)[: len(rows)]):
-            odd = gi >= n_count and (algebra.mono_degree(m) * (p - 1)) % 2
-            rows[r][r] = -1 if odd else 1
-        mats[n] = RatMatrix._make(len(rows), free.dim(n), rows)
-    iota = DgModuleMap(free, cn.module, 0, mats, name="cone transport")
-    return free, iota, cn
+    def signs(n: int) -> list[int]:
+        k = n - p + 1
+        return [
+            -1 if ((k - m_mod.gen_degrees[gi]) * (p - 1)) % 2 else 1
+            for gi, _ in m_mod.basis(k)
+        ]
+
+    return _cone_of(phi, free, n_dims, m_dims, signs)
 
 
 # ---- cohomology ---------------------------------------------------------

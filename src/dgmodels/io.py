@@ -18,11 +18,12 @@ the relative model is computed on load.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .cdga import SullivanPresentation, parse_polynomial, trivial_algebra
+from .cdga import MAX_COEFF_BITS, SullivanPresentation, parse_polynomial, trivial_algebra
 from .circle import DEFAULT_DEGREE, VARIANTS, AssembledData, BasicData, from_complexes
 from .dgmodule import (
     DgModule,
@@ -50,6 +51,10 @@ _ACTION_COMMON = {
 }
 _ACTION_TRIPLE = {"relative_model", "i_prime", "e_prime", "euler_self_map"}
 _ACTION_COMPLEXES = {"orbit_quis", "inclusion", "euler"}
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+# decimal digits of 2^MAX_COEFF_BITS: a longer digit string is over the bound
+# before int() spends time on it
+_MAX_DIGITS = len(str(2**MAX_COEFF_BITS))
 
 
 def rational_str(x: int | Fraction) -> str:
@@ -60,16 +65,23 @@ def rational_str(x: int | Fraction) -> str:
 
 
 def parse_rational(value: Any, where: str = "value") -> int | Fraction:
+    """An integer, or a string of an integer or of p/q with q > 0, whose
+    numerator and denominator are at most MAX_COEFF_BITS bits long."""
     if isinstance(value, bool):
         raise ValidationError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return value
     if isinstance(value, str):
-        try:
-            return as_q(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"{where}: {value!r} is not a rational p/q") from None
-    raise ValidationError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
+        match = _RATIONAL.fullmatch(value.strip())
+        if match is None:
+            shown = value if len(value) <= 40 else value[:40] + "..."
+            raise ValidationError(f"{where}: {shown!r} is not a rational p/q")
+        if any(len(digits.lstrip("+-0")) > _MAX_DIGITS for digits in match.groups("")):
+            raise ValidationError(f"{where}: a rational longer than {MAX_COEFF_BITS} bits")
+        value = Fraction(int(match[1]), int(match[2] or 1))
+    elif not isinstance(value, int):
+        raise ValidationError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_COEFF_BITS:
+        raise ValidationError(f"{where}: a rational longer than {MAX_COEFF_BITS} bits")
+    return as_q(value)
 
 
 def dump_json(payload: Any) -> str:

@@ -1,6 +1,8 @@
 """Sullivan presentations: graded-commutative products, differentials, parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgmodels.cdga import (
     BASIS_BUDGET,
@@ -14,7 +16,7 @@ from dgmodels.circle import equivariant_model
 from dgmodels.dgmodule import FreeDgModule, TabulatedDgModule
 from dgmodels.errors import DegreeWindowError, ValidationError
 from dgmodels.fixtures import fixture
-from dgmodels.linalg import Q
+from dgmodels.linalg import Q, as_q
 
 
 def s2_model(cap=12):
@@ -142,6 +144,31 @@ def test_poly_str_round_trips_through_parser():
     for text in samples:
         poly = parse_polynomial(alg, text)
         assert parse_polynomial(alg, alg.poly_str(poly)) == poly
+
+
+ODD_ALGEBRAS = [
+    SullivanPresentation([("x", 1), ("y", 1)], {}, cap=4),
+    SullivanPresentation([("a", 3), ("u", 2), ("v", 3)], {"v": {(0, 2, 0): Q(1)}}, cap=12),
+    SullivanPresentation([("w", 2), ("b", 1), ("c", 5)], {}, cap=10),
+]
+
+
+@st.composite
+def polynomials(draw):
+    """A polynomial over an algebra with odd generators: up to five monomials
+    of any degrees through the cap, with nonzero rational coefficients."""
+    alg = draw(st.sampled_from(ODD_ALGEBRAS))
+    monos = [m for n in range(alg.cap + 1) for m in alg.basis(n)]
+    chosen = draw(st.lists(st.sampled_from(monos), unique=True, max_size=5))
+    coeffs = st.fractions(min_value=-99, max_value=99, max_denominator=12).filter(bool)
+    return alg, {m: as_q(draw(coeffs)) for m in chosen}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials())
+def test_poly_str_round_trips_on_generated_polynomials(case):
+    alg, poly = case
+    assert parse_polynomial(alg, alg.poly_str(poly)) == poly
 
 
 def test_verify_cdga_passes_on_good_algebras():

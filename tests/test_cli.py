@@ -285,6 +285,35 @@ def test_json_beyond_the_reader_is_one_error_line(tmp_path, text, message):
     assert lines[0].startswith("error: ") and message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [("1e10000000", "is not a rational p/q"), ("9" * 1300, "longer than 4096 bits")],
+    ids=["exponent", "long_string"],
+)
+def test_unbounded_matrix_entry_is_one_error_line(tmp_path, entry, message):
+    # exponent notation used to reach Fraction(str), which built the
+    # 33-million-bit integer 10^10000000 over about ten seconds
+    doc = tmp_path / "entry.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "algebra": {"generators": [["u", 2]], "cap": 4},
+                "modules": {"M": {"generators": [["b", 0]], "cap": 4}},
+                "maps": {"f": {"source": "M", "target": "A", "degree": 0,
+                               "matrices": {"0": [[entry]]}}},
+            }
+        )
+    )
+    res = subprocess.run(
+        CLI + ["verify", "--input", str(doc)], capture_output=True, text=True, timeout=2
+    )
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_missing_file_exits_one():
     res = run("verify", "--input", "/nonexistent/never.json")
     assert res.returncode == 1

@@ -1,33 +1,31 @@
-"""A cone's action blocks are built when first read.
+"""The tabulated cone's action blocks, and the free cone against it.
 
 The blocks are pinned against the eager `RatMatrix.block` assembly that
-`cone` used before, copied here; an `action_report` is shown to read none
-of them; and modules and maps share one zero block per shape.
+`cone` used before, copied here.  `free_cone` is checked against the
+tabulated cone, its oracle; an `action_report` is shown to build no
+tabulated cone; and modules and maps share one zero block per shape.
 """
-
-import gc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgmodels import circle
+from dgmodels import circle, dgmodule, minmodel
 from dgmodels.cdga import SullivanPresentation
 from dgmodels.circle import action_report
 from dgmodels.dgmodule import (
     FreeDgModule,
-    LazyBlocks,
     TabulatedDgModule,
+    betti_table,
+    certify_free_map,
     cone,
+    cone_les,
     free_cone,
     map_from_generator_images,
-    modules_equal,
     tabulate,
     verify_dgmodule,
 )
-from dgmodels.errors import ValidationError
 from dgmodels.fixtures import FIXTURES, fixture
-from dgmodels.io import module_json
 from dgmodels.linalg import Q, RatMatrix
 
 
@@ -71,25 +69,25 @@ def a_major(block, da, nn, mn):
 def assert_blocks_match_eager(cn):
     algebra = cn.module.algebra
     eager = eager_action_blocks(cn)
-    assert set(cn.module.act_mats) == set(eager)
+    # zero blocks are not stored, so every key is compared through action_matrix
+    assert set(cn.module.act_mats) <= set(eager)
     for (i, n), old in eager.items():
         da, nn, mn = algebra.dim(i), cn.n_dims[n], cn.m_dims[n]
-        lazy = cn.module.action_matrix(i, n)
-        assert lazy == a_major(old, da, nn, mn)
+        block = cn.module.action_matrix(i, n)
+        assert block == a_major(old, da, nn, mn)
         if da <= 1 or not nn or not mn:
-            assert lazy == old
+            assert block == old
 
 
 @pytest.mark.parametrize("window", [12, 20])
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_cone_blocks_match_the_eager_assembly(name, window):
     data = fixture(name, window)
-    cones = [free_cone(data.e_prime, check=False)[2]]
+    maps = [data.e_prime]
     if not data.fixed_set_empty:
-        cones.append(free_cone(data.i_prime, check=False)[2])
-        cones.append(circle._ActionPipeline(data, window).borel[1])
-    for cn in cones:
-        assert_blocks_match_eager(cn)
+        maps += [data.i_prime, circle._ActionPipeline(data, window).borel[1].phi]
+    for phi in maps:
+        assert_blocks_match_eager(cone(phi, check=False))
 
 
 ALGEBRAS = [
@@ -98,30 +96,62 @@ ALGEBRAS = [
     SullivanPresentation([("e", 2), ("f", 2)], {}, cap=10),
 ]
 
+COEFFS = [Q(0), Q(1), Q(-2)]
+
 
 @st.composite
-def cones(draw):
-    """The cone of a map of degree p from images of the source generators
-    into a module with generators in degrees 0..3, both free."""
+def free_maps(draw):
+    """A degree-p map of free modules, p from 1 to 3, from images of the
+    source generators.  The target has generators in degrees 0..3, some with
+    d(y) = c a.y' for a monomial a and a cycle y'; each image is a
+    combination of cycles, so the map is a chain map."""
     alg = draw(st.sampled_from(ALGEBRAS))
     p = draw(st.integers(1, 3))
     src_degs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    tgt_degs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tgt_degs = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    diffs = {}
+    for j, deg in enumerate(tgt_degs):
+        cycles = [h for h in range(j) if f"y{h}" not in diffs]
+        h = draw(st.sampled_from([None, *cycles]))
+        monos = alg.basis(deg + 1 - tgt_degs[h]) if h is not None else ()
+        if monos:
+            mono, c = draw(st.sampled_from(monos)), draw(st.sampled_from(COEFFS[1:]))
+            diffs[f"y{j}"] = {f"y{h}": {mono: c}}
     src = FreeDgModule(alg, [(f"x{i}", d) for i, d in enumerate(src_degs)], {}, cap=7)
-    tgt = FreeDgModule(alg, [(f"y{i}", d) for i, d in enumerate(tgt_degs)], {}, cap=8)
-    images = {
-        name: [draw(st.sampled_from([Q(0), Q(1), Q(-2)])) for _ in range(tgt.dim(deg + p))]
-        for name, deg in zip(src.gen_names, src.gen_degrees)
-        if deg + p <= tgt.cap
-    }
-    return cone(map_from_generator_images(src, tgt, p, images), check=False)
+    tgt = FreeDgModule(alg, [(f"y{i}", d) for i, d in enumerate(tgt_degs)], diffs, cap=8)
+    images = {}
+    for name, deg in zip(src.gen_names, src.gen_degrees):
+        if deg + p < tgt.cap:
+            image = [Q(0)] * tgt.dim(deg + p)
+            for z in tgt.differential_matrix(deg + p).kernel_basis():
+                c = draw(st.sampled_from(COEFFS))
+                image = [x + c * y for x, y in zip(image, z)]
+            images[name] = image
+    return map_from_generator_images(src, tgt, p, images)
 
 
 @settings(max_examples=60, deadline=None)
-@given(cones())
-def test_random_cone_blocks_match_the_eager_assembly(cn):
+@given(free_maps())
+def test_random_cone_blocks_match_the_eager_assembly(phi):
+    cn = cone(phi, check=False)
     assert_blocks_match_eager(cn)
     assert verify_dgmodule(cn.module).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_maps())
+def test_free_cone_agrees_with_the_tabulated_cone_on_random_maps(phi):
+    free, tab = free_cone(phi), cone(phi, check=False)
+    assert isinstance(free.module, FreeDgModule) and free.cap == tab.cap
+    assert (free.n_dims, free.m_dims) == (tab.n_dims, tab.m_dims)
+    assert [free.module.dim(n) for n in range(free.cap + 1)] == [
+        tab.module.dim(n) for n in range(tab.cap + 1)
+    ]
+    assert betti_table(free.module) == betti_table(tab.module)
+    les = cone_les(free)
+    assert les.ok and les.rows == cone_les(tab).rows
+    assert free.inclusion.verify().ok
+    assert certify_free_map(free.projection).ok
 
 
 def test_cone_action_is_a_major_where_the_eager_one_was_not():
@@ -137,58 +167,23 @@ def test_cone_action_is_a_major_where_the_eager_one_was_not():
     assert not verify_dgmodule(eager).ok
 
 
-def test_blocks_are_built_once_and_every_reader_sees_them():
-    data = fixture("nonformal", 12)
-    cn = circle._ActionPipeline(data, 12).borel[1]
-    blocks = cn.module.act_mats
-    assert isinstance(blocks, LazyBlocks) and not blocks._built
-    first = cn.module.action_matrix(2, 3)
-    assert cn.module.action_matrix(2, 3) is first and len(blocks._built) == 1
-    assert modules_equal(cn.module, tabulate(cn.module))
-    assert len(blocks._built) == len(blocks)
-    written = module_json(cn.module)["action"]
-    assert set(written) == {f"{i},{k}" for (i, k), m in blocks.items() if not m.is_zero()}
-
-
-def test_block_shape_is_checked_when_read():
-    alg = SullivanPresentation([("e", 2)], {}, cap=4)
-    labels = {0: ["x"], 2: ["ex"], 4: ["eex"]}
-    module = TabulatedDgModule(alg, 4, labels, {}, lambda key: RatMatrix.zero(1, 2))
-    assert module.action_matrix(0, 0) == RatMatrix.identity(1)
-    with pytest.raises(ValidationError, match="shape"):
-        module.action_matrix(2, 0)
-
-
-def test_blocks_hold_no_reference_to_their_module():
-    data = fixture("s4_hopf", 12)
-    module = free_cone(data.e_prime, check=False)[2].module
-    seen, frontier = {id(module.act_mats)}, [module.act_mats]
-    for _ in range(4):
-        frontier = [
-            obj
-            for parent in frontier
-            for obj in gc.get_referents(parent)
-            if id(obj) not in seen and not seen.add(id(obj))
-        ]
-        assert all(obj is not module for obj in frontier)
-
-
 @pytest.mark.parametrize("name", FIXTURES)
 def test_action_report_builds_no_cone_action_block(monkeypatch, name):
-    reads = []
-    getitem = LazyBlocks.__getitem__
+    """Every cone of a report is free: action_report makes no dgmodule.cone call."""
+    calls = []
 
-    def counting(self, key):
-        reads.append(key)
-        return getitem(self, key)
+    def counting(phi, check=True):
+        calls.append(phi.name)
+        return cone(phi, check)
 
-    monkeypatch.setattr(LazyBlocks, "__getitem__", counting)
+    for module in (dgmodule, minmodel):
+        monkeypatch.setattr(module, "cone", counting)
     data = fixture(name, 16)
-    report = action_report(data, 16)
-    assert reads == []
-    # the count would see a read: the total-space cone's module is rho's target
-    report.total.rho.target.action_matrix(1 if data.algebra.dim(1) else 2, 0)
-    assert reads
+    action_report(data, 16)
+    assert calls == []
+    # the count would see a call, as cone_quis makes
+    minmodel.cone(data.e_prime, check=False)
+    assert calls == ["e'"]
 
 
 def test_absent_blocks_share_one_zero_per_shape():

@@ -5,15 +5,16 @@ import pytest
 from dgmodels.cdga import SullivanPresentation, trivial_algebra
 from dgmodels.dgmodule import (
     FreeDgModule,
+    TabulatedDgModule,
     algebra_module,
     betti_table,
+    certify_free_map,
     compose,
     cone,
     cone_les,
     free_cone,
     identity_map,
     is_homotopy,
-    is_quis,
     map_from_generator_images,
     maps_equal,
     module_cohomology,
@@ -25,7 +26,7 @@ from dgmodels.dgmodule import (
     zero_module,
 )
 from dgmodels.errors import DegreeWindowError, ValidationError
-from dgmodels.linalg import Q, vec
+from dgmodels.linalg import Q, RatMatrix, vec
 
 
 def odd_sphere(cap=14):
@@ -148,6 +149,15 @@ def test_map_shape_validation_and_window():
         f.matrix(11)
 
 
+def test_tabulated_block_shape_is_checked_on_construction():
+    alg = SullivanPresentation([("e", 2)], {}, cap=4)
+    labels = {0: ["x"], 2: ["ex"], 4: ["eex"]}
+    with pytest.raises(ValidationError, match="wrong shape"):
+        TabulatedDgModule(alg, 4, labels, {}, {(2, 0): RatMatrix.zero(1, 2)})
+    module = TabulatedDgModule(alg, 4, labels, {}, {(2, 0): RatMatrix.identity(1)})
+    assert module.action_matrix(0, 0) == RatMatrix.identity(1)
+
+
 def test_compose_scale_equal():
     alg = odd_sphere()
     m = s4_relative(alg, top_deg=9)
@@ -183,18 +193,20 @@ def test_cone_les_exact_for_s4_euler_map():
     ]
 
 
-def test_free_cone_agrees_with_cone_and_iota_is_iso():
+def test_free_cone_agrees_with_the_tabulated_cone():
     alg = odd_sphere()
     m = s4_relative(alg, top_deg=9)
     a_mod = algebra_module(alg, cap=12)
     e = map_from_generator_images(m, a_mod, 2, {"b0": (Q(1),)})
-    free, iota, cn = free_cone(e)
-    assert iota.verify().ok
-    assert is_quis(iota)
-    hi = min(free.cap, cn.module.cap)
-    for k in range(hi + 1):
-        assert free.dim(k) == cn.module.dim(k)
-        assert iota.matrix(k).rank() == free.dim(k)
+    free, tab = free_cone(e), cone(e)
+    assert isinstance(free.module, FreeDgModule) and free.cap == tab.cap
+    assert [free.module.dim(k) for k in range(free.cap + 1)] == [
+        tab.module.dim(k) for k in range(tab.cap + 1)
+    ]
+    assert betti_table(free.module) == betti_table(tab.module)
+    assert cone_les(free).rows == cone_les(tab).rows
+    assert free.inclusion.verify().ok
+    assert certify_free_map(free.projection).ok
 
 
 def test_cone_of_identity_is_acyclic():

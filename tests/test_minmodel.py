@@ -64,7 +64,7 @@ def s4_cone_model(sphere):
     mbf = FreeDgModule(sphere, gens, diffs, cap=13)
     a_mod = algebra_module(sphere, cap=12)
     e_prime = map_from_generator_images(mbf, a_mod, 2, {"b_0": (Q(1),)})
-    _, _, cn = free_cone(e_prime)
+    cn = cone(e_prime)
     x = tabulate(cn.module)
     return x, minimal_model(x, 12)
 
@@ -108,7 +108,7 @@ def test_fiber_cohomology_of_s4_model(s4_cone_model, sphere):
     mbf = FreeDgModule(sphere, gens, diffs, cap=13)
     a_mod = algebra_module(sphere, cap=12)
     e_prime = map_from_generator_images(mbf, a_mod, 2, {"b_0": (Q(1),)})
-    free, _, _ = free_cone(e_prime)
+    free = free_cone(e_prime).module
     assert fib.as_list() == fiber_cohomology(free, top=11).as_list()
 
 
