@@ -26,8 +26,8 @@ from .linalg import RatMatrix, as_q
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
 
-# Longest numerator or denominator, in bits, that a power in a parsed
-# expression may produce, and that a rational in a document may have; a
+# Longest numerator or denominator, in bits, that any number in a parsed
+# expression may have, and that a rational in a document may have; a
 # power of a degree-0 base never meets the cap.
 MAX_COEFF_BITS = 4096
 
@@ -540,8 +540,9 @@ def parse_polynomial(algebra: SullivanPresentation, text: str) -> Poly:
 
     Grammar: rational literals (2, -1, 3/4), generator names, +, -, *,
     and nonnegative integer powers written u^2 or u**2.  A power with a
-    term above the algebra's cap raises DegreeWindowError, and one with a
-    coefficient longer than MAX_COEFF_BITS bits raises ValidationError.
+    term above the algebra's cap raises DegreeWindowError.  Every literal,
+    sum, product, quotient and power is held to MAX_COEFF_BITS bits per
+    numerator and denominator, else ValidationError.
     """
     source = text.strip()
     if not source:
@@ -570,7 +571,7 @@ def _poly_as_rational(p: Poly) -> int | Fraction | None:
 def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return poly_scale(node.value, algebra.unit_poly())
+            return _bounded_coeffs(poly_scale(node.value, algebra.unit_poly()), text)
         raise ValidationError(f"non-integer literal {node.value!r} in {text!r}")
     if isinstance(node, ast.Name):
         return algebra.generator_poly(node.id)
@@ -596,16 +597,16 @@ def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
         left = _eval_node(algebra, node.left, text)
         right = _eval_node(algebra, node.right, text)
         if isinstance(node.op, ast.Add):
-            return poly_add(left, right)
+            return _bounded_coeffs(poly_add(left, right), text)
         if isinstance(node.op, ast.Sub):
-            return poly_sub(left, right)
+            return _bounded_coeffs(poly_sub(left, right), text)
         if isinstance(node.op, ast.Mult):
-            return algebra.poly_mul(left, right)
+            return _bounded_coeffs(algebra.poly_mul(left, right), text)
         if isinstance(node.op, ast.Div):
             c = _poly_as_rational(right)
             if c is None or c == 0:
                 raise ValidationError(f"division only by nonzero rationals in {text!r}")
-            return poly_scale(Fraction(1, c), left)
+            return _bounded_coeffs(poly_scale(Fraction(1, c), left), text)
     raise ValidationError(f"unsupported syntax in expression {text!r}")
 
 
@@ -617,8 +618,21 @@ def _bounded_power(algebra: SullivanPresentation, p: Poly, text: str) -> Poly:
                 f"power in {text!r} reaches degree {deg} above cap {algebra.cap}; "
                 "rejected, not truncated"
             )
-        if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS:
+        if _too_long(c):
             raise ValidationError(
                 f"power in {text!r} has a coefficient longer than {MAX_COEFF_BITS} bits"
             )
     return p
+
+
+def _bounded_coeffs(p: Poly, text: str) -> Poly:
+    if any(_too_long(c) for c in p.values()):
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ValidationError(
+            f"expression {shown!r} has a number longer than {MAX_COEFF_BITS} bits"
+        )
+    return p
+
+
+def _too_long(c: int | Fraction) -> bool:
+    return max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_COEFF_BITS

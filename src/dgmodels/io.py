@@ -160,11 +160,10 @@ def _parse_algebra(raw: Any, default_cap: int) -> SullivanPresentation:
 def _parse_matrix(raw: Any, rows: int, cols: int, where: str) -> RatMatrix:
     if not isinstance(raw, list) or any(not isinstance(r, list) for r in raw):
         raise ValidationError(f"{where}: expected a list of rows")
-    data = [[parse_rational(x, where) for x in row] for row in raw]
-    if len(data) != rows or any(len(r) != cols for r in data):
-        got = (len(data), len(data[0]) if data else 0)
+    if len(raw) != rows or any(len(r) != cols for r in raw):
+        got = (len(raw), len(raw[0]) if raw else 0)
         raise ValidationError(f"{where}: matrix shape {got} does not match expected {(rows, cols)}")
-    return RatMatrix(rows, cols, data)
+    return RatMatrix(rows, cols, [[parse_rational(x, where) for x in row] for row in raw])
 
 
 def _parse_tabulated(
@@ -506,10 +505,7 @@ def module_json(module: DgModule) -> dict[str, Any]:
         "cap": module.cap,
         "labels": {str(k): list(ls) for k, ls in module.labels.items()},
         "differentials": {str(k): matrix_json(m) for k, m in module.d_mats.items()},
-        # a cone's action blocks include its zero blocks; the document omits them
-        "action": {
-            f"{i},{k}": matrix_json(m) for (i, k), m in module.act_mats.items() if not m.is_zero()
-        },
+        "action": {f"{i},{k}": matrix_json(m) for (i, k), m in module.act_mats.items()},
     }
 
 

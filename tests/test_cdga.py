@@ -119,6 +119,24 @@ def test_parse_polynomial_bounds_powers_and_nesting():
         parse_polynomial(alg, "-" * 5000 + "u")
 
 
+def test_parse_polynomial_bounds_every_number():
+    # each literal, sum, product and quotient is held to 4096 bits as it is
+    # computed; a power keeps its own message
+    alg = s2_model()
+    big = str(2**3000 + 1)
+    assert parse_polynomial(alg, f"{big}*u") == {(1, 0): Q(2**3000 + 1)}
+    for text in (
+        "9" * 1300 + "*u",
+        f"{big}*{big}*u",
+        f"u/{big}/{big}",
+        f"1/{big} + 1/{2**3000 + 3}",
+    ):
+        with pytest.raises(ValidationError, match="longer than 4096 bits"):
+            parse_polynomial(alg, text)
+    with pytest.raises(ValidationError, match="power in"):
+        parse_polynomial(alg, "2^5000")
+
+
 def test_basis_budget_bounds_algebras_and_modules():
     alg = s2_model(cap=12)
     # for an algebra the generating function is exact: the dims of Lambda(u, v)

@@ -227,6 +227,22 @@ def test_almost_free_hopf_model():
     assert localization_check(af, 12).verdict == "bijective"
 
 
+def test_almost_free_chain_map_failure_names_the_generator(monkeypatch):
+    # with dx = 2e in A(x)Lambda(x) but dc = e in the cone, mu(a.1 + b.c) =
+    # a + b x is no chain map, and the section says so at c's generator
+    import dgmodels.circle as circle
+
+    real = circle._generator_image_poly
+
+    def doubled(data, phi, j):
+        return {m: 2 * c for m, c in real(data, phi, j).items()}
+
+    monkeypatch.setattr(circle, "_generator_image_poly", doubled)
+    afr = almost_free_model(fixture("almost_free_hopf", 12), 12)
+    assert afr.failures == ("chain map: chain condition fails at generator c0",)
+    assert not afr.ok
+
+
 # ---- Smith-Gysin ----------------------------------------------------------------
 
 

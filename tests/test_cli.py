@@ -389,6 +389,38 @@ def test_unbounded_algebra_differential_is_one_error_line(tmp_path, expr, messag
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["*".join(["9" * 4000] * 300) + "*u^2", "9" * 1300 + "*u^2"],
+    ids=["long_product", "long_literal"],
+)
+def test_long_number_in_an_expression_is_one_error_line(tmp_path, expr):
+    # a product of literals used to grow its coefficient without bound, in
+    # time quadratic in the factor count; a literal was held only to the
+    # interpreter's 4,300 digits
+    doc = tmp_path / "long.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "algebra": {
+                    "generators": [["u", 2], ["v", 3]],
+                    "differentials": {"v": expr},
+                    "cap": 8,
+                },
+                "modules": {},
+            }
+        )
+    )
+    res = subprocess.run(
+        CLI + ["verify", "--input", str(doc)], capture_output=True, text=True, timeout=2
+    )
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "longer than 4096 bits" in lines[0]
+
+
 @pytest.mark.parametrize("command, fixture", [("circle", "cp2"), ("minmodel", "s4_hopf")])
 def test_oversized_window_is_one_error_line(command, fixture):
     # rejected from the generators' degrees before any basis is built; the
@@ -430,6 +462,20 @@ def test_borel_budget_is_checked_before_the_first_stage():
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "over the budget of" in lines[0]
     assert "Traceback" not in res.stderr
+
+
+def test_structure_maps_are_budgeted_by_their_certificates():
+    # validate certifies each structure map on its generator images, one
+    # check per window degree and generator; counted as verify's O(window^2)
+    # pairs, the budget rejected cp2 from window 140 on
+    res = subprocess.run(
+        CLI + ["circle", "--fixture", "cp2", "--max-degree", "300", "--format", "machine"],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["max_degree"] == 300
 
 
 def test_algebra_check_budget_is_one_error_line(tmp_path):
@@ -476,10 +522,11 @@ UNWRITABLE = [
 
 
 def _assert_one_error_line(res):
-    assert res.returncode == ValidationError.exit_code
-    assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr
+    seen = f"exit code {res.returncode}, stderr {res.stderr!r}"
+    assert res.returncode == ValidationError.exit_code, seen
+    assert "Traceback" not in res.stderr and "Exception ignored" not in res.stderr, seen
     lines = res.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: cannot write output")
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output"), seen
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

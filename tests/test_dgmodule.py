@@ -1,5 +1,7 @@
 """A-dg modules: free tables, tabulated complexes, maps, cones, shifts."""
 
+from collections import Counter
+
 import pytest
 
 from dgmodels.cdga import SullivanPresentation, trivial_algebra
@@ -207,6 +209,35 @@ def test_free_cone_agrees_with_the_tabulated_cone():
     assert cone_les(free).rows == cone_les(tab).rows
     assert free.inclusion.verify().ok
     assert certify_free_map(free.projection).ok
+
+
+@pytest.mark.parametrize("build", [cone, free_cone], ids=["tabulated", "free"])
+def test_cone_les_computes_each_map_and_group_once(monkeypatch, build):
+    # the pass used to compute alpha_(n+1) twice: for exactness at
+    # H^(n+1)(N) in degree n, and again for the row of degree n + 1
+    import dgmodels.dgmodule as dgm
+
+    alg = odd_sphere()
+    m = s4_relative(alg)
+    a_mod = algebra_module(alg, cap=14)
+    cn = build(map_from_generator_images(m, a_mod, 2, {"b0": (Q(1),)}))
+    maps, groups = Counter(), Counter()
+    real_map, real_group = dgm.induced_map, dgm.module_cohomology
+
+    def counted_map(f, source_h, target_h):
+        maps[(id(f), source_h.degree)] += 1
+        return real_map(f, source_h, target_h)
+
+    def counted_group(module, n):
+        groups[(id(module), n)] += 1
+        return real_group(module, n)
+
+    monkeypatch.setattr(dgm, "induced_map", counted_map)
+    monkeypatch.setattr(dgm, "module_cohomology", counted_group)
+    table = cone_les(cn)
+    assert table.ok
+    assert set(maps.values()) == {1} and len(maps) == 3 * (table.top + 1)
+    assert set(groups.values()) == {1}
 
 
 def test_cone_of_identity_is_acyclic():

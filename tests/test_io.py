@@ -64,6 +64,19 @@ def test_parse_rational_forms():
             parse_rational(bad, "x")
 
 
+def test_matrix_shape_is_checked_before_its_entries():
+    # a row of a million entries used to be parsed entry by entry before
+    # its length was compared with the shape
+    doc = {
+        "algebra": {"generators": [["u", 2]], "cap": 4},
+        "modules": {"M": {"generators": [["b", 0]], "cap": 4}},
+        "maps": {"f": {"source": "M", "target": "A", "degree": 0,
+                       "matrices": {"0": [["x"] * 10**6]}}},
+    }
+    with pytest.raises(ValidationError, match=r"matrix shape \(1, 1000000\)"):
+        loads_document(json.dumps(doc))
+
+
 def test_rational_str_is_reduced():
     assert rational_str(Q(3)) == "3"
     assert rational_str(Q(-3, 4)) == "-3/4"
