@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .errors import DegreeWindowError, ValidationError
+from .errors import DegreeWindowError, ValidationError, shown
 from .linalg import RatMatrix, as_q
 
 Mono = tuple[int, ...]
@@ -162,7 +162,7 @@ class SullivanPresentation:
             raise ValidationError("generator names must be distinct")
         for name, deg in zip(names, degrees):
             if not name or not name.replace("_", "a").isalnum() or name[0].isdigit():
-                raise ValidationError(f"generator name {name!r} is not an identifier")
+                raise ValidationError(f"generator name {shown(name)} is not an identifier")
             if deg < 1:
                 raise ValidationError(f"generator {name} has degree {deg}; need >= 1")
         if cap < 0:
@@ -238,7 +238,7 @@ class SullivanPresentation:
         try:
             return self._index[name]
         except KeyError:
-            raise ValidationError(f"unknown generator {name!r}") from None
+            raise ValidationError(f"unknown generator {shown(name)}") from None
 
     def generator_poly(self, name: str) -> Poly:
         i = self.generator_index(name)
@@ -551,7 +551,7 @@ def parse_polynomial(algebra: SullivanPresentation, text: str) -> Poly:
         tree = ast.parse(source.replace("^", "**"), mode="eval")
         return {m: as_q(c) for m, c in _eval_node(algebra, tree.body, text).items()}
     except SyntaxError as exc:
-        raise ValidationError(f"cannot parse expression {text!r}: {exc.msg}") from None
+        raise ValidationError(f"cannot parse expression {shown(text)}: {exc.msg}") from None
     except (MemoryError, RecursionError):
         # ast.parse reports nesting too deep for its stack with either; so
         # does the recursive evaluator, with RecursionError
@@ -572,7 +572,7 @@ def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
             return _bounded_coeffs(poly_scale(node.value, algebra.unit_poly()), text)
-        raise ValidationError(f"non-integer literal {node.value!r} in {text!r}")
+        raise ValidationError(f"non-integer literal {node.value!r} in {shown(text)}")
     if isinstance(node, ast.Name):
         return algebra.generator_poly(node.id)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
@@ -583,7 +583,7 @@ def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
             base = _eval_node(algebra, node.left, text)
             exp = _poly_as_rational(_eval_node(algebra, node.right, text))
             if exp is None or exp.denominator != 1 or exp < 0:
-                raise ValidationError(f"exponent must be a nonnegative integer in {text!r}")
+                raise ValidationError(f"exponent must be a nonnegative integer in {shown(text)}")
             # square and multiply: every power computed is base^k with k <= exp
             n = int(exp)
             out = algebra.unit_poly()
@@ -605,9 +605,9 @@ def _eval_node(algebra: SullivanPresentation, node: ast.AST, text: str) -> Poly:
         if isinstance(node.op, ast.Div):
             c = _poly_as_rational(right)
             if c is None or c == 0:
-                raise ValidationError(f"division only by nonzero rationals in {text!r}")
+                raise ValidationError(f"division only by nonzero rationals in {shown(text)}")
             return _bounded_coeffs(poly_scale(Fraction(1, c), left), text)
-    raise ValidationError(f"unsupported syntax in expression {text!r}")
+    raise ValidationError(f"unsupported syntax in expression {shown(text)}")
 
 
 def _bounded_power(algebra: SullivanPresentation, p: Poly, text: str) -> Poly:
@@ -615,21 +615,20 @@ def _bounded_power(algebra: SullivanPresentation, p: Poly, text: str) -> Poly:
         deg = algebra.mono_degree(m)
         if deg > algebra.cap:
             raise DegreeWindowError(
-                f"power in {text!r} reaches degree {deg} above cap {algebra.cap}; "
+                f"power in {shown(text)} reaches degree {deg} above cap {algebra.cap}; "
                 "rejected, not truncated"
             )
         if _too_long(c):
             raise ValidationError(
-                f"power in {text!r} has a coefficient longer than {MAX_COEFF_BITS} bits"
+                f"power in {shown(text)} has a coefficient longer than {MAX_COEFF_BITS} bits"
             )
     return p
 
 
 def _bounded_coeffs(p: Poly, text: str) -> Poly:
     if any(_too_long(c) for c in p.values()):
-        shown = text if len(text) <= 40 else text[:40] + "..."
         raise ValidationError(
-            f"expression {shown!r} has a number longer than {MAX_COEFF_BITS} bits"
+            f"expression {shown(text)} has a number longer than {MAX_COEFF_BITS} bits"
         )
     return p
 

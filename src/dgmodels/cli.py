@@ -7,6 +7,11 @@ JSON of the parsed document or of a computed model).  Input comes from
 
 Exit codes: 0 success, 1 validation failure, 2 precondition failure,
 3 window-limited verdict.
+
+A command imports only the layers it runs: minmodel loads the KS tower
+(`minmodel`) and circle the report layer (`circle`); verify and export
+read the three models from `action` and load neither, unless the document
+gives its action as complexes, whose assembly runs the KS tower.
 """
 
 from __future__ import annotations
@@ -14,19 +19,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple, fields, is_dataclass
-from typing import Any
+from dataclasses import fields, is_dataclass
+from typing import TYPE_CHECKING, Any
 
+from .action import DEFAULT_DEGREE, _ActionPipeline
 from .cdga import verify_cdga
-from .circle import (
-    DEFAULT_DEGREE,
-    ActionReport,
-    action_report,
-    equivariant_model,
-    model_of_fixed_set,
-    model_of_total_space,
-)
-from .dgmodule import DgModule, FreeDgModule, modules_equal, verify_dgmodule
+from .dgmodule import DgModule, FreeDgModule, MinimalModelResult, modules_equal, verify_dgmodule
 from .errors import InconclusiveWindowError, PreconditionError, ValidationError
 from .fixtures import FIXTURES, fixture
 from .io import (
@@ -38,7 +36,9 @@ from .io import (
     model_document,
 )
 from .linalg import GradedDims, PoincareSeries
-from .minmodel import MinimalModelResult, minimal_model
+
+if TYPE_CHECKING:
+    from .circle import ActionReport
 
 
 # ---- input resolution ----------------------------------------------------------
@@ -236,6 +236,8 @@ def cmd_minmodel(
     module = doc.modules[target]
     algebra = module.algebra
     n_cap = min(max_degree + 1, module.cap, algebra.cap - 1)
+    from .minmodel import minimal_model
+
     result = minimal_model(module, n_cap=n_cap)
 
     if fmt == "machine":
@@ -305,7 +307,7 @@ def _report_json(rep: ActionReport) -> dict[str, Any]:
         payload["les"] = {
             "ok": rep.les.ok,
             "top": rep.les.table.top,
-            "rows": [list(astuple(row)) for row in rep.les.table.rows],
+            "rows": [[getattr(row, f.name) for f in fields(row)] for row in rep.les.table.rows],
             "failures": list(rep.les.failures),
         }
     sections = {
@@ -433,6 +435,8 @@ def _render_circle(rep: ActionReport, source: dict[str, str]) -> list[str]:
 def cmd_circle(doc: InputDocument, max_degree: int, source: dict[str, str], fmt: str) -> int:
     if doc.action is None:
         raise ValidationError("document has no action section")
+    from .circle import action_report
+
     rep = action_report(doc.action, max_degree)
     inconclusive = rep.localization.verdict == "inconclusive" or any(
         s.verdict == "inconclusive" for s in rep.smith_gysin
@@ -457,11 +461,11 @@ def _export_payload(doc: InputDocument, max_degree: int, what: str) -> tuple[dic
     if what == "relative":
         module = doc.assembled.relative.module if doc.assembled else data.relative_model
     elif what == "total":
-        module = model_of_total_space(data, max_degree).module
+        module = _ActionPipeline(data, max_degree).total.module
     elif what == "fixed":
-        module = model_of_fixed_set(data, max_degree).module
+        module = _ActionPipeline(data, max_degree).fixed.module
     else:
-        em = equivariant_model(data, max_degree)
+        em = _ActionPipeline(data, max_degree).borel[0]
         algebra, module = em.algebra, em.module
     noun = "borel" if what == "equivariant" else what
     title = f"{doc.name or data.name or 'action'} {noun} model"

@@ -39,7 +39,7 @@ from .cdga import (
     poly_is_zero,
     poly_scale,
 )
-from .errors import DegreeWindowError, ValidationError
+from .errors import DegreeWindowError, PreconditionError, ValidationError, shown
 from .linalg import (
     CohomologyData,
     GradedDims,
@@ -114,7 +114,7 @@ class FreeDgModule:
             raise ValidationError("module generator names must be distinct")
         for name, deg in zip(names, degrees):
             if not name or any(ch.isspace() for ch in name):
-                raise ValidationError(f"bad module generator name {name!r}")
+                raise ValidationError(f"bad module generator name {shown(name)}")
             if deg < 0:
                 raise ValidationError(f"generator {name} has negative degree {deg}")
         check_basis_budget(algebra.module_basis_slots(degrees, self.cap), "the module", self.cap)
@@ -168,7 +168,7 @@ class FreeDgModule:
         try:
             return self._index[name]
         except KeyError:
-            raise ValidationError(f"unknown module generator {name!r}") from None
+            raise ValidationError(f"unknown module generator {shown(name)}") from None
 
     @property
     def gen_count(self) -> int:
@@ -855,6 +855,115 @@ def certify_free_map(phi: DgModuleMap) -> CheckReport:
         return CheckReport("certify_map", False, tuple(failures), len(window))
     chain = certify_on_generators(phi)
     return CheckReport("certify_map", chain.ok, chain.failures, len(window) + chain.checks_run)
+
+
+@dataclass(frozen=True)
+class MinimalModelResult:
+    """A minimal factorization M -> module -> X with its certification.
+
+    rho induces isomorphisms H^i(module) = H^i(X) for 0 <= i <= window
+    and a monomorphism at mono_degree when the target window allows the
+    extra degree to be checked.
+    """
+
+    module: FreeDgModule
+    rho: DgModuleMap
+    window: int
+    mono_degree: int | None
+    betti_model: GradedDims
+    betti_target: GradedDims
+    batches: tuple[tuple[int, int, tuple[str, ...]], ...]
+
+
+@dataclass(frozen=True)
+class MinimalityReport:
+    """Outcome of the minimality check, with a derived stage per generator."""
+
+    ok: bool
+    failures: tuple[str, ...]
+    stages: dict[str, tuple[int, int]]
+    checks_run: int
+
+    def raise_if_failed(self) -> None:
+        if not self.ok:
+            raise ValidationError("; ".join(self.failures))
+
+
+def verify_minimal(module: DgModule) -> MinimalityReport:
+    """Check that a free module carries a minimal stage filtration.
+
+    Minimality requires every differential coefficient to sit in A^+ (no
+    unit component) and the same-degree dependency graph to be acyclic;
+    the stages are then re-derived as (degree, layer) with layers given
+    by longest dependency chains within each degree.
+    """
+    if not isinstance(module, FreeDgModule):
+        raise ValidationError("minimality applies to free modules")
+    unit = module.algebra.unit_mono()
+    failures: list[str] = []
+    checks = 0
+    same_degree: dict[int, list[int]] = {i: [] for i in range(module.gen_count)}
+    for i, name in enumerate(module.gen_names):
+        for j, poly in module.gen_diffs[i].items():
+            checks += 1
+            if poly.get(unit):
+                failures.append(
+                    f"d({name}) has a unit coefficient on {module.gen_names[j]}"
+                )
+            if module.gen_degrees[j] == module.gen_degrees[i]:
+                same_degree[i].append(j)
+
+    layer: dict[int, int] = {}
+
+    def assign(i: int, trail: tuple[int, ...]) -> int:
+        if i in layer:
+            return layer[i]
+        if i in trail:
+            cycle = " -> ".join(
+                module.gen_names[j] for j in trail[trail.index(i):] + (i,)
+            )
+            failures.append(f"same-degree dependency cycle: {cycle}")
+            layer[i] = 1
+            return 1
+        deps = same_degree[i]
+        value = 1 if not deps else 1 + max(
+            assign(j, trail + (i,)) for j in deps
+        )
+        layer[i] = value
+        return value
+
+    for i in range(module.gen_count):
+        assign(i, ())
+    stages = {
+        name: (module.gen_degrees[i], layer[i])
+        for i, name in enumerate(module.gen_names)
+    }
+    return MinimalityReport(
+        ok=not failures,
+        failures=tuple(failures),
+        stages=stages,
+        checks_run=checks,
+    )
+
+
+def fiber_cohomology(model: FreeDgModule, top: int | None = None) -> GradedDims:
+    """Generator counts per degree of a minimal module.
+
+    For a minimal model the differential vanishes after reducing the
+    coefficients mod A^+, so these counts are the cohomology of the
+    quotient fiber complex.
+    """
+    report = verify_minimal(model)
+    if not report.ok:
+        raise PreconditionError(
+            "fiber cohomology needs a minimal module: " + "; ".join(report.failures)
+        )
+    hi = model.cap if top is None else top
+    dims: dict[int, int] = {}
+    for deg in model.gen_degrees:
+        if deg <= hi:
+            dims[deg] = dims.get(deg, 0) + 1
+    return GradedDims(dims, hi)
 
 
 def generator_image(phi: DgModuleMap, j: int) -> tuple[Fraction, ...]:

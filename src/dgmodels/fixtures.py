@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from .action import DEFAULT_DEGREE, BasicData
 from .cdga import SullivanPresentation, trivial_algebra
-from .circle import DEFAULT_DEGREE, BasicData
 from .dgmodule import FreeDgModule, algebra_module, map_from_generator_images
 from .errors import ValidationError
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
+from .action import DEFAULT_DEGREE, VARIANTS, AssembledData, BasicData, from_complexes
 from .cdga import MAX_COEFF_BITS, SullivanPresentation, parse_polynomial, trivial_algebra
-from .circle import DEFAULT_DEGREE, VARIANTS, AssembledData, BasicData, from_complexes
 from .dgmodule import (
     DgModule,
     DgModuleMap,
@@ -33,7 +33,7 @@ from .dgmodule import (
     algebra_module,
     map_from_generator_images,
 )
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .linalg import RatMatrix, as_q
 
 _DOC_KEYS = {"name", "algebra", "modules", "maps", "action", "options"}
@@ -72,13 +72,12 @@ def parse_rational(value: Any, where: str = "value") -> int | Fraction:
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value.strip())
         if match is None:
-            shown = value if len(value) <= 40 else value[:40] + "..."
-            raise ValidationError(f"{where}: {shown!r} is not a rational p/q")
+            raise ValidationError(f"{where}: {shown(value)} is not a rational p/q")
         if any(len(digits.lstrip("+-0")) > _MAX_DIGITS for digits in match.groups("")):
             raise ValidationError(f"{where}: a rational longer than {MAX_COEFF_BITS} bits")
         value = Fraction(int(match[1]), int(match[2] or 1))
     elif not isinstance(value, int):
-        raise ValidationError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
+        raise ValidationError(f"{where}: expected an integer or 'p/q' string, got {shown(value)}")
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_COEFF_BITS:
         raise ValidationError(f"{where}: a rational longer than {MAX_COEFF_BITS} bits")
     return as_q(value)
@@ -120,7 +119,7 @@ def _expect_mapping(obj: Any, where: str) -> dict:
 def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise ValidationError(f"{where}: unknown key {unknown[0]!r} (allowed: {sorted(allowed)})")
+        raise ValidationError(f"{where}: unknown key {shown(unknown[0])} (allowed: {sorted(allowed)})")
 
 
 def _parse_generators(raw: Any, where: str) -> list[tuple[str, int]]:
@@ -135,7 +134,7 @@ def _parse_generators(raw: Any, where: str) -> list[tuple[str, int]]:
             or isinstance(entry[1], bool)
             or not isinstance(entry[1], int)
         ):
-            raise ValidationError(f"{where}: bad generator entry {entry!r}; want [name, degree]")
+            raise ValidationError(f"{where}: bad generator entry {shown(entry)}; want [name, degree]")
         out.append((entry[0], entry[1]))
     return out
 
@@ -190,7 +189,7 @@ def _parse_tabulated(
     for key, m in _expect_mapping(raw.get("action", {}), f"{where} action").items():
         parts = key.split(",")
         if len(parts) != 2:
-            raise ValidationError(f"{where}: action key {key!r} must look like 'i,k'")
+            raise ValidationError(f"{where}: action key {shown(key)} must look like 'i,k'")
         i = _parse_int_key(parts[0], f"{where} action")
         k = _parse_int_key(parts[1], f"{where} action")
         act_mats[(i, k)] = _parse_matrix(
@@ -203,7 +202,7 @@ def _parse_int_key(key: str, where: str) -> int:
     try:
         return int(key)
     except ValueError:
-        raise ValidationError(f"{where}: key {key!r} is not an integer") from None
+        raise ValidationError(f"{where}: key {shown(key)} is not an integer") from None
 
 
 def _parse_free(
@@ -233,7 +232,7 @@ def _parse_map(
     raw: Mapping[str, Any],
     name: str,
 ) -> DgModuleMap:
-    where = f"map {name!r}"
+    where = f"map {shown(name)}"
     raw = _expect_mapping(raw, where)
     _check_keys(raw, _MAP_KEYS, where)
     for field in ("source", "target"):
@@ -317,7 +316,7 @@ def _parse_action(
 
     variant = raw.get("variant", "circle")
     if variant not in VARIANTS:
-        raise ValidationError(f"action: unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise ValidationError(f"action: unknown variant {shown(variant)}; expected one of {VARIANTS}")
     fixed_set_empty = bool(raw.get("fixed_set_empty", False))
     base_sc = bool(raw.get("base_simply_connected", True))
     fixed_components = raw.get("fixed_components")
@@ -412,7 +411,7 @@ def loads_document(text: str, max_degree: int | None = None) -> InputDocument:
 
     modules: dict[str, DgModule] = {}
     for mod_name, entry in _expect_mapping(raw.get("modules", {}), "modules").items():
-        where = f"module {mod_name!r}"
+        where = f"module {shown(mod_name)}"
         entry = _expect_mapping(entry, where)
         if entry.get("tabulated"):
             modules[mod_name] = _parse_tabulated(algebra, entry, where)
@@ -428,7 +427,7 @@ def loads_document(text: str, max_degree: int | None = None) -> InputDocument:
             if not canonical_a:
                 canonical_a.append(algebra_module(algebra, cap=algebra.cap))
             return canonical_a[0]
-        raise ValidationError(f"{where}: unknown module {mod_name!r}")
+        raise ValidationError(f"{where}: unknown module {shown(mod_name)}")
 
     maps: dict[str, DgModuleMap] = {}
     for map_name, entry in _expect_mapping(raw.get("maps", {}), "maps").items():

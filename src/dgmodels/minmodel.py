@@ -25,6 +25,7 @@ from .dgmodule import (
     DgModule,
     DgModuleMap,
     FreeDgModule,
+    MinimalModelResult,
     apply_images,
     compose,
     cone,
@@ -36,6 +37,7 @@ from .dgmodule import (
     map_from_generator_images,
     maps_equal,
     module_cohomology,
+    verify_minimal,
     zero_module,
     zero_map,
 )
@@ -180,24 +182,6 @@ def ks_step(state: KSState) -> KSState:
     )
 
 
-@dataclass(frozen=True)
-class MinimalModelResult:
-    """A minimal factorization M -> module -> X with its certification.
-
-    rho induces isomorphisms H^i(module) = H^i(X) for 0 <= i <= window
-    and a monomorphism at mono_degree when the target window allows the
-    extra degree to be checked.
-    """
-
-    module: FreeDgModule
-    rho: DgModuleMap
-    window: int
-    mono_degree: int | None
-    betti_model: GradedDims
-    betti_target: GradedDims
-    batches: tuple[tuple[int, int, tuple[str, ...]], ...]
-
-
 def _h0_kernel_labels(phi: DgModuleMap) -> list[str]:
     """Labels of H^0 classes of the source killed by phi, if any."""
     if phi.source.dim(0) == 0 or not (h_src := module_cohomology(phi.source, 0)).betti:
@@ -332,97 +316,6 @@ def minimal_model(module: DgModule, n_cap: int | None = None) -> MinimalModelRes
         n_cap = min(module.cap, algebra.cap - 1)
     zero = zero_module(algebra, cap=n_cap + 1)
     return minimal_factorization(zero_map(zero, module, 0), n_cap=n_cap)
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Outcome of the minimality check, with a derived stage per generator."""
-
-    ok: bool
-    failures: tuple[str, ...]
-    stages: dict[str, tuple[int, int]]
-    checks_run: int
-
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise ValidationError("; ".join(self.failures))
-
-
-def verify_minimal(module: DgModule) -> MinimalityReport:
-    """Check that a free module carries a minimal stage filtration.
-
-    Minimality requires every differential coefficient to sit in A^+ (no
-    unit component) and the same-degree dependency graph to be acyclic;
-    the stages are then re-derived as (degree, layer) with layers given
-    by longest dependency chains within each degree.
-    """
-    if not isinstance(module, FreeDgModule):
-        raise ValidationError("minimality applies to free modules")
-    unit = module.algebra.unit_mono()
-    failures: list[str] = []
-    checks = 0
-    same_degree: dict[int, list[int]] = {i: [] for i in range(module.gen_count)}
-    for i, name in enumerate(module.gen_names):
-        for j, poly in module.gen_diffs[i].items():
-            checks += 1
-            if poly.get(unit):
-                failures.append(
-                    f"d({name}) has a unit coefficient on {module.gen_names[j]}"
-                )
-            if module.gen_degrees[j] == module.gen_degrees[i]:
-                same_degree[i].append(j)
-
-    layer: dict[int, int] = {}
-
-    def assign(i: int, trail: tuple[int, ...]) -> int:
-        if i in layer:
-            return layer[i]
-        if i in trail:
-            cycle = " -> ".join(
-                module.gen_names[j] for j in trail[trail.index(i):] + (i,)
-            )
-            failures.append(f"same-degree dependency cycle: {cycle}")
-            layer[i] = 1
-            return 1
-        deps = same_degree[i]
-        value = 1 if not deps else 1 + max(
-            assign(j, trail + (i,)) for j in deps
-        )
-        layer[i] = value
-        return value
-
-    for i in range(module.gen_count):
-        assign(i, ())
-    stages = {
-        name: (module.gen_degrees[i], layer[i])
-        for i, name in enumerate(module.gen_names)
-    }
-    return MinimalityReport(
-        ok=not failures,
-        failures=tuple(failures),
-        stages=stages,
-        checks_run=checks,
-    )
-
-
-def fiber_cohomology(model: FreeDgModule, top: int | None = None) -> GradedDims:
-    """Generator counts per degree of a minimal module.
-
-    For a minimal model the differential vanishes after reducing the
-    coefficients mod A^+, so these counts are the cohomology of the
-    quotient fiber complex.
-    """
-    report = verify_minimal(model)
-    if not report.ok:
-        raise PreconditionError(
-            "fiber cohomology needs a minimal module: " + "; ".join(report.failures)
-        )
-    hi = model.cap if top is None else top
-    dims: dict[int, int] = {}
-    for deg in model.gen_degrees:
-        if deg <= hi:
-            dims[deg] = dims.get(deg, 0) + 1
-    return GradedDims(dims, hi)
 
 
 def _ks_order(module: FreeDgModule) -> list[int]:

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dgmodels import cdga, circle, dgmodule
+from dgmodels import action, cdga, circle, dgmodule
+from dgmodels.action import BasicData
 from dgmodels.cdga import (
     CHECK_BUDGET,
     SullivanPresentation,
@@ -26,7 +27,7 @@ from dgmodels.cdga import (
     poly_eq,
     verify_cdga,
 )
-from dgmodels.circle import BasicData, _comb_eq, _naive_axioms, _naive_mul, almost_free_model
+from dgmodels.circle import _comb_eq, _naive_axioms, _naive_mul, almost_free_model
 from dgmodels.dgmodule import (
     DgModuleMap,
     FreeDgModule,
@@ -407,7 +408,7 @@ def almost_free_data(base, scale, window):
 def test_almost_free_generator_check_agrees_with_reference_loop(base, scale, window):
     data, e_poly = almost_free_data(base, scale, window)
     report = almost_free_model(data, window)
-    free = circle._ActionPipeline(data, window).total.module
+    free = action._ActionPipeline(data, window).total.module
     alg_x = extend(data.algebra, report.generator_name, 1, e_poly)
     assert report.ok == reference_product_rule(free, alg_x, report.window)
     assert report.ok and report.window == window
@@ -463,14 +464,14 @@ WITH_FIXED_SET = [name for name in FIXTURES if not fixture(name, 12).fixed_set_e
 @pytest.mark.parametrize("window", [12, 20])
 @pytest.mark.parametrize("name", WITH_FIXED_SET)
 def test_extension_of_scalars_agrees_with_the_quotient_module(name, window):
-    p = circle._ActionPipeline(fixture(name, window), window)
+    p = action._ActionPipeline(fixture(name, window), window)
     report = circle._extension_of_scalars(p)
     assert report.ok == reference_extension_of_scalars(p)
     assert report.ok and report.window == min(p.borel[0].module.cap, p.total.module.cap) - 1
 
 
 def test_extension_of_scalars_reports_a_changed_coefficient():
-    p = circle._ActionPipeline(fixture("s4_hopf", 12), 12)
+    p = action._ActionPipeline(fixture("s4_hopf", 12), 12)
     free_t = p.total.module
     names = free_t.gen_names
     j = next(j for j, comb in enumerate(free_t.gen_diffs) if comb)
@@ -491,7 +492,7 @@ def test_extension_of_scalars_reports_a_changed_coefficient():
 
 
 def test_extension_of_scalars_reports_a_higher_cap():
-    p = circle._ActionPipeline(fixture("s4_hopf", 12), 12)
+    p = action._ActionPipeline(fixture("s4_hopf", 12), 12)
     free_t = p.total.module
     p.total = dataclasses.replace(p.total, module=_at_cap(free_t, free_t.cap + 1))
     report = circle._extension_of_scalars(p)

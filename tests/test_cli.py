@@ -314,6 +314,36 @@ def test_unbounded_matrix_entry_is_one_error_line(tmp_path, entry, message):
     assert lines[0].startswith("error: ") and message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "module, message",
+    [
+        ({"generators": [[0] * 10**6]}, "bad generator entry [0, 0, 0"),
+        ({"generators": [["b", 0]], "cap": 4}, "got [0, 0, 0"),
+    ],
+    ids=["generator_entry", "matrix_entry"],
+)
+def test_long_value_is_echoed_in_a_short_error_line(tmp_path, module, message):
+    # the message used to hold the whole array, 3 MB of it
+    entry = [0] * 10**6
+    doc = tmp_path / "long_value.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "algebra": {"generators": [["u", 2]], "cap": 4},
+                "modules": {"M": module},
+                "maps": {"f": {"source": "M", "target": "A", "degree": 0,
+                               "matrices": {"0": [[entry]]}}},
+            }
+        )
+    )
+    res = run("verify", "--input", str(doc))
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) < 300, res.stderr[:300]
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_missing_file_exits_one():
     res = run("verify", "--input", "/nonexistent/never.json")
     assert res.returncode == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgmodels import circle, dgmodule, minmodel
+from dgmodels import action, dgmodule, minmodel
 from dgmodels.cdga import SullivanPresentation
 from dgmodels.circle import action_report
 from dgmodels.dgmodule import (
@@ -85,7 +85,7 @@ def test_fixture_cone_blocks_match_the_eager_assembly(name, window):
     data = fixture(name, window)
     maps = [data.e_prime]
     if not data.fixed_set_empty:
-        maps += [data.i_prime, circle._ActionPipeline(data, window).borel[1].phi]
+        maps += [data.i_prime, action._ActionPipeline(data, window).borel[1].phi]
     for phi in maps:
         assert_blocks_match_eager(cone(phi, check=False))
 

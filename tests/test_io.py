@@ -5,7 +5,7 @@ import json
 import pytest
 
 from dgmodels.dgmodule import modules_equal, tabulate
-from dgmodels.errors import ValidationError
+from dgmodels.errors import ValidationError, shown
 from dgmodels.io import (
     document_json,
     dump_json,
@@ -62,6 +62,16 @@ def test_parse_rational_forms():
     for bad in (True, 1.5, "abc", "1/0", None):
         with pytest.raises(ValidationError):
             parse_rational(bad, "x")
+
+
+def test_shown_values_are_cut_after_forty_characters():
+    short = [None, 1.5, -3, True, "", "b" * 40, [], [["b", 2], {"c": [1, "2/3"]}], {"k": "v"}]
+    for value in short:
+        assert shown(value) == repr(value)
+    assert shown("x" * 41) == repr("x" * 40 + "...")
+    assert shown([0] * 10**6) == "[" + "0, " * 13 + "..."
+    assert shown({"k" * 50: 1}) == "{'" + "k" * 38 + "..."
+    assert shown([[[[0] * 20]]]) == repr([[[[0] * 20]]])[:40] + "..."
 
 
 def test_matrix_shape_is_checked_before_its_entries():

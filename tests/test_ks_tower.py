@@ -28,6 +28,7 @@ from dgmodels.dgmodule import (
     maps_equal,
     module_cohomology,
     tabulate,
+    verify_minimal,
     zero_map,
     zero_module,
 )
@@ -39,7 +40,6 @@ from dgmodels.minmodel import (
     ks_step,
     lift_section,
     minimal_model,
-    verify_minimal,
 )
 
 CAP = 8

@@ -12,6 +12,7 @@ from dgmodels.dgmodule import (
     algebra_module,
     compose,
     cone,
+    fiber_cohomology,
     free_cone,
     identity_map,
     is_homotopy,
@@ -21,6 +22,7 @@ from dgmodels.dgmodule import (
     module_cohomology,
     tabulate,
     verify_dgmodule,
+    verify_minimal,
     zero_map,
     zero_module,
 )
@@ -28,13 +30,11 @@ from dgmodels.errors import InconclusiveWindowError, PreconditionError, Validati
 from dgmodels.linalg import Q, RatMatrix, cohomology_count
 from dgmodels.minmodel import (
     cone_quis,
-    fiber_cohomology,
     lift_section,
     minimal_factorization,
     minimal_model,
     model_of_morphism,
     relative_cohomology,
-    verify_minimal,
 )
 
 

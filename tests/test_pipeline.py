@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from dgmodels import circle, cli, dgmodule
+from dgmodels import action, cli, dgmodule
+from dgmodels.action import BasicData
 from dgmodels.circle import (
-    BasicData,
     action_report,
     almost_free_model,
     dimc_relation,
@@ -101,7 +101,7 @@ def test_action_report_builds_each_stage_once(monkeypatch, name):
     validated, borel_algebras = [], []
     cones = Counter()
     validate, free_cone = BasicData.validate, dgmodule.free_cone
-    borel_algebra = circle._borel_algebra
+    borel_algebra = action._borel_algebra
 
     def counting_validate(self):
         validated.append(self)
@@ -116,9 +116,9 @@ def test_action_report_builds_each_stage_once(monkeypatch, name):
         return borel_algebra(data)
 
     monkeypatch.setattr(BasicData, "validate", counting_validate)
-    for module in (dgmodule, circle):
+    for module in (dgmodule, action):
         monkeypatch.setattr(module, "free_cone", counting_free_cone)
-    monkeypatch.setattr(circle, "_borel_algebra", counting_borel_algebra)
+    monkeypatch.setattr(action, "_borel_algebra", counting_borel_algebra)
     action_report(data, 12)
 
     assert validated == borel_algebras == [data]

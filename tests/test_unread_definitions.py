@@ -3,10 +3,11 @@
 A definition counts as read when its name is loaded as a variable or an
 attribute, or appears in a string annotation, anywhere in the package; the
 check is by name, so it cannot tell two methods of one name apart.  Exempt:
-dunder methods, which Python calls; names exported from `__init__.py`, the
-public API; methods that override a standard-library base class (`error` of
-an `argparse.ArgumentParser`), which the base class calls; and names that
-`perfbench/tracer.py` mentions, which it patches by name.
+dunder methods, which Python calls; names in the export table of
+`__init__.py`, the public API; methods that override a standard-library
+base class (`error` of an `argparse.ArgumentParser`), which the base class
+calls; and names that `perfbench/tracer.py` mentions, which it patches by
+name.
 """
 
 from __future__ import annotations
@@ -105,13 +106,14 @@ def unread_definitions(sources: dict[str, str], exempt: set[str] = frozenset()) 
 
 
 def _exports() -> set[str]:
+    """The names of `__init__.py`'s lazy export table."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
+    (table,) = (
+        node.value
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_EXPORTS"]
+    )
+    return set(ast.literal_eval(table))
 
 
 def test_every_definition_is_read():
