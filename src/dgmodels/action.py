@@ -16,9 +16,9 @@ assembled from tabulated complexes, which runs the KS tower of `minmodel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .cdga import (
     CheckReport,
@@ -67,8 +67,7 @@ def _certificate_count(phi: DgModuleMap) -> int:
     return len(window) + sum(k in window for k in gens)
 
 
-@dataclass(frozen=True, eq=False)
-class BasicData:
+class BasicData(NamedTuple):
     """Orbit-space data determining the models of one action.
 
     relative_model is a minimal free A-dg module; i_prime (degree 0) and
@@ -299,8 +298,7 @@ class _ActionPipeline:
         return _equivariant_pieces(self.data, self.borel_algebra, self.max_degree)
 
 
-@dataclass(frozen=True, eq=False)
-class EquivariantModel:
+class EquivariantModel(NamedTuple):
     """Borel model: free over the algebra extended by the Euler class."""
 
     algebra: SullivanPresentation
@@ -378,8 +376,7 @@ def _equivariant_pieces(
 # ---- assembly from tabulated complexes --------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AssembledData:
+class AssembledData(NamedTuple):
     """Basic data produced from tabulated complexes, and the relative model."""
 
     data: BasicData

@@ -15,10 +15,9 @@ truncated.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegreeWindowError, ValidationError, shown
 from .linalg import RatMatrix, as_q
@@ -113,8 +112,7 @@ def poly_eq(p: Mapping[Mono, Fraction], q: Mapping[Mono, Fraction]) -> bool:
     return poly_is_zero(poly_sub(p, q))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a structural verification, with human-readable witnesses."""
 
     name: str

@@ -18,8 +18,8 @@ builds a pipeline of its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .action import (
     DEFAULT_DEGREE,
@@ -69,8 +69,7 @@ def equivariant_model(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> Equi
 # ---- shared basis --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SharedBasisReport:
+class SharedBasisReport(NamedTuple):
     """Generator multisets of the two cone models, compared up to a shift."""
 
     ok: bool
@@ -111,8 +110,7 @@ def _shared_basis(p: _ActionPipeline) -> SharedBasisReport:
 # ---- Borel model ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivariantLesReport:
+class EquivariantLesReport(NamedTuple):
     """Cone long exact sequence of the Borel model, with a rank recount."""
 
     table: LesTable
@@ -141,8 +139,7 @@ def _equivariant_les(p: _ActionPipeline) -> EquivariantLesReport:
     return EquivariantLesReport(table, not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class ScalarsReport:
+class ScalarsReport(NamedTuple):
     """Setting the Euler class to zero in the Borel model recovers the
     total-space model, generator by generator."""
 
@@ -200,8 +197,7 @@ def _extension_of_scalars(p: _ActionPipeline) -> ScalarsReport:
 # ---- fiber Poincare series -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoincareReport:
+class PoincareReport(NamedTuple):
     """Power-series identities tying the three fiber series together."""
 
     ok: bool
@@ -277,16 +273,14 @@ def _vector_label(module, degree: int, v) -> str:
     return " ".join([head] + terms[1:])
 
 
-@dataclass(frozen=True)
-class FormalityString:
+class FormalityString(NamedTuple):
     """Witness chain alpha_0, alpha_1, ... with e*(alpha_n) = i*(alpha_{n-1})."""
 
     degree: int
     steps: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FormalityReport:
+class FormalityReport(NamedTuple):
     """Surjectivity of Ker q* -> Ker e*, degree by degree."""
 
     formal: bool
@@ -399,8 +393,7 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
 # ---- localization ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(NamedTuple):
     """Invertibility of nabla = e + W on the Euler-inverted relative module."""
 
     verdict: str
@@ -507,8 +500,7 @@ def _localization(p: _ActionPipeline) -> LocalizationReport:
 # ---- cohomological dimension ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimcReport:
+class DimcReport(NamedTuple):
     """Window reading of dimc(M) against dimc(F) and dimc(F) + 2."""
 
     applicable: bool
@@ -589,8 +581,7 @@ def _dimc(p: _ActionPipeline) -> DimcReport:
 # ---- almost-free reduction -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AlmostFreeReport:
+class AlmostFreeReport(NamedTuple):
     """Total-space model rewritten as the dgc algebra A(x)Lambda(x), dx = e."""
 
     ok: bool
@@ -674,8 +665,7 @@ def _almost_free(p: _ActionPipeline) -> AlmostFreeReport:
 # ---- naive product ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingEntry:
+class RingEntry(NamedTuple):
     """Product of two positive-degree cohomology classes, in H-coordinates."""
 
     left_degree: int
@@ -685,8 +675,7 @@ class RingEntry:
     coords: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class NaiveReport:
+class NaiveReport(NamedTuple):
     """The naive product on the total-space cone when the Euler map vanishes;
     sphere_degrees is None unless the cohomology is a wedge of spheres."""
 
@@ -843,8 +832,7 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
 # ---- Smith-Gysin inequality -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithGysinReport:
+class SmithGysinReport(NamedTuple):
     """One instance of the inequality
     dim H^{r-1}(relative) + sum_i dim H^{r+2i}(F) <= sum_i dim H^{r+2i}(M)."""
 
@@ -916,8 +904,7 @@ def semifree_s3_models(
 # ---- full report -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ActionReport:
+class ActionReport(NamedTuple):
     """Everything the basic data determines, with notes for skipped parts."""
 
     name: str

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING, Any
 
 from .action import DEFAULT_DEGREE, _ActionPipeline
@@ -268,14 +267,14 @@ def cmd_minmodel(
 
 
 def _record_json(value: Any) -> Any:
-    """A report record as JSON: dataclass fields under their own names, Betti
-    tables and fiber series as integer lists, tuples as lists."""
+    """A report record as JSON: record fields under their own names, Betti
+    tables and fiber series as integer lists, plain tuples as lists."""
     if isinstance(value, GradedDims):
         return value.as_list()
     if isinstance(value, PoincareSeries):
         return value.coeffs
-    if is_dataclass(value):
-        return {f.name: _record_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _record_json(v) for name, v in zip(value._fields, value)}
     if isinstance(value, tuple):
         return [_record_json(v) for v in value]
     return value
@@ -307,7 +306,7 @@ def _report_json(rep: ActionReport) -> dict[str, Any]:
         payload["les"] = {
             "ok": rep.les.ok,
             "top": rep.les.table.top,
-            "rows": [[getattr(row, f.name) for f in fields(row)] for row in rep.les.table.rows],
+            "rows": [list(row) for row in rep.les.table.rows],
             "failures": list(rep.les.failures),
         }
     sections = {

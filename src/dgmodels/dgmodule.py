@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cdga import (
     CheckReport,
@@ -857,8 +857,7 @@ def certify_free_map(phi: DgModuleMap) -> CheckReport:
     return CheckReport("certify_map", chain.ok, chain.failures, len(window) + chain.checks_run)
 
 
-@dataclass(frozen=True)
-class MinimalModelResult:
+class MinimalModelResult(NamedTuple):
     """A minimal factorization M -> module -> X with its certification.
 
     rho induces isomorphisms H^i(module) = H^i(X) for 0 <= i <= window
@@ -875,8 +874,7 @@ class MinimalModelResult:
     batches: tuple[tuple[int, int, tuple[str, ...]], ...]
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     """Outcome of the minimality check, with a derived stage per generator."""
 
     ok: bool
@@ -1055,8 +1053,7 @@ def shift(module: DgModule, p: int) -> TabulatedDgModule:
     return TabulatedDgModule(module.algebra, new_cap, labels, d_mats, act_mats)
 
 
-@dataclass
-class Cone:
+class Cone(NamedTuple):
     """Graded cone N +_phi M of a degree-p map, with its structure maps.
 
     In degree n the module's basis is N^n followed by M^{n-p+1}: the
@@ -1283,8 +1280,7 @@ def is_quis(f: DgModuleMap) -> bool:
     return True
 
 
-@dataclass
-class LesRow:
+class LesRow(NamedTuple):
     """One window degree of the cone long exact sequence."""
 
     n: int
@@ -1298,8 +1294,7 @@ class LesRow:
     exact_at_source: bool
 
 
-@dataclass
-class LesTable:
+class LesTable(NamedTuple):
     """H^n(N) -> H^n(cone) -> H^{n+1-p}(M) -> H^{n+1}(N), checked per node."""
 
     degree: int

@@ -8,8 +8,6 @@ for the Euler extension.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .action import DEFAULT_DEGREE, BasicData
 from .cdga import SullivanPresentation, trivial_algebra
 from .dgmodule import FreeDgModule, algebra_module, map_from_generator_images
@@ -109,9 +107,7 @@ def flow_s4(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     """The 4-sphere dataset read as an isometric flow (same basic data, so
     the same least window, checked here under this fixture's name)."""
     _require_window("flow_s4", max_degree, 2)
-    return dataclasses.replace(
-        s4_hopf(max_degree), variant="isometric_flow", name="flow_s4"
-    )
+    return s4_hopf(max_degree)._replace(variant="isometric_flow", name="flow_s4")
 
 
 def nonformal(max_degree: int = DEFAULT_DEGREE) -> BasicData:

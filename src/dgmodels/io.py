@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .action import DEFAULT_DEGREE, VARIANTS, AssembledData, BasicData, from_complexes
 from .cdga import MAX_COEFF_BITS, SullivanPresentation, parse_polynomial, trivial_algebra
@@ -91,8 +90,7 @@ def dump_json(payload: Any) -> str:
 # ---- documents ----------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class InputDocument:
+class InputDocument(NamedTuple):
     """Parsed input: named objects plus optional circle-action wiring."""
 
     name: str
@@ -149,7 +147,7 @@ def _parse_algebra(raw: Any, default_cap: int) -> SullivanPresentation:
     diffs_raw = _expect_mapping(raw.get("differentials", {}), "algebra differentials")
     for name, expr in diffs_raw.items():
         if not isinstance(expr, str):
-            raise ValidationError(f"algebra: d({name}) must be an expression string")
+            raise ValidationError(f"algebra: d({shown(name)}) must be an expression string")
     # Two-phase build: the expression parser needs the generator namespace.
     shell = SullivanPresentation(gens, cap=cap)
     diffs = {name: parse_polynomial(shell, expr) for name, expr in diffs_raw.items()}
@@ -175,7 +173,9 @@ def _parse_tabulated(
     labels: dict[int, tuple[str, ...]] = {}
     for key, ls in _expect_mapping(raw.get("labels", {}), f"{where} labels").items():
         if not isinstance(ls, list) or any(not isinstance(s, str) for s in ls):
-            raise ValidationError(f"{where}: labels at degree {key} must be a list of strings")
+            raise ValidationError(
+                f"{where}: labels at degree {shown(key)} must be a list of strings"
+            )
         labels[_parse_int_key(key, f"{where} labels")] = tuple(ls)
 
     def dim(k: int) -> int:
@@ -216,11 +216,12 @@ def _parse_free(
     diffs_raw = _expect_mapping(raw.get("differentials", {}), f"{where} differentials")
     diffs: dict[str, dict[str, str]] = {}
     for gname, row in diffs_raw.items():
-        row = _expect_mapping(row, f"{where}: d({gname})")
+        d_where = f"{where}: d({shown(gname)})"
+        row = _expect_mapping(row, d_where)
         for tgt, expr in row.items():
             if not isinstance(expr, str):
                 raise ValidationError(
-                    f"{where}: d({gname}) coefficient on {tgt} must be an expression string"
+                    f"{d_where} coefficient on {shown(tgt)} must be an expression string"
                 )
         diffs[gname] = dict(row)
     return FreeDgModule(algebra, gens, diffs, cap=cap)
@@ -261,6 +262,7 @@ def _parse_map(
     for gname, value in _expect_mapping(raw.get("images", {}), f"{where} images").items():
         gi = source.gen_index(gname)
         t = source.gen_degrees[gi] + degree
+        image_of = f"{where}: image of {shown(gname)}"
         if isinstance(value, str):
             row = {0: value}
             if not (
@@ -269,11 +271,11 @@ def _parse_map(
                 and target.gen_degrees == (0,)
             ):
                 raise ValidationError(
-                    f"{where}: plain-expression image of {gname} needs a rank-one "
+                    f"{where}: plain-expression image of {shown(gname)} needs a rank-one "
                     "degree-zero target; use the {generator: expression} form"
                 )
         else:
-            value = _expect_mapping(value, f"{where}: image of {gname}")
+            value = _expect_mapping(value, image_of)
             if not isinstance(target, FreeDgModule):
                 raise ValidationError(
                     f"{where}: generator-keyed images need a free target module"
@@ -282,15 +284,13 @@ def _parse_map(
         comb = {}
         for j, expr in row.items():
             if not isinstance(expr, str):
-                raise ValidationError(f"{where}: image of {gname} must use expression strings")
+                raise ValidationError(f"{image_of} must use expression strings")
             poly = parse_polynomial(algebra, expr)
             if poly:
                 comb[j] = poly
         if not 0 <= t <= target.cap:
             if comb:
-                raise ValidationError(
-                    f"{where}: image of {gname} lands in degree {t}, outside the target window"
-                )
+                raise ValidationError(f"{image_of} lands in degree {t}, outside the target window")
             continue
         images[gname] = target.combination_vector(comb, t)
     return map_from_generator_images(source, target, degree, images, name=name)

@@ -33,10 +33,9 @@ for a whole batch Z of cocycles.  `rref()` builds the transform T, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -473,8 +472,7 @@ def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Frac
     return [vectors[j] for j in pivots]
 
 
-@dataclass
-class GradedDims:
+class GradedDims(NamedTuple):
     """Dimensions per degree over a window [0, top]."""
 
     dims: dict[int, int]
@@ -491,8 +489,7 @@ class GradedDims:
         return max(nonzero) if nonzero else None
 
 
-@dataclass
-class PoincareSeries:
+class PoincareSeries(NamedTuple):
     """Truncated power series sum c_n t^n, certified through degree top."""
 
     coeffs: list[int]
@@ -540,8 +537,7 @@ class PoincareSeries:
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class CohomologyData:
+class CohomologyData(NamedTuple):
     """Cohomology of a complex at one degree, with explicit witnesses.
 
     Immutable, so that one instance can be cached and shared by every caller.

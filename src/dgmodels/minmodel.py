@@ -17,9 +17,8 @@ quasi-isomorphism between graded cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dgmodule import (
     DgModule,
@@ -96,8 +95,7 @@ def relative_cohomology(
     return tuple((z[:split], z[split:]) for z in data.representatives)
 
 
-@dataclass
-class KSState:
+class KSState(NamedTuple):
     """One step of the extension tower: rho from the current module to the
     target, and the stage.
 
@@ -111,7 +109,7 @@ class KSState:
     n: int
     q: int
     batches: tuple[tuple[int, int, tuple[str, ...]], ...] = ()
-    rel: tuple[RatMatrix, ...] = field(default=(), repr=False, compare=False)
+    rel: tuple[RatMatrix, ...] = ()
 
     @property
     def done(self) -> bool:

@@ -11,7 +11,6 @@ and the fixtures pin each against the full check it replaces:
 `modules_equal`, kept here as the references.
 """
 
-import dataclasses
 
 import pytest
 from hypothesis import assume, given, settings
@@ -482,7 +481,7 @@ def test_extension_of_scalars_reports_a_changed_coefficient():
     diffs[names[j]][names[h]] = {m: 2 * c for m, c in poly.items()}
     changed = FreeDgModule(free_t.algebra, list(zip(names, free_t.gen_degrees)), diffs, free_t.cap)
     # replaces the pipeline's cached total-space model
-    p.total = dataclasses.replace(p.total, module=changed)
+    p.total = p.total._replace(module=changed)
     report = circle._extension_of_scalars(p)
     assert not report.ok and not reference_extension_of_scalars(p)
     assert report.failures == (
@@ -494,7 +493,7 @@ def test_extension_of_scalars_reports_a_changed_coefficient():
 def test_extension_of_scalars_reports_a_higher_cap():
     p = action._ActionPipeline(fixture("s4_hopf", 12), 12)
     free_t = p.total.module
-    p.total = dataclasses.replace(p.total, module=_at_cap(free_t, free_t.cap + 1))
+    p.total = p.total._replace(module=_at_cap(free_t, free_t.cap + 1))
     report = circle._extension_of_scalars(p)
     assert not report.ok and not reference_extension_of_scalars(p)
     assert report.failures == ("quotient by the Euler class does not match the total-space model",)
@@ -577,7 +576,7 @@ def test_validate_certifies_the_structure_maps_without_verify(monkeypatch):
     mats = {k: data.i_prime.matrix(k) for k in data.i_prime.window()}
     mats[4] = mats[4].scale(2)  # u.b -> 2u^2, off the generator b -> u
     i_prime = DgModuleMap(data.relative_model, data.i_prime.target, 0, mats)
-    report = dataclasses.replace(data, i_prime=i_prime).validate()
+    report = data._replace(i_prime=i_prime).validate()
     assert report.failures == ("i': A-linearity fails for (|a|, |m|) = (2, 2)",)
 
 

@@ -1,6 +1,5 @@
 """Circle-action analyses on the shipped fixtures, against hand-computed values."""
 
-import dataclasses
 
 import pytest
 
@@ -169,7 +168,7 @@ def test_cp2_localization_bijective_with_nilpotent_w(cp2):
     m3 = [Q(0)] * m.dim(3)
     m3[m.basis_index(3)[(m.gen_index("m3"), m.algebra.unit_mono())]] = Q(1)
     w = map_from_generator_images(m, m, 2, {"m1": m3}, name="W")
-    data = dataclasses.replace(cp2, euler_self_map=w)
+    data = cp2._replace(euler_self_map=w)
     assert data.validate().ok
     loc = localization_check(data, 12)
     assert loc.verdict == "bijective"

@@ -344,6 +344,41 @@ def test_long_value_is_echoed_in_a_short_error_line(tmp_path, module, message):
     assert lines[0].startswith("error: ") and message in lines[0]
 
 
+LONG_KEY = "k" * 10**6
+SMALL_ALGEBRA = {"generators": [["u", 2]], "cap": 4}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"algebra": SMALL_ALGEBRA,
+          "modules": {"M": {"tabulated": True, "cap": 2, "labels": {LONG_KEY: 0}}}},
+         "labels at degree 'kkk"),
+        ({"algebra": {**SMALL_ALGEBRA, "differentials": {LONG_KEY: 0}}}, "algebra: d('kkk"),
+        ({"algebra": SMALL_ALGEBRA,
+          "modules": {"M": {"generators": [["b", 0]], "differentials": {"b": {LONG_KEY: 0}}}}},
+         "d('b') coefficient on 'kkk"),
+        ({"algebra": SMALL_ALGEBRA,
+          "modules": {"M": {"generators": [["b", 0]], "differentials": {LONG_KEY: 0}}}},
+         "d('kkk"),
+        ({"algebra": SMALL_ALGEBRA, "modules": {"M": {"generators": [[LONG_KEY, 0]]}},
+          "maps": {"f": {"source": "M", "target": "A", "images": {LONG_KEY: 0}}}},
+         "image of 'kkk"),
+    ],
+    ids=["labels", "algebra_differential", "free_coefficient", "free_differential", "image"],
+)
+def test_long_key_is_echoed_in_a_short_error_line(tmp_path, document, message):
+    # the message used to hold the whole key, a megabyte of it
+    doc = tmp_path / "long_key.json"
+    doc.write_text(json.dumps(document))
+    res = run("verify", "--input", str(doc))
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) < 300, res.stderr[:300]
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_missing_file_exits_one():
     res = run("verify", "--input", "/nonexistent/never.json")
     assert res.returncode == 1

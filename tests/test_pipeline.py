@@ -2,7 +2,6 @@
 call counts and the standalone report functions."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -131,10 +130,8 @@ def test_action_report_builds_each_stage_once(monkeypatch, name):
 
 def _value(x):
     """Structural value of a report, for comparing two separately built ones."""
-    if dataclasses.is_dataclass(x):
-        return (type(x).__name__,) + tuple(
-            _value(getattr(x, f.name)) for f in dataclasses.fields(x)
-        )
+    if hasattr(x, "_fields"):
+        return (type(x).__name__,) + tuple(_value(getattr(x, name)) for name in x._fields)
     if isinstance(x, (list, tuple)):
         return tuple(_value(v) for v in x)
     if isinstance(x, Mapping):

@@ -4,10 +4,9 @@
 block padded its own label, indented its own detail lines and cut its own
 failures at three.  `cli._render_circle` must print the same lines on
 every fixture at windows 12 and 20, and on reports edited with
-`dataclasses.replace` to reach the branches that no fixture reaches.
+`_replace` to reach the branches that no fixture reaches.
 """
 
-import dataclasses
 import functools
 
 import pytest
@@ -179,8 +178,7 @@ FAILURES = tuple(f"degree {k}: seeded failure {k}" for k in range(5))
 def _full_report():
     """cp2's report with the almost-free section, the Smith-Gysin rows and the
     notes of other fixtures, so that every verdict block is present."""
-    return dataclasses.replace(
-        _report("cp2", 12),
+    return _report("cp2", 12)._replace(
         almost_free=_report("almost_free_hopf", 12).almost_free,
         smith_gysin=_report("flow_s4", 12).smith_gysin,
         notes=_report("flow_s4", 12).notes,
@@ -189,8 +187,8 @@ def _full_report():
 
 def _edit(section, **changes):
     rep = _full_report()
-    edited = dataclasses.replace(getattr(rep, section), **changes)
-    return dataclasses.replace(rep, **{section: edited})
+    edited = getattr(rep, section)._replace(**changes)
+    return rep._replace(**{section: edited})
 
 
 EDITS = {
@@ -211,15 +209,13 @@ EDITS = {
     ),
     "wedge of spheres": lambda: _edit("naive", wedge_of_spheres=True, sphere_degrees=(3, 5)),
     "wedge without degrees": lambda: _edit("naive", wedge_of_spheres=True, sphere_degrees=None),
-    "smith-gysin reason": lambda: dataclasses.replace(
-        _full_report(),
+    "smith-gysin reason": lambda: _full_report()._replace(
         smith_gysin=tuple(
-            dataclasses.replace(s, verdict="inconclusive", reason=f"r={s.r} not stable")
+            s._replace(verdict="inconclusive", reason=f"r={s.r} not stable")
             for s in _full_report().smith_gysin
         ),
     ),
-    "no sections": lambda: dataclasses.replace(
-        _full_report(),
+    "no sections": lambda: _full_report()._replace(
         name="",
         fixed=None,
         equivariant=None,
@@ -241,7 +237,7 @@ EDITS = {
 def test_text_report_matches_reference_on_edited_reports(edit):
     rep, source = EDITS[edit](), {"fixture": "edited"}
     lines = _render_circle(rep, source)
-    if any(getattr(section, "failures", None) == FAILURES for section in vars(rep).values()):
+    if any(getattr(section, "failures", None) == FAILURES for section in rep._asdict().values()):
         assert "      degree 2: seeded failure 2" in lines
         assert "      degree 3: seeded failure 3" not in lines
     assert lines == reference_render_circle(rep, source)
