@@ -14,7 +14,6 @@ _EXPORTS = {
     "trivial_algebra": "cdga",
     "verify_cdga": "cdga",
     "BasicData": "action",
-    "from_complexes": "action",
     "action_report": "circle",
     "almost_free_model": "circle",
     "dimc_relation": "circle",
@@ -53,6 +52,7 @@ _EXPORTS = {
     "InputDocument": "io",
     "load_document": "io",
     "loads_document": "io",
+    "from_complexes": "minmodel",
     "lift_section": "minmodel",
     "minimal_factorization": "minmodel",
     "minimal_model": "minmodel",

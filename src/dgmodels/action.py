@@ -10,8 +10,9 @@ of i' that of the fixed-point set, and the cone of q' = e' + i'e over A
 extended by a polynomial Euler class e is the Borel (equivariant) model.
 
 `_ActionPipeline` builds each of the three once for one (data, window);
-the reports in `circle` read them from there.  Basic data may also be
-assembled from tabulated complexes, which runs the KS tower of `minmodel`.
+the reports in `circle` read them from there.  Basic data assembled from
+tabulated complexes comes from `minmodel.from_complexes`, next to the KS
+tower it runs.
 """
 
 from __future__ import annotations
@@ -371,87 +372,3 @@ def _equivariant_pieces(
     names = _fresh_names("c", m.gen_count, set(a_mod.gen_names))
     cn = free_cone(q_prime, gen_names=names, check=False)
     return EquivariantModel(alg_e, e_name, cn.module, *_certify_cone(cn, max_degree)), cn
-
-
-# ---- assembly from tabulated complexes --------------------------------------
-
-
-class AssembledData(NamedTuple):
-    """Basic data produced from tabulated complexes, and the relative model."""
-
-    data: BasicData
-    relative: MinimalModelResult
-
-
-def from_complexes(
-    orbit_quis: DgModuleMap,
-    inclusion_map: DgModuleMap,
-    euler_map: DgModuleMap,
-    max_degree: int = DEFAULT_DEGREE,
-    fixed_set_empty: bool = False,
-    variant: str = "circle",
-    base_simply_connected: bool = True,
-    fixed_components: int | None = None,
-    name: str = "",
-) -> AssembledData:
-    """Builds basic data from tabulated stand-ins for the orbit complexes.
-
-    orbit_quis is a quasi-isomorphism from the algebra-as-module onto the
-    orbit complex X_B; inclusion_map (degree 0) and euler_map (degree 2, or
-    4 for the semifree variant) share a source complex standing in for the
-    relative orbit complex and land in X_B.  The relative complex is
-    replaced by its minimal model, the two maps are transported onto it,
-    and the transported cones are certified against the original ones.
-    """
-    # the KS tower is loaded only by the documents that need it
-    from .minmodel import cone_quis, minimal_model, model_of_morphism
-
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    d_e = EULER_DEGREES[variant]
-    src = orbit_quis.source
-    bad = _orbit_module_failure(src, src.algebra)
-    if bad:
-        raise ValidationError(f"orbit_quis source: {bad}")
-    alg = src.algebra
-    if inclusion_map.source is not euler_map.source:
-        raise ValidationError("inclusion_map and euler_map must share their source complex")
-    if inclusion_map.target is not orbit_quis.target or euler_map.target is not orbit_quis.target:
-        raise ValidationError("structure maps must land in the orbit complex")
-    if inclusion_map.degree != 0:
-        raise ValidationError(f"inclusion_map has degree {inclusion_map.degree}; expected 0")
-    if euler_map.degree != d_e:
-        raise ValidationError(
-            f"euler_map has degree {euler_map.degree}; variant {variant} needs {d_e}"
-        )
-
-    x_bf = inclusion_map.source
-    relative = minimal_model(x_bf, n_cap=min(max_degree + 1, x_bf.cap, alg.cap - 1))
-    m_model, rho_m = relative.module, relative.rho
-
-    need = max(m_model.gen_degrees) + d_e
-    a_mod = algebra_module(alg, cap=min(alg.cap, max(need, src.cap)))
-    unit_img = orbit_quis.matrix(0).col(0)
-    rho_n = map_from_generator_images(
-        a_mod, orbit_quis.target, 0, {a_mod.gen_names[0]: unit_img}, name=orbit_quis.name
-    )
-
-    i_prime, h_i = model_of_morphism(inclusion_map, rho_m, rho_n)
-    e_prime, h_e = model_of_morphism(euler_map, rho_m, rho_n)
-    # each cone_quis raises unless the transported cone is quasi-isomorphic
-    cone_quis(inclusion_map, i_prime, rho_m, rho_n, h_i)
-    cone_quis(euler_map, e_prime, rho_m, rho_n, h_e)
-
-    data = BasicData(
-        algebra=alg,
-        relative_model=m_model,
-        i_prime=i_prime,
-        e_prime=e_prime,
-        fixed_set_empty=fixed_set_empty,
-        variant=variant,
-        base_simply_connected=base_simply_connected,
-        fixed_components=fixed_components,
-        name=name,
-    )
-    data.validate().raise_if_failed()
-    return AssembledData(data, relative)

@@ -47,7 +47,6 @@ from .linalg import (
     as_q,
     cohomology_at,
     cohomology_count,
-    kron,
     vec,
 )
 
@@ -196,77 +195,6 @@ class FreeDgModule:
                 if not poly_is_zero(prod):
                     out = comb_add(out, {h: poly_scale(sign, prod)})
         return out
-
-    def combination_degree(self, comb: Combination) -> int | None:
-        degs = set()
-        for j, cj in comb.items():
-            if not poly_is_zero(cj):
-                degs.add(self.algebra.poly_degree(cj) + self.gen_degrees[j])
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValidationError(f"inhomogeneous combination with degrees {sorted(degs)}")
-        return degs.pop()
-
-    def extend(
-        self, names: Sequence[str], degree: int, diffs: Sequence[Combination], stage: tuple[int, int]
-    ) -> "FreeDgModule":
-        """This module with degree-`degree` generators `names` appended, d(names[j]) = diffs[j].
-
-        The basis is generator-major, so new elements come last in every degree:
-        caches below `degree` are shared, the dims and cached bases from `degree`
-        up gain the new generators' part at their end, and a cached differential
-        from degree - 1 up keeps its columns, padded with zero rows, as no old
-        differential reaches a new generator; for the same reason only the new
-        generators' d^2 is checked.
-        """
-        big = object.__new__(FreeDgModule)
-        big.algebra, big.cap = self.algebra, self.cap
-        big.gen_names = self.gen_names + tuple(names)
-        big.gen_degrees = self.gen_degrees + (degree,) * len(names)
-        slots = self.algebra.module_basis_slots(big.gen_degrees, self.cap)
-        check_basis_budget(slots, "the module", self.cap)
-        big._index = {n: i for i, n in enumerate(big.gen_names)}
-        if len(big._index) != len(big.gen_names):
-            raise ValidationError("module generator names must be distinct")
-        big.stages = self.stages + (stage,) * len(names)
-        big.gen_diffs = self.gen_diffs + tuple(diffs)
-        for name, comb in zip(names, diffs):
-            if big.combination_degree(comb) not in (None, degree + 1):
-                raise ValidationError(f"d({name}) is not of degree {degree + 1}")
-            if not comb_is_zero(big.d_combination(comb)):
-                raise ValidationError(f"d(d({name})) is nonzero")
-        big._dims = _grow_dims(self._dims, self.algebra, degree, len(names))
-        new = range(self.gen_count, big.gen_count)
-        big._basis_cache, big._basis_index_cache = {}, {}
-        for k, basis in self._basis_cache.items():
-            if k >= degree:
-                if k >= len(big._dims):
-                    continue
-                basis += tuple([(gi, m) for gi in new for m in self.algebra.basis(k - degree)])
-            big._basis_cache[k] = basis
-        for k, index in self._basis_index_cache.items():
-            if k >= degree:
-                if k not in big._basis_cache:
-                    continue
-                index = dict(index)
-                for i, b in enumerate(big._basis_cache[k][len(index):], len(index)):
-                    index[b] = i
-            big._basis_index_cache[k] = index
-        big._act_cache = {ik: a for ik, a in self._act_cache.items() if sum(ik) < degree}
-        big._coh_cache = {k: h for k, h in self._coh_cache.items() if k + 1 < degree}
-        big._diff_cache = {}
-        for k, mat in self._diff_cache.items():
-            if k + 1 >= degree:
-                rows = (*mat._nz, *({},) * (big.dim(k + 1) - mat.rows))
-                if big.dim(k) > mat.cols:
-                    rows = [
-                        {**row, **{mat.cols + c: x for c, x in extra.items()}} if extra else row
-                        for row, extra in zip(rows, big._d_columns(k, mat.cols)._nz)
-                    ]
-                mat = RatMatrix._make(len(rows), big.dim(k), rows)
-            big._diff_cache[k] = mat
-        return big
 
     # ---- materialized interface ----------------------------------------
 
@@ -506,10 +434,6 @@ def algebra_module(algebra: SullivanPresentation, cap: int | None = None) -> Fre
     return FreeDgModule(algebra, [("1", 0)], {}, cap=cap)
 
 
-def zero_module(algebra: SullivanPresentation, cap: int | None = None) -> FreeDgModule:
-    return FreeDgModule(algebra, [], {}, cap=cap)
-
-
 def tabulate(module: DgModule) -> TabulatedDgModule:
     """Materialize any module into the tabulated representation."""
     cap = module.cap
@@ -539,6 +463,41 @@ def modules_equal(a: DgModule, b: DgModule) -> bool:
             if a.action_matrix(i, k) != b.action_matrix(i, k):
                 return False
     return True
+
+
+def _times_kron_identity(m: RatMatrix, a: RatMatrix, n: int) -> RatMatrix:
+    """m * kron(a, I_n), read off the stored rows of m and a: row i.n + s of
+    kron(a, I_n) is row i of a at slot s, so the product's column j.n + s
+    sums m[r, i.n + s] a[i, j] over i."""
+    a_rows, out = a._nz, []
+    for row in m._nz:
+        acc: dict[int, Fraction] = {}
+        for c, x in row.items():
+            i, s = divmod(c, n)
+            for j, y in a_rows[i].items():
+                col, v = j * n + s, x * y
+                acc[col] = acc[col] + v if col in acc else v
+        out.append({c: v for c, v in acc.items() if v})
+    return RatMatrix._make(m.rows, a.cols * n, out)
+
+
+def _times_identity_kron(m: RatMatrix, n: int, b: RatMatrix) -> RatMatrix:
+    """m * kron(I_n, b), read off the stored rows of m and b: with b of shape
+    p x q, the product's column i.q + t sums m[r, i.p + s] b[s, t] over s.
+    Shapes are checked as the product with the Kronecker matrix checks them."""
+    b_rows, p, q = b._nz, b.rows, b.cols
+    if m.cols != n * p:
+        raise ValidationError(f"cannot multiply {m.rows}x{m.cols} by {n * p}x{n * q}")
+    out = []
+    for row in m._nz:
+        acc: dict[int, Fraction] = {}
+        for c, x in row.items():
+            i, s = divmod(c, p)
+            for t, y in b_rows[s].items():
+                col, v = i * q + t, x * y
+                acc[col] = acc[col] + v if col in acc else v
+        out.append({c: v for c, v in acc.items() if v})
+    return RatMatrix._make(m.rows, n * q, out)
 
 
 def verify_dgmodule(module: DgModule) -> CheckReport:
@@ -572,11 +531,10 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
         for k in range(top - i):
             checks += 1
             lhs = module.differential_matrix(i + k) * module.action_matrix(i, k)
-            rhs = module.action_matrix(i + 1, k) * kron(d_a, RatMatrix.identity(module.dim(k)))
+            rhs = _times_kron_identity(module.action_matrix(i + 1, k), d_a, module.dim(k))
             sign = -1 if i % 2 else 1
-            rhs = rhs + (
-                module.action_matrix(i, k + 1)
-                * kron(RatMatrix.identity(module.algebra.dim(i)), module.differential_matrix(k))
+            rhs = rhs + _times_identity_kron(
+                module.action_matrix(i, k + 1), module.algebra.dim(i), module.differential_matrix(k)
             ).scale(sign)
             if lhs != rhs:
                 failures.append(f"module Leibniz fails for (|a|, |m|) = ({i}, {k})")
@@ -584,14 +542,12 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
     for i in range(1, min(top, acap) + 1):
         for j in range(1, min(top, acap) + 1 - i):
             prod = module.algebra.product_matrix(i, j)
+            dim_a = module.algebra.dim(i)
             for k in range(top + 1 - i - j):
                 checks += 1
-                lhs = module.action_matrix(i + j, k) * kron(
-                    prod, RatMatrix.identity(module.dim(k))
-                )
-                rhs = module.action_matrix(i, j + k) * kron(
-                    RatMatrix.identity(module.algebra.dim(i)), module.action_matrix(j, k)
-                )
+                lhs = _times_kron_identity(module.action_matrix(i + j, k), prod, module.dim(k))
+                act = module.action_matrix(i, j + k)
+                rhs = _times_identity_kron(act, dim_a, module.action_matrix(j, k))
                 if lhs != rhs:
                     failures.append(f"associativity fails for (|a|, |b|, |m|) = ({i}, {j}, {k})")
 
@@ -687,12 +643,13 @@ class DgModuleMap:
             if lhs != rhs:
                 failures.append(f"chain condition fails at source degree {k}")
         for i, degrees in linear.items():
-            ident_a = RatMatrix.identity(self.source.algebra.dim(i))
+            dim_a = self.source.algebra.dim(i)
             for k in degrees:
                 checks += 1
                 lhs = self.matrix(i + k) * self.source.action_matrix(i, k)
                 tw = -1 if (i * p) % 2 else 1
-                rhs = (self.target.action_matrix(i, k + p) * kron(ident_a, self.matrix(k))).scale(tw)
+                act = self.target.action_matrix(i, k + p)
+                rhs = _times_identity_kron(act, dim_a, self.matrix(k)).scale(tw)
                 if lhs != rhs:
                     failures.append(f"A-linearity fails for (|a|, |m|) = ({i}, {k})")
         return CheckReport("verify_map", not failures, tuple(failures), checks)
@@ -711,10 +668,6 @@ class DgModuleMap:
 def identity_map(module: DgModule) -> DgModuleMap:
     mats = {k: RatMatrix.identity(module.dim(k)) for k in range(module.cap + 1)}
     return DgModuleMap(module, module, 0, mats, name="id")
-
-
-def zero_map(source: DgModule, target: DgModule, degree: int) -> DgModuleMap:
-    return DgModuleMap(source, target, degree, {}, name="0")
 
 
 def compose(g: DgModuleMap, f: DgModuleMap) -> DgModuleMap:
@@ -972,66 +925,6 @@ def generator_image(phi: DgModuleMap, j: int) -> tuple[Fraction, ...]:
     return phi.matrix(k).col(source.basis_index(k)[(j, source.algebra.unit_mono())])
 
 
-def apply_images(
-    source: FreeDgModule, target: DgModule, degree: int,
-    images: Mapping[int, Mapping[int, Fraction]], comb: Combination,
-) -> dict[int, Fraction]:
-    """The nonzero coordinates of phi(comb), for the A-linear map phi of this
-    degree with these generator images.
-
-    images maps a generator index to its image's nonzero coordinates; a
-    generator without one maps to zero.  a.g goes to (-1)^{|a| degree}
-    a.image(g), read off the stored rows of the target's action matrix; a
-    unit coefficient c maps it to c.image(g) directly.
-    """
-    algebra = source.algebra
-    unit = algebra.unit_mono()
-    out: dict[int, Fraction] = {}
-    for j, poly in comb.items():
-        img = images.get(j)
-        if not img:
-            continue
-        if len(poly) == 1 and unit in poly:
-            c = poly[unit]
-            for s, y in img.items():
-                x = c * y
-                out[s] = out[s] + x if s in out else x
-            continue
-        i, t = algebra.poly_degree(poly), source.gen_degrees[j] + degree
-        index, dim_t = algebra.basis_index(i), target.dim(t)
-        sign = -1 if (i * degree) % 2 else 1
-        terms = {
-            index[m] * dim_t + s: sign * c * y for m, c in poly.items() for s, y in img.items()
-        }
-        for r, row in enumerate(target.action_matrix(i, t)._nz):
-            x = sum(row[col] * y for col, y in terms.items() if col in row)
-            if x:
-                out[r] = out[r] + x if r in out else x
-    return {r: x for r, x in out.items() if x}
-
-
-def is_homotopy(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap) -> bool:
-    """Whether (-1)^p d h + h d = psi - phi holds as matrices on the window."""
-    p = phi.degree
-    if psi.degree != p or h.degree != p - 1:
-        raise ValidationError("homotopy degrees are inconsistent")
-    src, tgt = phi.source, phi.target
-    sign = -1 if p % 2 else 1
-    hi = min(
-        src.cap - 1,
-        tgt.cap - p,
-        phi.window().stop - 1,
-        psi.window().stop - 1,
-        h.window().stop - 2,
-    )
-    for k in range(hi + 1):
-        lhs = (tgt.differential_matrix(k + p - 1) * h.matrix(k)).scale(sign)
-        lhs = lhs + h.matrix(k + 1) * src.differential_matrix(k)
-        if lhs != psi.matrix(k) - phi.matrix(k):
-            return False
-    return True
-
-
 def shift(module: DgModule, p: int) -> TabulatedDgModule:
     """The shifted module M[-p]: degree n holds M^{n-p}, with sign twists."""
     new_cap = module.cap + p
@@ -1265,19 +1158,6 @@ def induced_map(f: DgModuleMap, source_h: CohomologyData, target_h: CohomologyDa
     mat = f.matrix(source_h.degree)
     cols = target_h.coords([mat.apply(z) for z in source_h.representatives])
     return RatMatrix.from_cols(cols, nrows=target_h.betti)
-
-
-def is_quis(f: DgModuleMap) -> bool:
-    """Whether f induces cohomology isomorphisms in all window degrees."""
-    hi = min(f.source.cap - 1, f.target.cap - 1 - f.degree, f.window().stop - 2)
-    for n in range(hi + 1):
-        hs = module_cohomology(f.source, n)
-        ht = module_cohomology(f.target, n + f.degree)
-        if hs.betti != ht.betti:
-            return False
-        if induced_map(f, hs, ht).rank() != hs.betti:
-            return False
-    return True
 
 
 class LesRow(NamedTuple):

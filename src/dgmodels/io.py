@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
-from .action import DEFAULT_DEGREE, VARIANTS, AssembledData, BasicData, from_complexes
+from .action import DEFAULT_DEGREE, VARIANTS, BasicData
 from .cdga import MAX_COEFF_BITS, SullivanPresentation, parse_polynomial, trivial_algebra
 from .dgmodule import (
     DgModule,
@@ -34,6 +34,9 @@ from .dgmodule import (
 )
 from .errors import ValidationError, shown
 from .linalg import RatMatrix, as_q
+
+if TYPE_CHECKING:
+    from .minmodel import AssembledData
 
 _DOC_KEYS = {"name", "algebra", "modules", "maps", "action", "options"}
 _OPTION_KEYS = {"max_degree"}
@@ -334,6 +337,9 @@ def _parse_action(
 
     if complexes:
         _check_keys(raw, _ACTION_COMPLEXES | _ACTION_COMMON, "action")
+        # the assembly runs the KS tower, which only this form of document loads
+        from .minmodel import from_complexes
+
         assembled = from_complexes(
             named_map("orbit_quis"),
             named_map("inclusion"),

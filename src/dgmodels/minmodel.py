@@ -11,34 +11,39 @@ minimal model of X.
 
 The same stage structure drives the other constructions here: sections
 of a quasi-isomorphism onto a minimal module, models of morphisms
-together with their comparison homotopies, and the induced
-quasi-isomorphism between graded cones.
+together with their comparison homotopies, the induced
+quasi-isomorphism between graded cones, and the assembly of basic data
+from tabulated complexes.  The module and map helpers that only these
+constructions use (extension by generators, zero modules and maps,
+images of combinations, homotopy and quasi-isomorphism tests) live here
+too, so the commands that never run the tower do not load them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
+from .action import DEFAULT_DEGREE, EULER_DEGREES, VARIANTS, BasicData, _orbit_module_failure
+from .cdga import SullivanPresentation, check_basis_budget, poly_is_zero
 from .dgmodule import (
+    Combination,
     DgModule,
     DgModuleMap,
     FreeDgModule,
     MinimalModelResult,
-    apply_images,
+    _grow_dims,
+    algebra_module,
+    comb_is_zero,
     compose,
     cone,
     generator_image,
     identity_map,
     induced_map,
-    is_homotopy,
-    is_quis,
     map_from_generator_images,
     maps_equal,
     module_cohomology,
     verify_minimal,
-    zero_module,
-    zero_map,
 )
 from .errors import (
     InconclusiveWindowError,
@@ -125,6 +130,83 @@ def _fresh_name(taken: set[str], base: str) -> str:
     return name
 
 
+def _combination_degree(module: FreeDgModule, comb: Combination) -> int | None:
+    degs = set()
+    for j, cj in comb.items():
+        if not poly_is_zero(cj):
+            degs.add(module.algebra.poly_degree(cj) + module.gen_degrees[j])
+    if not degs:
+        return None
+    if len(degs) > 1:
+        raise ValidationError(f"inhomogeneous combination with degrees {sorted(degs)}")
+    return degs.pop()
+
+
+def _extend(
+    module: FreeDgModule,
+    names: Sequence[str],
+    degree: int,
+    diffs: Sequence[Combination],
+    stage: tuple[int, int],
+) -> FreeDgModule:
+    """The module with degree-`degree` generators `names` appended, d(names[j]) = diffs[j].
+
+    The basis is generator-major, so new elements come last in every degree:
+    caches below `degree` are shared, the dims and cached bases from `degree`
+    up gain the new generators' part at their end, and a cached differential
+    from degree - 1 up keeps its columns, padded with zero rows, as no old
+    differential reaches a new generator; for the same reason only the new
+    generators' d^2 is checked.
+    """
+    big = object.__new__(FreeDgModule)
+    big.algebra, big.cap = module.algebra, module.cap
+    big.gen_names = module.gen_names + tuple(names)
+    big.gen_degrees = module.gen_degrees + (degree,) * len(names)
+    slots = module.algebra.module_basis_slots(big.gen_degrees, module.cap)
+    check_basis_budget(slots, "the module", module.cap)
+    big._index = {n: i for i, n in enumerate(big.gen_names)}
+    if len(big._index) != len(big.gen_names):
+        raise ValidationError("module generator names must be distinct")
+    big.stages = module.stages + (stage,) * len(names)
+    big.gen_diffs = module.gen_diffs + tuple(diffs)
+    for name, comb in zip(names, diffs):
+        if _combination_degree(big, comb) not in (None, degree + 1):
+            raise ValidationError(f"d({name}) is not of degree {degree + 1}")
+        if not comb_is_zero(big.d_combination(comb)):
+            raise ValidationError(f"d(d({name})) is nonzero")
+    big._dims = _grow_dims(module._dims, module.algebra, degree, len(names))
+    new = range(module.gen_count, big.gen_count)
+    big._basis_cache, big._basis_index_cache = {}, {}
+    for k, basis in module._basis_cache.items():
+        if k >= degree:
+            if k >= len(big._dims):
+                continue
+            basis += tuple([(gi, m) for gi in new for m in module.algebra.basis(k - degree)])
+        big._basis_cache[k] = basis
+    for k, index in module._basis_index_cache.items():
+        if k >= degree:
+            if k not in big._basis_cache:
+                continue
+            index = dict(index)
+            for i, b in enumerate(big._basis_cache[k][len(index):], len(index)):
+                index[b] = i
+        big._basis_index_cache[k] = index
+    big._act_cache = {ik: a for ik, a in module._act_cache.items() if sum(ik) < degree}
+    big._coh_cache = {k: h for k, h in module._coh_cache.items() if k + 1 < degree}
+    big._diff_cache = {}
+    for k, mat in module._diff_cache.items():
+        if k + 1 >= degree:
+            rows = (*mat._nz, *({},) * (big.dim(k + 1) - mat.rows))
+            if big.dim(k) > mat.cols:
+                rows = [
+                    {**row, **{mat.cols + c: x for c, x in extra.items()}} if extra else row
+                    for row, extra in zip(rows, big._d_columns(k, mat.cols)._nz)
+                ]
+            mat = RatMatrix._make(len(rows), big.dim(k), rows)
+        big._diff_cache[k] = mat
+    return big
+
+
 def ks_step(state: KSState) -> KSState:
     """Advance the tower one batch: adjoin V(n, q+1) or move to stage n+1.
 
@@ -156,7 +238,7 @@ def ks_step(state: KSState) -> KSState:
     taken = set(module.gen_names)
     names = [_fresh_name(taken, f"v{n}_{q}_{k}") for k in range(len(reps))]
     combs = [module.vector_combination(t_v, n + 1) for t_v, _ in reps]
-    bigger = module.extend(names, n, combs, (n, q))
+    bigger = _extend(module, names, n, combs, (n, q))
     # rho(a.v) = a.x_v, with no sign as rho has degree 0: at degree n + i the new
     # columns (v, a), generator-major, are the action A^i (x) X^n -> X^{n+i},
     # A-major, times P with P[(a, s), (v, a)] = x_v[s]; at i = 0, P is [x_v]
@@ -307,6 +389,14 @@ def _rank_betti(module: DgModule, n_cap: int) -> GradedDims:
     return GradedDims({k: module.dim(k) - ranks[k + 1] - ranks[k] for k in range(n_cap)}, n_cap - 1)
 
 
+def zero_module(algebra: SullivanPresentation, cap: int | None = None) -> FreeDgModule:
+    return FreeDgModule(algebra, [], {}, cap=cap)
+
+
+def zero_map(source: DgModule, target: DgModule, degree: int) -> DgModuleMap:
+    return DgModuleMap(source, target, degree, {}, name="0")
+
+
 def minimal_model(module: DgModule, n_cap: int | None = None) -> MinimalModelResult:
     """Minimal model of a dg module: the factorization of 0 -> module."""
     algebra = module.algebra
@@ -433,6 +523,44 @@ def _monomial_columns(act: RatMatrix, m_idx: int, dim: int) -> RatMatrix:
     return RatMatrix._make(act.rows, dim, rows)
 
 
+def apply_images(
+    source: FreeDgModule, target: DgModule, degree: int,
+    images: Mapping[int, Mapping[int, Fraction]], comb: Combination,
+) -> dict[int, Fraction]:
+    """The nonzero coordinates of phi(comb), for the A-linear map phi of this
+    degree with these generator images.
+
+    images maps a generator index to its image's nonzero coordinates; a
+    generator without one maps to zero.  a.g goes to (-1)^{|a| degree}
+    a.image(g), read off the stored rows of the target's action matrix; a
+    unit coefficient c maps it to c.image(g) directly.
+    """
+    algebra = source.algebra
+    unit = algebra.unit_mono()
+    out: dict[int, Fraction] = {}
+    for j, poly in comb.items():
+        img = images.get(j)
+        if not img:
+            continue
+        if len(poly) == 1 and unit in poly:
+            c = poly[unit]
+            for s, y in img.items():
+                x = c * y
+                out[s] = out[s] + x if s in out else x
+            continue
+        i, t = algebra.poly_degree(poly), source.gen_degrees[j] + degree
+        index, dim_t = algebra.basis_index(i), target.dim(t)
+        sign = -1 if (i * degree) % 2 else 1
+        terms = {
+            index[m] * dim_t + s: sign * c * y for m, c in poly.items() for s, y in img.items()
+        }
+        for r, row in enumerate(target.action_matrix(i, t)._nz):
+            x = sum(row[col] * y for col, y in terms.items() if col in row)
+            if x:
+                out[r] = out[r] + x if r in out else x
+    return {r: x for r, x in out.items() if x}
+
+
 def lift_section(rho: DgModuleMap) -> DgModuleMap:
     """Section or retraction of a quasi-isomorphism against a minimal module.
 
@@ -537,6 +665,41 @@ def model_of_morphism(
     return phi_prime, h_map
 
 
+def is_homotopy(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap) -> bool:
+    """Whether (-1)^p d h + h d = psi - phi holds as matrices on the window."""
+    p = phi.degree
+    if psi.degree != p or h.degree != p - 1:
+        raise ValidationError("homotopy degrees are inconsistent")
+    src, tgt = phi.source, phi.target
+    sign = -1 if p % 2 else 1
+    hi = min(
+        src.cap - 1,
+        tgt.cap - p,
+        phi.window().stop - 1,
+        psi.window().stop - 1,
+        h.window().stop - 2,
+    )
+    for k in range(hi + 1):
+        lhs = (tgt.differential_matrix(k + p - 1) * h.matrix(k)).scale(sign)
+        lhs = lhs + h.matrix(k + 1) * src.differential_matrix(k)
+        if lhs != psi.matrix(k) - phi.matrix(k):
+            return False
+    return True
+
+
+def is_quis(f: DgModuleMap) -> bool:
+    """Whether f induces cohomology isomorphisms in all window degrees."""
+    hi = min(f.source.cap - 1, f.target.cap - 1 - f.degree, f.window().stop - 2)
+    for n in range(hi + 1):
+        hs = module_cohomology(f.source, n)
+        ht = module_cohomology(f.target, n + f.degree)
+        if hs.betti != ht.betti:
+            return False
+        if induced_map(f, hs, ht).rank() != hs.betti:
+            return False
+    return True
+
+
 def cone_quis(
     phi: DgModuleMap,
     phi_prime: DgModuleMap,
@@ -588,3 +751,84 @@ def cone_quis(
     if not is_quis(result):
         raise ValidationError("cone comparison fails to be a quasi-isomorphism in the window")
     return result
+
+
+# ---- assembly from tabulated complexes --------------------------------------
+
+
+class AssembledData(NamedTuple):
+    """Basic data produced from tabulated complexes, and the relative model."""
+
+    data: BasicData
+    relative: MinimalModelResult
+
+
+def from_complexes(
+    orbit_quis: DgModuleMap,
+    inclusion_map: DgModuleMap,
+    euler_map: DgModuleMap,
+    max_degree: int = DEFAULT_DEGREE,
+    fixed_set_empty: bool = False,
+    variant: str = "circle",
+    base_simply_connected: bool = True,
+    fixed_components: int | None = None,
+    name: str = "",
+) -> AssembledData:
+    """Builds basic data from tabulated stand-ins for the orbit complexes.
+
+    orbit_quis is a quasi-isomorphism from the algebra-as-module onto the
+    orbit complex X_B; inclusion_map (degree 0) and euler_map (degree 2, or
+    4 for the semifree variant) share a source complex standing in for the
+    relative orbit complex and land in X_B.  The relative complex is
+    replaced by its minimal model, the two maps are transported onto it,
+    and the transported cones are certified against the original ones.
+    """
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    d_e = EULER_DEGREES[variant]
+    src = orbit_quis.source
+    bad = _orbit_module_failure(src, src.algebra)
+    if bad:
+        raise ValidationError(f"orbit_quis source: {bad}")
+    alg = src.algebra
+    if inclusion_map.source is not euler_map.source:
+        raise ValidationError("inclusion_map and euler_map must share their source complex")
+    if inclusion_map.target is not orbit_quis.target or euler_map.target is not orbit_quis.target:
+        raise ValidationError("structure maps must land in the orbit complex")
+    if inclusion_map.degree != 0:
+        raise ValidationError(f"inclusion_map has degree {inclusion_map.degree}; expected 0")
+    if euler_map.degree != d_e:
+        raise ValidationError(
+            f"euler_map has degree {euler_map.degree}; variant {variant} needs {d_e}"
+        )
+
+    x_bf = inclusion_map.source
+    relative = minimal_model(x_bf, n_cap=min(max_degree + 1, x_bf.cap, alg.cap - 1))
+    m_model, rho_m = relative.module, relative.rho
+
+    need = max(m_model.gen_degrees) + d_e
+    a_mod = algebra_module(alg, cap=min(alg.cap, max(need, src.cap)))
+    unit_img = orbit_quis.matrix(0).col(0)
+    rho_n = map_from_generator_images(
+        a_mod, orbit_quis.target, 0, {a_mod.gen_names[0]: unit_img}, name=orbit_quis.name
+    )
+
+    i_prime, h_i = model_of_morphism(inclusion_map, rho_m, rho_n)
+    e_prime, h_e = model_of_morphism(euler_map, rho_m, rho_n)
+    # each cone_quis raises unless the transported cone is quasi-isomorphic
+    cone_quis(inclusion_map, i_prime, rho_m, rho_n, h_i)
+    cone_quis(euler_map, e_prime, rho_m, rho_n, h_e)
+
+    data = BasicData(
+        algebra=alg,
+        relative_model=m_model,
+        i_prime=i_prime,
+        e_prime=e_prime,
+        fixed_set_empty=fixed_set_empty,
+        variant=variant,
+        base_simply_connected=base_simply_connected,
+        fixed_components=fixed_components,
+        name=name,
+    )
+    data.validate().raise_if_failed()
+    return AssembledData(data, relative)

@@ -30,7 +30,6 @@ from dgmodels.dgmodule import (
     cone,
     cone_les,
     identity_map,
-    is_homotopy,
     map_from_generator_images,
     maps_equal,
     module_cohomology,
@@ -40,7 +39,7 @@ from dgmodels.dgmodule import (
 )
 from dgmodels.errors import ValidationError
 from dgmodels.fixtures import fixture
-from dgmodels.minmodel import lift_section, minimal_model, model_of_morphism
+from dgmodels.minmodel import is_homotopy, lift_section, minimal_model, model_of_morphism
 
 BUDGET = 10.0
 

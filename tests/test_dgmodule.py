@@ -16,7 +16,6 @@ from dgmodels.dgmodule import (
     cone_les,
     free_cone,
     identity_map,
-    is_homotopy,
     map_from_generator_images,
     maps_equal,
     module_cohomology,
@@ -24,11 +23,10 @@ from dgmodels.dgmodule import (
     shift,
     tabulate,
     verify_dgmodule,
-    zero_map,
-    zero_module,
 )
 from dgmodels.errors import DegreeWindowError, ValidationError
 from dgmodels.linalg import Q, RatMatrix, vec
+from dgmodels.minmodel import is_homotopy, zero_map, zero_module
 
 
 def odd_sphere(cap=14):

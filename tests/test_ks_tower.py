@@ -29,8 +29,6 @@ from dgmodels.dgmodule import (
     module_cohomology,
     tabulate,
     verify_minimal,
-    zero_map,
-    zero_module,
 )
 from dgmodels.errors import ValidationError
 from dgmodels.linalg import GradedDims, Q, RatMatrix, cohomology_at, kron, vec
@@ -40,6 +38,8 @@ from dgmodels.minmodel import (
     ks_step,
     lift_section,
     minimal_model,
+    zero_map,
+    zero_module,
 )
 
 CAP = 8

@@ -15,26 +15,26 @@ from dgmodels.dgmodule import (
     fiber_cohomology,
     free_cone,
     identity_map,
-    is_homotopy,
-    is_quis,
     map_from_generator_images,
     maps_equal,
     module_cohomology,
     tabulate,
     verify_dgmodule,
     verify_minimal,
-    zero_map,
-    zero_module,
 )
 from dgmodels.errors import InconclusiveWindowError, PreconditionError, ValidationError
 from dgmodels.linalg import Q, RatMatrix, cohomology_count
 from dgmodels.minmodel import (
     cone_quis,
+    is_homotopy,
+    is_quis,
     lift_section,
     minimal_factorization,
     minimal_model,
     model_of_morphism,
     relative_cohomology,
+    zero_map,
+    zero_module,
 )
 
 

@@ -18,14 +18,14 @@ RECORDS = {
     "linalg": ("GradedDims", "PoincareSeries", "CohomologyData"),
     "cdga": ("CheckReport",),
     "dgmodule": ("MinimalModelResult", "MinimalityReport", "Cone", "LesRow", "LesTable"),
-    "action": ("BasicData", "EquivariantModel", "AssembledData"),
+    "action": ("BasicData", "EquivariantModel"),
     "io": ("InputDocument",),
     "circle": (
         "SharedBasisReport", "EquivariantLesReport", "ScalarsReport", "PoincareReport",
         "FormalityString", "FormalityReport", "LocalizationReport", "DimcReport",
         "AlmostFreeReport", "RingEntry", "NaiveReport", "SmithGysinReport", "ActionReport",
     ),
-    "minmodel": ("KSState",),
+    "minmodel": ("KSState", "AssembledData"),
 }
 RECORD_NAMES = [f"{mod}.{name}" for mod, names in RECORDS.items() for name in names]
 

@@ -16,9 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dgmodels.cdga import SullivanPresentation
-from dgmodels.dgmodule import FreeDgModule, apply_images, map_from_generator_images, tabulate
+from dgmodels.dgmodule import FreeDgModule, map_from_generator_images, tabulate
 from dgmodels.errors import ValidationError
 from dgmodels.linalg import Q, RatMatrix
+from dgmodels.minmodel import apply_images
 from exact import is_stored_scalar, stores_exact_scalars
 
 CAP = 8

@@ -52,19 +52,57 @@ def document(tmp_path_factory):
 @pytest.mark.parametrize(
     "command, loads, skips",
     [
-        (["verify"], set(), {"circle", "minmodel"}),
-        (["export", "--what", "equivariant"], set(), {"circle", "minmodel"}),
-        (["circle"], {"circle"}, {"minmodel"}),
-        (["minmodel"], {"minmodel"}, set()),
+        (["verify"], set(), {"circle", "minmodel", "fixtures", "text"}),
+        (["export", "--what", "equivariant"], set(), {"circle", "minmodel", "fixtures", "text"}),
+        (["circle"], {"circle"}, {"minmodel", "fixtures", "text"}),
+        (["minmodel"], {"minmodel"}, {"fixtures", "text"}),
+        (["verify", "--format", "text"], {"text"}, {"circle", "minmodel", "fixtures"}),
+        (["circle", "--format", "text"], {"circle", "text"}, {"minmodel", "fixtures"}),
+        (["minmodel", "--format", "text"], {"minmodel", "text"}, {"fixtures"}),
+        (["verify", "--fixture"], {"fixtures"}, {"circle", "minmodel", "text"}),
+        (["export", "--fixture", "--what", "equivariant"], {"fixtures"},
+         {"circle", "minmodel", "text"}),
+        (["circle", "--fixture", "--format", "text"], {"fixtures", "circle", "text"}, {"minmodel"}),
     ],
-    ids=["verify", "export", "circle", "minmodel"],
+    ids=[
+        "verify", "export", "circle", "minmodel", "verify-text", "circle-text", "minmodel-text",
+        "verify-fixture", "export-fixture", "circle-fixture-text",
+    ],
 )
 def test_each_command_loads_only_the_layers_it_runs(document, command, loads, skips):
-    loaded = _loaded_after(*command[:1], "--input", document, *command[1:], "--format", "machine")
+    """A run reads the exported s4_hopf document, or with --fixture the
+    bundled s4_hopf; the format is machine unless the case names text."""
+    name, *rest = command
+    source = ["--fixture", "s4_hopf"] if "--fixture" in rest else ["--input", document]
+    rest = [arg for arg in rest if arg != "--fixture"]
+    fmt = [] if "--format" in rest else ["--format", "machine"]
+    loaded = _loaded_after(name, *source, *rest, *fmt)
     assert {f"dgmodels.{m}" for m in loads} <= loaded
     assert not {f"dgmodels.{m}" for m in skips} & loaded
     # the records are NamedTuples: no command imports dataclasses, nor inspect with it
     assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_the_fixture_choices_are_the_bundled_fixtures():
+    """cli names the --fixture choices itself, so that a run without --fixture
+    does not load the datasets; the names must stay those of FIXTURES."""
+    from dgmodels.fixtures import FIXTURES
+
+    assert cli.FIXTURE_NAMES == tuple(sorted(FIXTURES))
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main builds the argument parser once per process; a call that fails to
+    parse leaves it as it was for the next."""
+    parser = cli._parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--fixture", "nope"])
+        errors.append(capsys.readouterr().err)
+    assert "invalid choice: 'nope'" in errors[0] and errors[0] == errors[1]
+    assert cli.main(["verify", "--fixture", "cp2", "--format", "machine"]) == 0
+    assert cli._parser() is parser
 
 
 def test_importing_the_package_loads_no_module():

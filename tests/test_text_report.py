@@ -2,7 +2,7 @@
 
 `reference_render_circle` is the renderer as it stood when each verdict
 block padded its own label, indented its own detail lines and cut its own
-failures at three.  `cli._render_circle` must print the same lines on
+failures at three.  `text.render_circle` must print the same lines on
 every fixture at windows 12 and 20, and on reports edited with
 `_replace` to reach the branches that no fixture reaches.
 """
@@ -12,7 +12,7 @@ import functools
 import pytest
 
 from dgmodels.circle import action_report
-from dgmodels.cli import _comb_str, _dims_str, _echo, _render_circle, _table
+from dgmodels.text import _comb_str, _dims_str, _echo, _table, render_circle
 from dgmodels.fixtures import FIXTURES, fixture
 
 
@@ -169,7 +169,7 @@ def _report(name, window):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_text_report_matches_reference_on_fixtures(name, window):
     rep, source = _report(name, window), {"fixture": name}
-    assert _render_circle(rep, source) == reference_render_circle(rep, source)
+    assert render_circle(rep, source) == reference_render_circle(rep, source)
 
 
 FAILURES = tuple(f"degree {k}: seeded failure {k}" for k in range(5))
@@ -236,7 +236,7 @@ EDITS = {
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_text_report_matches_reference_on_edited_reports(edit):
     rep, source = EDITS[edit](), {"fixture": "edited"}
-    lines = _render_circle(rep, source)
+    lines = render_circle(rep, source)
     if any(getattr(section, "failures", None) == FAILURES for section in rep._asdict().values()):
         assert "      degree 2: seeded failure 2" in lines
         assert "      degree 3: seeded failure 3" not in lines
