@@ -10,9 +10,8 @@ of i' that of the fixed-point set, and the cone of q' = e' + i'e over A
 extended by a polynomial Euler class e is the Borel (equivariant) model.
 
 `_ActionPipeline` builds each of the three once for one (data, window);
-the reports in `circle` read them from there.  Basic data assembled from
-tabulated complexes comes from `minmodel.from_complexes`, next to the KS
-tower it runs.
+the reports in `circle` read them from there.  Basic data may also be
+assembled from tabulated complexes, by `minmodel.from_complexes`.
 """
 
 from __future__ import annotations

@@ -12,9 +12,7 @@ A command imports only the layers it runs: minmodel loads the KS tower
 (`minmodel`) and circle the report layer (`circle`); verify and export
 read the three models from `action` and load neither, unless the document
 gives its action as complexes, whose assembly runs the KS tower.  The
-bundled datasets (`fixtures`) load only for --fixture, and the text
-renderer (`text`) only for --format text.  The argument parser is built
-once per process.
+text renderer (`text`) loads only for --format text.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from .action import DEFAULT_DEGREE, _ActionPipeline
 from .cdga import verify_cdga
 from .dgmodule import DgModule, FreeDgModule, MinimalModelResult, modules_equal, verify_dgmodule
 from .errors import InconclusiveWindowError, PreconditionError, ValidationError
+from .fixtures import FIXTURES, fixture
 from .io import (
     InputDocument,
     document_json,
@@ -45,16 +44,8 @@ if TYPE_CHECKING:
 
 # ---- input resolution ----------------------------------------------------------
 
-# the keys of fixtures.FIXTURES, sorted: the --fixture choices, named here so
-# that a run without --fixture does not load the datasets
-FIXTURE_NAMES = (
-    "almost_free_hopf", "cp2", "flow_s4", "nonformal", "s4_hopf", "semifree_suspension"
-)
-
 
 def _document_from_fixture(name: str, max_degree: int) -> InputDocument:
-    from .fixtures import fixture
-
     data = fixture(name, max_degree)
     action_raw: dict[str, Any] = {
         "relative_model": "M",
@@ -385,17 +376,17 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(
         prog="dgmodels",
         description="Minimal models of dg modules and circle-action reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fixtures = sorted(FIXTURES)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", metavar="PATH", help="JSON input document")
         p.add_argument(
-            "--fixture", choices=FIXTURE_NAMES, help="bundled dataset instead of --input"
+            "--fixture", choices=fixtures, help="bundled dataset instead of --input"
         )
         p.add_argument(
             "--max-degree",

@@ -466,9 +466,8 @@ def modules_equal(a: DgModule, b: DgModule) -> bool:
 
 
 def _times_kron_identity(m: RatMatrix, a: RatMatrix, n: int) -> RatMatrix:
-    """m * kron(a, I_n), read off the stored rows of m and a: row i.n + s of
-    kron(a, I_n) is row i of a at slot s, so the product's column j.n + s
-    sums m[r, i.n + s] a[i, j] over i."""
+    """m * kron(a, I_n) without the Kronecker matrix: column j.n + s sums
+    m[r, i.n + s] a[i, j] over i."""
     a_rows, out = a._nz, []
     for row in m._nz:
         acc: dict[int, Fraction] = {}
@@ -482,9 +481,8 @@ def _times_kron_identity(m: RatMatrix, a: RatMatrix, n: int) -> RatMatrix:
 
 
 def _times_identity_kron(m: RatMatrix, n: int, b: RatMatrix) -> RatMatrix:
-    """m * kron(I_n, b), read off the stored rows of m and b: with b of shape
-    p x q, the product's column i.q + t sums m[r, i.p + s] b[s, t] over s.
-    Shapes are checked as the product with the Kronecker matrix checks them."""
+    """m * kron(I_n, b) without the Kronecker matrix: for b of shape p x q,
+    column i.q + t sums m[r, i.p + s] b[s, t] over s."""
     b_rows, p, q = b._nz, b.rows, b.cols
     if m.cols != n * p:
         raise ValidationError(f"cannot multiply {m.rows}x{m.cols} by {n * p}x{n * q}")

@@ -337,7 +337,6 @@ def _parse_action(
 
     if complexes:
         _check_keys(raw, _ACTION_COMPLEXES | _ACTION_COMMON, "action")
-        # the assembly runs the KS tower, which only this form of document loads
         from .minmodel import from_complexes
 
         assembled = from_complexes(

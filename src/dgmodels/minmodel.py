@@ -13,10 +13,7 @@ The same stage structure drives the other constructions here: sections
 of a quasi-isomorphism onto a minimal module, models of morphisms
 together with their comparison homotopies, the induced
 quasi-isomorphism between graded cones, and the assembly of basic data
-from tabulated complexes.  The module and map helpers that only these
-constructions use (extension by generators, zero modules and maps,
-images of combinations, homotopy and quasi-isomorphism tests) live here
-too, so the commands that never run the tower do not load them.
+from tabulated complexes.
 """
 
 from __future__ import annotations

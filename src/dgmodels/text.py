@@ -55,8 +55,6 @@ def _comb_str(module: FreeDgModule, comb) -> str:
 def render_verify(
     groups: list[tuple[str, CheckReport]], ok: bool, source: dict[str, str], max_degree: int
 ) -> list[str]:
-    """The lines of a verify run: one status line per check group, at most
-    three of its failures, and a summary."""
     lines = [_echo("verify", source, max_degree)]
     if not groups:
         lines.append("empty document: nothing to check; trivially valid")
@@ -80,8 +78,6 @@ def render_verify(
 def render_minmodel(
     result: MinimalModelResult, target: str, source: dict[str, str], max_degree: int
 ) -> list[str]:
-    """The lines of a minmodel run: the model's generator table, then the
-    cohomology of the model against that of its input."""
     lines = [_echo("minmodel", source, max_degree) + f" --target {target}"]
     lines += _model_table(f"minimal model of {target!r} (window {result.window})", result.module)
     lines.append("cohomology (model vs input)")
@@ -113,7 +109,6 @@ def _yn(flag: bool) -> str:
 
 
 def render_circle(rep: ActionReport, source: dict[str, str]) -> list[str]:
-    """The lines of a circle report."""
     lines = [
         _echo("circle", source, rep.max_degree),
         f"circle action report: {rep.name or '(unnamed)'} (variant {rep.variant})",

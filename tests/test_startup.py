@@ -52,13 +52,13 @@ def document(tmp_path_factory):
 @pytest.mark.parametrize(
     "command, loads, skips",
     [
-        (["verify"], set(), {"circle", "minmodel", "fixtures", "text"}),
-        (["export", "--what", "equivariant"], set(), {"circle", "minmodel", "fixtures", "text"}),
-        (["circle"], {"circle"}, {"minmodel", "fixtures", "text"}),
-        (["minmodel"], {"minmodel"}, {"fixtures", "text"}),
-        (["verify", "--format", "text"], {"text"}, {"circle", "minmodel", "fixtures"}),
-        (["circle", "--format", "text"], {"circle", "text"}, {"minmodel", "fixtures"}),
-        (["minmodel", "--format", "text"], {"minmodel", "text"}, {"fixtures"}),
+        (["verify"], set(), {"circle", "minmodel", "text"}),
+        (["export", "--what", "equivariant"], set(), {"circle", "minmodel", "text"}),
+        (["circle"], {"circle"}, {"minmodel", "text"}),
+        (["minmodel"], {"minmodel"}, {"text"}),
+        (["verify", "--format", "text"], {"text"}, {"circle", "minmodel"}),
+        (["circle", "--format", "text"], {"circle", "text"}, {"minmodel"}),
+        (["minmodel", "--format", "text"], {"minmodel", "text"}, set()),
         (["verify", "--fixture"], {"fixtures"}, {"circle", "minmodel", "text"}),
         (["export", "--fixture", "--what", "equivariant"], {"fixtures"},
          {"circle", "minmodel", "text"}),
@@ -81,14 +81,6 @@ def test_each_command_loads_only_the_layers_it_runs(document, command, loads, sk
     assert not {f"dgmodels.{m}" for m in skips} & loaded
     # the records are NamedTuples: no command imports dataclasses, nor inspect with it
     assert not {"dataclasses", "inspect"} & loaded
-
-
-def test_the_fixture_choices_are_the_bundled_fixtures():
-    """cli names the --fixture choices itself, so that a run without --fixture
-    does not load the datasets; the names must stay those of FIXTURES."""
-    from dgmodels.fixtures import FIXTURES
-
-    assert cli.FIXTURE_NAMES == tuple(sorted(FIXTURES))
 
 
 def test_one_parser_serves_every_call(capsys):
