@@ -67,7 +67,6 @@ def _document_from_fixture(name: str, max_degree: int) -> InputDocument:
         modules={"M": data.relative_model},
         maps={"i_prime": data.i_prime, "e_prime": data.e_prime},
         action=data,
-        assembled=None,
         options={"max_degree": max_degree},
         action_raw=action_raw,
     )
@@ -302,7 +301,7 @@ def _export_payload(doc: InputDocument, max_degree: int, what: str) -> tuple[dic
     data = doc.action
     algebra = data.algebra
     if what == "relative":
-        module = doc.assembled.relative.module if doc.assembled else data.relative_model
+        module = data.relative_model
     elif what == "total":
         module = _ActionPipeline(data, max_degree).total.module
     elif what == "fixed":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
 from .action import DEFAULT_DEGREE, VARIANTS, BasicData
 from .cdga import MAX_COEFF_BITS, SullivanPresentation, parse_polynomial, trivial_algebra
@@ -34,9 +34,6 @@ from .dgmodule import (
 )
 from .errors import ValidationError, shown
 from .linalg import RatMatrix, as_q
-
-if TYPE_CHECKING:
-    from .minmodel import AssembledData
 
 _DOC_KEYS = {"name", "algebra", "modules", "maps", "action", "options"}
 _OPTION_KEYS = {"max_degree"}
@@ -101,7 +98,6 @@ class InputDocument(NamedTuple):
     modules: dict[str, DgModule]
     maps: dict[str, DgModuleMap]
     action: BasicData | None
-    assembled: AssembledData | None
     options: dict[str, Any]
     action_raw: dict[str, Any] | None
 
@@ -306,7 +302,7 @@ def _parse_action(
     maps: Mapping[str, DgModuleMap],
     raw: Mapping[str, Any],
     max_degree: int,
-) -> tuple[BasicData, AssembledData | None]:
+) -> BasicData:
     raw = _expect_mapping(raw, "action")
     triple = _ACTION_TRIPLE & set(raw)
     complexes = _ACTION_COMPLEXES & set(raw)
@@ -339,7 +335,7 @@ def _parse_action(
         _check_keys(raw, _ACTION_COMPLEXES | _ACTION_COMMON, "action")
         from .minmodel import from_complexes
 
-        assembled = from_complexes(
+        return from_complexes(
             named_map("orbit_quis"),
             named_map("inclusion"),
             named_map("euler"),
@@ -350,7 +346,6 @@ def _parse_action(
             fixed_components=fixed_components,
             name=action_name,
         )
-        return assembled.data, assembled
 
     _check_keys(raw, _ACTION_TRIPLE | _ACTION_COMMON, "action")
     rm_name = raw.get("relative_model")
@@ -362,7 +357,7 @@ def _parse_action(
     euler_self = None
     if raw.get("euler_self_map") is not None:
         euler_self = named_map("euler_self_map")
-    data = BasicData(
+    return BasicData(
         algebra=algebra,
         relative_model=relative,
         i_prime=named_map("i_prime"),
@@ -374,7 +369,6 @@ def _parse_action(
         fixed_components=fixed_components,
         name=action_name,
     )
-    return data, None
 
 
 def loads_document(text: str, max_degree: int | None = None) -> InputDocument:
@@ -438,10 +432,9 @@ def loads_document(text: str, max_degree: int | None = None) -> InputDocument:
     for map_name, entry in _expect_mapping(raw.get("maps", {}), "maps").items():
         maps[map_name] = _parse_map(algebra, resolve, entry, map_name)
 
-    action = assembled = None
-    action_raw = None
+    action = action_raw = None
     if "action" in raw:
-        action, assembled = _parse_action(
+        action = _parse_action(
             name, algebra, modules, maps, raw["action"], resolved_n
         )
         action_raw = dict(_expect_mapping(raw["action"], "action"))
@@ -452,7 +445,6 @@ def loads_document(text: str, max_degree: int | None = None) -> InputDocument:
         modules=modules,
         maps=maps,
         action=action,
-        assembled=assembled,
         options=dict(options),
         action_raw=action_raw,
     )

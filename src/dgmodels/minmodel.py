@@ -11,9 +11,8 @@ minimal model of X.
 
 The same stage structure drives the other constructions here: sections
 of a quasi-isomorphism onto a minimal module, models of morphisms
-together with their comparison homotopies, the induced
-quasi-isomorphism between graded cones, and the assembly of basic data
-from tabulated complexes.
+together with their comparison homotopies, and basic data assembled and
+certified from tabulated complexes.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .dgmodule import (
     algebra_module,
     comb_is_zero,
     compose,
-    cone,
     generator_image,
     identity_map,
     induced_map,
@@ -43,6 +41,7 @@ from .dgmodule import (
     verify_minimal,
 )
 from .errors import (
+    DegreeWindowError,
     InconclusiveWindowError,
     PreconditionError,
     ValidationError,
@@ -267,6 +266,16 @@ def _h0_kernel_labels(phi: DgModuleMap) -> list[str]:
     return [" + ".join(f"{c}*[{i}]" for i, c in enumerate(w) if c) for w in kernel]
 
 
+def _with_cap(module: FreeDgModule, cap: int) -> FreeDgModule:
+    """The free module on module's generator table, with this cap."""
+    diffs = {
+        name: {module.gen_names[j]: p for j, p in module.gen_diffs[i].items()}
+        for i, name in enumerate(module.gen_names)
+    }
+    gens = tuple(zip(module.gen_names, module.gen_degrees))
+    return FreeDgModule(module.algebra, gens, diffs, cap=cap, stages=module.stages)
+
+
 def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> MinimalModelResult:
     """Factor phi: M -> X through a minimal extension of M.
 
@@ -307,17 +316,7 @@ def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> Minimal
             + "; ".join(killed)
         )
 
-    diffs = {
-        name: {source.gen_names[j]: p for j, p in source.gen_diffs[i].items()}
-        for i, name in enumerate(source.gen_names)
-    }
-    base = FreeDgModule(
-        algebra,
-        tuple(zip(source.gen_names, source.gen_degrees)),
-        diffs,
-        cap=n_cap + 1,
-        stages=source.stages,
-    )
+    base = _with_cap(source, n_cap + 1)
     images = {name: generator_image(phi, i) for i, name in enumerate(source.gen_names)}
     rho = map_from_generator_images(base, target, 0, images, name="rho")
     state = KSState(n_cap=n_cap, rho=rho, n=0, q=0)
@@ -684,80 +683,7 @@ def is_homotopy(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap) -> bool:
     return True
 
 
-def is_quis(f: DgModuleMap) -> bool:
-    """Whether f induces cohomology isomorphisms in all window degrees."""
-    hi = min(f.source.cap - 1, f.target.cap - 1 - f.degree, f.window().stop - 2)
-    for n in range(hi + 1):
-        hs = module_cohomology(f.source, n)
-        ht = module_cohomology(f.target, n + f.degree)
-        if hs.betti != ht.betti:
-            return False
-        if induced_map(f, hs, ht).rank() != hs.betti:
-            return False
-    return True
-
-
-def cone_quis(
-    phi: DgModuleMap,
-    phi_prime: DgModuleMap,
-    rho_m: DgModuleMap,
-    rho_n: DgModuleMap,
-    h: DgModuleMap,
-) -> DgModuleMap:
-    """Quasi-isomorphism between the cones of a morphism and its model.
-
-    Phi = [[rho_n, h~], [0, rho_m]] maps cone(phi') to cone(phi), where
-    h~ = (-1)^p h and h is a homotopy between phi . rho_m and
-    rho_n . phi' (either orientation is accepted and normalized).  The
-    chain-map identity and degreewise cohomology ranks are verified.
-    """
-    p = phi.degree
-    if phi_prime.degree != p:
-        raise ValidationError("phi and its model must share one degree")
-    front = compose(phi, rho_m)
-    back = compose(rho_n, phi_prime)
-    if is_homotopy(h, front, back):
-        base = h
-    elif is_homotopy(h, back, front):
-        base = h.scale(-1)
-    else:
-        raise PreconditionError(
-            "h is not a homotopy between phi . rho_m and rho_n . phi' "
-            "in either orientation"
-        )
-    tilde = base.scale(-1 if p % 2 else 1)
-    cn_prime = cone(phi_prime, check=False)
-    cn = cone(phi, check=False)
-    mats = {}
-    for k in range(min(cn_prime.cap, cn.cap) + 1):
-        mats[k] = RatMatrix.block(
-            [
-                [rho_n.matrix(k), tilde.matrix(k - p + 1)],
-                [
-                    RatMatrix.zero(cn.m_dims[k], cn_prime.n_dims[k]),
-                    rho_m.matrix(k - p + 1),
-                ],
-            ]
-        )
-    result = DgModuleMap(cn_prime.module, cn.module, 0, mats, name="Phi")
-    report = result.verify()
-    if not report.ok:
-        raise ValidationError(
-            "cone comparison is not a morphism: " + "; ".join(report.failures)
-        )
-    if not is_quis(result):
-        raise ValidationError("cone comparison fails to be a quasi-isomorphism in the window")
-    return result
-
-
 # ---- assembly from tabulated complexes --------------------------------------
-
-
-class AssembledData(NamedTuple):
-    """Basic data produced from tabulated complexes, and the relative model."""
-
-    data: BasicData
-    relative: MinimalModelResult
 
 
 def from_complexes(
@@ -770,15 +696,28 @@ def from_complexes(
     base_simply_connected: bool = True,
     fixed_components: int | None = None,
     name: str = "",
-) -> AssembledData:
-    """Builds basic data from tabulated stand-ins for the orbit complexes.
+) -> BasicData:
+    """Basic data built and certified from tabulated stand-ins for the orbit complexes.
 
     orbit_quis is a quasi-isomorphism from the algebra-as-module onto the
     orbit complex X_B; inclusion_map (degree 0) and euler_map (degree 2, or
-    4 for the semifree variant) share a source complex standing in for the
-    relative orbit complex and land in X_B.  The relative complex is
-    replaced by its minimal model, the two maps are transported onto it,
-    and the transported cones are certified against the original ones.
+    4 for the semifree variant) share a source complex X standing in for the
+    relative orbit complex and land in X_B.  X is replaced by its minimal
+    model M, with rho_M: M -> X, and each structure map phi of degree p is
+    transported to phi': M -> N, N the algebra as a module and rho_N: N -> X_B
+    orbit_quis rebuilt from its unit image, with a homotopy h between
+    phi . rho_M and rho_N . phi'.
+
+    The reports read the cone of each phi' in degrees n up to its window.
+    [[rho_N, h], [0, rho_M]] maps the long exact sequence H^{n-p}(M) ->
+    H^n(N) -> H^n(cone phi') -> H^{n-p+1}(M) -> H^{n+1}(N) to that of the
+    cone of phi, so by the five lemma (Felix-Halperin-Thomas, GTM 205,
+    section 6) the two cones agree in degree n once phi is a chain map, h a
+    homotopy, rho_M an isomorphism on H^{n-p} and H^{n-p+1}, and rho_N an
+    isomorphism on H^n and one-to-one on H^{n+1}.  The KS window certificate
+    covers rho_M below the model's cap, which is set there, so n - p + 1 is
+    inside it; rho_N is certified by the same rank counts through the
+    degree after the window.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -799,22 +738,46 @@ def from_complexes(
             f"euler_map has degree {euler_map.degree}; variant {variant} needs {d_e}"
         )
 
-    x_bf = inclusion_map.source
+    x_bf, x_b = inclusion_map.source, orbit_quis.target
     relative = minimal_model(x_bf, n_cap=min(max_degree + 1, x_bf.cap, alg.cap - 1))
-    m_model, rho_m = relative.module, relative.rho
+    # the tower certifies rho_M below its n_cap and builds no generator of that
+    # degree, so the model stops there
+    m_model = _with_cap(relative.module, relative.window + 1)
+    images = {g: generator_image(relative.rho, j) for j, g in enumerate(m_model.gen_names)}
+    rho_m = map_from_generator_images(m_model, x_bf, 0, images, name="rho")
 
-    need = max(m_model.gen_degrees) + d_e
+    need = max(m_model.gen_degrees, default=0) + d_e
     a_mod = algebra_module(alg, cap=min(alg.cap, max(need, src.cap)))
     unit_img = orbit_quis.matrix(0).col(0)
     rho_n = map_from_generator_images(
-        a_mod, orbit_quis.target, 0, {a_mod.gen_names[0]: unit_img}, name=orbit_quis.name
+        a_mod, x_b, 0, {a_mod.gen_names[0]: unit_img}, name=orbit_quis.name
     )
 
     i_prime, h_i = model_of_morphism(inclusion_map, rho_m, rho_n)
     e_prime, h_e = model_of_morphism(euler_map, rho_m, rho_n)
-    # each cone_quis raises unless the transported cone is quasi-isomorphic
-    cone_quis(inclusion_map, i_prime, rho_m, rho_n, h_i)
-    cone_quis(euler_map, e_prime, rho_m, rho_n, h_e)
+    for label, phi, phi_prime, h in (
+        ("inclusion", inclusion_map, i_prime, h_i),
+        ("euler", euler_map, e_prime, h_e),
+    ):
+        report = phi.verify()
+        if not report.ok:
+            raise ValidationError(f"{label} map is not a morphism: {report.failures[0]}")
+        if not is_homotopy(h, compose(phi, rho_m), compose(rho_n, phi_prime)):
+            raise PreconditionError(
+                f"the {label} map's h is not a homotopy between phi . rho_M and rho_N . phi'"
+            )
+    # the euler cone's cap min(a_mod.cap, m_model.cap + d_e - 1) bounds both
+    # cones; rho_N is certified one degree past the window it allows
+    top = min(max_degree, a_mod.cap - 1, m_model.cap + d_e - 2) + 1
+    if top >= a_mod.cap or top > x_b.cap:
+        raise DegreeWindowError(
+            f"orbit_quis cannot be certified through degree {top}: "
+            "lower max_degree or raise the caps of the algebra and the orbit complex"
+        )
+    try:
+        certify_window(rho_n, top)
+    except ValidationError as exc:
+        raise ValidationError(f"orbit_quis is not a quasi-isomorphism: {exc}") from None
 
     data = BasicData(
         algebra=alg,
@@ -828,4 +791,4 @@ def from_complexes(
         name=name,
     )
     data.validate().raise_if_failed()
-    return AssembledData(data, relative)
+    return data

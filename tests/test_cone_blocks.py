@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgmodels import action, dgmodule, minmodel
+from dgmodels import action, dgmodule
 from dgmodels.cdga import SullivanPresentation
 from dgmodels.circle import action_report
 from dgmodels.dgmodule import (
@@ -176,13 +176,12 @@ def test_action_report_builds_no_cone_action_block(monkeypatch, name):
         calls.append(phi.name)
         return cone(phi, check)
 
-    for module in (dgmodule, minmodel):
-        monkeypatch.setattr(module, "cone", counting)
+    monkeypatch.setattr(dgmodule, "cone", counting)
     data = fixture(name, 16)
     action_report(data, 16)
     assert calls == []
-    # the count would see a call, as cone_quis makes
-    minmodel.cone(data.e_prime, check=False)
+    # the count would see a call
+    dgmodule.cone(data.e_prime, check=False)
     assert calls == ["e'"]
 
 

@@ -297,7 +297,7 @@ def test_complexes_action_assembles():
         "options": {"max_degree": 8},
     }
     doc = loads_document(dump_json(payload))
-    assert doc.assembled is not None
+    assert doc.action.relative_model is not doc.modules["M"]
     assert doc.action.validate().ok
     total = model_of_total_space(doc.action, 8)
     assert [total.betti_model.get(n) for n in range(6)] == [1, 0, 0, 0, 1, 0]
