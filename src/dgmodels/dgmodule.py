@@ -1053,6 +1053,55 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
     return _cone_of(phi, module, n_dims, m_dims, lambda n: (1,) * m_dims[n])
 
 
+class _FreeCone(FreeDgModule):
+    """The free cone F of phi, whose differential out of degree n is read off
+    blocks its factors already hold: with T_n the diagonal twist of F^n and
+    sign_d = (-1)^{p-1},
+
+        d_F = [ d_N   phi T_n                  ]
+              [ 0     sign_d T_{n+1} d_M T_n   ]
+
+    with d_N out of N^n and phi, d_M out of M^{n-p+1}.  Each degree is
+    filled on its first read; the Leibniz rule of the generator table gives
+    the same matrix and is the tests' oracle."""
+
+    __slots__ = ("_phi", "_twist")
+
+    def __init__(
+        self,
+        phi: DgModuleMap,
+        generators: Sequence[tuple[str, int]],
+        differentials: Mapping[str, Mapping[str, Poly]],
+        cap: int,
+        twist: Sequence[Sequence[int]],
+    ):
+        super().__init__(phi.target.algebra, generators, differentials, cap=cap)
+        self._phi = phi
+        self._twist = twist
+
+    def differential_matrix(self, k: int) -> RatMatrix:
+        mat = self._diff_cache.get(k)
+        if mat is not None:
+            return mat
+        if not 0 <= k < self.cap:
+            return super().differential_matrix(k)
+        phi = self._phi
+        m_mod, n_mod, p = phi.source, phi.target, phi.degree
+        j, nn = k - p + 1, n_mod.dim(k)
+        t_k, t_k1 = self._twist[k], self._twist[k + 1]
+        rows = [
+            {**d_row, **{nn + c: x if t_k[c] > 0 else -x for c, x in phi_row.items()}}
+            if phi_row else d_row
+            for d_row, phi_row in zip(n_mod.differential_matrix(k)._nz, phi.matrix(j)._nz)
+        ]
+        sign_d = -1 if (p - 1) % 2 else 1
+        for t, row in zip(t_k1, m_mod.differential_matrix(j)._nz):
+            s = sign_d * t
+            rows.append({nn + c: x if s * t_k[c] > 0 else -x for c, x in row.items()})
+        mat = self._diff_cache[k] = RatMatrix._make(len(rows), self.dim(k), rows)
+        return mat
+
+
 def free_cone(
     phi: DgModuleMap,
     gen_names: Sequence[str] | None = None,
@@ -1064,8 +1113,13 @@ def free_cone(
     source generator, shifted by p - 1 and named by gen_names (default: the
     source names primed).  Its degree-n basis is generator-major, so it is
     N^n followed by the shifted M^{n-p+1}, and F is isomorphic to cone(phi)
-    by the diagonal that twists each a.c_j by (-1)^{|a|(p-1)}; the
-    projection carries that twist.
+    by the diagonal T_n that twists each a.c_j by (-1)^{|a|(p-1)}; the
+    projection carries that twist.  F's differential in degree n is read off
+    d_N, phi and d_M through T_n and T_{n+1}, one degree at a time as it is
+    first asked for; the Leibniz rule on F's generator table, which the
+    constructor uses for its d^2 check, is its test oracle.  So phi must be
+    A-linear, as check=True verifies and a map from
+    map_from_generator_images is by construction.
     """
     m_mod, n_mod, p = phi.source, phi.target, phi.degree
     if not isinstance(m_mod, FreeDgModule) or not isinstance(n_mod, FreeDgModule):
@@ -1102,16 +1156,16 @@ def free_cone(
             comb[gen_names[h]] = poly_scale(sign, poly)
         diffs[nm] = comb
 
-    free = FreeDgModule(algebra, gens, diffs, cap=cap)
-
-    def signs(n: int) -> list[int]:
-        k = n - p + 1
-        return [
-            -1 if ((k - m_mod.gen_degrees[gi]) * (p - 1)) % 2 else 1
-            for gi, _ in m_mod.basis(k)
+    # T_n on the M part: (-1)^{|a|(p-1)} on a.c_j, |a| = n - p + 1 - |g_j|
+    twist = [
+        [
+            -1 if ((n - p + 1 - m_mod.gen_degrees[gi]) * (p - 1)) % 2 else 1
+            for gi, _ in m_mod.basis(n - p + 1)
         ]
-
-    return _cone_of(phi, free, n_dims, m_dims, signs)
+        for n in range(cap + 1)
+    ]
+    free = _FreeCone(phi, gens, diffs, cap, twist)
+    return _cone_of(phi, free, n_dims, m_dims, twist.__getitem__)
 
 
 # ---- cohomology ---------------------------------------------------------

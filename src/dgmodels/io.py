@@ -82,9 +82,63 @@ def parse_rational(value: Any, where: str = "value") -> int | Fraction:
     return as_q(value)
 
 
+class _NotPlain(Exception):
+    """A value outside what the CLI emits: dicts with str keys, lists, str, int,
+    bool and None."""
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INT = {int}
+
+
 def dump_json(payload: Any) -> str:
-    """Canonical serialization: sorted keys, fixed separators, final newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Canonical serialization: sorted keys, fixed separators, final newline.
+
+    The same text as json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=True) + "\\n", written in one pass for the payloads the CLI
+    emits (json's encoder drops to pure Python whenever it indents).  Any
+    other payload, say a float, a tuple or a non-str key, goes to json.dumps."""
+    try:
+        return _plain_json(payload, "\n") + "\n"
+    except (_NotPlain, TypeError):
+        # TypeError: sorted() met keys of mixed types, which json.dumps rejects too
+        return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def _plain_json(x: Any, nl: str) -> str:
+    """The indented JSON text of x, whose lines begin with nl."""
+    cls = x.__class__
+    if cls is str:
+        return _ESCAPE(x)
+    if cls is int:
+        return int.__repr__(x)
+    if cls is list:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        # a list of ints, the bulk of a report, skips the call per item
+        if {*map(type, x)} == _INT:
+            items = map(int.__repr__, x)
+        else:
+            items = [_plain_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if cls is dict:
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for key in sorted(x):
+            if key.__class__ is not str:
+                raise _NotPlain
+            items.append(_ESCAPE(key) + ": " + _plain_json(x[key], inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise _NotPlain
 
 
 # ---- documents ----------------------------------------------------------------

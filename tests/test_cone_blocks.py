@@ -2,8 +2,10 @@
 
 The blocks are pinned against the eager `RatMatrix.block` assembly that
 `cone` used before, copied here.  `free_cone` is checked against the
-tabulated cone, its oracle; an `action_report` is shown to build no
-tabulated cone; and modules and maps share one zero block per shape.
+tabulated cone, and its block-read differential against the Leibniz rule
+on its own generator table, its two oracles; an `action_report` is shown
+to build no tabulated cone and to fill no cone differential it does not
+read; and modules and maps share one zero block per shape.
 """
 
 import pytest
@@ -152,6 +154,53 @@ def test_free_cone_agrees_with_the_tabulated_cone_on_random_maps(phi):
     assert les.ok and les.rows == cone_les(tab).rows
     assert free.inclusion.verify().ok
     assert certify_free_map(free.projection).ok
+
+
+def leibniz_twin(module):
+    """A plain FreeDgModule on the free cone's generator table, whose
+    differential comes from the Leibniz rule alone."""
+    names = module.gen_names
+    diffs = {
+        names[j]: {names[h]: poly for h, poly in comb.items()}
+        for j, comb in enumerate(module.gen_diffs)
+    }
+    return FreeDgModule(module.algebra, list(zip(names, module.gen_degrees)), diffs, cap=module.cap)
+
+
+def assert_differential_is_leibniz(module):
+    twin = leibniz_twin(module)
+    for k in range(module.cap):
+        assert module.differential_matrix(k) == twin._d_columns(k, 0), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_maps())
+def test_free_cone_differential_is_the_leibniz_rule_on_random_maps(phi):
+    assert_differential_is_leibniz(free_cone(phi).module)
+
+
+def report_cones(data, window):
+    pipeline = action._ActionPipeline(data, window)
+    cones = [pipeline.total.module]
+    if not data.fixed_set_empty:
+        cones += [pipeline.fixed.module, pipeline.borel[0].module]
+    return cones
+
+
+@pytest.mark.parametrize("window", [12, 16])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_report_cone_differentials_are_the_leibniz_rule(name, window):
+    for module in report_cones(fixture(name, window), window):
+        assert_differential_is_leibniz(module)
+
+
+def test_report_cones_fill_only_the_degrees_they_read():
+    # a deep cap and a shallow window: each cone degree is filled on first
+    # read, and the report reads none above the window
+    report = action_report(fixture("cp2", 60), 4)
+    for module in (report.total.module, report.fixed.module, report.equivariant.module):
+        assert module.cap > 50
+        assert max(module._diff_cache) <= report.total.window + 1
 
 
 def test_cone_action_is_a_major_where_the_eager_one_was_not():

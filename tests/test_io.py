@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgmodels.dgmodule import modules_equal, tabulate
 from dgmodels.errors import ValidationError, shown
@@ -99,6 +101,55 @@ def test_dump_json_is_canonical():
     assert text.endswith("\n")
     assert text == dump_json({"a": [1, 2], "b": 1})
     assert json.loads(text) == payload
+
+
+def canonical(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+# keys and strings with non-ASCII, quotes, backslashes and control characters
+TEXT = st.text(
+    st.sampled_from(["a", "Z", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                     "\u00e9", "\u2028", "\ud800", "\U0001f600"]),
+    max_size=6,
+)
+BIG = st.integers(2**64, 2**200)
+SCALARS = st.none() | st.booleans() | st.integers() | BIG | BIG.map(lambda n: -n) | TEXT
+PLAIN = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PLAIN)
+def test_dump_json_is_json_dumps_on_plain_payloads(payload):
+    assert dump_json(payload) == canonical(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        1.5,
+        {"x": [1, 0.25]},
+        (1, 2),
+        {"a": [(3, "b")]},
+        {1: "int key"},
+        [{"k": -0.0}],
+        {"a": {"b": float("inf")}},
+    ],
+)
+def test_dump_json_hands_other_payloads_to_json_dumps(payload):
+    assert dump_json(payload) == canonical(payload)
+
+
+def test_dump_json_rejects_what_json_dumps_rejects():
+    for payload in ({1: "a", "b": 2}, {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            canonical(payload)
+        with pytest.raises(TypeError):
+            dump_json(payload)
 
 
 # ---- documents ------------------------------------------------------------------
