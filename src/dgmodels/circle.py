@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .action import (
@@ -325,34 +326,29 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
     witness_degree: int | None = None
     witness_label: str | None = None
 
+    def class_label(s: int, coords) -> str:
+        reps = RatMatrix.from_cols(h_m[s].representatives, nrows=m.dim(s))
+        return _vector_label(m, s, reps.apply(coords))
+
     for u in range(window + 1):
         ker_e = e_star[u].kernel_basis()
         kernel_dims[u] = len(ker_e)
         if not ker_e:
             continue
+        # q* on the column blocks H^{u - d_e n}(M), n < n_blocks: e* into row
+        # block n and i* into row block n + 1, stored rows written at offsets
         n_blocks = u // d_e + 1
-        m_blocks = (u + d_e) // d_e + 1
-        cdim = [h_m[u - d_e * n].betti for n in range(n_blocks)]
-        rdim = [h_a[u + d_e - d_e * mi].betti for mi in range(m_blocks)]
-        grid = [
-            [RatMatrix.zero(rdim[mi], cdim[n]) for n in range(n_blocks)]
-            for mi in range(m_blocks)
-        ]
+        coff = [0, *accumulate(h_m[u - d_e * n].betti for n in range(n_blocks))]
+        roff = [0, *accumulate(h_a[u + d_e - d_e * n].betti for n in range(n_blocks + 1))]
+        rows: list[dict[int, Fraction]] = [{} for _ in range(roff[-1])]
         for n in range(n_blocks):
-            grid[n][n] = e_star[u - d_e * n]
-            grid[n + 1][n] = i_star[u - d_e * n]
-        q_block = RatMatrix.block(grid)
-        kernel = q_block.kernel_basis()
-        proj = [kv[: cdim[0]] for kv in kernel]
-
-        def class_label(s: int, coords) -> str:
-            z = [0] * m.dim(s)
-            for c, rep in zip(coords, h_m[s].representatives):
-                if c:
-                    z = [x + c * y for x, y in zip(z, rep)]
-            return _vector_label(m, s, z)
-
-        head = RatMatrix.from_cols(proj, nrows=cdim[0])
+            s = u - d_e * n
+            for at, block in ((roff[n], e_star[s]), (roff[n + 1], i_star[s])):
+                for r, row in enumerate(block._nz):
+                    rows[at + r].update((coff[n] + c, x) for c, x in row.items())
+        kernel = RatMatrix._make(roff[-1], coff[-1], rows).kernel_basis()
+        proj = [kv[: coff[1]] for kv in kernel]
+        head = RatMatrix.from_cols(proj, nrows=coff[1])
         solutions = [head.solve(vec(k)) for k in ker_e]
         missing = [k for k, sol in zip(ker_e, solutions) if sol is None]
         if missing:
@@ -365,16 +361,12 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
                 "to the kernel of q*"
             )
             continue
+        span = RatMatrix.from_cols(kernel, nrows=coff[-1])
         for sol in solutions:
-            full = [0] * sum(cdim)
-            for c, kv in zip(sol, kernel):
-                if c:
-                    full = [x + c * y for x, y in zip(full, kv)]
+            full = span.apply(sol)
             steps = []
-            off = 0
             for n in range(n_blocks):
-                block = tuple(full[off : off + cdim[n]])
-                off += cdim[n]
+                block = full[coff[n] : coff[n + 1]]
                 if any(block):
                     steps.append(class_label(u - d_e * n, block))
             strings.append(FormalityString(u, tuple(steps)))
@@ -804,10 +796,16 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
     ring: list[RingEntry] = []
     if leibniz:
         h = {n: module_cohomology(free, n) for n in range(window + 1)}
-        for i in range(1, window):
-            for j in range(i, window + 1 - i):
-                xs = [free.vector_combination(rep, i) for rep in h[i].representatives]
-                ys = [free.vector_combination(rep, j) for rep in h[j].representatives]
+        # each nonzero H^n, n >= 1, as combinations: only such pairs have entries
+        classes = {
+            n: [free.vector_combination(rep, n) for rep in h[n].representatives]
+            for n in range(1, window + 1)
+            if h[n].betti
+        }
+        for i, xs in classes.items():
+            for j, ys in classes.items():
+                if not i <= j <= window - i:
+                    continue
                 pairs = [(ai, bi) for ai in range(len(xs)) for bi in range(len(ys))]
                 products = [
                     free.combination_vector(_naive_mul(free, xs[ai], ys[bi]), i + j)

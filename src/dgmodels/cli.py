@@ -370,7 +370,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(ValidationError.exit_code)
 
 
 @cache
@@ -433,13 +433,13 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_export(doc, max_degree, source, args.fmt, args.what, args.output)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except InconclusiveWindowError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -241,16 +241,6 @@ class RatMatrix:
             raise ValidationError("vstack needs equal column counts")
         return RatMatrix._make(self.rows + other.rows, self.cols, self._nz + other._nz)
 
-    @classmethod
-    def block(cls, grid: Sequence[Sequence["RatMatrix"]]) -> "RatMatrix":
-        rows = None
-        for row in grid:
-            stacked = row[0]
-            for m in row[1:]:
-                stacked = stacked.hstack(m)
-            rows = stacked if rows is None else rows.vstack(stacked)
-        return rows if rows is not None else cls.zero(0, 0)
-
     def with_zero_rows(self, at: int, count: int) -> "RatMatrix":
         """This matrix with count zero rows inserted before row at.  Zero rows
         change no pivot and no reduced row, so a cached echelon form carries

@@ -3,6 +3,8 @@
 
 import pytest
 
+from dgmodels.action import BasicData
+from dgmodels.cdga import SullivanPresentation
 from dgmodels.circle import (
     action_report,
     almost_free_model,
@@ -20,7 +22,7 @@ from dgmodels.circle import (
     shared_basis_check,
     smith_gysin_inequality,
 )
-from dgmodels.dgmodule import map_from_generator_images
+from dgmodels.dgmodule import FreeDgModule, algebra_module, map_from_generator_images
 from dgmodels.fixtures import fixture
 from dgmodels.linalg import Q
 
@@ -140,6 +142,35 @@ def test_s4_is_equivariantly_formal(s4):
     assert form.window >= 10
     assert form.kernel_dims.get(3) == 1
     assert any(s.degree == 3 for s in form.strings)
+
+
+def two_s4_ladders(window):
+    """The s4_hopf ladder twice over Lambda(a, b): p_n on a, q_n on b.  Below
+    degree 6 the ladders do not meet, so each gives s4_hopf's degree-3
+    string; q* there has two-dimensional blocks, which no fixture has."""
+    alg = SullivanPresentation([("a", 3), ("b", 3)], {}, cap=window + 2)
+    gens, diffs = [], {}
+    for x, mono in (("p", (1, 0)), ("q", (0, 1))):
+        for n in range(window + 1):
+            if 2 * ((n + 1) // 2) + 1 <= window + 1:
+                gens.append((f"{x}{n}", 2 * ((n + 1) // 2) + 1))
+                if n >= 2:
+                    diffs[f"{x}{n}"] = {f"{x}{n - 2}": {mono: 1}}
+    m = FreeDgModule(alg, gens, diffs, cap=window + 1)
+    a_mod = algebra_module(alg, cap=window + 2)
+    a, b = (alg.poly_vector(alg.generator_poly(g), 3) for g in "ab")
+    e = map_from_generator_images(m, a_mod, 2, {"p0": a, "q0": b}, name="e'")
+    i = map_from_generator_images(m, a_mod, 0, {"p1": a, "q1": b}, name="i'")
+    return BasicData(alg, m, i, e, fixed_components=2, name="two_s4_ladders")
+
+
+def test_two_s4_ladders_give_one_s4_string_each(s4):
+    data = two_s4_ladders(8)
+    assert data.validate().ok
+    form = formality_check(data, 8)
+    assert form.formal
+    assert [s.steps for s in formality_check(s4, 8).strings] == [("b1", "-b0")]
+    assert [s.steps for s in form.strings if s.degree == 3] == [("p1", "-p0"), ("q1", "-q0")]
 
 
 def test_nonformal_counterexample_has_witness():

@@ -1,7 +1,7 @@
 """The tabulated cone's action blocks, and the free cone against it.
 
-The blocks are pinned against the eager `RatMatrix.block` assembly that
-`cone` used before, copied here.  `free_cone` is checked against the
+The blocks are pinned against the eager block assembly that `cone` used
+before, copied here with `hstack` and `vstack`.  `free_cone` is checked against the
 tabulated cone, and its block-read differential against the Leibniz rule
 on its own generator table, its two oracles; an `action_report` is shown
 to build no tabulated cone and to fill no cone differential it does not
@@ -40,18 +40,13 @@ def eager_action_blocks(cn):
         tw = Q(-1 if (i * (p - 1)) % 2 else 1)
         for n in range(cn.cap - i + 1):
             da = algebra.dim(i)
-            out[(i, n)] = RatMatrix.block(
-                [
-                    [
-                        n_mod.action_matrix(i, n),
-                        RatMatrix.zero(cn.n_dims[i + n], da * cn.m_dims[n]),
-                    ],
-                    [
-                        RatMatrix.zero(cn.m_dims[i + n], da * cn.n_dims[n]),
-                        m_mod.action_matrix(i, n - p + 1).scale(tw),
-                    ],
-                ]
+            top = n_mod.action_matrix(i, n).hstack(
+                RatMatrix.zero(cn.n_dims[i + n], da * cn.m_dims[n])
             )
+            bottom = RatMatrix.zero(cn.m_dims[i + n], da * cn.n_dims[n]).hstack(
+                m_mod.action_matrix(i, n - p + 1).scale(tw)
+            )
+            out[(i, n)] = top.vstack(bottom)
     return out
 
 

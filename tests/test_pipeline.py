@@ -40,26 +40,34 @@ GOLDEN_WINDOW = 16
 # SHA-256 of `dgmodels circle --fixture F --max-degree W --format machine`,
 # recorded before the Borel stage certified q' on its generators, the cone
 # built its action blocks on first read and the naive product was checked on
-# generators.
+# generators.  Each fixture's deepest window (its reach under the budgets;
+# 100 for cp2) was pinned before the formality strings and the naive ring
+# were built from stored rows: no other pin reads either past window 28.
 CIRCLE_SHA256 = {
     ("almost_free_hopf", 12): "a19fcd417880629869ba4f019581cc9d05c07dca5a67f2331c28d78edc0bd17f",
     ("almost_free_hopf", 20): "bfa8fb57fe94a0e1580f7fc1ba0b325317c71dec894763e7c8056d4b8db5dd27",
     ("almost_free_hopf", 28): "8e9e072195b37162b14558c156c881df738e5d19831372d6d8cae24ad1ddab44",
+    ("almost_free_hopf", 41): "4409c44d5be3649e659e6a90843c2a3b7bc48aa93755e8ab07ff461ca1489cbe",
     ("cp2", 12): "cca9e6f3185635b3dcbcbae5eb307ed2f4e1f82f91a578fa075415ec4e882618",
     ("cp2", 20): "abd11b16b8d410d45fb1db0ad644d76d96b701a2aa1ac4721c60a807fb4ad820",
     ("cp2", 28): "6143706d13201d87350f328d747195b8f935acec0a66119a49560c636c196ee3",
+    ("cp2", 100): "da9c23135e9f000b0b0ffedc7bb6a1d15a3b8183e20b4644ea8cf9156510d4ab",
     ("flow_s4", 12): "09d43087f49b8b8d2d3524e975064d6a4c7a2466c11283f04dd6d7436be9228f",
     ("flow_s4", 20): "99b6b7710665f25406d25a0d16d87f0744c1db93fb8bc687d078b01c80134bff",
     ("flow_s4", 28): "64344a68d0eaa890dc327d7d16b0110f8994d8b54b1967dd8e70b2809128d23f",
+    ("flow_s4", 43): "e944147233cee0ee28a89d4cea452280e07205054308b76d33e63e43949ab4fc",
     ("nonformal", 12): "1f5a04601ce6f247cd66c247fb408271ca9c4badb13f0db61de45cd1538f2887",
     ("nonformal", 20): "8ef8f3a2b8a26f458f28e556ac16c319b14be6154a87f6be8f458e2b58fe2836",
     ("nonformal", 28): "6a69bbc3d67420791fab08d082f1205a230f74146f90cc76f18c5ee10296492b",
+    ("nonformal", 59): "254d45b299b0bd6b12b0d9c6e8cdaae59c69e737878486bf54ec1d4230e6eb53",
     ("s4_hopf", 12): "24670f9ade8bebd40795cb85c39a68709b11b8932467d506deaa7ddcdd734214",
     ("s4_hopf", 20): "30312ddba3d80579c47e6c881498991cf77d1c7b67ad9d915e5f0df1c8f0c5a4",
     ("s4_hopf", 28): "c279f1cca831f20db34de73410fc6d7a4b78e4a8b8c41c2fe735b1c461daf149",
+    ("s4_hopf", 43): "e46654c34ad6387c6dce5bb26ac54fa1503e8550b3b295b9aa8566c13c722a72",
     ("semifree_suspension", 12): "e2c2ab561814dad927e046c4a329356b6a51ae20a0ad9f1581f18c9b1abac862",
     ("semifree_suspension", 20): "d623648afc15fc094fe4548ca5639209d8c5d983a23a5c5b5a470713cacd1d33",
     ("semifree_suspension", 28): "32070f0784d8fb4715c6f2bb0d6eae97b33985591e99877cf4d85786f1d9833d",
+    ("semifree_suspension", 103): "690a28f1be5745806dabde7809d6ea93e0ce7d678b01e9b7ebd0f6596e187ee6",
 }
 
 

@@ -1,8 +1,10 @@
 """Every function, class and method defined in src/dgmodels is read somewhere in src/.
 
-A definition counts as read when its name is loaded as a variable or an
-attribute, or appears in a string annotation, anywhere in the package; the
-check is by name, so it cannot tell two methods of one name apart.  Exempt:
+A definition counts as read when its name is loaded anywhere in the
+package, or appears in a string annotation; a method counts only through an
+attribute load (`x.name`), so a local variable of the same name does not
+hide it.  The check is by name, so it cannot tell two methods of one name
+apart.  Exempt:
 dunder methods, which Python calls; names in the export table of
 `__init__.py`, the public API; methods that override a standard-library
 base class (`error` of an `argparse.ArgumentParser`), which the base class
@@ -47,9 +49,10 @@ def _stdlib_class(node: ast.expr, imports: dict[str, str]):
     return None
 
 
-def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of every def and class that is neither a dunder nor an
-    override of a method of a standard-library base class."""
+def _definitions(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """(name, line, is_method) of every def and class that is neither a dunder
+    nor an override of a method of a standard-library base class; is_method
+    marks a definition made directly in a class body."""
     imports: dict[str, str] = {}
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -66,7 +69,7 @@ def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
                 name = child.name
                 dunder = name.startswith("__") and name.endswith("__")
                 if not dunder and not any(hasattr(base, name) for base in bases):
-                    found.append((name, child.lineno))
+                    found.append((name, child.lineno, isinstance(node, ast.ClassDef)))
                 if isinstance(child, ast.ClassDef):
                     resolved = (_stdlib_class(b, imports) for b in child.bases)
                     visit(child, tuple(b for b in resolved if b is not None))
@@ -77,31 +80,35 @@ def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
     return found
 
 
-def _reads(tree: ast.Module) -> set[str]:
-    """Names loaded as variables or attributes, or named in string annotations."""
-    read = set()
+def _reads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(names loaded as variables or named in string annotations, names
+    loaded as attributes)."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            attrs.add(node.attr)
         for field in ("annotation", "returns"):
             note = getattr(node, field, None)
             if isinstance(note, ast.Constant) and isinstance(note.value, str):
-                names = ast.walk(ast.parse(note.value))
-                read.update(n.id for n in names if isinstance(n, ast.Name))
-    return read
+                parsed = ast.walk(ast.parse(note.value))
+                names.update(n.id for n in parsed if isinstance(n, ast.Name))
+    return names, attrs
 
 
 def unread_definitions(sources: dict[str, str], exempt: set[str] = frozenset()) -> list[str]:
     """'module: name (line n)' for each definition no source reads, unless exempt."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    read = set().union(*map(_reads, trees.values()))
+    names, attrs = set(), set()
+    for tree_names, tree_attrs in map(_reads, trees.values()):
+        names |= tree_names
+        attrs |= tree_attrs
     return [
         f"{module}: {name} (line {line})"
         for module, tree in sorted(trees.items())
-        for name, line in _definitions(tree)
-        if name not in read and name not in exempt
+        for name, line, is_method in _definitions(tree)
+        if name not in attrs and (is_method or name not in names) and name not in exempt
     ]
 
 
@@ -129,11 +136,17 @@ def test_checker_flags_an_unread_definition():
         "    def error(self, message):\n        raise SystemExit(message)\n"
         "    def __repr__(self):\n        return 'P'\n"
         "    def spare(self):\n        return 0\n"
-        "def used(x: 'Box') -> int:\n    return P().parse_args(x)\n"
+        "    def shadowed(self):\n        return 0\n"
+        "def used(x: 'Box') -> int:\n    shadowed = P().parse_args(x)\n    return shadowed\n"
         "class Box:\n    pass\n"
         "def exported():\n    return used\n"
         "def patched():\n    pass\n"
         "def unused():\n    def inner():\n        pass\n    return 1\n"
     )
     found = unread_definitions({"m.py": source}, {"exported", "patched"})
-    assert found == ["m.py: spare (line 7)", "m.py: unused (line 17)", "m.py: inner (line 18)"]
+    assert found == [
+        "m.py: spare (line 7)",
+        "m.py: shadowed (line 9)",
+        "m.py: unused (line 20)",
+        "m.py: inner (line 21)",
+    ]
