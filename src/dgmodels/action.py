@@ -331,18 +331,9 @@ def _equivariant_pieces(
     d_e = data.euler_degree
     e_name = alg_e.names[-1]
 
-    m_e = FreeDgModule(
-        alg_e,
-        list(zip(m.gen_names, m.gen_degrees)),
-        {
-            m.gen_names[j]: {
-                m.gen_names[h]: _inject_poly(poly, 1)
-                for h, poly in m.gen_diffs[j].items()
-            }
-            for j in range(m.gen_count)
-        },
-        cap=min(m.cap, alg_e.cap),
-    )
+    diffs = [{h: _inject_poly(poly, 1) for h, poly in c.items()} for c in m.gen_diffs]
+    m_e = FreeDgModule(alg_e, (), cap=min(m.cap, alg_e.cap))
+    m_e._adjoin(m.gen_names, m.gen_degrees, diffs, None)
     a_mod = algebra_module(alg_e, cap=min(alg_e.cap, m_e.cap + d_e - 1))
 
     e_poly = alg_e.generator_poly(e_name)

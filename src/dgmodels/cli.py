@@ -159,7 +159,7 @@ def cmd_verify(doc: InputDocument, max_degree: int, source: dict[str, str], fmt:
         from .text import render_verify
 
         _write("\n".join(render_verify(groups, ok, source, max_degree)) + "\n")
-    return 0 if ok else 1
+    return 0 if ok else ValidationError.exit_code
 
 
 # ---- minmodel -------------------------------------------------------------------
@@ -287,7 +287,7 @@ def cmd_circle(doc: InputDocument, max_degree: int, source: dict[str, str], fmt:
         from .text import render_circle
 
         _write("\n".join(render_circle(rep, source)) + "\n")
-    return 3 if inconclusive else 0
+    return InconclusiveWindowError.exit_code if inconclusive else 0
 
 
 # ---- export ---------------------------------------------------------------------

@@ -21,8 +21,7 @@ and a module built at cap N certifies cohomology only in degrees
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -107,61 +106,82 @@ class FreeDgModule:
         self.cap = algebra.cap if cap is None else int(cap)
         if self.cap < 0:
             raise ValidationError("module cap must be nonnegative")
-        names = tuple(name for name, _ in generators)
-        degrees = tuple(int(d) for _, d in generators)
-        if len(set(names)) != len(names):
-            raise ValidationError("module generator names must be distinct")
-        for name, deg in zip(names, degrees):
-            if not name or any(ch.isspace() for ch in name):
-                raise ValidationError(f"bad module generator name {shown(name)}")
-            if deg < 0:
-                raise ValidationError(f"generator {name} has negative degree {deg}")
-        check_basis_budget(algebra.module_basis_slots(degrees, self.cap), "the module", self.cap)
-        self.gen_names = names
-        self.gen_degrees = degrees
-        self._index = {n: i for i, n in enumerate(names)}
-        self._dims = (0,) * (self.cap + 1)
-        for deg, count in Counter(degrees).items():
-            self._dims = _grow_dims(self._dims, algebra, deg, count)
-        self.stages = tuple(stages) if stages is not None else (None,) * len(names)
-        if len(self.stages) != len(names):
-            raise ValidationError("stages must align with generators")
-
-        diffs: list[Combination] = []
+        self.gen_names = self.gen_degrees = self.gen_diffs = self.stages = ()
+        self._index, self._dims = {}, ()
+        names = [name for name, _ in generators]
         given = {name: dict(c) for name, c in (differentials or {}).items()}
-        for i, name in enumerate(names):
-            raw = given.pop(name, {})
-            comb: Combination = {}
-            for tgt, coeff in raw.items():
-                j = self.gen_index(tgt)
-                poly = parse_polynomial(algebra, coeff) if isinstance(coeff, str) else {
-                    m: as_q(c) for m, c in coeff.items() if c
-                }
-                if poly_is_zero(poly):
-                    continue
-                want = degrees[i] + 1 - degrees[j]
-                got = algebra.poly_degree(poly)
-                if got != want:
-                    raise ValidationError(
-                        f"d({name}) coefficient on {tgt} has degree {got}, expected {want}"
-                    )
-                comb[j] = poly
-            diffs.append(comb)
-        if given:
-            extra = ", ".join(sorted(given))
-            raise ValidationError(f"differentials for unknown generators: {extra}")
-        self.gen_diffs = tuple(diffs)
 
-        for i, name in enumerate(names):
-            dd = self.d_combination(self.gen_diffs[i])
-            if not comb_is_zero(dd):
-                raise ValidationError(f"d(d({name})) is nonzero")
+        def parsed():
+            # read by _adjoin once the names are in place, so targets resolve
+            for name in names:
+                comb: Combination = {}
+                for tgt, coeff in given.pop(name, {}).items():
+                    j = self.gen_index(tgt)
+                    poly = parse_polynomial(algebra, coeff) if isinstance(coeff, str) else {
+                        m: as_q(c) for m, c in coeff.items() if c
+                    }
+                    if not poly_is_zero(poly):
+                        comb[j] = poly
+                yield comb
+            if given:
+                extra = ", ".join(sorted(given))
+                raise ValidationError(f"differentials for unknown generators: {extra}")
 
+        self._adjoin(names, [int(d) for _, d in generators], parsed(), stages)
         self._basis_cache: dict[int, tuple[tuple[int, Mono], ...]] = {}
         self._basis_index_cache: dict[int, dict[tuple[int, Mono], int]] = {}
         self._diff_cache: dict[int, RatMatrix] = {}
         self._act_cache: dict[tuple[int, int], RatMatrix] = {}
         self._coh_cache: dict[int, CohomologyData] = {}
+
+    def _adjoin(
+        self,
+        names: Sequence[str],
+        degrees: Sequence[int],
+        diffs: Iterable[Combination],
+        stages: Sequence[tuple[int, int] | None] | None,
+    ) -> FreeDgModule:
+        """Append, in place, generators names[i] of degree degrees[i] with
+        d(names[i]) = diffs[i], keyed by generator index, and stage stages[i]
+        (None: no stages).  Only the new generators are checked, as no old
+        differential reaches them; the basis budget is checked before the
+        dims are built, which a huge cap would not survive.  Caches are the
+        caller's to set."""
+        old = len(self.gen_names)
+        self.gen_names += tuple(names)
+        self._index = {**self._index, **{n: i for i, n in enumerate(names, old)}}
+        if len(self._index) != len(self.gen_names):
+            raise ValidationError("module generator names must be distinct")
+        for name, deg in zip(names, degrees):
+            if name.split() != [name]:
+                raise ValidationError(f"bad module generator name {shown(name)}")
+            if deg < 0:
+                raise ValidationError(f"generator {name} has negative degree {deg}")
+        self.gen_degrees += tuple(degrees)
+        algebra, cap = self.algebra, self.cap
+        check_basis_budget(algebra.module_basis_slots(self.gen_degrees, cap), "the module", cap)
+        dims = self._dims or (0,) * (cap + 1)  # () before the first call
+        for deg in set(degrees):
+            dims = _grow_dims(dims, algebra, deg, degrees.count(deg))
+        self._dims = dims
+        stages = (None,) * len(names) if stages is None else tuple(stages)
+        if len(stages) != len(names):
+            raise ValidationError("stages must align with generators")
+        self.stages += stages
+        self.gen_diffs += tuple(diffs)
+        new, degs = range(old, len(self.gen_names)), self.gen_degrees
+        for i in new:
+            for j, poly in self.gen_diffs[i].items():
+                got, want = algebra.poly_degree(poly), degs[i] + 1 - degs[j]
+                if got != want:
+                    raise ValidationError(
+                        f"d({self.gen_names[i]}) coefficient on {self.gen_names[j]} "
+                        f"has degree {got}, expected {want}"
+                    )
+        for i in new:
+            if not comb_is_zero(self.d_combination(self.gen_diffs[i])):
+                raise ValidationError(f"d(d({self.gen_names[i]})) is nonzero")
+        return self
 
     def gen_index(self, name: str) -> int:
         try:
@@ -1067,15 +1087,8 @@ class _FreeCone(FreeDgModule):
 
     __slots__ = ("_phi", "_twist")
 
-    def __init__(
-        self,
-        phi: DgModuleMap,
-        generators: Sequence[tuple[str, int]],
-        differentials: Mapping[str, Mapping[str, Poly]],
-        cap: int,
-        twist: Sequence[Sequence[int]],
-    ):
-        super().__init__(phi.target.algebra, generators, differentials, cap=cap)
+    def __init__(self, phi: DgModuleMap, cap: int, twist: Sequence[Sequence[int]]):
+        super().__init__(phi.target.algebra, (), cap=cap)
         self._phi = phi
         self._twist = twist
 
@@ -1116,8 +1129,8 @@ def free_cone(
     by the diagonal T_n that twists each a.c_j by (-1)^{|a|(p-1)}; the
     projection carries that twist.  F's differential in degree n is read off
     d_N, phi and d_M through T_n and T_{n+1}, one degree at a time as it is
-    first asked for; the Leibniz rule on F's generator table, which the
-    constructor uses for its d^2 check, is its test oracle.  So phi must be
+    first asked for; the Leibniz rule on F's generator table, which
+    _adjoin uses for its d^2 check, is its test oracle.  So phi must be
     A-linear, as check=True verifies and a map from
     map_from_generator_images is by construction.
     """
@@ -1132,29 +1145,15 @@ def free_cone(
     if len(gen_names) != m_mod.gen_count:
         raise ValidationError("gen_names must match the source generator count")
 
-    gens = list(zip(n_mod.gen_names, n_mod.gen_degrees))
-    gens += [(nm, m_mod.gen_degrees[j] + p - 1) for j, nm in enumerate(gen_names)]
-    taken = {g for g, _ in gens}
-    if len(taken) != len(gens):
-        raise ValidationError("cone generator names collide")
-
-    diffs: dict[str, dict[str, Poly]] = {}
-    for j, name in enumerate(n_mod.gen_names):
-        diffs[name] = {
-            n_mod.gen_names[h]: dict(poly) for h, poly in n_mod.gen_diffs[j].items()
-        }
-    for j, nm in enumerate(gen_names):
-        comb: dict[str, Poly] = {}
-        gdeg = m_mod.gen_degrees[j]
+    # the target's generators keep their indices; source generator j becomes nc + j
+    nc, diffs = n_mod.gen_count, list(n_mod.gen_diffs)
+    for j, gdeg in enumerate(m_mod.gen_degrees):
         t = gdeg + p
-        if 0 <= t <= n_mod.cap:
-            for h, poly in n_mod.vector_combination(generator_image(phi, j), t).items():
-                comb[n_mod.gen_names[h]] = poly
+        comb = n_mod.vector_combination(generator_image(phi, j), t) if 0 <= t <= n_mod.cap else {}
         for h, poly in m_mod.gen_diffs[j].items():
-            cdeg = algebra.poly_degree(poly)
-            sign = -1 if ((cdeg + 1) * (p - 1)) % 2 else 1
-            comb[gen_names[h]] = poly_scale(sign, poly)
-        diffs[nm] = comb
+            sign = -1 if ((algebra.poly_degree(poly) + 1) * (p - 1)) % 2 else 1
+            comb[nc + h] = poly_scale(sign, poly)
+        diffs.append(comb)
 
     # T_n on the M part: (-1)^{|a|(p-1)} on a.c_j, |a| = n - p + 1 - |g_j|
     twist = [
@@ -1164,7 +1163,9 @@ def free_cone(
         ]
         for n in range(cap + 1)
     ]
-    free = _FreeCone(phi, gens, diffs, cap, twist)
+    degrees = n_mod.gen_degrees + tuple(g + p - 1 for g in m_mod.gen_degrees)
+    names = n_mod.gen_names + tuple(gen_names)
+    free = _FreeCone(phi, cap, twist)._adjoin(names, degrees, diffs, None)
     return _cone_of(phi, free, n_dims, m_dims, twist.__getitem__)
 
 

@@ -370,14 +370,19 @@ def _parse_action(
     variant = raw.get("variant", "circle")
     if variant not in VARIANTS:
         raise ValidationError(f"action: unknown variant {shown(variant)}; expected one of {VARIANTS}")
-    fixed_set_empty = bool(raw.get("fixed_set_empty", False))
-    base_sc = bool(raw.get("base_simply_connected", True))
+    fixed_set_empty = raw.get("fixed_set_empty", False)
+    base_sc = raw.get("base_simply_connected", True)
+    for key, value in (("fixed_set_empty", fixed_set_empty), ("base_simply_connected", base_sc)):
+        if not isinstance(value, bool):
+            raise ValidationError(f"action: {key!r} must be true or false")
     fixed_components = raw.get("fixed_components")
     if fixed_components is not None and (
         isinstance(fixed_components, bool) or not isinstance(fixed_components, int)
     ):
         raise ValidationError("action: 'fixed_components' must be an integer")
-    action_name = str(raw.get("name", doc_name))
+    action_name = raw.get("name", doc_name)
+    if not isinstance(action_name, str):
+        raise ValidationError("action: 'name' must be a string")
 
     def named_map(key: str) -> DgModuleMap:
         value = raw.get(key)

@@ -21,16 +21,14 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .action import DEFAULT_DEGREE, EULER_DEGREES, VARIANTS, BasicData, _orbit_module_failure
-from .cdga import SullivanPresentation, check_basis_budget, poly_is_zero
+from .cdga import SullivanPresentation
 from .dgmodule import (
     Combination,
     DgModule,
     DgModuleMap,
     FreeDgModule,
     MinimalModelResult,
-    _grow_dims,
     algebra_module,
-    comb_is_zero,
     compose,
     generator_image,
     identity_map,
@@ -126,18 +124,6 @@ def _fresh_name(taken: set[str], base: str) -> str:
     return name
 
 
-def _combination_degree(module: FreeDgModule, comb: Combination) -> int | None:
-    degs = set()
-    for j, cj in comb.items():
-        if not poly_is_zero(cj):
-            degs.add(module.algebra.poly_degree(cj) + module.gen_degrees[j])
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValidationError(f"inhomogeneous combination with degrees {sorted(degs)}")
-    return degs.pop()
-
-
 def _extend(
     module: FreeDgModule,
     names: Sequence[str],
@@ -145,32 +131,21 @@ def _extend(
     diffs: Sequence[Combination],
     stage: tuple[int, int],
 ) -> FreeDgModule:
-    """The module with degree-`degree` generators `names` appended, d(names[j]) = diffs[j].
+    """The module with degree-`degree` generators `names` appended, d(names[j]) = diffs[j],
+    checked by FreeDgModule._adjoin.
 
     The basis is generator-major, so new elements come last in every degree:
-    caches below `degree` are shared, the dims and cached bases from `degree`
-    up gain the new generators' part at their end, and a cached differential
-    from degree - 1 up keeps its columns, padded with zero rows, as no old
-    differential reaches a new generator; for the same reason only the new
-    generators' d^2 is checked.
+    caches below `degree` are shared, the cached bases from `degree` up gain
+    the new generators' part at their end, and a cached differential from
+    degree - 1 up keeps its columns, padded with zero rows, as no old
+    differential reaches a new generator.
     """
     big = object.__new__(FreeDgModule)
     big.algebra, big.cap = module.algebra, module.cap
-    big.gen_names = module.gen_names + tuple(names)
-    big.gen_degrees = module.gen_degrees + (degree,) * len(names)
-    slots = module.algebra.module_basis_slots(big.gen_degrees, module.cap)
-    check_basis_budget(slots, "the module", module.cap)
-    big._index = {n: i for i, n in enumerate(big.gen_names)}
-    if len(big._index) != len(big.gen_names):
-        raise ValidationError("module generator names must be distinct")
-    big.stages = module.stages + (stage,) * len(names)
-    big.gen_diffs = module.gen_diffs + tuple(diffs)
-    for name, comb in zip(names, diffs):
-        if _combination_degree(big, comb) not in (None, degree + 1):
-            raise ValidationError(f"d({name}) is not of degree {degree + 1}")
-        if not comb_is_zero(big.d_combination(comb)):
-            raise ValidationError(f"d(d({name})) is nonzero")
-    big._dims = _grow_dims(module._dims, module.algebra, degree, len(names))
+    big.gen_names, big.gen_degrees = module.gen_names, module.gen_degrees
+    big.gen_diffs, big.stages = module.gen_diffs, module.stages
+    big._index, big._dims = module._index, module._dims
+    big._adjoin(names, (degree,) * len(names), diffs, (stage,) * len(names))
     new = range(module.gen_count, big.gen_count)
     big._basis_cache, big._basis_index_cache = {}, {}
     for k, basis in module._basis_cache.items():
@@ -268,12 +243,8 @@ def _h0_kernel_labels(phi: DgModuleMap) -> list[str]:
 
 def _with_cap(module: FreeDgModule, cap: int) -> FreeDgModule:
     """The free module on module's generator table, with this cap."""
-    diffs = {
-        name: {module.gen_names[j]: p for j, p in module.gen_diffs[i].items()}
-        for i, name in enumerate(module.gen_names)
-    }
-    gens = tuple(zip(module.gen_names, module.gen_degrees))
-    return FreeDgModule(module.algebra, gens, diffs, cap=cap, stages=module.stages)
+    out = FreeDgModule(module.algebra, (), cap=cap)
+    return out._adjoin(module.gen_names, module.gen_degrees, module.gen_diffs, module.stages)
 
 
 def minimal_factorization(phi: DgModuleMap, n_cap: int | None = None) -> MinimalModelResult:

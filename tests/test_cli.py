@@ -398,6 +398,30 @@ def test_almost_free_is_not_a_variant(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("fixed_set_empty", "false", "'fixed_set_empty' must be true or false"),
+        ("fixed_set_empty", 1.5, "'fixed_set_empty' must be true or false"),
+        ("base_simply_connected", "no", "'base_simply_connected' must be true or false"),
+        ("base_simply_connected", 0, "'base_simply_connected' must be true or false"),
+        ("name", 7, "action: 'name' must be a string"),
+    ],
+    ids=["flag_string", "flag_float", "base_string", "base_int", "name_number"],
+)
+def test_action_field_of_the_wrong_type_is_one_error_line(tmp_path, field, value, message):
+    # a truthy "false" used to read as true and silently skip the fixed-set sections
+    doc = tmp_path / "action_field.json"
+    action = {**NAIVE_OVER_DIFFERENTIAL_DOC["action"], field: value}
+    doc.write_text(json.dumps({**NAIVE_OVER_DIFFERENTIAL_DOC, "action": action}))
+    res = run("circle", "--input", str(doc), "--format", "machine")
+    assert res.returncode == ValidationError.exit_code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_structure_map_wrong_off_its_generators_is_one_error_line(tmp_path):
     # i'(b) = u is right on the generator, but i'(u.b) must be u^2, not 2u^2
     doc = tmp_path / "not_linear.json"

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgmodels import minmodel
-from dgmodels.cdga import SullivanPresentation
+from dgmodels.cdga import SullivanPresentation, parse_polynomial
 from dgmodels.dgmodule import (
     DgModule,
     DgModuleMap,
@@ -222,6 +222,42 @@ def cocycle_modules(draw) -> FreeDgModule:
     return FreeDgModule(alg, gens, diffs, cap=CAP - 1)
 
 
+def _action_degrees(module: FreeDgModule):
+    return [
+        (i, k)
+        for i in range(1, min(module.cap, module.algebra.cap) + 1)
+        for k in range(module.cap - i + 1)
+    ]
+
+
+def _fill_caches(module: FreeDgModule) -> None:
+    for i, k in _action_degrees(module):
+        module.action_matrix(i, k)
+    for n in range(module.cap):
+        module_cohomology(module, n)
+
+
+def _assert_matches_a_fresh_build(module: FreeDgModule) -> None:
+    fresh = FreeDgModule(
+        module.algebra,
+        list(zip(module.gen_names, module.gen_degrees)),
+        {
+            name: {module.gen_names[j]: p for j, p in module.gen_diffs[i].items()}
+            for i, name in enumerate(module.gen_names)
+        },
+        cap=module.cap,
+    )
+    for k in range(module.cap + 1):
+        assert module.dim(k) == fresh.dim(k) == len(module.basis(k))
+        assert module.basis(k) == fresh.basis(k)
+        assert module.basis_index(k) == fresh.basis_index(k)
+    for k in range(module.cap):
+        assert module.differential_matrix(k) == fresh.differential_matrix(k)
+        assert module_cohomology(module, k) == module_cohomology(fresh, k)
+    for i, k in _action_degrees(module):
+        assert module.action_matrix(i, k) == fresh.action_matrix(i, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cocycle_modules())
 def test_tower_and_retraction_over_bases_with_odd_generators_or_a_differential(module):
@@ -230,6 +266,7 @@ def test_tower_and_retraction_over_bases_with_odd_generators_or_a_differential(m
     rho = zero_map(zero_module(x.algebra, cap=x.cap), x, 0)
     state = KSState(n_cap=n_cap, rho=rho, n=0, q=0)
     while not state.done:
+        _fill_caches(state.rho.source)  # so that each batch has every cache to carry over
         state = ks_step(state)
     # the relative differentials the tower carried are the fresh builds
     assert len(state.rel) == n_cap + 1
@@ -241,23 +278,10 @@ def test_tower_and_retraction_over_bases_with_odd_generators_or_a_differential(m
     assert verify_minimal(model).ok
     for n in range(result.window + 1):
         assert module_cohomology(model, n).betti == module_cohomology(x, n).betti
-    # the bases and differentials that extend carried match a module built
-    # from the same table
-    fresh = FreeDgModule(
-        model.algebra,
-        list(zip(model.gen_names, model.gen_degrees)),
-        {
-            name: {model.gen_names[j]: p for j, p in model.gen_diffs[i].items()}
-            for i, name in enumerate(model.gen_names)
-        },
-        cap=model.cap,
-    )
-    for k in range(model.cap + 1):
-        assert model.dim(k) == fresh.dim(k) == len(model.basis(k))
-        assert model.basis(k) == fresh.basis(k)
-        assert model.basis_index(k) == fresh.basis_index(k)
-    for k in range(model.cap):
-        assert model.differential_matrix(k) == fresh.differential_matrix(k)
+    # the bases, differentials, action matrices and cohomology that extend
+    # carried match a module built from the same table
+    for tower in (model, state.rho.source):
+        _assert_matches_a_fresh_build(tower)
     sigma = lift_section(result.rho)
     assert maps_equal(compose(sigma, result.rho), identity_map(model))
     assert sigma.verify().ok
@@ -395,6 +419,29 @@ def test_tower_appends_and_carries_the_relative_differential(monkeypatch):
     assert shared_blocks and carried and grown
     assert len(state.rel) == CAP
     assert state.rho.source.gen_names == minimal_model(x, CAP - 1).module.gen_names
+
+
+@pytest.mark.parametrize(
+    "name, degree, diff, message",
+    [
+        ("w", 2, {}, "module generator names must be distinct"),
+        ("v", 2, {"w": "e"}, "d(v) coefficient on w has degree 2, expected 0"),
+        ("v", 2, {"w": "1"}, "d(d(v)) is nonzero"),
+    ],
+    ids=["duplicate_name", "coefficient_degree", "d_squared"],
+)
+def test_a_tower_batch_is_checked_like_the_constructor(name, degree, diff, message):
+    # over Lambda(e_2) with dw = e z1: the batch path and the constructor
+    # reject the same table with the same message
+    alg = ALGEBRAS["e2"]
+    gens = [("z1", 2), ("w", 3)]
+    module = FreeDgModule(alg, gens, {"w": {"z1": "e"}}, cap=CAP)
+    comb = {module.gen_index(t): parse_polynomial(alg, expr) for t, expr in diff.items()}
+    with pytest.raises(ValidationError) as tower:
+        minmodel._extend(module, [name], degree, [comb], (degree, 1))
+    with pytest.raises(ValidationError) as fresh:
+        FreeDgModule(alg, [*gens, (name, degree)], {"w": {"z1": "e"}, name: diff}, cap=CAP)
+    assert str(tower.value) == str(fresh.value) == message
 
 
 def _two_batch_input():
