@@ -703,6 +703,23 @@ def compose(g: DgModuleMap, f: DgModuleMap) -> DgModuleMap:
     return DgModuleMap(f.source, g.target, degree, mats, window_cap=window_cap)
 
 
+def _homotopy_at(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap, k: int) -> bool:
+    """Whether (-1)^p d h + h d = psi - phi holds as matrices at source degree k."""
+    dh = phi.target.differential_matrix(k + phi.degree - 1) * h.matrix(k)
+    rhs = psi.matrix(k) - phi.matrix(k) if k in phi.mats else psi.matrix(k)
+    hd = h.matrix(k + 1) * phi.source.differential_matrix(k)
+    return hd == (rhs + dh if phi.degree % 2 else rhs - dh)
+
+
+def is_homotopy(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap) -> bool:
+    """Whether (-1)^p d h + h d = psi - phi holds as matrices on the window."""
+    p = phi.degree
+    if psi.degree != p or h.degree != p - 1:
+        raise ValidationError("homotopy degrees are inconsistent")
+    stop = min(phi.source.cap, phi.target.cap - p + 1, phi.window().stop, psi.window().stop)
+    return all(_homotopy_at(h, phi, psi, k) for k in range(min(stop, h.window().stop - 1)))
+
+
 def maps_equal(f: DgModuleMap, g: DgModuleMap) -> bool:
     if f.degree != g.degree:
         return False
@@ -968,7 +985,11 @@ class Cone(NamedTuple):
     """Graded cone N +_phi M of a degree-p map, with its structure maps.
 
     In degree n the module's basis is N^n followed by M^{n-p+1}: the
-    inclusion is [I; 0] and the projection [0 | S], S diagonal."""
+    inclusion i is [I; 0] and the projection pi is [0 | S], S diagonal.  So
+    d i = i d, pi i = 0, phi pi = h d - d h for h = i^T, and
+    (-1)^p d k + k d = (-1)^p i phi for k = pi^T: each composite of the long
+    exact sequence is zero on cohomology, and it is exact at a node where the
+    ranks of the maps into and out of it add up to its Betti number."""
 
     module: DgModule
     phi: DgModuleMap
@@ -1149,7 +1170,9 @@ def free_cone(
     nc, diffs = n_mod.gen_count, list(n_mod.gen_diffs)
     for j, gdeg in enumerate(m_mod.gen_degrees):
         t = gdeg + p
-        comb = n_mod.vector_combination(generator_image(phi, j), t) if 0 <= t <= n_mod.cap else {}
+        # past either cap, the cone generator's differential lies above the cone's window
+        inside = 0 <= t <= n_mod.cap and gdeg <= m_mod.cap
+        comb = n_mod.vector_combination(generator_image(phi, j), t) if inside else {}
         for h, poly in m_mod.gen_diffs[j].items():
             sign = -1 if ((algebra.poly_degree(poly) + 1) * (p - 1)) % 2 else 1
             comb[nc + h] = poly_scale(sign, poly)
@@ -1213,6 +1236,18 @@ def induced_map(f: DgModuleMap, source_h: CohomologyData, target_h: CohomologyDa
     return RatMatrix.from_cols(cols, nrows=target_h.betti)
 
 
+def _induced_rank(f: DgModuleMap, k: int, betti_source: int, betti_target: int) -> int:
+    """rank f_*: H^k -> H^(k+q) of a degree-q chain map f, as rank [d | f K] - rank d
+    with d the target's differential into degree k + q and K the kernel basis of
+    the source's d^k; 0, with no elimination, when either group is 0."""
+    if not (betti_source and betti_target):
+        return 0
+    d = f.target.differential_matrix(k + f.degree - 1)
+    kernel = f.source.differential_matrix(k).kernel_basis()
+    image = f.matrix(k) * RatMatrix.from_cols(kernel, nrows=f.source.dim(k))
+    return d.hstack(image).rank() - d.rank()
+
+
 class LesRow(NamedTuple):
     """One window degree of the cone long exact sequence."""
 
@@ -1238,39 +1273,34 @@ class LesTable(NamedTuple):
 
 
 def cone_les(cn: Cone, top: int | None = None) -> LesTable:
-    """The sequence in one pass up the window: each cohomology group is read
-    once and each of alpha_n, beta_n, delta_n computed once; exactness at
-    H^n(N) waits for alpha_n, one degree after delta_(n-1)."""
-    phi = cn.phi
+    """The sequence by ranks, one pass up the window, with the identities of
+    Cone checked at each node they certify; H^n(N) is decided in degree n."""
+    phi, mod, incl, proj = cn.phi, cn.module, cn.inclusion, cn.projection
     m_mod, n_mod, p = phi.source, phi.target, phi.degree
-    hi = min(n_mod.cap - 2, cn.cap - 1, m_mod.cap + p - 2)
-    if top is not None:
-        hi = min(hi, top)
+    hi = min(n_mod.cap - 2, cn.cap - 1, m_mod.cap + p - 2, cn.cap if top is None else top)
+    h = DgModuleMap(mod, n_mod, 0, {n: incl.matrix(n).transpose() for n in range(hi + 2)})
+    k_mats = {n + 1 - p: proj.matrix(n).transpose() for n in range(max(p - 1, 0), hi + 2)}
+    k, zero_m = DgModuleMap(m_mod, mod, p - 1, k_mats), DgModuleMap(m_mod, mod, p)
+    phi_pi, i_phi, zero_c = compose(phi, proj), compose(incl, phi), DgModuleMap(mod, n_mod, 1)
+    ends = (zero_m, i_phi) if p % 2 == 0 else (i_phi, zero_m)  # psi - phi = (-1)^p i phi
+    b_n, b_c, b_m = betti_table(n_mod, hi + 1), betti_table(mod, hi), betti_table(m_mod, hi + 1 - p)
 
     failures: list[str] = []
     rows: list[LesRow] = []
-    hn1 = delta = None
     for n in range(hi + 1):
-        hn = module_cohomology(n_mod, n) if hn1 is None else hn1
-        hc = module_cohomology(cn.module, n)
-        hm = module_cohomology(m_mod, n + 1 - p)
-        hn1 = module_cohomology(n_mod, n + 1)
-        alpha = induced_map(cn.inclusion, hn, hc)
-        rank_a = alpha.rank()
-        if delta is not None and not (
-            (alpha * delta).is_zero() and rank_d == hn.betti - rank_a
-        ):
+        j = n + 1 - p
+        hn, hc, hm = b_n.get(n), b_c.get(n), b_m.get(j)
+        rank_a, rank_b = _induced_rank(incl, n, hn, hc), _induced_rank(proj, n, hc, hm)
+        rank_d = _induced_rank(phi, j, hm, b_n.get(n + 1))
+        if n and not (_homotopy_at(k, *ends, j - 1) and rows[-1].rank_connecting == hn - rank_a):
             failures.append(f"not exact at H^{n}(target)")
-        beta = induced_map(cn.projection, hc, hm)
-        delta = induced_map(phi, hm, hn1)
-        rank_b, rank_d = beta.rank(), delta.rank()
-        exact_c = (beta * alpha).is_zero() and rank_a == hc.betti - rank_b
-        exact_m = (delta * beta).is_zero() and rank_b == hm.betti - rank_d
+        i_n, d_n = incl.matrix(n), n_mod.differential_matrix(n)
+        chain = mod.differential_matrix(n) * i_n == incl.matrix(n + 1) * d_n
+        exact_c = chain and (proj.matrix(n) * i_n).is_zero() and rank_a == hc - rank_b
+        exact_m = _homotopy_at(h, zero_c, phi_pi, n) and rank_b == hm - rank_d
         if not exact_c:
             failures.append(f"not exact at H^{n}(cone)")
         if not exact_m:
-            failures.append(f"not exact at H^{n + 1 - p}(source)")
-        rows.append(
-            LesRow(n, hn.betti, hc.betti, hm.betti, rank_a, rank_b, rank_d, exact_c, exact_m)
-        )
+            failures.append(f"not exact at H^{j}(source)")
+        rows.append(LesRow(n, hn, hc, hm, rank_a, rank_b, rank_d, exact_c, exact_m))
     return LesTable(p, hi, rows, not failures, tuple(failures))

@@ -33,6 +33,7 @@ from .dgmodule import (
     generator_image,
     identity_map,
     induced_map,
+    is_homotopy,
     map_from_generator_images,
     maps_equal,
     module_cohomology,
@@ -630,28 +631,6 @@ def model_of_morphism(
     phi_prime = map_from_generator_images(m_min, n_min, p, named_phi, name="phi'")
     h_map = map_from_generator_images(m_min, n_mod, p - 1, named_h, name="h")
     return phi_prime, h_map
-
-
-def is_homotopy(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap) -> bool:
-    """Whether (-1)^p d h + h d = psi - phi holds as matrices on the window."""
-    p = phi.degree
-    if psi.degree != p or h.degree != p - 1:
-        raise ValidationError("homotopy degrees are inconsistent")
-    src, tgt = phi.source, phi.target
-    sign = -1 if p % 2 else 1
-    hi = min(
-        src.cap - 1,
-        tgt.cap - p,
-        phi.window().stop - 1,
-        psi.window().stop - 1,
-        h.window().stop - 2,
-    )
-    for k in range(hi + 1):
-        lhs = (tgt.differential_matrix(k + p - 1) * h.matrix(k)).scale(sign)
-        lhs = lhs + h.matrix(k + 1) * src.differential_matrix(k)
-        if lhs != psi.matrix(k) - phi.matrix(k):
-            return False
-    return True
 
 
 # ---- assembly from tabulated complexes --------------------------------------

@@ -535,6 +535,24 @@ def test_too_small_fixture_window_is_one_error_line(fixture, window):
     assert res.stderr.splitlines() == [f"error: fixture '{fixture}' needs max_degree >= 2"]
 
 
+@pytest.mark.parametrize(
+    "fixture, window, code, errors",
+    [
+        ("cp2", "1", 0, []),
+        ("nonformal", "0", ValidationError.exit_code,
+         ["error: degree window is empty; enlarge the caps"]),
+    ],
+)
+def test_smallest_circle_windows(fixture, window, code, errors):
+    # the fixed-set cone used to read the image of a relative-model generator
+    # above the model's cap, and both runs ended on "map matrix at source
+    # degree ... is above the window"
+    res = run("circle", "--fixture", fixture, "--max-degree", window, "--format", "machine")
+    assert res.returncode == code
+    assert res.stderr.splitlines() == errors
+    assert (res.stdout == "") == bool(errors)
+
+
 def test_borel_budget_is_checked_before_the_first_stage():
     # cp2's own algebra and modules fit the budget at this window, but the
     # Borel algebra A (x) Lambda(e) does not; the bound used to be the time

@@ -22,8 +22,11 @@ from dgmodels.dgmodule import (
     certify_free_map,
     cone,
     cone_les,
+    _induced_rank,
     free_cone,
+    induced_map,
     map_from_generator_images,
+    module_cohomology,
     tabulate,
     verify_dgmodule,
 )
@@ -149,6 +152,33 @@ def test_free_cone_agrees_with_the_tabulated_cone_on_random_maps(phi):
     assert les.ok and les.rows == cone_les(tab).rows
     assert free.inclusion.verify().ok
     assert certify_free_map(free.projection).ok
+
+
+def assert_induced_ranks_match(f):
+    """cone_les's rank of f_* against the rank of f_*'s matrix in the stored
+    representative bases, at every source degree where both groups are
+    certified; returns how many of those ranks are nonzero."""
+    p = f.degree
+    nonzero = 0
+    for k in range(min(f.source.cap - 1, f.target.cap - 1 - p, f.window().stop - 1) + 1):
+        h_src, h_tgt = module_cohomology(f.source, k), module_cohomology(f.target, k + p)
+        rank = _induced_rank(f, k, h_src.betti, h_tgt.betti)
+        assert rank == induced_map(f, h_src, h_tgt).rank(), (f.name, k)
+        nonzero += rank > 0
+    return nonzero
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_maps())
+def test_induced_rank_matches_the_coordinate_oracle_on_random_maps(phi):
+    assert_induced_ranks_match(phi)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_induced_rank_matches_the_coordinate_oracle_on_borel_cones(name):
+    cn = action._ActionPipeline(fixture(name, 12), 12).borel[1]
+    nonzero = [assert_induced_ranks_match(f) for f in (cn.inclusion, cn.projection, cn.phi)]
+    assert any(nonzero)
 
 
 def leibniz_twin(module):

@@ -4,8 +4,11 @@ from collections import Counter
 
 import pytest
 
+from dgmodels import action
 from dgmodels.cdga import SullivanPresentation, trivial_algebra
+from dgmodels.circle import action_report
 from dgmodels.dgmodule import (
+    DgModuleMap,
     FreeDgModule,
     TabulatedDgModule,
     algebra_module,
@@ -16,6 +19,7 @@ from dgmodels.dgmodule import (
     cone_les,
     free_cone,
     identity_map,
+    is_homotopy,
     map_from_generator_images,
     maps_equal,
     module_cohomology,
@@ -25,8 +29,9 @@ from dgmodels.dgmodule import (
     verify_dgmodule,
 )
 from dgmodels.errors import DegreeWindowError, ValidationError
+from dgmodels.fixtures import fixture
 from dgmodels.linalg import Q, RatMatrix, vec
-from dgmodels.minmodel import is_homotopy, zero_map, zero_module
+from dgmodels.minmodel import zero_map, zero_module
 
 
 def odd_sphere(cap=14):
@@ -209,33 +214,111 @@ def test_free_cone_agrees_with_the_tabulated_cone():
     assert certify_free_map(free.projection).ok
 
 
-@pytest.mark.parametrize("build", [cone, free_cone], ids=["tabulated", "free"])
-def test_cone_les_computes_each_map_and_group_once(monkeypatch, build):
-    # the pass used to compute alpha_(n+1) twice: for exactness at
-    # H^(n+1)(N) in degree n, and again for the row of degree n + 1
-    import dgmodels.dgmodule as dgm
-
+def s4_euler_cone(build):
     alg = odd_sphere()
     m = s4_relative(alg)
     a_mod = algebra_module(alg, cap=14)
-    cn = build(map_from_generator_images(m, a_mod, 2, {"b0": (Q(1),)}))
-    maps, groups = Counter(), Counter()
-    real_map, real_group = dgm.induced_map, dgm.module_cohomology
+    return build(map_from_generator_images(m, a_mod, 2, {"b0": (Q(1),)}))
 
-    def counted_map(f, source_h, target_h):
-        maps[(id(f), source_h.degree)] += 1
-        return real_map(f, source_h, target_h)
 
-    def counted_group(module, n):
-        groups[(id(module), n)] += 1
-        return real_group(module, n)
+@pytest.mark.parametrize("build", [cone, free_cone], ids=["tabulated", "free"])
+def test_cone_les_reads_no_cohomology_coordinates(monkeypatch, build):
+    # exactness is read off ranks and four chain-level identities, so no
+    # group is coordinatized and no representative is built
+    import dgmodels.dgmodule as dgm
 
-    monkeypatch.setattr(dgm, "induced_map", counted_map)
-    monkeypatch.setattr(dgm, "module_cohomology", counted_group)
+    cn = s4_euler_cone(build)
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(dgm, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("induced_map", "module_cohomology"):
+        monkeypatch.setattr(dgm, name, counted(name))
     table = cone_les(cn)
-    assert table.ok
-    assert set(maps.values()) == {1} and len(maps) == 3 * (table.top + 1)
-    assert set(groups.values()) == {1}
+    assert table.ok and table.top == 12
+    assert calls == Counter()
+    # the counters would see a call
+    dgm.module_cohomology(cn.module, 0)
+    assert calls == Counter(module_cohomology=1)
+
+
+def test_action_report_leaves_the_borel_cone_uncoordinatized():
+    report = action_report(fixture("s4_hopf", 12), 12)
+    assert report.les.ok
+    assert report.equivariant.module._coh_cache == {}
+
+
+def with_matrices(cn, d_mats=(), incl=(), proj=()):
+    """cn on a tabulated copy of its module, with the differential, inclusion
+    and projection matrices given per degree put in place of its own."""
+    mod = tabulate(cn.module)
+    mod = TabulatedDgModule(
+        mod.algebra, mod.cap, mod.labels, {**mod.d_mats, **dict(d_mats)}, mod.act_mats
+    )
+    n_mod, m_mod, p = cn.phi.target, cn.phi.source, cn.degree
+    degrees = range(cn.cap + 1)
+    incl = {**{n: cn.inclusion.matrix(n) for n in degrees}, **dict(incl)}
+    proj = {**{n: cn.projection.matrix(n) for n in degrees}, **dict(proj)}
+    return cn._replace(
+        module=mod,
+        inclusion=DgModuleMap(n_mod, mod, 0, incl),
+        projection=DgModuleMap(mod, m_mod, 1 - p, proj),
+    )
+
+
+def sign_flipped(cn, n):
+    """The projection's sign flipped in degree n: pi is no longer a chain map,
+    but no rank changes, so only the identities can tell."""
+    return with_matrices(cn, proj={n: cn.projection.matrix(n).scale(-1)})
+
+
+def phi_dropped(cn, n):
+    """d_C without its phi block out of degree n (where d^2 stays 0 below)."""
+    d = cn.module.differential_matrix(n)
+    nn, top = cn.n_dims[n], cn.n_dims[n + 1]
+    rows = [{c: x for c, x in row.items() if c < nn} for row in d._nz[:top]]
+    return with_matrices(cn, d_mats={n: RatMatrix._make(d.rows, d.cols, rows + list(d._nz[top:]))})
+
+
+def inclusion_leaks(cn, n):
+    """An inclusion whose degree-n part also lands on the first M basis vector:
+    not a chain map where phi or d_M moves that vector, and pi i != 0."""
+    nn, mn = cn.n_dims[n], cn.m_dims[n]
+    rows = [{r: 1} for r in range(nn)] + [{c: 1 for c in range(nn)}] + [{}] * (mn - 1)
+    return with_matrices(cn, incl={n: RatMatrix._make(nn + mn, nn, rows)})
+
+
+def s4_borel_cone(build):
+    return build(action._ActionPipeline(fixture("s4_hopf", 10), 10).borel[1].phi, check=False)
+
+
+# On the s4 Euler cone N = A has no differential and N^n, M^(n-1) never meet
+# in one degree, so every map N -> C of the right shapes is a chain map; the
+# leaking inclusion is built on the s4 Borel cone instead.
+@pytest.mark.parametrize(
+    "make_cone, mutate, n, node",
+    [
+        (s4_euler_cone, sign_flipped, 2, "not exact at H^1(source)"),
+        (s4_euler_cone, phi_dropped, 2, "not exact at H^1(source)"),
+        (s4_borel_cone, sign_flipped, 4, "not exact at H^3(source)"),
+        (s4_borel_cone, phi_dropped, 4, "not exact at H^3(source)"),
+        (s4_borel_cone, inclusion_leaks, 4, "not exact at H^4(cone)"),
+    ],
+    ids=["euler-sign", "euler-phi", "borel-sign", "borel-phi", "borel-inclusion"],
+)
+@pytest.mark.parametrize("build", [cone, free_cone], ids=["tabulated", "free"])
+def test_broken_cones_are_not_exact(make_cone, mutate, n, node, build):
+    cn = make_cone(build)
+    assert cone_les(cn).ok
+    table = cone_les(mutate(cn, n))
+    assert not table.ok and node in table.failures, table.failures
 
 
 def test_cone_of_identity_is_acyclic():
