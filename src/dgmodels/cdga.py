@@ -64,9 +64,9 @@ def check_check_budget(checks: int, what: str) -> None:
         )
 
 
-def _basis_totals(degrees: Sequence[int], cap: int) -> tuple[int, ...]:
-    """Running sums of dim A^0, ..., dim A^cap for the free graded-commutative
-    algebra on generators of these degrees, read off its generating function
+def _basis_dims(degrees: Sequence[int], cap: int) -> tuple[int, ...]:
+    """dim A^0, ..., dim A^cap for the free graded-commutative algebra on
+    generators of these degrees, read off its generating function
     prod_odd (1 + t^d) / prod_even (1 - t^d); rejects an algebra over budget."""
     check_basis_budget(cap + 1, "the algebra", cap)
     dims = [1] + [0] * cap
@@ -77,9 +77,8 @@ def _basis_totals(degrees: Sequence[int], cap: int) -> tuple[int, ...]:
         else:
             for k in range(d, cap + 1):
                 dims[k] += dims[k - d]
-    totals = tuple(accumulate(dims))
-    check_basis_budget(cap + 1 + totals[-1], "the algebra", cap)
-    return totals
+    check_basis_budget(cap + 1 + sum(dims), "the algebra", cap)
+    return tuple(dims)
 
 
 def poly_is_zero(p: Mapping[Mono, Fraction]) -> bool:
@@ -145,7 +144,7 @@ class SullivanPresentation:
         "_basis_index_cache",
         "_product_cache",
         "_diff_cache",
-        "_basis_totals",
+        "_dims",
     )
 
     def __init__(
@@ -165,7 +164,7 @@ class SullivanPresentation:
                 raise ValidationError(f"generator {name} has degree {deg}; need >= 1")
         if cap < 0:
             raise ValidationError(f"degree cap {cap} must be nonnegative")
-        self._basis_totals = _basis_totals(degrees, int(cap))
+        self._dims = _basis_dims(degrees, int(cap))
         self.names = names
         self.degrees = degrees
         self.cap = int(cap)
@@ -264,7 +263,7 @@ class SullivanPresentation:
     def module_basis_slots(self, gen_degrees: Sequence[int], cap: int) -> int:
         """Slots of a free module on generators of these degrees through
         degree cap: one per degree plus its basis dimensions."""
-        totals = self._basis_totals
+        totals = tuple(accumulate(self._dims))
         top = len(totals) - 1
         return cap + 1 + sum(totals[min(cap - g, top)] for g in gen_degrees if g <= cap)
 
@@ -278,7 +277,8 @@ class SullivanPresentation:
             raise DegreeWindowError(f"degree {n} exceeds cap {self.cap}")
         if n not in self._basis_cache:
             out: list[Mono] = []
-            self._enumerate(0, n, [0] * len(self.names), out)
+            if self._dims[n]:  # an empty degree would walk every partial monomial
+                self._enumerate(0, n, [0] * len(self.names), out)
             self._basis_cache[n] = tuple(out)
         return self._basis_cache[n]
 
@@ -297,7 +297,10 @@ class SullivanPresentation:
         current[i] = 0
 
     def dim(self, n: int) -> int:
-        return len(self.basis(n))
+        """len(basis(n)), read off the generating function."""
+        if n > self.cap:
+            raise DegreeWindowError(f"degree {n} exceeds cap {self.cap}")
+        return self._dims[n] if n >= 0 else 0
 
     def basis_index(self, n: int) -> dict[Mono, int]:
         if n not in self._basis_index_cache:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .cdga import (
@@ -325,6 +324,8 @@ class FreeDgModule:
             return RatMatrix.zero(self.dim(i + k), 0)
         if i == 0:
             return RatMatrix.identity(self.dim(k))
+        if not (self.algebra.dim(i) and self.dim(k)):
+            return RatMatrix.zero(self.dim(i + k), self.algebra.dim(i) * self.dim(k))
         key = (i, k)
         if key not in self._act_cache:
             # a.(b.g) = (ab).g: column (a, b.g) holds the one signed entry of mono_mul
@@ -349,16 +350,8 @@ def _grow_dims(
     are cut off, for basis() to reject."""
     if not count:
         return dims
-    reach = min(len(dims), degree + algebra.cap + 1)
-    grown = [x + count * algebra.dim(k - degree) for k, x in enumerate(dims[degree:reach], degree)]
+    grown = [x + count * a for x, a in zip(dims[degree:], algebra._dims)]
     return (*dims[:degree], *grown)
-
-
-@lru_cache(maxsize=1024)
-def _zero_block(rows: int, cols: int) -> RatMatrix:
-    """The zero matrix of a shape, one shared by every reader: matrices and
-    their rows are never mutated, so even its rows share one empty dict."""
-    return RatMatrix._make(rows, cols, ({},) * rows)
 
 
 class TabulatedDgModule:
@@ -427,7 +420,7 @@ class TabulatedDgModule:
         if k + 1 > self.cap:
             raise DegreeWindowError(f"differential out of degree {k} exceeds cap {self.cap}")
         mat = self.d_mats.get(k)
-        return _zero_block(self.dim(k + 1), self.dim(k)) if mat is None else mat
+        return RatMatrix.zero(self.dim(k + 1), self.dim(k)) if mat is None else mat
 
     def action_matrix(self, i: int, k: int) -> RatMatrix:
         if i < 0:
@@ -438,7 +431,7 @@ class TabulatedDgModule:
             return RatMatrix.identity(self.dim(k))
         mat = self.act_mats.get((i, k))
         if mat is None:
-            return _zero_block(self.dim(i + k), self.algebra.dim(i) * self.dim(k))
+            return RatMatrix.zero(self.dim(i + k), self.algebra.dim(i) * self.dim(k))
         return mat
 
     def __repr__(self) -> str:
@@ -621,8 +614,7 @@ class DgModuleMap:
             )
         if k in self.mats:
             return self.mats[k]
-        t = k + self.degree
-        return _zero_block(self.target.dim(t) if t >= 0 else 0, self.source.dim(k) if k >= 0 else 0)
+        return RatMatrix.zero(self.target.dim(k + self.degree), self.source.dim(k))
 
     def window(self) -> range:
         """Source degrees where the matrix is materializable."""
@@ -689,15 +681,16 @@ def identity_map(module: DgModule) -> DgModuleMap:
 
 
 def compose(g: DgModuleMap, f: DgModuleMap) -> DgModuleMap:
-    """g after f; defined where both factors are, which may narrow the window."""
+    """g after f; defined where both factors are, which may narrow the window,
+    and multiplied only at the degrees where both store a block."""
     if f.target is not g.source:
         raise ValidationError("composition mismatch: target of f is not source of g")
     degree = f.degree + g.degree
     hi = min(f.window().stop - 1, g.window().stop - 1 - f.degree)
     mats = {}
-    for k in range(hi + 1):
-        if k + degree <= g.target.cap:
-            mats[k] = g.matrix(k + f.degree) * f.matrix(k)
+    for k in range(min(hi, g.target.cap - degree) + 1):
+        if k in f.mats and k + f.degree in g.mats:
+            mats[k] = g.mats[k + f.degree] * f.mats[k]
     nominal = min(f.source.cap, g.target.cap - degree)
     window_cap = hi if hi < nominal else None
     return DgModuleMap(f.source, g.target, degree, mats, window_cap=window_cap)
@@ -706,7 +699,7 @@ def compose(g: DgModuleMap, f: DgModuleMap) -> DgModuleMap:
 def _homotopy_at(h: DgModuleMap, phi: DgModuleMap, psi: DgModuleMap, k: int) -> bool:
     """Whether (-1)^p d h + h d = psi - phi holds as matrices at source degree k."""
     dh = phi.target.differential_matrix(k + phi.degree - 1) * h.matrix(k)
-    rhs = psi.matrix(k) - phi.matrix(k) if k in phi.mats else psi.matrix(k)
+    rhs = psi.matrix(k) - phi.matrix(k)
     hd = h.matrix(k + 1) * phi.source.differential_matrix(k)
     return hd == (rhs + dh if phi.degree % 2 else rhs - dh)
 
@@ -771,7 +764,8 @@ def map_from_generator_images(
             if deg > k:
                 continue
             i, t, img = k - deg, deg + degree, img_vectors.get(gi)
-            if img:
+            dim_a = source.algebra.dim(i)
+            if img and dim_a:
                 dim_t, sign = target.dim(t), -1 if (i * degree) % 2 else 1
                 for out, row in zip(rows, target.action_matrix(i, t)._nz):
                     for col, x in row.items():
@@ -779,7 +773,7 @@ def map_from_generator_images(
                         if s in img:
                             c, y = col0 + a, sign * x * img[s]
                             out[c] = out[c] + y if c in out else y
-            col0 += source.algebra.dim(i)
+            col0 += dim_a
         rows = [{c: x for c, x in row.items() if x} for row in rows]
         mats[k] = RatMatrix._make(len(rows), source.dim(k), rows)
     return DgModuleMap(source, target, degree, mats, name=name)

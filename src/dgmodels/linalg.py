@@ -18,7 +18,10 @@ scalar, and a zero is never stored.  Every operation (products, sums,
 scaling, `kron`, stacking, transposition, equality and hashing) reads and
 writes only the nonzeros; a product accumulates row i of A times the rows
 of B that A's row i reaches.  `data`, `row`, `col` and `to_lists` build
-dense views on request.
+dense views on request.  A factor or summand that stores no nonzero costs
+nothing: a product with one returns the cached zero of the product's shape
+(`RatMatrix.zero`), and a sum or difference returns the other operand, as
+matrices are immutable.
 
 Elimination is one sparse routine, `_eliminate`, over copies of the stored
 rows: columns are taken left to right, each row is filed under its leading
@@ -34,6 +37,7 @@ for a whole batch Z of cocycles.  `rref()` builds the transform T, and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
@@ -106,15 +110,20 @@ class RatMatrix:
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence], nrows: int | None = None) -> "RatMatrix":
         if not cols:
-            return cls(nrows or 0, 0)
+            return cls.zero(nrows or 0, 0)
         n = len(cols[0])
         if any(len(col) != n for col in cols):
             raise ValidationError("matrix data does not match declared shape")
         return cls(n, len(cols), zip(*cols))
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols)
+        """The zero matrix of a shape, one shared by every reader: matrices and
+        their rows are never mutated, so even its rows share one empty dict."""
+        if rows < 0 or cols < 0:
+            raise ValidationError("matrix shape must be non-negative")
+        return cls._make(rows, cols, ({},) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -159,11 +168,19 @@ class RatMatrix:
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         out = [_subtract(dict(r1), -1, r2) for r1, r2 in zip(self._nz, other._nz)]
         return RatMatrix._make(self.rows, self.cols, out)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._check_same_shape(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other.scale(-1)
         out = [_subtract(dict(r1), 1, r2) for r1, r2 in zip(self._nz, other._nz)]
         return RatMatrix._make(self.rows, self.cols, out)
 
@@ -175,7 +192,7 @@ class RatMatrix:
         if c == 1:
             return self
         if not c:
-            return RatMatrix(self.rows, self.cols)
+            return RatMatrix.zero(self.rows, self.cols)
         return RatMatrix._make(
             self.rows, self.cols, [{j: c * x for j, x in row.items()} for row in self._nz]
         )
@@ -187,13 +204,16 @@ class RatMatrix:
             )
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        """Matrix product, accumulated over the nonzeros of both factors."""
+        """Matrix product, accumulated over the nonzeros of both factors; the
+        cached zero of shape (self.rows, other.cols) when either stores none."""
         if not isinstance(other, RatMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValidationError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if self.is_zero() or other.is_zero():
+            return RatMatrix.zero(self.rows, other.cols)
         brows = other._nz
         out = []
         for arow in self._nz:
@@ -591,7 +611,7 @@ def cohomology_count(dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int)
         raise ValidationError(f"differential shapes do not match dims at degree {n}")
     if d_n.rows != dims.get(n + 1, 0) or d_prev.cols != dims.get(n - 1, 0):
         raise ValidationError(f"differential shapes do not match dims at degree {n}")
-    if d_prev.cols and d_n.cols and not (d_n * d_prev).is_zero():
+    if not (d_n * d_prev).is_zero():
         raise ValidationError(f"d o d != 0 between degrees {n - 1} and {n + 1}")
     return dim_n - d_n.rank() - d_prev.rank()
 

@@ -175,7 +175,7 @@ def render_circle(rep: ActionReport, source: dict[str, str]) -> list[str]:
             f"associative {_yn(nv.associative)}, leibniz {_yn(nv.leibniz)}"
         ]
         if nv.wedge_of_spheres:
-            degs = ", ".join(str(d) for d in (nv.sphere_degrees or ()))
+            degs = ", ".join(str(d) for d in (nv.sphere_degrees or ())) or "none (degree 0 only)"
             details.append(f"wedge of spheres in degrees {degs}")
         head = f"{'ok' if nv.ok else 'FAIL'} (window {nv.window})"
         lines += _verdict_lines("naive product", head, details, nv.failures)

@@ -1,5 +1,7 @@
 """Sullivan presentations: graded-commutative products, differentials, parsing."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from dgmodels.circle import equivariant_model
 from dgmodels.dgmodule import FreeDgModule, TabulatedDgModule
 from dgmodels.errors import DegreeWindowError, ValidationError
 from dgmodels.fixtures import fixture
-from dgmodels.linalg import Q, as_q
+from dgmodels.linalg import Q, RatMatrix, as_q
 
 
 def s2_model(cap=12):
@@ -213,3 +215,66 @@ def test_poly_vector_round_trip():
     p4 = {m: c for m, c in p.items() if alg.mono_degree(m) == 4}
     v4 = alg.poly_vector(p4, 4)
     assert alg.vector_poly(v4, 4) == p4
+
+
+def brute_force_monomials(degrees, n):
+    """Every exponent vector of total degree n, odd exponents at most 1, ascending."""
+    ranges = [range(2) if d % 2 else range(max(n, 0) // d + 1) for d in degrees]
+    return tuple(m for m in product(*ranges) if sum(e * d for e, d in zip(m, degrees)) == n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=4), st.integers(0, 14))
+def test_dim_is_the_basis_length_read_off_the_generating_function(degrees, cap):
+    alg = SullivanPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], {}, cap=cap)
+    dims = [alg.dim(n) for n in range(-2, cap + 1)]  # before any basis is enumerated
+    want = [brute_force_monomials(degrees, n) for n in range(-2, cap + 1)]
+    assert dims == [len(monos) for monos in want]
+    assert [alg.basis(n) for n in range(-2, cap + 1)] == want
+    for n in (cap + 1, cap + 3):
+        with pytest.raises(DegreeWindowError) as by_dim:
+            alg.dim(n)
+        with pytest.raises(DegreeWindowError) as by_basis:
+            alg.basis(n)
+        assert str(by_dim.value) == str(by_basis.value) == f"degree {n} exceeds cap {cap}"
+
+
+def row_walk_action(module, i, k):
+    """The action block A^i (x) M^k -> M^(i+k) built by the row walk that
+    FreeDgModule.action_matrix ran at every (i, k), empty degrees included."""
+    index, basis, a_basis = module.basis_index(i + k), module.basis(k), module.algebra.basis(i)
+    rows = [{} for _ in index]
+    for a, am in enumerate(a_basis):
+        for b, (gi, m) in enumerate(basis):
+            hit = module.algebra.mono_mul(am, m)
+            if hit is not None:
+                rows[index[(gi, hit[1])]][a * len(basis) + b] = hit[0]
+    return RatMatrix._make(len(rows), len(a_basis) * len(basis), rows)
+
+
+# algebras with empty positive degrees: Lambda(x, y) above 2, the odd degrees
+# of Lambda(e, f), and every positive degree of Lambda(a) but 3
+GAPPED_ALGEBRAS = [
+    SullivanPresentation([("x", 1), ("y", 1)], {}, cap=6),
+    SullivanPresentation([("e", 2), ("f", 4)], {}, cap=9),
+    SullivanPresentation([("a", 3)], {}, cap=10),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GAPPED_ALGEBRAS),
+    st.lists(st.integers(0, 5), min_size=1, max_size=3),
+)
+def test_action_blocks_at_empty_degrees_are_shared_zeros(alg, gen_degrees):
+    module = FreeDgModule(alg, [(f"m{j}", d) for j, d in enumerate(gen_degrees)], {})
+    empty = 0
+    for i in range(1, module.cap + 1):
+        for k in range(module.cap - i + 1):
+            got = module.action_matrix(i, k)
+            assert got == row_walk_action(module, i, k)
+            if not (alg.dim(i) and module.dim(k)):
+                empty += 1
+                assert got is RatMatrix.zero(module.dim(i + k), alg.dim(i) * module.dim(k))
+                assert (i, k) not in module._act_cache
+    assert empty

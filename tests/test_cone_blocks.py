@@ -5,7 +5,9 @@ before, copied here with `hstack` and `vstack`.  `free_cone` is checked against 
 tabulated cone, and its block-read differential against the Leibniz rule
 on its own generator table, its two oracles; an `action_report` is shown
 to build no tabulated cone and to fill no cone differential it does not
-read; and modules and maps share one zero block per shape.
+read; modules and maps share one zero block per shape; and `compose`,
+which multiplies only the blocks both factors store, equals the
+per-degree products.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from dgmodels.dgmodule import (
     TabulatedDgModule,
     betti_table,
     certify_free_map,
+    compose,
     cone,
     cone_les,
     _induced_rank,
@@ -136,6 +139,21 @@ def test_random_cone_blocks_match_the_eager_assembly(phi):
     cn = cone(phi, check=False)
     assert_blocks_match_eager(cn)
     assert verify_dgmodule(cn.module).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_maps())
+def test_compose_equals_the_per_degree_products(phi):
+    """compose multiplies only where both factors store a block; every degree
+    of its window still reads the product of the two factors' matrices."""
+    cn = free_cone(phi)
+    incl, proj = cn.inclusion, cn.projection
+    for g, f in ((phi, proj), (incl, phi), (proj, incl), (incl, compose(phi, proj))):
+        gf = compose(g, f)
+        for k in gf.window():
+            assert gf.matrix(k) == g.matrix(k + f.degree) * f.matrix(k)
+        assert set(gf.mats) <= set(f.mats) & {k - f.degree for k in g.mats}
+    assert not compose(proj, incl).mats
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,9 +8,11 @@ including on 0-sized and mostly-zero matrices.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgmodels.errors import ValidationError
 from dgmodels.linalg import Q, RatMatrix, kron
 from exact import stores_exact_scalars
 
@@ -212,3 +214,41 @@ def test_equality_and_hash_follow_the_entries(data, side):
     assert hash(a - b + b) == hash(a)
     assert RatMatrix.identity(a.rows) * a == a
     assert a.is_zero() == (a == RatMatrix.zero(a.rows, a.cols))
+
+
+def zero_like(r, c):
+    """A zero built from dense zero rows, not the shared instance."""
+    return RatMatrix(r, c, [[0] * c for _ in range(r)]), Dense(r, c, [[0] * c for _ in range(r)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from((dims, big_dims)))
+def test_zero_operands_match_dense_reference(data, side):
+    """A zero factor or summand, 0 x n and n x 0 shapes included, gives the
+    dense result in value and shape: a product is the shared zero of its
+    shape, and a sum or difference is the other operand, negated for a
+    difference from zero."""
+    side = st.one_of(st.just(0), side)
+    r, k, c = data.draw(side), data.draw(side), data.draw(side)
+    a, ra = data.draw(pair(r, k))
+    b, rb = data.draw(pair(k, c))
+    zero = RatMatrix.zero(r, c)
+    for x, rx, y, ry in (
+        (*zero_like(r, k), b, rb),
+        (a, ra, *zero_like(k, c)),
+        (RatMatrix.zero(r, k), Dense(r, k, [[0] * k for _ in range(r)]), b, rb),
+        (a - a, ra - ra, b, rb),
+    ):
+        assert same(x * y, rx * ry)
+        assert x * y is zero
+    z, rz = zero_like(r, k)
+    for s, rs in ((a + z, ra + rz), (z + a, rz + ra), (a - z, ra - rz), (z - a, rz - ra)):
+        assert same(s, rs)
+    assert a + z is a and a - z is a
+    assert z + a is (z if a.is_zero() else a)
+    assert z - a == -a
+    assert RatMatrix.zero(r, k) is RatMatrix.zero(r, k) == z
+    with pytest.raises(ValidationError, match="shape"):
+        RatMatrix.zero(r, k) + RatMatrix.zero(r + 1, k)
+    with pytest.raises(ValidationError, match="cannot multiply"):
+        RatMatrix.zero(r, k) * RatMatrix.zero(k + 1, c)

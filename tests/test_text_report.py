@@ -3,8 +3,10 @@
 `reference_render_circle` is the renderer as it stood when each verdict
 block padded its own label, indented its own detail lines and cut its own
 failures at three.  `text.render_circle` must print the same lines on
-every fixture at windows 12 and 20, and on reports edited with
-`_replace` to reach the branches that no fixture reaches.
+every fixture at windows 12 and 20, on cp2 at window 1, and on reports
+edited with `_replace` to reach the branches that no fixture reaches.
+An empty wedge of spheres, which the reference once printed as a line
+ending in `degrees `, prints `none (degree 0 only)` in both.
 """
 
 import functools
@@ -140,7 +142,7 @@ def reference_render_circle(rep, source):
             + _yn(nv.leibniz)
         )
         if nv.wedge_of_spheres:
-            degs = ", ".join(str(d) for d in (nv.sphere_degrees or ()))
+            degs = ", ".join(str(d) for d in (nv.sphere_degrees or ())) or "none (degree 0 only)"
             lines.append(f"      wedge of spheres in degrees {degs}")
         for failure in nv.failures[:3]:
             lines.append(f"      {failure}")
@@ -170,6 +172,17 @@ def _report(name, window):
 def test_text_report_matches_reference_on_fixtures(name, window):
     rep, source = _report(name, window), {"fixture": name}
     assert render_circle(rep, source) == reference_render_circle(rep, source)
+
+
+def test_text_report_at_cp2_window_1_completes_every_line():
+    """cp2 at window 1 has total cohomology in degree 0 only: its naive product
+    is the empty wedge, which once printed a line ending in `degrees `."""
+    rep, source = action_report(fixture("cp2", 1), 1), {"fixture": "cp2"}
+    lines = render_circle(rep, source)
+    assert lines == reference_render_circle(rep, source)
+    assert rep.naive.wedge_of_spheres and not rep.naive.sphere_degrees
+    assert "      wedge of spheres in degrees none (degree 0 only)" in lines
+    assert not any(line.endswith("degrees ") for line in lines)
 
 
 FAILURES = tuple(f"degree {k}: seeded failure {k}" for k in range(5))
