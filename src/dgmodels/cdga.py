@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegreeWindowError, ValidationError, shown
-from .linalg import RatMatrix, as_q
+from .linalg import RatMatrix, add_term, as_q
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]
@@ -276,25 +276,28 @@ class SullivanPresentation:
         if n > self.cap:
             raise DegreeWindowError(f"degree {n} exceeds cap {self.cap}")
         if n not in self._basis_cache:
-            out: list[Mono] = []
-            if self._dims[n]:  # an empty degree would walk every partial monomial
-                self._enumerate(0, n, [0] * len(self.names), out)
-            self._basis_cache[n] = tuple(out)
+            self._basis_cache[n] = self._enumerate(n) if self._dims[n] else ()
         return self._basis_cache[n]
 
-    def _enumerate(self, i: int, remaining: int, current: list[int], out: list[Mono]) -> None:
-        if remaining == 0:
-            tail = current[i:]
-            out.append(tuple(current[:i]) + tuple(0 for _ in tail))
-            return
-        if i == len(self.names):
-            return
-        deg = self.degrees[i]
-        limit = 1 if self._odd[i] else remaining // deg
-        for e in range(min(limit, remaining // deg) + 1):
-            current[i] = e
-            self._enumerate(i + 1, remaining - e * deg, current, out)
-        current[i] = 0
+    def _enumerate(self, n: int) -> tuple[Mono, ...]:
+        """basis(n) of a degree with a basis: each exponent of the first
+        generator, ascending, joined to the monomials in the other generators
+        of the degree it leaves.  Those come from a table built for this call
+        only, from the last generator back: the monomials in generators i,
+        i+1, ... by degree through n, each list ascending."""
+        if not self.names:
+            return ((),)
+        (deg, odd), *rest = zip(self.degrees, self._odd)
+        table: dict[int, list[Mono]] = {0: [()]}
+        for d, o in reversed(rest):
+            grown: dict[int, list[Mono]] = {}
+            for e in range(min(n // d, 1 if o else n) + 1):
+                for r, tails in table.items():
+                    if r + e * d <= n:
+                        grown.setdefault(r + e * d, []).extend((e, *t) for t in tails)
+            table = grown
+        top = min(n // deg, 1 if odd else n)
+        return tuple((e, *t) for e in range(top + 1) for t in table.get(n - e * deg, ()))
 
     def dim(self, n: int) -> int:
         """len(basis(n)), read off the generating function."""
@@ -346,18 +349,12 @@ class SullivanPresentation:
         for m1, c1 in p.items():
             for m2, c2 in q.items():
                 hit = self.mono_mul(m1, m2)
-                if hit is None:
-                    continue
-                sign, m = hit
-                s = out.get(m, 0) + sign * c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                if hit is not None:
+                    add_term(out, hit[1], hit[0] * c1 * c2)
         return out
 
     def d_mono(self, m: Mono) -> Poly:
-        """Differential of a monomial via the Leibniz rule."""
+        """Differential of a monomial via the Leibniz rule, accumulated in place."""
         out: Poly = {}
         prefix_deg = 0
         k = len(self.names)
@@ -366,17 +363,19 @@ class SullivanPresentation:
             if e and self.differentials[i]:
                 left = m[:i] + (e - 1,) + (0,) * (k - i - 1)
                 right = (0,) * (i + 1) + m[i + 1 :]
-                term = self.poly_mul({left: 1}, self.differentials[i])
-                term = self.poly_mul(term, {right: 1})
-                sign = -1 if prefix_deg % 2 else 1
-                out = poly_add(out, poly_scale(sign * e, term))
+                c = -e if prefix_deg % 2 else e
+                for mono, x in self.poly_mul({left: 1}, self.differentials[i]).items():
+                    hit = self.mono_mul(mono, right)
+                    if hit is not None:
+                        add_term(out, hit[1], c * hit[0] * x)
             prefix_deg += e * self.degrees[i]
         return out
 
     def d_poly(self, p: Mapping[Mono, Fraction]) -> Poly:
         out: Poly = {}
         for m, c in p.items():
-            out = poly_add(out, poly_scale(c, self.d_mono(m)))
+            for mono, x in self.d_mono(m).items():
+                add_term(out, mono, c * x)
         return out
 
     def product_matrix(self, i: int, j: int) -> RatMatrix:

@@ -30,23 +30,20 @@ from .action import (
     _ActionPipeline,
     _generator_image_poly,
 )
-from .cdga import Mono, Poly, extend, poly_eq, poly_scale
+from .cdga import Poly, extend, poly_eq
 from .dgmodule import (
     Combination,
     FreeDgModule,
     LesTable,
     MinimalModelResult,
     betti_table,
-    comb_add,
-    comb_is_zero,
-    comb_scale,
     cone_les,
     fiber_cohomology,
     induced_map,
     module_cohomology,
 )
 from .errors import DegreeWindowError, PreconditionError, ValidationError
-from .linalg import GradedDims, PoincareSeries, RatMatrix, add_vec, unit_vec, vec
+from .linalg import GradedDims, PoincareSeries, RatMatrix, add_term, add_vec, unit_vec, vec
 
 
 # ---- the three models ------------------------------------------------------
@@ -689,34 +686,34 @@ def _euler_map_is_zero(data: BasicData) -> bool:
     return all(data.e_prime.matrix(k).is_zero() for k in data.e_prime.window())
 
 
-def _naive_pair_mul(free: FreeDgModule, gi: int, mi: Mono, gj: int, mj: Mono) -> Combination:
-    alg = free.algebra
-    if gi and gj:
-        return {}
-    if gi:
-        # n a' = (-1)^{|n||a'|} a' n, with |n| the degree of n in the module
-        poly = alg.poly_mul({mj: 1}, {mi: 1})
-        if (alg.mono_degree(mj) * (alg.mono_degree(mi) + free.gen_degrees[gi])) % 2:
-            poly = poly_scale(-1, poly)
-    else:
-        poly = alg.poly_mul({mi: 1}, {mj: 1})
-    return {gi or gj: poly} if poly else {}
-
-
-def _naive_mul(free: FreeDgModule, a: Combination, b: Combination) -> Combination:
-    out: Combination = {}
+def _naive_mul(free: FreeDgModule, a: Combination, b: Combination, c=1, out=None) -> Combination:
+    """out + c a b in the naive product, out added to in place (None: zero).
+    Each pair of nonzero terms writes its one signed monomial into the
+    accumulator: a.1 a'.g = (a a').g, a.g a'.1 = (-1)^{|n||a'|} (a' a).g
+    with |n| = |a| + |g| the degree of n = a.g in the module, and two terms
+    on generators other than the unit multiply to zero."""
+    alg, degrees = free.algebra, free.gen_degrees
+    out = {} if out is None else out
     for gi, pi in a.items():
-        for mi, ci in pi.items():
-            for gj, pj in b.items():
+        for gj, pj in b.items():
+            if gi and gj:
+                continue
+            acc = out.setdefault(gi or gj, {})
+            for mi, ci in pi.items():
                 for mj, cj in pj.items():
-                    term = _naive_pair_mul(free, gi, mi, gj, mj)
-                    if term:
-                        out = comb_add(out, comb_scale(ci * cj, term))
-    return out
+                    if gi:
+                        hit = alg.mono_mul(mj, mi)
+                        odd = alg.mono_degree(mj) * (alg.mono_degree(mi) + degrees[gi]) % 2
+                    else:
+                        hit, odd = alg.mono_mul(mi, mj), 0
+                    if hit is not None:
+                        add_term(acc, hit[1], (-c if odd else c) * hit[0] * ci * cj)
+    return {g: poly for g, poly in out.items() if poly}
 
 
 def _comb_eq(a: Combination, b: Combination) -> bool:
-    return comb_is_zero(comb_add(a, comb_scale(-1, b)))
+    """a = b, compared term by term once empty coefficients are dropped."""
+    return {g: p for g, p in a.items() if p} == {g: p for g, p in b.items() if p}
 
 
 def naive_structure(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> NaiveReport:
@@ -726,7 +723,7 @@ def naive_structure(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> NaiveR
     (a, n)(a', n') = (a a', a n' + (-1)^{|n||a'|} a' n), with |n| the degree
     of n in N; for every dg A-module it is a dgc algebra: unital, graded
     commutative, associative and Leibniz (Felix-Halperin-Thomas, GTM 205,
-    section 6).  The signs of _naive_pair_mul depend only on the parities of
+    section 6).  The signs of _naive_mul depend only on the parities of
     the factors' algebra and module degrees, and each parity class of the
     window occurs, at no higher degree, among the elements x.g with x the
     unit or an algebra generator and g a module generator: the report checks
@@ -761,8 +758,8 @@ def _naive_axioms(free: FreeDgModule, window: int) -> tuple[bool, bool, bool, bo
     unit: Combination = {0: {alg.unit_mono(): 1}}
     failed: list[tuple[str, str]] = []
 
-    def mul(x: Combination, y: Combination) -> Combination:
-        return _naive_mul(free, x, y)
+    def mul(x: Combination, y: Combination, c=1, out=None) -> Combination:
+        return _naive_mul(free, x, y, c, out)
 
     for i, x in elts:
         if not _comb_eq(mul(unit, x), x) or not _comb_eq(mul(x, unit), x):
@@ -770,9 +767,9 @@ def _naive_axioms(free: FreeDgModule, window: int) -> tuple[bool, bool, bool, bo
     for i, x in elts:
         for j, y in (e for e in elts if i <= e[0] <= window - i):
             xy = mul(x, y)
-            if not _comb_eq(xy, comb_scale((-1) ** (i * j), mul(y, x))):
+            if not _comb_eq(xy, mul(y, x, (-1) ** (i * j))):
                 failed.append(("comm", f"graded commutativity fails at degrees ({i}, {j})"))
-            if not _comb_eq(d(xy), comb_add(mul(d(x), y), comb_scale((-1) ** i, mul(x, d(y))))):
+            if not _comb_eq(d(xy), mul(x, d(y), (-1) ** i, mul(d(x), y))):
                 failed.append(("leibniz", f"Leibniz fails at degrees ({i}, {j})"))
     for i, x in elts:
         for j, y in elts:
@@ -802,17 +799,17 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
             for n in range(1, window + 1)
             if h[n].betti
         }
-        for i, xs in classes.items():
-            for j, ys in classes.items():
-                if not i <= j <= window - i:
-                    continue
-                pairs = [(ai, bi) for ai in range(len(xs)) for bi in range(len(ys))]
-                products = [
-                    free.combination_vector(_naive_mul(free, xs[ai], ys[bi]), i + j)
-                    for ai, bi in pairs
-                ]
-                for (ai, bi), coords in zip(pairs, h[i + j].coords(products)):
-                    ring.append(RingEntry(i, ai, j, bi, coords))
+        pairs = [
+            (i, ai, j, bi) for i, xs in classes.items() for j, ys in classes.items()
+            if i <= j <= window - i for ai in range(len(xs)) for bi in range(len(ys))
+        ]
+        # one elimination per degree t serves every product landing in H^t
+        products: dict[int, list[tuple[Fraction, ...]]] = {}
+        for i, ai, j, bi in pairs:
+            prod = _naive_mul(free, classes[i][ai], classes[j][bi])
+            products.setdefault(i + j, []).append(free.combination_vector(prod, i + j))
+        coords = {t: iter(h[t].coords(vectors)) for t, vectors in products.items()}
+        ring = [RingEntry(i, ai, j, bi, next(coords[i + j])) for i, ai, j, bi in pairs]
     positive_zero = leibniz and not any(any(entry.coords) for entry in ring)
 
     zero_diff = all(free.differential_matrix(k).is_zero() for k in range(window)) and all(

@@ -33,7 +33,6 @@ from .cdga import (
     check_basis_budget,
     check_check_budget,
     parse_polynomial,
-    poly_add,
     poly_is_zero,
     poly_scale,
 )
@@ -42,6 +41,7 @@ from .linalg import (
     CohomologyData,
     GradedDims,
     RatMatrix,
+    add_term,
     as_q,
     cohomology_at,
     cohomology_count,
@@ -50,28 +50,6 @@ from .linalg import (
 
 # A-linear combination of module generators: generator index -> coefficient.
 Combination = dict[int, Poly]
-
-
-def comb_add(a: Combination, b: Combination) -> Combination:
-    out = {j: dict(p) for j, p in a.items()}
-    for j, p in b.items():
-        s = poly_add(out.get(j, {}), p)
-        if poly_is_zero(s):
-            out.pop(j, None)
-        else:
-            out[j] = s
-    return out
-
-
-def comb_scale(c, a: Combination) -> Combination:
-    c = as_q(c)
-    if not c:
-        return {}
-    return {j: poly_scale(c, p) for j, p in a.items()}
-
-
-def comb_is_zero(a: Combination) -> bool:
-    return all(poly_is_zero(p) for p in a.values())
 
 
 class FreeDgModule:
@@ -178,7 +156,7 @@ class FreeDgModule:
                         f"has degree {got}, expected {want}"
                     )
         for i in new:
-            if not comb_is_zero(self.d_combination(self.gen_diffs[i])):
+            if self.d_combination(self.gen_diffs[i]):
                 raise ValidationError(f"d(d({self.gen_names[i]})) is nonzero")
         return self
 
@@ -199,21 +177,22 @@ class FreeDgModule:
     # ---- combinations --------------------------------------------------
 
     def d_combination(self, comb: Combination) -> Combination:
-        """Module Leibniz rule on an A-linear combination of generators."""
+        """Module Leibniz rule on an A-linear combination of generators,
+        d(c.g) = d(c).g + (-1)^{|c|} c.dg, accumulated in place."""
+        algebra = self.algebra
         out: Combination = {}
         for j, cj in comb.items():
             if poly_is_zero(cj):
                 continue
-            deg = self.algebra.poly_degree(cj)
-            dcj = self.algebra.d_poly(cj)
-            if not poly_is_zero(dcj):
-                out = comb_add(out, {j: dcj})
-            sign = -1 if deg % 2 else 1
+            sign = -1 if algebra.poly_degree(cj) % 2 else 1
+            acc = out.setdefault(j, {})
+            for m, x in algebra.d_poly(cj).items():
+                add_term(acc, m, x)
             for h, q in self.gen_diffs[j].items():
-                prod = self.algebra.poly_mul(cj, q)
-                if not poly_is_zero(prod):
-                    out = comb_add(out, {h: poly_scale(sign, prod)})
-        return out
+                acc = out.setdefault(h, {})
+                for m, x in algebra.poly_mul(cj, q).items():
+                    add_term(acc, m, sign * x)
+        return {j: poly for j, poly in out.items() if poly}
 
     # ---- materialized interface ----------------------------------------
 
@@ -275,7 +254,7 @@ class FreeDgModule:
         out: Combination = {}
         for (gi, m), c in zip(basis, v):
             if c:
-                out = comb_add(out, {gi: {m: as_q(c)}})
+                out.setdefault(gi, {})[m] = as_q(c)
         return out
 
     def differential_matrix(self, k: int) -> RatMatrix:
@@ -294,24 +273,15 @@ class FreeDgModule:
         algebra = self.algebra
         index = self.basis_index(k + 1)
         rows: list[dict[int, Fraction]] = [{} for _ in index]
-
-        def add(row: dict[int, Fraction], c: int, x: Fraction) -> None:
-            if c not in row:
-                row[c] = x
-            elif y := row[c] + x:
-                row[c] = y
-            else:
-                del row[c]
-
         for c, (gi, m) in enumerate(self.basis(k)[start:]):
             for mono, x in algebra.d_mono(m).items():
-                add(rows[index[(gi, mono)]], c, x)
+                add_term(rows[index[(gi, mono)]], c, x)
             sign = -1 if algebra.mono_degree(m) % 2 else 1
             for h, poly in self.gen_diffs[gi].items():
                 for mono, x in poly.items():
                     hit = algebra.mono_mul(m, mono)
                     if hit is not None:
-                        add(rows[index[(h, hit[1])]], c, sign * (hit[0] * x))
+                        add_term(rows[index[(h, hit[1])]], c, sign * (hit[0] * x))
         return RatMatrix._make(len(rows), self.dim(k) - start, rows)
 
     def action_matrix(self, i: int, k: int) -> RatMatrix:
@@ -328,18 +298,31 @@ class FreeDgModule:
             return RatMatrix.zero(self.dim(i + k), self.algebra.dim(i) * self.dim(k))
         key = (i, k)
         if key not in self._act_cache:
-            # a.(b.g) = (ab).g: column (a, b.g) holds the one signed entry of mono_mul
-            index, basis = self.basis_index(i + k), self.basis(k)
-            rows: list[dict[int, Fraction]] = [{} for _ in index]
-            for a, am in enumerate(self.algebra.basis(i)):
-                for b, (gi, m) in enumerate(basis):
-                    hit = self.algebra.mono_mul(am, m)
-                    if hit is not None:
-                        rows[index[(gi, hit[1])]][a * len(basis) + b] = hit[0]
+            rows: list[dict[int, Fraction]] = [{} for _ in range(self.dim(i + k))]
+            self._act_into(rows, i, k, [{b: 1} for b in range(self.dim(k))])
             self._act_cache[key] = RatMatrix._make(
-                len(rows), self.algebra.dim(i) * len(basis), rows
+                len(rows), self.algebra.dim(i) * self.dim(k), rows
             )
         return self._act_cache[key]
+
+    def _act_into(
+        self, rows: list[dict[int, Fraction]], i: int, k: int,
+        vectors: Sequence[Mapping[int, Fraction]], sign: int = 1, col0: int = 0,
+    ) -> None:
+        """Add sign * a.v to column col0 + a * len(vectors) + c of rows, the
+        rows of M^{i+k}, for a the a-th monomial of A^i and v = vectors[c]
+        given by its nonzero coordinates in M^k.  a.(m.g) = (am).g, so each
+        coordinate meets one signed entry of mono_mul: the action of a free
+        module, which action_matrix and map_from_generator_images read."""
+        algebra = self.algebra
+        index, basis, n = self.basis_index(i + k), self.basis(k), len(vectors)
+        for a, am in enumerate(algebra.basis(i)):
+            for c, v in enumerate(vectors, col0 + a * n):
+                for s, x in v.items():
+                    gi, m = basis[s]
+                    hit = algebra.mono_mul(am, m)
+                    if hit is not None:
+                        add_term(rows[index[(gi, hit[1])]], c, sign * hit[0] * x)
 
 
 def _grow_dims(
@@ -736,6 +719,11 @@ def map_from_generator_images(
     (Felix-Halperin-Thomas, Rational Homotopy Theory, GTM 205, section 6): it
     is A-linear by construction, and a chain map iff d phi(g) = (-1)^p phi(dg)
     on each generator g, which certify_on_generators checks.
+
+    Column a.g is (-1)^{|a| degree} a.img(g), and only the nonzero
+    coordinates of img(g) are read: a free target multiplies each by a
+    through mono_mul, and a tabulated target, whose stored action rows are
+    all it knows of its action, is read along those rows.
     """
     img_vectors: dict[int, dict[int, Fraction]] = {}
     for gname, v in images.items():
@@ -756,8 +744,7 @@ def map_from_generator_images(
     hi = min(source.cap, target.cap - degree)
     mats = {}
     for k in range(hi + 1):
-        # column a.g sits at col0(g) + a in the generator-major basis and is
-        # (-1)^{|a| degree} a.img(g): one walk over the target's action rows
+        # column a.g sits at col0(g) + a in the generator-major basis
         rows: list[dict[int, Fraction]] = [{} for _ in range(target.dim(k + degree))]
         col0 = 0
         for gi, deg in enumerate(source.gen_degrees):
@@ -766,15 +753,17 @@ def map_from_generator_images(
             i, t, img = k - deg, deg + degree, img_vectors.get(gi)
             dim_a = source.algebra.dim(i)
             if img and dim_a:
-                dim_t, sign = target.dim(t), -1 if (i * degree) % 2 else 1
-                for out, row in zip(rows, target.action_matrix(i, t)._nz):
-                    for col, x in row.items():
-                        a, s = divmod(col, dim_t)
-                        if s in img:
-                            c, y = col0 + a, sign * x * img[s]
-                            out[c] = out[c] + y if c in out else y
+                sign = -1 if (i * degree) % 2 else 1
+                if isinstance(target, FreeDgModule):
+                    target._act_into(rows, i, t, [img], sign, col0)
+                else:
+                    dim_t = target.dim(t)
+                    for out, row in zip(rows, target.action_matrix(i, t)._nz):
+                        for col, x in row.items():
+                            a, s = divmod(col, dim_t)
+                            if s in img:
+                                add_term(out, col0 + a, sign * x * img[s])
             col0 += dim_a
-        rows = [{c: x for c, x in row.items() if x} for row in rows]
         mats[k] = RatMatrix._make(len(rows), source.dim(k), rows)
     return DgModuleMap(source, target, degree, mats, name=name)
 

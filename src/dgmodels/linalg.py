@@ -70,6 +70,17 @@ def add_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
+def add_term(acc: dict, key, x) -> None:
+    """acc[key] += x in place for a nonzero x, a zero sum deleting the key: the
+    one accumulator of sparse sums (matrix rows, polynomials, combinations)."""
+    if key not in acc:
+        acc[key] = x
+    elif y := acc[key] + x:
+        acc[key] = y
+    else:
+        del acc[key]
+
+
 class RatMatrix:
     """Immutable row-sparse matrix of exact rationals, rows x cols, 0-sized shapes allowed.
 
@@ -282,7 +293,8 @@ class RatMatrix:
     def _echelon(self) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
         """Reduced echelon rows (pivot rows only) and pivot columns, cached."""
         if self._rref is None:
-            rows, pivots = _eliminate(self._sparse_rows(), self.cols)
+            # a zero matrix copies no row and runs no elimination
+            rows, pivots = ([], ()) if self.is_zero() else _eliminate(self._sparse_rows(), self.cols)
             self._rref = (_back_reduce(rows, pivots), pivots)
         return self._rref
 
@@ -611,6 +623,8 @@ def cohomology_count(dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int)
         raise ValidationError(f"differential shapes do not match dims at degree {n}")
     if d_n.rows != dims.get(n + 1, 0) or d_prev.cols != dims.get(n - 1, 0):
         raise ValidationError(f"differential shapes do not match dims at degree {n}")
+    if not dim_n:
+        return 0
     if not (d_n * d_prev).is_zero():
         raise ValidationError(f"d o d != 0 between degrees {n - 1} and {n + 1}")
     return dim_n - d_n.rank() - d_prev.rank()

@@ -3,7 +3,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgmodels.cdga import (
@@ -225,12 +225,21 @@ def brute_force_monomials(degrees, n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 6), max_size=4), st.integers(0, 14))
+# odd and even generators together, in either order, up to deeper caps
+@example([2, 5], 60)
+@example([5, 2], 40)
+@example([3, 2, 3], 30)
+@example([1, 2, 3, 4], 24)
+@example([2, 3, 4, 5, 7], 30)
 def test_dim_is_the_basis_length_read_off_the_generating_function(degrees, cap):
     alg = SullivanPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], {}, cap=cap)
     dims = [alg.dim(n) for n in range(-2, cap + 1)]  # before any basis is enumerated
     want = [brute_force_monomials(degrees, n) for n in range(-2, cap + 1)]
     assert dims == [len(monos) for monos in want]
-    assert [alg.basis(n) for n in range(-2, cap + 1)] == want
+    bases = [alg.basis(n) for n in range(-2, cap + 1)]
+    assert bases == want
+    # the same monomials in the same order: ascending lexicographic, no repeats
+    assert all(list(basis) == sorted(set(basis)) for basis in bases)
     for n in (cap + 1, cap + 3):
         with pytest.raises(DegreeWindowError) as by_dim:
             alg.dim(n)

@@ -26,7 +26,7 @@ from dgmodels.cdga import (
     poly_eq,
     verify_cdga,
 )
-from dgmodels.circle import _comb_eq, _naive_axioms, _naive_mul, almost_free_model
+from dgmodels.circle import _comb_eq, _naive_axioms, almost_free_model
 from dgmodels.dgmodule import (
     DgModuleMap,
     FreeDgModule,
@@ -40,6 +40,7 @@ from dgmodels.dgmodule import (
 from dgmodels.errors import ValidationError
 from dgmodels.fixtures import FIXTURES, fixture
 from dgmodels.linalg import Q, RatMatrix
+from copy_per_term import comb_add, comb_scale, naive_mul, naive_pair_mul
 
 CAP = 8
 COEFFS = [Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(3), Q(-1, 3)]
@@ -219,7 +220,7 @@ def reference_naive_axioms(free, window):
     basis = {n: free.basis(n) for n in range(window + 1)}
 
     def mul(x, y):
-        return _naive_mul(free, x, y)
+        return circle._naive_mul(free, x, y)
 
     unit = {0: {alg.unit_mono(): Q(1)}}
     unital = all(
@@ -237,11 +238,11 @@ def reference_naive_axioms(free, window):
                     xy = mul(x, y)
                     yx = mul(y, x)
                     if (i * j) % 2:
-                        yx = circle.comb_scale(Q(-1), yx)
+                        yx = comb_scale(Q(-1), yx)
                     commutative &= _comb_eq(xy, yx)
-                    rhs = circle.comb_add(
+                    rhs = comb_add(
                         mul(free.d_combination(x), y),
-                        circle.comb_scale(Q(-1 if i % 2 else 1), mul(x, free.d_combination(y))),
+                        comb_scale(Q(-1 if i % 2 else 1), mul(x, free.d_combination(y))),
                     )
                     leibniz &= _comb_eq(free.d_combination(xy), rhs)
     associative = True
@@ -259,39 +260,45 @@ def reference_naive_axioms(free, window):
     return unital, commutative, associative, leibniz
 
 
-PAIR_MUL = circle._naive_pair_mul
-
-
 def _left_sign_twisted(free, gi, mi, gj, mj):
-    """_naive_pair_mul with a (-1)^{|a|} on a n', the twisted action of a
+    """The pair product with a (-1)^{|a|} on a n', the twisted action of a
     shifted module."""
-    term = PAIR_MUL(free, gi, mi, gj, mj)
+    term = naive_pair_mul(free, gi, mi, gj, mj)
     if gi == 0 and gj != 0 and free.algebra.mono_degree(mi) % 2:
-        return circle.comb_scale(Q(-1), term)
+        return comb_scale(Q(-1), term)
     return term
 
 
 def _right_sign_dropped(free, gi, mi, gj, mj):
-    """_naive_pair_mul without the (-1)^{|n||a'|} of n a'."""
+    """The pair product without the (-1)^{|n||a'|} of n a'."""
     if gi != 0 and gj == 0:
         poly = free.algebra.poly_mul({mj: Q(1)}, {mi: Q(1)})
         return {gi: poly} if poly else {}
-    return PAIR_MUL(free, gi, mi, gj, mj)
+    return naive_pair_mul(free, gi, mi, gj, mj)
 
 
 def _right_sign_shifted(free, gi, mi, gj, mj):
-    """_naive_pair_mul with the sign of n a' read off |n| - 1, the degree of n
+    """The pair product with the sign of n a' read off |n| - 1, the degree of n
     before a shift by one."""
-    term = PAIR_MUL(free, gi, mi, gj, mj)
+    term = naive_pair_mul(free, gi, mi, gj, mj)
     if gi != 0 and gj == 0 and free.algebra.mono_degree(mj) % 2:
-        return circle.comb_scale(Q(-1), term)
+        return comb_scale(Q(-1), term)
     return term
 
 
+def _mutant(pair_mul):
+    """A naive product for `circle._naive_mul` built on a wrong pair product."""
+
+    def mul(free, a, b, c=1, out=None):
+        return naive_mul(free, a, b, c, out, pair_mul)
+
+    return mul
+
+
 MUTANTS = {
-    "left sign twisted": _left_sign_twisted,
-    "right sign dropped": _right_sign_dropped,
-    "right sign shifted": _right_sign_shifted,
+    "left sign twisted": _mutant(_left_sign_twisted),
+    "right sign dropped": _mutant(_right_sign_dropped),
+    "right sign shifted": _mutant(_right_sign_shifted),
 }
 
 # A(u_2, v_3) with dv = u^2 has a differential, so the product's Leibniz rule
@@ -322,7 +329,7 @@ def test_naive_generator_check_agrees_with_reference_loops(case, mutant):
     free, window = case
     with pytest.MonkeyPatch.context() as mp:
         if mutant is not None:
-            mp.setattr(circle, "_naive_pair_mul", MUTANTS[mutant])
+            mp.setattr(circle, "_naive_mul", MUTANTS[mutant])
         *flags, failures = _naive_axioms(free, window)
         assert tuple(flags) == reference_naive_axioms(free, window)
     assert all(flags) == (not failures)
@@ -346,7 +353,7 @@ def test_wrong_naive_sign_fails_both_checks(monkeypatch, mutant):
     free = FreeDgModule(alg, [("1", 0), ("c", 3)], {}, cap=8)
     assert all(_naive_axioms(free, 7)[:4])
     assert all(reference_naive_axioms(free, 7))
-    monkeypatch.setattr(circle, "_naive_pair_mul", MUTANTS[mutant])
+    monkeypatch.setattr(circle, "_naive_mul", MUTANTS[mutant])
     *flags, failures = _naive_axioms(free, 7)
     assert not all(flags) and failures
     assert not all(reference_naive_axioms(free, 7))
@@ -423,7 +430,7 @@ def test_wrong_naive_sign_fails_the_almost_free_product_rule(monkeypatch, base, 
     # the reference loop writes its pair product out, so no mutant reaches it
     data, _ = almost_free_data(base, Q(1), 6)
     assert almost_free_model(data, 6).ok
-    monkeypatch.setattr(circle, "_naive_pair_mul", MUTANTS[mutant])
+    monkeypatch.setattr(circle, "_naive_mul", MUTANTS[mutant])
     report = almost_free_model(data, 6)
     assert not report.ok
     assert report.failures[0] in {

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dgmodels import linalg
 from dgmodels.errors import ValidationError
 from dgmodels.linalg import (
     GradedDims,
@@ -11,6 +12,7 @@ from dgmodels.linalg import (
     Q,
     RatMatrix,
     cohomology_at,
+    cohomology_count,
     independent_subset,
     kron,
     vec,
@@ -60,6 +62,38 @@ def test_solve_finds_exact_solution_or_none():
     assert m.solve(vec([1, 1])) == (Q(1, 2), Q(1, 3))
     singular = RatMatrix(2, 2, [[1, 1], [1, 1]])
     assert singular.solve(vec([0, 1])) is None
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 3), (3, 2)])
+@pytest.mark.parametrize("shared", [True, False])
+def test_zero_matrices_rank_kernel_and_solve(monkeypatch, shape, shared):
+    """A zero matrix, the shared instance or one built from zero rows, has
+    rank 0 and every unit vector as its kernel with no elimination, and
+    solves only b = 0."""
+    r, c = shape
+    m = RatMatrix.zero(r, c) if shared else RatMatrix(r, c, [[0] * c for _ in range(r)])
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_eliminate", None)
+        assert m.rank() == 0 and m._echelon() == ([], ())
+        assert m.kernel_basis() == [tuple(int(i == j) for j in range(c)) for i in range(c)]
+    assert m.solve((0,) * r) == (0,) * c
+    if r:
+        assert m.solve((0,) * (r - 1) + (1,)) is None
+    with pytest.raises(ValidationError, match="rhs length"):
+        m.solve((0,) * (r + 1))
+
+
+def test_cohomology_count_checks_shapes_at_dimension_zero():
+    assert cohomology_count({1: 2}, {}, 0) == 0
+    assert cohomology_count({0: 0, 1: 2}, {0: RatMatrix.zero(2, 0)}, 0) == 0
+    for dims, d_mats in [
+        ({0: 0, 1: 2}, {0: RatMatrix.zero(2, 1)}),  # d_0 has a column at dimension 0
+        ({0: 0, 1: 2}, {0: RatMatrix.zero(1, 0)}),  # d_0 misses a row of degree 1
+        ({-1: 1, 0: 0}, {-1: RatMatrix.zero(1, 1)}),  # d_-1 has a row at dimension 0
+        ({-1: 2, 0: 0}, {-1: RatMatrix.zero(0, 1)}),  # d_-1 misses a column of degree -1
+    ]:
+        with pytest.raises(ValidationError, match="shapes do not match dims at degree 0"):
+            cohomology_count(dims, d_mats, 0)
 
 
 def test_kron_agrees_with_block_scaling():
