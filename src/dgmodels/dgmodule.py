@@ -45,6 +45,7 @@ from .linalg import (
     as_q,
     cohomology_at,
     cohomology_count,
+    times_kron,
     vec,
 )
 
@@ -461,39 +462,6 @@ def modules_equal(a: DgModule, b: DgModule) -> bool:
     return True
 
 
-def _times_kron_identity(m: RatMatrix, a: RatMatrix, n: int) -> RatMatrix:
-    """m * kron(a, I_n) without the Kronecker matrix: column j.n + s sums
-    m[r, i.n + s] a[i, j] over i."""
-    a_rows, out = a._nz, []
-    for row in m._nz:
-        acc: dict[int, Fraction] = {}
-        for c, x in row.items():
-            i, s = divmod(c, n)
-            for j, y in a_rows[i].items():
-                col, v = j * n + s, x * y
-                acc[col] = acc[col] + v if col in acc else v
-        out.append({c: v for c, v in acc.items() if v})
-    return RatMatrix._make(m.rows, a.cols * n, out)
-
-
-def _times_identity_kron(m: RatMatrix, n: int, b: RatMatrix) -> RatMatrix:
-    """m * kron(I_n, b) without the Kronecker matrix: for b of shape p x q,
-    column i.q + t sums m[r, i.p + s] b[s, t] over s."""
-    b_rows, p, q = b._nz, b.rows, b.cols
-    if m.cols != n * p:
-        raise ValidationError(f"cannot multiply {m.rows}x{m.cols} by {n * p}x{n * q}")
-    out = []
-    for row in m._nz:
-        acc: dict[int, Fraction] = {}
-        for c, x in row.items():
-            i, s = divmod(c, p)
-            for t, y in b_rows[s].items():
-                col, v = i * q + t, x * y
-                acc[col] = acc[col] + v if col in acc else v
-        out.append({c: v for c, v in acc.items() if v})
-    return RatMatrix._make(m.rows, n * q, out)
-
-
 def verify_dgmodule(module: DgModule) -> CheckReport:
     """Check d^2 = 0, module Leibniz, unit, and action associativity through the cap;
     the checks are counted and held to the check budget before the first runs."""
@@ -507,6 +475,8 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
     check_check_budget(planned, "the module")
     failures: list[str] = []
     checks = 0
+    id_m = [RatMatrix.identity(module.dim(k)) for k in range(top + 1)]
+    id_a = [RatMatrix.identity(module.algebra.dim(i)) for i in range(low + 1)]
 
     for k in range(top - 1):
         checks += 1
@@ -515,7 +485,7 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
 
     for k in range(top + 1):
         checks += 1
-        if module.action_matrix(0, k) != RatMatrix.identity(module.dim(k)):
+        if module.action_matrix(0, k) != id_m[k]:
             failures.append(f"unit does not act as identity in degree {k}")
 
     for i in range(1, top + 1):
@@ -525,23 +495,22 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
         for k in range(top - i):
             checks += 1
             lhs = module.differential_matrix(i + k) * module.action_matrix(i, k)
-            rhs = _times_kron_identity(module.action_matrix(i + 1, k), d_a, module.dim(k))
+            rhs = times_kron(module.action_matrix(i + 1, k), d_a, id_m[k])
             sign = -1 if i % 2 else 1
-            rhs = rhs + _times_identity_kron(
-                module.action_matrix(i, k + 1), module.algebra.dim(i), module.differential_matrix(k)
+            rhs = rhs + times_kron(
+                module.action_matrix(i, k + 1), id_a[i], module.differential_matrix(k)
             ).scale(sign)
             if lhs != rhs:
                 failures.append(f"module Leibniz fails for (|a|, |m|) = ({i}, {k})")
 
-    for i in range(1, min(top, acap) + 1):
-        for j in range(1, min(top, acap) + 1 - i):
+    for i in range(1, low + 1):
+        for j in range(1, low + 1 - i):
             prod = module.algebra.product_matrix(i, j)
-            dim_a = module.algebra.dim(i)
             for k in range(top + 1 - i - j):
                 checks += 1
-                lhs = _times_kron_identity(module.action_matrix(i + j, k), prod, module.dim(k))
+                lhs = times_kron(module.action_matrix(i + j, k), prod, id_m[k])
                 act = module.action_matrix(i, j + k)
-                rhs = _times_identity_kron(act, dim_a, module.action_matrix(j, k))
+                rhs = times_kron(act, id_a[i], module.action_matrix(j, k))
                 if lhs != rhs:
                     failures.append(f"associativity fails for (|a|, |b|, |m|) = ({i}, {j}, {k})")
 
@@ -636,13 +605,13 @@ class DgModuleMap:
             if lhs != rhs:
                 failures.append(f"chain condition fails at source degree {k}")
         for i, degrees in linear.items():
-            dim_a = self.source.algebra.dim(i)
+            id_a = RatMatrix.identity(self.source.algebra.dim(i))
             for k in degrees:
                 checks += 1
                 lhs = self.matrix(i + k) * self.source.action_matrix(i, k)
                 tw = -1 if (i * p) % 2 else 1
                 act = self.target.action_matrix(i, k + p)
-                rhs = _times_identity_kron(act, dim_a, self.matrix(k)).scale(tw)
+                rhs = times_kron(act, id_a, self.matrix(k)).scale(tw)
                 if lhs != rhs:
                     failures.append(f"A-linearity fails for (|a|, |m|) = ({i}, {k})")
         return CheckReport("verify_map", not failures, tuple(failures), checks)
@@ -720,12 +689,13 @@ def map_from_generator_images(
     is A-linear by construction, and a chain map iff d phi(g) = (-1)^p phi(dg)
     on each generator g, which certify_on_generators checks.
 
-    Column a.g is (-1)^{|a| degree} a.img(g), and only the nonzero
-    coordinates of img(g) are read: a free target multiplies each by a
-    through mono_mul, and a tabulated target, whose stored action rows are
-    all it knows of its action, is read along those rows.
+    Column a.g is (-1)^{|a| degree} a.img(g).  A free target multiplies each
+    nonzero coordinate of img(g) by a through mono_mul; a tabulated target,
+    whose stored action matrices are all it knows of its action, gives the
+    columns a.g of one generator as times_kron(action, I, img(g)).
     """
-    img_vectors: dict[int, dict[int, Fraction]] = {}
+    free = isinstance(target, FreeDgModule)
+    img_vectors: dict[int, dict[int, Fraction] | RatMatrix] = {}
     for gname, v in images.items():
         gi = source.gen_index(gname)
         t = source.gen_degrees[gi] + degree
@@ -740,8 +710,10 @@ def map_from_generator_images(
             raise ValidationError(
                 f"image of {gname} has length {len(v)}, expected {target.dim(t)}"
             )
-        img_vectors[gi] = {s: x for s, x in enumerate(v) if x}
+        if nz := {s: x for s, x in enumerate(v) if x}:
+            img_vectors[gi] = nz if free else RatMatrix.from_cols([v])
     hi = min(source.cap, target.cap - degree)
+    id_a = [] if free else [RatMatrix.identity(source.algebra.dim(i)) for i in range(hi + 1)]
     mats = {}
     for k in range(hi + 1):
         # column a.g sits at col0(g) + a in the generator-major basis
@@ -754,15 +726,12 @@ def map_from_generator_images(
             dim_a = source.algebra.dim(i)
             if img and dim_a:
                 sign = -1 if (i * degree) % 2 else 1
-                if isinstance(target, FreeDgModule):
+                if free:
                     target._act_into(rows, i, t, [img], sign, col0)
                 else:
-                    dim_t = target.dim(t)
-                    for out, row in zip(rows, target.action_matrix(i, t)._nz):
-                        for col, x in row.items():
-                            a, s = divmod(col, dim_t)
-                            if s in img:
-                                add_term(out, col0 + a, sign * x * img[s])
+                    block = times_kron(target.action_matrix(i, t), id_a[i], img)
+                    for out, row in zip(rows, block._nz):
+                        out.update({col0 + a: sign * x for a, x in row.items()})
             col0 += dim_a
         mats[k] = RatMatrix._make(len(rows), source.dim(k), rows)
     return DgModuleMap(source, target, degree, mats, name=name)
@@ -1045,28 +1014,18 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
         for n in range(cap + 1)
     }
 
-    sign_d = -1 if (p - 1) % 2 else 1
-    d_mats = {}
-    for n in range(cap):
-        top = n_mod.differential_matrix(n).hstack(phi.matrix(n - p + 1))
-        low = m_mod.differential_matrix(n - p + 1).scale(sign_d)._nz
-        low = tuple({n_dims[n] + c: x for c, x in row.items()} for row in low)
-        d_mats[n] = RatMatrix._make(top.rows + len(low), top.cols, top._nz + low)
+    ones = [(1,) * m_dims[n] for n in range(cap + 1)]
+    d_mats = {n: _cone_differential(phi, n, ones[n], ones[n + 1]) for n in range(cap)}
 
     def action_block(i: int, n: int) -> RatMatrix:
-        # rows N^{i+n} then the shifted M rows; columns A-major over the cone's
-        # basis N^n + M^{n-p+1}, so a's columns for N come before its M columns
+        # each factor's action times I (x) its inclusion into N^n + M^{n-p+1}
         nn, mn = n_dims[n], m_dims[n]
+        id_a = RatMatrix.identity(algebra.dim(i))
+        to_n = RatMatrix._make(nn, nn + mn, [{s: 1} for s in range(nn)])
+        to_m = RatMatrix._make(mn, nn + mn, [{nn + s: 1} for s in range(mn)])
         tw = -1 if (i * (p - 1)) % 2 else 1
-        rows = [
-            {(c // nn) * (nn + mn) + c % nn: x for c, x in row.items()}
-            for row in n_mod.action_matrix(i, n)._nz
-        ]
-        rows += [
-            {(c // mn) * (nn + mn) + nn + c % mn: tw * x for c, x in row.items()}
-            for row in m_mod.action_matrix(i, n - p + 1)._nz
-        ]
-        return RatMatrix._make(len(rows), algebra.dim(i) * (nn + mn), rows)
+        n_part = times_kron(n_mod.action_matrix(i, n), id_a, to_n)
+        return n_part.vstack(times_kron(m_mod.action_matrix(i, n - p + 1), id_a, to_m).scale(tw))
 
     act_mats = {
         (i, n): action_block(i, n)
@@ -1074,20 +1033,35 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
         for n in range(cap - i + 1)
     }
     module = TabulatedDgModule(algebra, cap, labels, d_mats, act_mats)
-    return _cone_of(phi, module, n_dims, m_dims, lambda n: (1,) * m_dims[n])
+    return _cone_of(phi, module, n_dims, m_dims, ones.__getitem__)
+
+
+def _cone_differential(
+    phi: DgModuleMap, k: int, t_k: Sequence[int], t_k1: Sequence[int]
+) -> RatMatrix:
+    """The cone's differential out of degree k, [[d_N, phi T_k], [0, sign_d
+    T_{k+1} d_M T_k]] with sign_d = (-1)^{p-1}, d_N out of N^k, phi and d_M
+    out of M^{k-p+1}, and T_k the diagonal twist of the M part in degree k
+    (all ones for the tabulated cone)."""
+    m_mod, n_mod, p = phi.source, phi.target, phi.degree
+    j, nn = k - p + 1, n_mod.dim(k)
+    rows = [
+        {**d_row, **{nn + c: x if t_k[c] > 0 else -x for c, x in phi_row.items()}}
+        if phi_row else d_row
+        for d_row, phi_row in zip(n_mod.differential_matrix(k)._nz, phi.matrix(j)._nz)
+    ]
+    sign_d = -1 if (p - 1) % 2 else 1
+    for t, row in zip(t_k1, m_mod.differential_matrix(j)._nz):
+        s = sign_d * t
+        rows.append({nn + c: x if s * t_k[c] > 0 else -x for c, x in row.items()})
+    return RatMatrix._make(len(rows), nn + len(t_k), rows)
 
 
 class _FreeCone(FreeDgModule):
-    """The free cone F of phi, whose differential out of degree n is read off
-    blocks its factors already hold: with T_n the diagonal twist of F^n and
-    sign_d = (-1)^{p-1},
-
-        d_F = [ d_N   phi T_n                  ]
-              [ 0     sign_d T_{n+1} d_M T_n   ]
-
-    with d_N out of N^n and phi, d_M out of M^{n-p+1}.  Each degree is
-    filled on its first read; the Leibniz rule of the generator table gives
-    the same matrix and is the tests' oracle."""
+    """The free cone F of phi, whose differential out of degree n is
+    _cone_differential with F's twists T_n, filled on its first read; the
+    Leibniz rule of the generator table gives the same matrix and is the
+    tests' oracle."""
 
     __slots__ = ("_phi", "_twist")
 
@@ -1102,20 +1076,8 @@ class _FreeCone(FreeDgModule):
             return mat
         if not 0 <= k < self.cap:
             return super().differential_matrix(k)
-        phi = self._phi
-        m_mod, n_mod, p = phi.source, phi.target, phi.degree
-        j, nn = k - p + 1, n_mod.dim(k)
-        t_k, t_k1 = self._twist[k], self._twist[k + 1]
-        rows = [
-            {**d_row, **{nn + c: x if t_k[c] > 0 else -x for c, x in phi_row.items()}}
-            if phi_row else d_row
-            for d_row, phi_row in zip(n_mod.differential_matrix(k)._nz, phi.matrix(j)._nz)
-        ]
-        sign_d = -1 if (p - 1) % 2 else 1
-        for t, row in zip(t_k1, m_mod.differential_matrix(j)._nz):
-            s = sign_d * t
-            rows.append({nn + c: x if s * t_k[c] > 0 else -x for c, x in row.items()})
-        mat = self._diff_cache[k] = RatMatrix._make(len(rows), self.dim(k), rows)
+        twist = self._twist
+        mat = self._diff_cache[k] = _cone_differential(self._phi, k, twist[k], twist[k + 1])
         return mat
 
 

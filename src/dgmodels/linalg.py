@@ -21,7 +21,11 @@ of B that A's row i reaches.  `data`, `row`, `col` and `to_lists` build
 dense views on request.  A factor or summand that stores no nonzero costs
 nothing: a product with one returns the cached zero of the product's shape
 (`RatMatrix.zero`), and a sum or difference returns the other operand, as
-matrices are immutable.
+matrices are immutable.  `times_kron(m, x, v)` is m * kron(x, v) read off
+the stored rows of m, x and v, with no Kronecker matrix built: every reader
+of a module's action matrix, whose columns are A-major over A^i (x) M^k,
+goes through it.  `kron` itself is left to the tests' oracles and to the
+benchmark tracer, which patches it by name.
 
 Elimination is one sparse routine, `_eliminate`, over copies of the stored
 rows: columns are taken left to right, each row is filed under its leading
@@ -477,6 +481,28 @@ def kron(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
                         row[off + j2] = c * x
             out.append(row)
     return RatMatrix._make(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def times_kron(m: "RatMatrix", x: "RatMatrix", v: "RatMatrix") -> "RatMatrix":
+    """m * kron(x, v) without the Kronecker matrix: for v of p rows and q
+    columns, m's column b.p + s meets row b of x and row s of v, and adds
+    m[r, b.p + s] x[b, j] v[s, t] to column j.q + t.  The one reader of an
+    action matrix's A-major columns."""
+    p, q = v.rows, v.cols
+    if m.cols != x.rows * p:
+        raise ValidationError(f"cannot multiply {m.rows}x{m.cols} by {x.rows * p}x{x.cols * q}")
+    x_rows, v_rows, out = x._nz, v._nz, []
+    for row in m._nz:
+        acc: dict[int, Fraction] = {}
+        for c, y in row.items():
+            b, s = divmod(c, p)
+            if (x_row := x_rows[b]) and (v_row := v_rows[s]):
+                for j, z in x_row.items():
+                    off, yz = j * q, y * z
+                    for t, w in v_row.items():
+                        add_term(acc, off + t, yz * w)
+        out.append(acc)
+    return RatMatrix._make(m.rows, x.cols * q, out)
 
 
 def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

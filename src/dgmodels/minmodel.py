@@ -48,9 +48,11 @@ from .errors import (
 from .linalg import (
     GradedDims,
     RatMatrix,
+    add_term,
     as_q,
     cohomology_at,
     cohomology_count,
+    times_kron,
     unit_vec,
 )
 
@@ -139,7 +141,8 @@ def _extend(
     caches below `degree` are shared, the cached bases from `degree` up gain
     the new generators' part at their end, and a cached differential from
     degree - 1 up keeps its columns, padded with zero rows, as no old
-    differential reaches a new generator.
+    differential reaches a new generator.  The action and cohomology caches
+    start empty: no tower step reads them on the module it extends.
     """
     big = object.__new__(FreeDgModule)
     big.algebra, big.cap = module.algebra, module.cap
@@ -163,9 +166,7 @@ def _extend(
             for i, b in enumerate(big._basis_cache[k][len(index):], len(index)):
                 index[b] = i
         big._basis_index_cache[k] = index
-    big._act_cache = {ik: a for ik, a in module._act_cache.items() if sum(ik) < degree}
-    big._coh_cache = {k: h for k, h in module._coh_cache.items() if k + 1 < degree}
-    big._diff_cache = {}
+    big._act_cache, big._coh_cache, big._diff_cache = {}, {}, {}
     for k, mat in module._diff_cache.items():
         if k + 1 >= degree:
             rows = (*mat._nz, *({},) * (big.dim(k + 1) - mat.rows))
@@ -405,6 +406,7 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
     top = min(n_mod.cap, x_mod.cap)
     dn = [n_mod.dim(k) for k in range(top + 1)]
     dx = [x_mod.dim(k) for k in range(top + 1)]
+    ident = {d: RatMatrix.identity(d) for d in {*dn, *dx}}
     known = {k: inv for k in range(top + 1) if (inv := rho.matrix(k).inverse()) is not None}
     offsets, total = {}, 0
     for k in range(top + 1):
@@ -457,14 +459,17 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
         # sigma_{k+1} . d = d . sigma_k
         commute(k, k + 1, x_mod.differential_matrix(k), n_mod.differential_matrix(k))
     for gi, gdeg in enumerate(algebra.degrees):
+        if gdeg > top:
+            continue
+        mono = tuple(1 if j == gi else 0 for j in range(len(algebra.names)))
+        at, dim_g = algebra.basis_index(gdeg)[mono], algebra.dim(gdeg)
+        e_g = RatMatrix._make(dim_g, 1, [{0: 1} if r == at else {} for r in range(dim_g)])
         for k in range(top - gdeg + 1):
             if not (dn[k + gdeg] and dx[k]):
                 continue
-            mono = tuple(1 if j == gi else 0 for j in range(len(algebra.names)))
-            m_idx = algebra.basis_index(gdeg)[mono]
-            # sigma_{k+g} . (g . -) = (g . -) . sigma_k, on g's columns of the actions
-            x_act = _monomial_columns(x_mod.action_matrix(gdeg, k), m_idx, dx[k])
-            n_act = _monomial_columns(n_mod.action_matrix(gdeg, k), m_idx, dn[k])
+            # sigma_{k+g} . (g . -) = (g . -) . sigma_k, each action times e_g (x) I
+            x_act = times_kron(x_mod.action_matrix(gdeg, k), e_g, ident[dx[k]])
+            n_act = times_kron(n_mod.action_matrix(gdeg, k), e_g, ident[dn[k]])
             commute(k, k + gdeg, x_act, n_act)
 
     sol = RatMatrix._make(len(rows), total, rows).solve(rhs) if total else ()
@@ -483,14 +488,6 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
     return sigma
 
 
-def _monomial_columns(act: RatMatrix, m_idx: int, dim: int) -> RatMatrix:
-    """The columns m_idx * dim + s, s < dim, of an action matrix: the
-    multiplication by the algebra's basis element m_idx."""
-    lo = m_idx * dim
-    rows = [{j - lo: x for j, x in row.items() if lo <= j < lo + dim} for row in act._nz]
-    return RatMatrix._make(act.rows, dim, rows)
-
-
 def apply_images(
     source: FreeDgModule, target: DgModule, degree: int,
     images: Mapping[int, Mapping[int, Fraction]], comb: Combination,
@@ -499,34 +496,24 @@ def apply_images(
     degree with these generator images.
 
     images maps a generator index to its image's nonzero coordinates; a
-    generator without one maps to zero.  a.g goes to (-1)^{|a| degree}
-    a.image(g), read off the stored rows of the target's action matrix; a
-    unit coefficient c maps it to c.image(g) directly.
+    generator without one maps to zero.  c.g, for c in A^i, goes to
+    (-1)^{i degree} times_kron(action(i, t), c, image(g)) with c and image(g)
+    as columns, t = |g| + degree: the unit's action is the identity.
     """
     algebra = source.algebra
-    unit = algebra.unit_mono()
     out: dict[int, Fraction] = {}
     for j, poly in comb.items():
         img = images.get(j)
         if not img:
             continue
-        if len(poly) == 1 and unit in poly:
-            c = poly[unit]
-            for s, y in img.items():
-                x = c * y
-                out[s] = out[s] + x if s in out else x
-            continue
         i, t = algebra.poly_degree(poly), source.gen_degrees[j] + degree
-        index, dim_t = algebra.basis_index(i), target.dim(t)
         sign = -1 if (i * degree) % 2 else 1
-        terms = {
-            index[m] * dim_t + s: sign * c * y for m, c in poly.items() for s, y in img.items()
-        }
-        for r, row in enumerate(target.action_matrix(i, t)._nz):
-            x = sum(row[col] * y for col, y in terms.items() if col in row)
+        c = RatMatrix.from_cols([[sign * poly.get(m, 0) for m in algebra.basis(i)]])
+        v = RatMatrix.from_cols([[img.get(s, 0) for s in range(target.dim(t))]])
+        for r, x in enumerate(times_kron(target.action_matrix(i, t), c, v).col(0)):
             if x:
-                out[r] = out[r] + x if r in out else x
-    return {r: x for r, x in out.items() if x}
+                add_term(out, r, x)
+    return out
 
 
 def lift_section(rho: DgModuleMap) -> DgModuleMap:

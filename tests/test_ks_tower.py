@@ -185,8 +185,8 @@ def test_tower_preserves_cohomology_and_retraction_matches_reference(module):
 
 
 # The bases where A^1 != 0 or d_A != 0: a module's differential then needs
-# cocycle coefficients, and the tower's carried caches meet odd products and
-# the algebra's own differential
+# cocycle coefficients, and the tower's carried bases and differentials meet
+# odd products and the algebra's own differential
 COCYCLE_ALGEBRAS = {
     "u2v3": SullivanPresentation([("u", 2), ("v", 3)], {"v": {(2, 0): 1}}, cap=CAP + 6),
     "a3u2v3": SullivanPresentation(
@@ -266,8 +266,13 @@ def test_tower_and_retraction_over_bases_with_odd_generators_or_a_differential(m
     rho = zero_map(zero_module(x.algebra, cap=x.cap), x, 0)
     state = KSState(n_cap=n_cap, rho=rho, n=0, q=0)
     while not state.done:
-        _fill_caches(state.rho.source)  # so that each batch has every cache to carry over
+        # every cache full, so that each batch carries its bases and differentials;
+        # it starts its action and cohomology caches empty
+        old = state.rho.source
+        _fill_caches(old)
         state = ks_step(state)
+        if state.rho.source is not old:
+            assert not state.rho.source._act_cache and not state.rho.source._coh_cache
     # the relative differentials the tower carried are the fresh builds
     assert len(state.rel) == n_cap + 1
     for k, d_k in enumerate(state.rel):
@@ -278,8 +283,9 @@ def test_tower_and_retraction_over_bases_with_odd_generators_or_a_differential(m
     assert verify_minimal(model).ok
     for n in range(result.window + 1):
         assert module_cohomology(model, n).betti == module_cohomology(x, n).betti
-    # the bases, differentials, action matrices and cohomology that extend
-    # carried match a module built from the same table
+    # the bases and differentials that extend carried, and the action matrices
+    # and cohomology built afresh on the tower, match a module built from the
+    # same table
     for tower in (model, state.rho.source):
         _assert_matches_a_fresh_build(tower)
     sigma = lift_section(result.rho)

@@ -3,7 +3,8 @@
 The reference below is the dense RatMatrix linalg.py used before: rows are
 tuples holding every entry, zeros included, and each operation walks all
 of them.  Arithmetic is exact, so every result must agree entry for entry,
-including on 0-sized and mostly-zero matrices.
+including on 0-sized and mostly-zero matrices.  `times_kron(m, x, v)` is
+held to the product `m * kron(x, v)` it stands for.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgmodels.errors import ValidationError
-from dgmodels.linalg import Q, RatMatrix, kron
+from dgmodels.linalg import Q, RatMatrix, kron, times_kron
 from exact import stores_exact_scalars
 
 
@@ -176,6 +177,39 @@ def test_sum_difference_and_scale_match_dense_reference(data, side):
 def test_kron_matches_dense_reference(x, y):
     (a, ra), (b, rb) = x, y
     assert same(kron(a, b), dense_kron(ra, rb))
+
+
+def about_half_nonzero(rows, cols):
+    """A rows x cols matrix with about half of its entries nonzero: dense
+    enough that a product of three factors rarely vanishes."""
+    cell = st.sampled_from((0, 0, 0, 1, -1, 2, Q(1, 2), Q(-3, 7)))
+    cells = st.lists(cell, min_size=rows * cols, max_size=rows * cols)
+    return cells.map(
+        lambda e: RatMatrix(rows, cols, [e[i * cols:(i + 1) * cols] for i in range(rows)])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_times_kron_is_the_product_with_kron(data):
+    """times_kron(m, x, v) == m * kron(x, v) on random sparse matrices, 0-row
+    and 0-column shapes and an identity factor x or v included; a sum that
+    cancels is not stored, and a wrong width raises the product's error."""
+    xr, xc, vr, vc, mr = (data.draw(st.integers(0, 3)) for _ in range(5))
+    x = data.draw(about_half_nonzero(xr, xc))
+    v = data.draw(about_half_nonzero(vr, vc))
+    m = data.draw(about_half_nonzero(mr, xr * vr))
+    for a, b in ((x, v), (RatMatrix.identity(xr), v), (x, RatMatrix.identity(vr))):
+        got = times_kron(m, a, b)
+        assert got == m * kron(a, b) and stores_exact_scalars(got)
+    # [m | m] against [x; -x]: every term meets its negative
+    assert times_kron(m.hstack(m), x.vstack(-x), v) == RatMatrix.zero(m.rows, x.cols * v.cols)
+    bad = data.draw(about_half_nonzero(mr, xr * vr + data.draw(st.integers(1, 3))))
+    with pytest.raises(ValidationError, match="cannot multiply") as want:
+        bad * kron(x, v)
+    with pytest.raises(ValidationError) as err:
+        times_kron(bad, x, v)
+    assert str(err.value) == str(want.value)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,8 @@
 """The module and map verifiers against the Kronecker-product code they replaced.
 
-`verify_dgmodule` and `DgModuleMap.verify` read the stored rows of the
-action and differential matrices instead of multiplying by
+`verify_dgmodule` and `DgModuleMap.verify` take each product with a
+Kronecker factor as `linalg.times_kron`, which reads the stored rows of the
+action, differential and identity matrices, instead of multiplying by
 `kron(..., identity)`.  The bodies below are the earlier ones, kept as the
 reference: on free and tabulated modules and maps, intact or with one
 corrupted entry or sign, both must report the same `ok`, the same failures
