@@ -142,8 +142,6 @@ class SullivanPresentation:
         "_odd",
         "_basis_cache",
         "_basis_index_cache",
-        "_product_cache",
-        "_diff_cache",
         "_dims",
     )
 
@@ -172,8 +170,6 @@ class SullivanPresentation:
         self._odd = tuple(deg % 2 == 1 for deg in degrees)
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
         self._basis_index_cache: dict[int, dict[Mono, int]] = {}
-        self._product_cache: dict[tuple[int, int], RatMatrix] = {}
-        self._diff_cache: dict[int, RatMatrix] = {}
 
         diffs: list[Poly] = []
         given = dict(differentials or {})
@@ -379,38 +375,36 @@ class SullivanPresentation:
         return out
 
     def product_matrix(self, i: int, j: int) -> RatMatrix:
-        """Multiplication basis_i (x) basis_j -> basis_{i+j}; columns i-major."""
+        """Multiplication basis_i (x) basis_j -> basis_{i+j}; columns i-major.
+        Built on each call: verify_dgmodule, the one reader in the package,
+        reads each (i, j) once."""
         if i < 0 or j < 0:
             raise DegreeWindowError(f"negative degrees ({i}, {j})")
         if i + j > self.cap:
             raise DegreeWindowError(
                 f"product degree {i + j} exceeds cap {self.cap}; rejected, not truncated"
             )
-        key = (i, j)
-        if key not in self._product_cache:
-            bi, bj = self.basis(i), self.basis(j)
-            target = self.basis_index(i + j)
-            rows: list[dict[int, Fraction]] = [{} for _ in target]
-            for a, m1 in enumerate(bi):
-                for b, m2 in enumerate(bj):
-                    hit = self.mono_mul(m1, m2)
-                    if hit is not None:
-                        rows[target[hit[1]]][a * len(bj) + b] = hit[0]
-            self._product_cache[key] = RatMatrix._make(len(target), len(bi) * len(bj), rows)
-        return self._product_cache[key]
+        bi, bj = self.basis(i), self.basis(j)
+        target = self.basis_index(i + j)
+        rows: list[dict[int, Fraction]] = [{} for _ in target]
+        for a, m1 in enumerate(bi):
+            for b, m2 in enumerate(bj):
+                hit = self.mono_mul(m1, m2)
+                if hit is not None:
+                    rows[target[hit[1]]][a * len(bj) + b] = hit[0]
+        return RatMatrix._make(len(target), len(bi) * len(bj), rows)
 
     def differential_matrix(self, n: int) -> RatMatrix:
-        """Matrix of d: degree n -> degree n+1 (requires n+1 <= cap)."""
+        """Matrix of d: degree n -> degree n+1 (requires n+1 <= cap), built on
+        each call, like product_matrix."""
         if n + 1 > self.cap:
             raise DegreeWindowError(f"differential out of degree {n} exceeds cap {self.cap}")
-        if n not in self._diff_cache:
-            target = self.basis_index(n + 1)
-            rows: list[dict[int, Fraction]] = [{} for _ in target]
-            for c, m in enumerate(self.basis(n)):
-                for mm, x in self.d_mono(m).items():
-                    rows[target[mm]][c] = x
-            self._diff_cache[n] = RatMatrix._make(len(target), self.dim(n), rows)
-        return self._diff_cache[n]
+        target = self.basis_index(n + 1)
+        rows: list[dict[int, Fraction]] = [{} for _ in target]
+        for c, m in enumerate(self.basis(n)):
+            for mm, x in self.d_mono(m).items():
+                rows[target[mm]][c] = x
+        return RatMatrix._make(len(target), self.dim(n), rows)
 
     # ---- rendering ----------------------------------------------------
 

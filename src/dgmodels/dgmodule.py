@@ -123,8 +123,8 @@ class FreeDgModule:
         d(names[i]) = diffs[i], keyed by generator index, and stage stages[i]
         (None: no stages).  Only the new generators are checked, as no old
         differential reaches them; the basis budget is checked before the
-        dims are built, which a huge cap would not survive.  Caches are the
-        caller's to set."""
+        dims are built, which a huge cap would not survive.  Every caller
+        adjoins to a module whose caches are still empty."""
         old = len(self.gen_names)
         self.gen_names += tuple(names)
         self._index = {**self._index, **{n: i for i, n in enumerate(names, old)}}
@@ -263,18 +263,14 @@ class FreeDgModule:
             raise DegreeWindowError(f"differential out of degree {k} exceeds cap {self.cap}")
         if k < 0:
             return RatMatrix.zero(self.dim(k + 1), 0)
-        if k not in self._diff_cache:
-            self._diff_cache[k] = self._d_columns(k, 0)
-        return self._diff_cache[k]
-
-    def _d_columns(self, k: int, start: int) -> RatMatrix:
-        """Columns start, start + 1, ... of the differential out of degree k,
-        d(m.g) = d(m).g + (-1)^{|m|} m.dg, the Leibniz rule of d_combination
-        written straight into the rows."""
+        if k in self._diff_cache:
+            return self._diff_cache[k]
+        # d(m.g) = d(m).g + (-1)^{|m|} m.dg, the Leibniz rule of d_combination
+        # written straight into the rows
         algebra = self.algebra
         index = self.basis_index(k + 1)
         rows: list[dict[int, Fraction]] = [{} for _ in index]
-        for c, (gi, m) in enumerate(self.basis(k)[start:]):
+        for c, (gi, m) in enumerate(self.basis(k)):
             for mono, x in algebra.d_mono(m).items():
                 add_term(rows[index[(gi, mono)]], c, x)
             sign = -1 if algebra.mono_degree(m) % 2 else 1
@@ -283,7 +279,8 @@ class FreeDgModule:
                     hit = algebra.mono_mul(m, mono)
                     if hit is not None:
                         add_term(rows[index[(h, hit[1])]], c, sign * (hit[0] * x))
-        return RatMatrix._make(len(rows), self.dim(k) - start, rows)
+        mat = self._diff_cache[k] = RatMatrix._make(len(rows), self.dim(k), rows)
+        return mat
 
     def action_matrix(self, i: int, k: int) -> RatMatrix:
         """Multiplication A^i (x) M^k -> M^{i+k}; columns A-major."""
@@ -475,8 +472,6 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
     check_check_budget(planned, "the module")
     failures: list[str] = []
     checks = 0
-    id_m = [RatMatrix.identity(module.dim(k)) for k in range(top + 1)]
-    id_a = [RatMatrix.identity(module.algebra.dim(i)) for i in range(low + 1)]
 
     for k in range(top - 1):
         checks += 1
@@ -485,7 +480,7 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
 
     for k in range(top + 1):
         checks += 1
-        if module.action_matrix(0, k) != id_m[k]:
+        if module.action_matrix(0, k) != RatMatrix.identity(module.dim(k)):
             failures.append(f"unit does not act as identity in degree {k}")
 
     for i in range(1, top + 1):
@@ -495,10 +490,12 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
         for k in range(top - i):
             checks += 1
             lhs = module.differential_matrix(i + k) * module.action_matrix(i, k)
-            rhs = times_kron(module.action_matrix(i + 1, k), d_a, id_m[k])
+            rhs = times_kron(module.action_matrix(i + 1, k), d_a, RatMatrix.identity(module.dim(k)))
             sign = -1 if i % 2 else 1
             rhs = rhs + times_kron(
-                module.action_matrix(i, k + 1), id_a[i], module.differential_matrix(k)
+                module.action_matrix(i, k + 1),
+                RatMatrix.identity(module.algebra.dim(i)),
+                module.differential_matrix(k),
             ).scale(sign)
             if lhs != rhs:
                 failures.append(f"module Leibniz fails for (|a|, |m|) = ({i}, {k})")
@@ -508,9 +505,13 @@ def verify_dgmodule(module: DgModule) -> CheckReport:
             prod = module.algebra.product_matrix(i, j)
             for k in range(top + 1 - i - j):
                 checks += 1
-                lhs = times_kron(module.action_matrix(i + j, k), prod, id_m[k])
+                lhs = times_kron(
+                    module.action_matrix(i + j, k), prod, RatMatrix.identity(module.dim(k))
+                )
                 act = module.action_matrix(i, j + k)
-                rhs = times_kron(act, id_a[i], module.action_matrix(j, k))
+                rhs = times_kron(
+                    act, RatMatrix.identity(module.algebra.dim(i)), module.action_matrix(j, k)
+                )
                 if lhs != rhs:
                     failures.append(f"associativity fails for (|a|, |b|, |m|) = ({i}, {j}, {k})")
 
@@ -605,13 +606,14 @@ class DgModuleMap:
             if lhs != rhs:
                 failures.append(f"chain condition fails at source degree {k}")
         for i, degrees in linear.items():
-            id_a = RatMatrix.identity(self.source.algebra.dim(i))
             for k in degrees:
                 checks += 1
                 lhs = self.matrix(i + k) * self.source.action_matrix(i, k)
                 tw = -1 if (i * p) % 2 else 1
                 act = self.target.action_matrix(i, k + p)
-                rhs = times_kron(act, id_a, self.matrix(k)).scale(tw)
+                rhs = times_kron(
+                    act, RatMatrix.identity(self.source.algebra.dim(i)), self.matrix(k)
+                ).scale(tw)
                 if lhs != rhs:
                     failures.append(f"A-linearity fails for (|a|, |m|) = ({i}, {k})")
         return CheckReport("verify_map", not failures, tuple(failures), checks)
@@ -713,7 +715,6 @@ def map_from_generator_images(
         if nz := {s: x for s, x in enumerate(v) if x}:
             img_vectors[gi] = nz if free else RatMatrix.from_cols([v])
     hi = min(source.cap, target.cap - degree)
-    id_a = [] if free else [RatMatrix.identity(source.algebra.dim(i)) for i in range(hi + 1)]
     mats = {}
     for k in range(hi + 1):
         # column a.g sits at col0(g) + a in the generator-major basis
@@ -729,7 +730,7 @@ def map_from_generator_images(
                 if free:
                     target._act_into(rows, i, t, [img], sign, col0)
                 else:
-                    block = times_kron(target.action_matrix(i, t), id_a[i], img)
+                    block = times_kron(target.action_matrix(i, t), RatMatrix.identity(dim_a), img)
                     for out, row in zip(rows, block._nz):
                         out.update({col0 + a: sign * x for a, x in row.items()})
             col0 += dim_a

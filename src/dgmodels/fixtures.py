@@ -20,25 +20,23 @@ def _require_window(name: str, max_degree: int, least: int) -> None:
         raise ValidationError(f"fixture '{name}' needs max_degree >= {least}")
 
 
-def s4_hopf(max_degree: int = DEFAULT_DEGREE) -> BasicData:
-    """Rotation of the 4-sphere with two fixed points.
-
-    The orbit space has the rational type of S^3 (one closed generator a in
-    degree 3).  The relative model is the ladder b_0, b_1, b_2, ... with
-    deg b_n = 2 floor((n+1)/2) + 1, d b_0 = d b_1 = 0 and
-    d b_{n+2} = a b_n; the Euler map sends b_0 to a, the inclusion map
-    sends b_1 to a.  Its cohomology is one class in degree 1 and one in
-    degree 3, matching the pair (S^3, two points).  The inclusion map needs
-    b_1, of degree 3, inside the module cap max_degree + 1.
+def _ladder(name: str, max_degree: int, a_deg: int, euler_deg: int, **fields) -> BasicData:
+    """The ladder over Lambda(a), |a| = a_deg odd: generators b_0, b_1, ...
+    with deg b_{2j} = a_deg - euler_deg + j (a_deg - 1) and deg b_{2j+1} =
+    a_deg + j (a_deg - 1) up to the module cap max_degree + 1, d b_0 =
+    d b_1 = 0 and d b_{n+2} = a b_n.  The Euler map, of degree euler_deg,
+    sends b_0 to a, and the inclusion map sends b_1 to a; it needs b_1
+    inside the module cap, so the window is at least a_deg - 1.  fields
+    are BasicData's remaining fields.
     """
-    _require_window("s4_hopf", max_degree, 2)
-    cap = max_degree + 2
-    alg = SullivanPresentation([("a", 3)], {}, cap=cap)
+    _require_window(name, max_degree, a_deg - 1)
+    cap = max_degree + euler_deg
+    alg = SullivanPresentation([("a", a_deg)], {}, cap=cap)
     gens: list[tuple[str, int]] = []
     diffs: dict[str, dict[str, dict]] = {}
     n = 0
     while True:
-        deg = 2 * ((n + 1) // 2) + 1
+        deg = a_deg + (n // 2) * (a_deg - 1) - (0 if n % 2 else euler_deg)
         if deg > max_degree + 1:
             break
         gens.append((f"b{n}", deg))
@@ -47,12 +45,23 @@ def s4_hopf(max_degree: int = DEFAULT_DEGREE) -> BasicData:
         n += 1
     m = FreeDgModule(alg, gens, diffs, cap=max_degree + 1)
     a_mod = algebra_module(alg, cap=cap)
-    a_vec = alg.poly_vector(alg.generator_poly("a"), 3)
-    e_prime = map_from_generator_images(m, a_mod, 2, {"b0": a_vec}, name="e'")
+    a_vec = alg.poly_vector(alg.generator_poly("a"), a_deg)
+    e_prime = map_from_generator_images(m, a_mod, euler_deg, {"b0": a_vec}, name="e'")
     i_prime = map_from_generator_images(m, a_mod, 0, {"b1": a_vec}, name="i'")
-    return BasicData(
-        alg, m, i_prime, e_prime, fixed_components=2, name="s4_hopf"
-    )
+    return BasicData(alg, m, i_prime, e_prime, name=name, **fields)
+
+
+def s4_hopf(max_degree: int = DEFAULT_DEGREE) -> BasicData:
+    """Rotation of the 4-sphere with two fixed points.
+
+    The orbit space has the rational type of S^3 (one closed generator a in
+    degree 3).  The relative model is the ladder b_0, b_1, b_2, ... with
+    deg b_n = 2 floor((n+1)/2) + 1, d b_0 = d b_1 = 0 and
+    d b_{n+2} = a b_n; the Euler map sends b_0 to a, the inclusion map
+    sends b_1 to a.  Its cohomology is one class in degree 1 and one in
+    degree 3, matching the pair (S^3, two points).
+    """
+    return _ladder("s4_hopf", max_degree, 3, 2, fixed_components=2)
 
 
 def cp2(max_degree: int = DEFAULT_DEGREE) -> BasicData:
@@ -139,33 +148,8 @@ def semifree_suspension(max_degree: int = DEFAULT_DEGREE) -> BasicData:
     sends b_1 to a.  The total space computes to a rational 10-sphere and
     the fixed set to a rational 2-sphere inside the window.
     """
-    _require_window("semifree_suspension", max_degree, 6)
-    cap = max_degree + 4
-    alg = SullivanPresentation([("a", 7)], {}, cap=cap)
-    gens: list[tuple[str, int]] = []
-    diffs: dict[str, dict[str, dict]] = {}
-    n = 0
-    while True:
-        deg = (3 if n % 2 == 0 else 7) + 6 * (n // 2)
-        if deg > max_degree + 1:
-            break
-        gens.append((f"b{n}", deg))
-        if n >= 2:
-            diffs[f"b{n}"] = {f"b{n - 2}": {(1,): 1}}
-        n += 1
-    m = FreeDgModule(alg, gens, diffs, cap=max_degree + 1)
-    a_mod = algebra_module(alg, cap=cap)
-    a_vec = alg.poly_vector(alg.generator_poly("a"), 7)
-    e_prime = map_from_generator_images(m, a_mod, 4, {"b0": a_vec}, name="e'")
-    i_prime = map_from_generator_images(m, a_mod, 0, {"b1": a_vec}, name="i'")
-    return BasicData(
-        alg,
-        m,
-        i_prime,
-        e_prime,
-        variant="semifree_S3",
-        fixed_components=1,
-        name="semifree_suspension",
+    return _ladder(
+        "semifree_suspension", max_degree, 7, 4, variant="semifree_S3", fixed_components=1
     )
 
 

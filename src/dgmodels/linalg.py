@@ -21,11 +21,13 @@ of B that A's row i reaches.  `data`, `row`, `col` and `to_lists` build
 dense views on request.  A factor or summand that stores no nonzero costs
 nothing: a product with one returns the cached zero of the product's shape
 (`RatMatrix.zero`), and a sum or difference returns the other operand, as
-matrices are immutable.  `times_kron(m, x, v)` is m * kron(x, v) read off
-the stored rows of m, x and v, with no Kronecker matrix built: every reader
-of a module's action matrix, whose columns are A-major over A^i (x) M^k,
-goes through it.  `kron` itself is left to the tests' oracles and to the
-benchmark tracer, which patches it by name.
+matrices are immutable.  The identity of each size is cached the same way
+(`RatMatrix.identity`), so callers ask for it where they use it.
+`times_kron(m, x, v)` is m * kron(x, v) read off the stored rows of m, x
+and v, with no Kronecker matrix built: every reader of a module's action
+matrix, whose columns are A-major over A^i (x) M^k, goes through it.
+`kron` itself is left to the tests' oracles and to the benchmark tracer,
+which patches it by name.
 
 Elimination is one sparse routine, `_eliminate`, over copies of the stored
 rows: columns are taken left to right, each row is filed under its leading
@@ -141,7 +143,11 @@ class RatMatrix:
         return cls._make(rows, cols, ({},) * rows)
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def identity(cls, n: int) -> "RatMatrix":
+        """The n x n identity, one shared by every reader, like `zero`."""
+        if n < 0:
+            raise ValidationError("matrix shape must be non-negative")
         return cls._make(n, n, [{i: 1} for i in range(n)])
 
     @property

@@ -123,7 +123,8 @@ def entries(draw, rows, cols):
     if rows and cols:
         fill = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
         cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
-        for i, j in draw(st.sets(cells, max_size=int(fill * rows * cols))):
+        most = int(fill * rows * cols)
+        for i, j in draw(st.sets(cells, min_size=most // 2, max_size=most)):
             data[i][j] = draw(values)
     return data
 
@@ -286,3 +287,16 @@ def test_zero_operands_match_dense_reference(data, side):
         RatMatrix.zero(r, k) + RatMatrix.zero(r + 1, k)
     with pytest.raises(ValidationError, match="cannot multiply"):
         RatMatrix.zero(r, k) * RatMatrix.zero(k + 1, c)
+
+
+def test_identity_is_one_shared_instance_per_size():
+    """Like the zero, the identity of a size is one instance, and a negative
+    size is rejected as the constructor and the zero reject it."""
+    for n in (0, 1, 5):
+        eye = RatMatrix.identity(n)
+        assert eye is RatMatrix.identity(n)
+        assert same(eye, Dense(n, n, [[int(i == j) for j in range(n)] for i in range(n)]))
+    for bad in (-1, -2):
+        for make in (RatMatrix.identity, lambda n: RatMatrix.zero(n, 2), lambda n: RatMatrix(n, 2)):
+            with pytest.raises(ValidationError, match="matrix shape must be non-negative"):
+                make(bad)

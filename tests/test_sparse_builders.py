@@ -143,11 +143,6 @@ def test_free_module_matrices_match_the_dense_builders(module):
         d = module.differential_matrix(k)
         assert d == dense_differential_matrix(module, k)
         assert stores_exact_scalars(d)
-        # the columns that extend appends to a cached differential
-        start = module.dim(k) // 2
-        dense = dense_differential_matrix(module, k)
-        tail = [dense.col(j) for j in range(start, dense.cols)]
-        assert module._d_columns(k, start) == RatMatrix.from_cols(tail, nrows=module.dim(k + 1))
     for i in range(1, min(module.cap, module.algebra.cap) + 1):
         for k in range(module.cap - i + 1):
             act = module.action_matrix(i, k)
