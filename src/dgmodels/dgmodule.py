@@ -78,7 +78,6 @@ class FreeDgModule:
         generators: Sequence[tuple[str, int]],
         differentials: Mapping[str, Mapping[str, Poly | str]] | None = None,
         cap: int | None = None,
-        stages: Sequence[tuple[int, int] | None] | None = None,
     ):
         self.algebra = algebra
         self.cap = algebra.cap if cap is None else int(cap)
@@ -105,7 +104,7 @@ class FreeDgModule:
                 extra = ", ".join(sorted(given))
                 raise ValidationError(f"differentials for unknown generators: {extra}")
 
-        self._adjoin(names, [int(d) for _, d in generators], parsed(), stages)
+        self._adjoin(names, [int(d) for _, d in generators], parsed(), None)
         self._basis_cache: dict[int, tuple[tuple[int, Mono], ...]] = {}
         self._basis_index_cache: dict[int, dict[tuple[int, Mono], int]] = {}
         self._diff_cache: dict[int, RatMatrix] = {}

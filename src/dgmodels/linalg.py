@@ -29,15 +29,18 @@ matrix, whose columns are A-major over A^i (x) M^k, goes through it.
 `kron` itself is left to the tests' oracles and to the benchmark tracer,
 which patches it by name.
 
-Elimination is one sparse routine, `_eliminate`, over copies of the stored
-rows: columns are taken left to right, each row is filed under its leading
-column, and the sparsest row reaching a column becomes its pivot row.  The
-reduced echelon form is unique, so that choice changes no result.  `rank`, `kernel_basis` and `independent_subset`
-read the pivots and the reduced rows (cached per matrix); `solve`
-eliminates the augmented matrix [A | b] and back-substitutes, and
-`CohomologyData.coords` eliminates [boundaries | representatives | Z] once
-for a whole batch Z of cocycles.  `rref()` builds the transform T, and
-`inverse()` the inverse of a square matrix, by eliminating [A | I].
+Each matrix is eliminated once.  `_echelon()` runs the one sparse forward
+routine, `_eliminate`, over copies of the stored rows and caches the pivot
+rows and pivot columns: columns are taken left to right, each row is filed
+under its leading column, and the sparsest row reaching a column becomes
+its pivot row.  `_reduced()` back-reduces those cached rows in place the
+first time a reduced row is read, and records that in the same cache, which
+`with_zero_rows` shares.  `rank`, `independent_subset` (the pivot columns
+of its vectors) and `cohomology_at`'s boundary basis read pivots only.
+`kernel_basis` reads the reduced rows, and so do `rref`, `inverse`, `solve`
+and `CohomologyData.coords`, each of a matrix built with `hstack` or
+`from_cols`: [A | I], [A | b] and [boundaries | representatives | Z].  The
+reduced echelon form is unique, so the pivot choice changes no result.
 """
 
 from __future__ import annotations
@@ -131,7 +134,12 @@ class RatMatrix:
         n = len(cols[0])
         if any(len(col) != n for col in cols):
             raise ValidationError("matrix data does not match declared shape")
-        return cls(n, len(cols), zip(*cols))
+        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+        for j, col in enumerate(cols):
+            for i, x in enumerate(col):
+                if x and (q := as_q(x)):
+                    rows[i][j] = q
+        return cls._make(n, len(cols), rows)
 
     @classmethod
     @lru_cache(maxsize=1024)
@@ -284,8 +292,8 @@ class RatMatrix:
 
     def with_zero_rows(self, at: int, count: int) -> "RatMatrix":
         """This matrix with count zero rows inserted before row at.  Zero rows
-        change no pivot and no reduced row, so a cached echelon form carries
-        over."""
+        change no pivot and no reduced row, so the two matrices share one
+        echelon cache, and one back-reduction serves both."""
         nz = (*self._nz[:at], *({},) * count, *self._nz[at:])
         m = RatMatrix._make(self.rows + count, self.cols, nz)
         m._rref = self._rref
@@ -296,56 +304,51 @@ class RatMatrix:
 
     # --- echelon machinery ---
 
-    def _sparse_rows(self) -> list[dict[int, Fraction]]:
-        """Copies of the stored rows, free for the eliminator to consume."""
-        return [dict(row) for row in self._nz]
-
     def _echelon(self) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
-        """Reduced echelon rows (pivot rows only) and pivot columns, cached."""
+        """The pivot rows, each with a leading 1, and the pivot columns of
+        this matrix's one forward elimination, cached."""
         if self._rref is None:
             # a zero matrix copies no row and runs no elimination
-            rows, pivots = ([], ()) if self.is_zero() else _eliminate(self._sparse_rows(), self.cols)
-            self._rref = (_back_reduce(rows, pivots), pivots)
-        return self._rref
+            echelon = ([], ()) if self.is_zero() else _eliminate([dict(r) for r in self._nz])
+            # [echelon, back-reduced yet (no row: nothing to reduce)], one
+            # list that with_zero_rows shares
+            self._rref = [echelon, not echelon[0]]
+        return self._rref[0]
+
+    def _reduced(self) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+        """The cached pivot rows, back-reduced in place the first time they
+        are asked for: the nonzero rows of the reduced echelon form."""
+        echelon = self._echelon()
+        if not self._rref[1]:
+            _back_reduce(*echelon)
+            self._rref[1] = True
+        return echelon
 
     def rref(self) -> tuple["RatMatrix", tuple[int, ...], "RatMatrix"]:
         """Reduced row echelon form.
 
         Returns (R, pivots, T) with T * self == R, T invertible, pivot columns
         strictly increasing and chosen leftmost-first.  R and T are read off
-        the reduced echelon form of [self | I].
+        the reduced echelon form of [self | I], which has a pivot in every row.
         """
         n, m = self.rows, self.cols
-        aug = self._sparse_rows()
-        for i, row in enumerate(aug):
-            row[m + i] = 1
-        rows, aug_pivots = _eliminate(aug, m + n)
-        rows = _back_reduce(rows, aug_pivots)
-        pivots = tuple(p for p in aug_pivots if p < m)
-        reduced: list[dict[int, Fraction]] = [{} for _ in range(n)]
-        trans: list[dict[int, Fraction]] = [{} for _ in range(n)]
-        for r, row in enumerate(rows):
-            for j, x in row.items():
-                if j < m:
-                    reduced[r][j] = x
-                else:
-                    trans[r][j - m] = x
+        rows, pivots = self.hstack(RatMatrix.identity(n))._reduced()
+        reduced = [{j: x for j, x in row.items() if j < m} for row in rows]
+        trans = [{j - m: x for j, x in row.items() if j >= m} for row in rows]
+        pivots = tuple(p for p in pivots if p < m)
         return RatMatrix._make(n, m, reduced), pivots, RatMatrix._make(n, n, trans)
 
     def inverse(self) -> "RatMatrix | None":
-        """The inverse, read off one elimination of [self | I], or None when
-        the matrix is not square or is singular.  Integral entries are ints."""
+        """The inverse, read off the reduced echelon form of [self | I], or
+        None when the matrix is not square or is singular (a pivot of
+        [self | I] falls in I).  Integral entries are ints."""
         n = self.rows
         if self.cols != n:
             return None
-        aug = self._sparse_rows()
-        for i, row in enumerate(aug):
-            row[n + i] = 1
-        rows, pivots = _eliminate(aug, n)
-        if len(pivots) < n:
+        aug = self.hstack(RatMatrix.identity(n))
+        if aug._echelon()[1] != tuple(range(n)):
             return None
-        rows = _back_reduce(rows, pivots)
-        inv = [{j - n: as_q(x) for j, x in row.items() if j >= n} for row in rows]
+        inv = [{j - n: as_q(x) for j, x in row.items() if j >= n} for row in aug._reduced()[0]]
         return RatMatrix._make(n, n, inv)
 
     def rank(self) -> int:
@@ -353,7 +356,7 @@ class RatMatrix:
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, one vector per free column, ascending."""
-        rows, pivots = self._echelon()
+        rows, pivots = self._reduced()
         pivot_set = set(pivots)
         basis = []
         for free in range(self.cols):
@@ -369,30 +372,23 @@ class RatMatrix:
         return basis
 
     def solve(self, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """A particular solution of self * x = b (free variables 0), or None."""
+        """A particular solution of self * x = b (free variables 0), or None
+        when b's column is a pivot of [self | b].  Otherwise x[p] is the b
+        entry of the reduced row with pivot p."""
         if len(b) != self.rows:
             raise ValidationError("rhs length does not match row count")
         m = self.cols
-        aug = self._sparse_rows()
-        for row, x in zip(aug, vec(b)):
-            if x:
-                row[m] = x
-        rows, pivots = _eliminate(aug, m + 1)
-        if pivots and pivots[-1] == m:
+        aug = self.hstack(RatMatrix(self.rows, 1, [(x,) for x in b]))
+        if aug._echelon()[1][-1:] == (m,):
             return None
-        # back substitution over the pivot columns; free variables stay 0
         x = [0] * m
-        for row, p in zip(reversed(rows), reversed(pivots)):
-            val = row.get(m, 0)
-            for j, a in row.items():
-                if j != p and j != m:
-                    val -= a * x[j]
-            x[p] = val
+        for row, p in zip(*aug._reduced()):
+            x[p] = row.get(m, 0)
         return tuple(x)
 
 
 def _eliminate(
-    rows: list[dict[int, Fraction]], ncols: int
+    rows: list[dict[int, Fraction]],
 ) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
     """Sparse forward elimination; consumes rows.
 
@@ -409,8 +405,8 @@ def _eliminate(
     """
     filed: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
-        if row and (c := min(row)) < ncols:
-            filed.setdefault(c, []).append(i)
+        if row:
+            filed.setdefault(min(row), []).append(i)
     heads = sorted(filed)
     pivot_rows: list[dict[int, Fraction]] = []
     pivots: list[int] = []
@@ -430,7 +426,8 @@ def _eliminate(
             if i == chosen:
                 continue
             row = _subtract(rows[i], rows[i][c], pivot)
-            if row and (nc := min(row)) < ncols:
+            if row:
+                nc = min(row)
                 if nc in filed:
                     filed[nc].append(i)
                 else:
@@ -458,17 +455,15 @@ def _subtract(
     return row
 
 
-def _back_reduce(
-    rows: list[dict[int, Fraction]], pivots: tuple[int, ...]
-) -> list[dict[int, Fraction]]:
-    """Clear every pivot column above its pivot, turning echelon rows reduced."""
+def _back_reduce(rows: list[dict[int, Fraction]], pivots: tuple[int, ...]) -> None:
+    """Clear every pivot column above its pivot, in place, turning echelon
+    rows reduced."""
     for k in range(len(rows) - 1, 0, -1):
         p, prow = pivots[k], rows[k]
         for row in rows[:k]:
             f = row.get(p)
             if f is not None:
                 _subtract(row, f, prow)
-    return rows
 
 
 def kron(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
@@ -517,13 +512,7 @@ def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Frac
     These are the pivot columns of the matrix with the vectors as columns.
     """
     vectors = [vec(v) for v in vectors]
-    rows: dict[int, dict[int, Fraction]] = {}
-    for j, v in enumerate(vectors):
-        for i, x in enumerate(v):
-            if x:
-                rows.setdefault(i, {})[j] = x
-    _, pivots = _eliminate(list(rows.values()), len(vectors))
-    return [vectors[j] for j in pivots]
+    return [vectors[j] for j in RatMatrix.from_cols(vectors)._echelon()[1]]
 
 
 class GradedDims(NamedTuple):
@@ -605,10 +594,10 @@ class CohomologyData(NamedTuple):
     def coords(self, vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
         """Coordinates of each cocycle in the representative basis, mod boundaries.
 
-        One elimination of [boundaries | representatives | vectors] serves
-        every vector: a vector outside the span makes its column a pivot,
-        and otherwise its coordinates are read off the reduced rows, with
-        free columns set to 0 as `solve` does.
+        The echelon of [boundaries | representatives | vectors] serves every
+        vector: a vector outside the span makes its column a pivot, and
+        otherwise its coordinates are read off the reduced rows, with free
+        columns set to 0 as `solve` does.
         """
         cols = [*self.boundaries, *self.representatives]
         if not vectors:
@@ -618,17 +607,11 @@ class CohomologyData(NamedTuple):
                 raise ValidationError("vector is not in the recorded cocycle space")
             return [() for _ in vectors]
         left = len(cols)
-        rows: list[dict[int, Fraction]] = [{} for _ in cols[0]]
-        for j, v in enumerate([*cols, *(vec(z) for z in vectors)]):
-            if len(v) != len(rows):
-                raise ValidationError("rhs length does not match row count")
-            for i, x in enumerate(v):
-                if x:
-                    rows[i][j] = x
-        echelon, pivots = _eliminate(rows, left + len(vectors))
+        aug = RatMatrix.from_cols([*cols, *vectors])
+        pivots = aug._echelon()[1]
         if pivots and pivots[-1] >= left:
             raise ValidationError("vector is not a cocycle modulo recorded boundaries")
-        echelon = _back_reduce(echelon, pivots)
+        echelon = aug._reduced()[0]
         skip = len(self.boundaries)
         out = []
         for j in range(left, left + len(vectors)):

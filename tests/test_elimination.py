@@ -9,11 +9,15 @@ reference divides, so it first turns every entry into a Fraction: an int
 entry divided by an int would give a float.
 """
 
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dgmodels import linalg
 from dgmodels.linalg import Q, RatMatrix, independent_subset
 from exact import stores_exact_scalars
 
@@ -221,3 +225,122 @@ def test_inverse_matches_dense_reference(m):
     assert inv * m == m * inv == RatMatrix.identity(m.rows)
     assert stores_exact_scalars(inv)
     assert all(x.__class__ is int for row in inv._nz for x in row.values() if x.denominator == 1)
+
+
+@contextmanager
+def counted():
+    """Count the calls of `_eliminate` and `_back_reduce` inside the block."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_eliminate", "_back_reduce"):
+
+            def spy(*args, _real=getattr(linalg, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            mp.setattr(linalg, name, spy)
+        yield calls
+
+
+def fresh(m: RatMatrix) -> RatMatrix:
+    """The same matrix with nothing cached."""
+    return RatMatrix(m.rows, m.cols, m.data)
+
+
+def rhs(m: RatMatrix, data) -> tuple:
+    return m.apply([data.draw(st.sampled_from((0, 1, -2, Q(1, 3)))) for _ in range(m.cols)])
+
+
+def reduced_rows(reference: RatMatrix, rank: int) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in reference.data[:rank]]
+
+
+READERS = {
+    "rank": lambda m, b: m.rank(),
+    "kernel_basis": lambda m, b: m.kernel_basis(),
+    "solve": lambda m, b: m.solve(b),
+    "rref": lambda m, b: m.rref()[:2],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.permutations(sorted(READERS)), st.data())
+def test_every_reader_order_matches_dense_reference(m, order, data):
+    """Whichever reader comes first, and so whether the cached rows are still
+    forward echelon rows or already reduced, each one agrees with the
+    reference, and again when read a second time."""
+    b = rhs(m, data)
+    ref_r, ref_pivots, _ = dense_rref(m)
+    want = {
+        "rank": len(ref_pivots),
+        "kernel_basis": dense_kernel_basis(m),
+        "solve": dense_solve(m, b),
+        "rref": (ref_r, ref_pivots),
+    }
+    m = fresh(m)
+    for name in [*order, *order]:
+        assert READERS[name](m, b) == want[name]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_a_zero_row_copy_made_after_rank_shares_one_reduction(m, data):
+    """with_zero_rows after rank() shares the unreduced cache; reducing it
+    through either matrix serves both, and both match the reference."""
+    m = fresh(m)
+    rank = m.rank()
+    at, count = data.draw(st.integers(0, m.rows)), data.draw(st.integers(1, 3))
+    padded = m.with_zero_rows(at, count)
+    assert padded._rref is m._rref
+    ref_padded = RatMatrix(
+        m.rows + count, m.cols, [*m.data[:at], *[(0,) * m.cols] * count, *m.data[at:]]
+    )
+    assert padded == ref_padded
+    first, second = (m, padded) if data.draw(st.booleans()) else (padded, m)
+    with counted() as calls:
+        for mat in (first, second):
+            assert mat.kernel_basis() == dense_kernel_basis(mat)
+            assert mat._reduced() == (reduced_rows(dense_rref(mat)[0], rank), dense_rref(mat)[1])
+            assert mat.rank() == rank
+    assert calls == Counter(_back_reduce=int(not m.is_zero()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_one_elimination_per_matrix_whatever_the_readers(m, data):
+    """A matrix is eliminated once however many readers ask, and at most once
+    back-reduced; rref, inverse and each solve eliminate the one matrix they
+    build, [A | I] or [A | b]."""
+    m, b = fresh(m), rhs(m, data)
+    readers = data.draw(st.lists(st.sampled_from(("rank", "kernel_basis")), max_size=6))
+    once = int(not m.is_zero())
+    with counted() as calls:
+        for name in readers:
+            getattr(m, name)()
+        m.with_zero_rows(0, 1).kernel_basis()
+        assert calls == Counter(_eliminate=once, _back_reduce=once)
+    # [A | I] is zero only with no row, and [A | b] only when A is (b = A x)
+    for reader, builds in (
+        (m.rref, m.rows),
+        (m.inverse, m.rows == m.cols and m.rows),
+        (lambda: m.solve(b), once),
+        (lambda: m.solve(b), once),
+    ):
+        with counted() as calls:
+            reader()
+        assert calls["_eliminate"] == int(bool(builds)) >= calls["_back_reduce"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rank_alone_runs_no_back_reduction(m):
+    """rank, independent_subset and the boundary basis of cohomology_at read
+    pivots only."""
+    m = fresh(m)
+    with counted() as calls:
+        assert m.rank() == m.rank() == len(dense_rref(m)[1])
+        columns = [m.col(j) for j in range(m.cols)]
+        assert independent_subset(columns) == dense_independent_subset(columns)
+        linalg.cohomology_at({0: m.cols, 1: m.rows}, {0: m}, 1, betti=0)
+    assert calls["_back_reduce"] == 0
+    assert calls["_eliminate"] == 2 * int(not m.is_zero())

@@ -7,6 +7,7 @@ including on 0-sized and mostly-zero matrices.  `times_kron(m, x, v)` is
 held to the product `m * kron(x, v)` it stands for.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,15 @@ values = st.one_of(
     st.integers(-9, 9),
     st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7))),
 )
+# a filled cell: a sign times a nonzero magnitude, so no draw is wasted on 0
+nonzero_values = st.builds(
+    operator.mul,
+    st.sampled_from((1, -1)),
+    st.one_of(
+        st.integers(1, 9),
+        st.builds(Fraction, st.integers(1, 9), st.sampled_from((1, 2, 3, 7))),
+    ),
+)
 
 
 @st.composite
@@ -125,7 +135,7 @@ def entries(draw, rows, cols):
         cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
         most = int(fill * rows * cols)
         for i, j in draw(st.sets(cells, min_size=most // 2, max_size=most)):
-            data[i][j] = draw(values)
+            data[i][j] = draw(nonzero_values)
     return data
 
 
