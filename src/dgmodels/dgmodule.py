@@ -295,31 +295,17 @@ class FreeDgModule:
             return RatMatrix.zero(self.dim(i + k), self.algebra.dim(i) * self.dim(k))
         key = (i, k)
         if key not in self._act_cache:
-            rows: list[dict[int, Fraction]] = [{} for _ in range(self.dim(i + k))]
-            self._act_into(rows, i, k, [{b: 1} for b in range(self.dim(k))])
-            self._act_cache[key] = RatMatrix._make(
-                len(rows), self.algebra.dim(i) * self.dim(k), rows
-            )
-        return self._act_cache[key]
-
-    def _act_into(
-        self, rows: list[dict[int, Fraction]], i: int, k: int,
-        vectors: Sequence[Mapping[int, Fraction]], sign: int = 1, col0: int = 0,
-    ) -> None:
-        """Add sign * a.v to column col0 + a * len(vectors) + c of rows, the
-        rows of M^{i+k}, for a the a-th monomial of A^i and v = vectors[c]
-        given by its nonzero coordinates in M^k.  a.(m.g) = (am).g, so each
-        coordinate meets one signed entry of mono_mul: the action of a free
-        module, which action_matrix and map_from_generator_images read."""
-        algebra = self.algebra
-        index, basis, n = self.basis_index(i + k), self.basis(k), len(vectors)
-        for a, am in enumerate(algebra.basis(i)):
-            for c, v in enumerate(vectors, col0 + a * n):
-                for s, x in v.items():
-                    gi, m = basis[s]
+            # a.(m.g) = (am).g: column a * dim M^k + b holds the one signed entry
+            # of mono_mul.  The one writer of the A-major layout; times_kron reads it
+            algebra, index, basis = self.algebra, self.basis_index(i + k), self.basis(k)
+            rows: list[dict[int, Fraction]] = [{} for _ in index]
+            for a, am in enumerate(algebra.basis(i)):
+                for c, (gi, m) in enumerate(basis, a * len(basis)):
                     hit = algebra.mono_mul(am, m)
                     if hit is not None:
-                        add_term(rows[index[(gi, hit[1])]], c, sign * hit[0] * x)
+                        rows[index[(gi, hit[1])]][c] = hit[0]
+            self._act_cache[key] = RatMatrix._make(len(rows), algebra.dim(i) * len(basis), rows)
+        return self._act_cache[key]
 
 
 def _grow_dims(
@@ -690,13 +676,12 @@ def map_from_generator_images(
     is A-linear by construction, and a chain map iff d phi(g) = (-1)^p phi(dg)
     on each generator g, which certify_on_generators checks.
 
-    Column a.g is (-1)^{|a| degree} a.img(g).  A free target multiplies each
-    nonzero coordinate of img(g) by a through mono_mul; a tabulated target,
-    whose stored action matrices are all it knows of its action, gives the
-    columns a.g of one generator as times_kron(action, I, img(g)).
+    Column a.g is (-1)^{|a| degree} a.img(g).  For every target, free or
+    tabulated, the columns a.g of one generator are
+    times_kron(action, I, img(g)): the target's action matrix, which is all
+    the map reads of its action, times img(g) in each A-slot.
     """
-    free = isinstance(target, FreeDgModule)
-    img_vectors: dict[int, dict[int, Fraction] | RatMatrix] = {}
+    img_vectors: dict[int, RatMatrix] = {}
     for gname, v in images.items():
         gi = source.gen_index(gname)
         t = source.gen_degrees[gi] + degree
@@ -711,8 +696,8 @@ def map_from_generator_images(
             raise ValidationError(
                 f"image of {gname} has length {len(v)}, expected {target.dim(t)}"
             )
-        if nz := {s: x for s, x in enumerate(v) if x}:
-            img_vectors[gi] = nz if free else RatMatrix.from_cols([v])
+        if any(v):
+            img_vectors[gi] = RatMatrix.from_cols([v])
     hi = min(source.cap, target.cap - degree)
     mats = {}
     for k in range(hi + 1):
@@ -724,14 +709,11 @@ def map_from_generator_images(
                 continue
             i, t, img = k - deg, deg + degree, img_vectors.get(gi)
             dim_a = source.algebra.dim(i)
-            if img and dim_a:
+            if img is not None and dim_a:
                 sign = -1 if (i * degree) % 2 else 1
-                if free:
-                    target._act_into(rows, i, t, [img], sign, col0)
-                else:
-                    block = times_kron(target.action_matrix(i, t), RatMatrix.identity(dim_a), img)
-                    for out, row in zip(rows, block._nz):
-                        out.update({col0 + a: sign * x for a, x in row.items()})
+                block = times_kron(target.action_matrix(i, t), RatMatrix.identity(dim_a), img)
+                for out, row in zip(rows, block._nz):
+                    out.update({col0 + a: sign * x for a, x in row.items()})
             col0 += dim_a
         mats[k] = RatMatrix._make(len(rows), source.dim(k), rows)
     return DgModuleMap(source, target, degree, mats, name=name)

@@ -24,8 +24,9 @@ nothing: a product with one returns the cached zero of the product's shape
 matrices are immutable.  The identity of each size is cached the same way
 (`RatMatrix.identity`), so callers ask for it where they use it.
 `times_kron(m, x, v)` is m * kron(x, v) read off the stored rows of m, x
-and v, with no Kronecker matrix built: every reader of a module's action
-matrix, whose columns are A-major over A^i (x) M^k, goes through it.
+and v, with no Kronecker matrix built.  `FreeDgModule.action_matrix` writes
+an action matrix's A-major columns over A^i (x) M^k, and every reader of
+them, the KS tower and generator-image maps included, goes through it.
 `kron` itself is left to the tests' oracles and to the benchmark tracer,
 which patches it by name.
 

@@ -18,6 +18,7 @@ certified from tabulated complexes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
 
 from .action import DEFAULT_DEGREE, EULER_DEGREES, VARIANTS, BasicData, _orbit_module_failure
@@ -156,10 +157,10 @@ def ks_step(state: KSState) -> KSState:
     positive count builds the section pairs, from the same two matrices and
     the same count.  The tower only appends.  A batch extends the module and
     rho: below degree n both keep their matrices, and from n up rho gains
-    the new basis elements' columns, one product a degree.  So D_k for
-    k < n - 1 stays, D_{n-1} only gains the zero rows of the new generators,
-    and D_n and D_{n+1} are built again; a stage that adjoins nothing hands
-    both on.
+    the new basis elements' columns, one times_kron per new generator a
+    degree.  So D_k for k < n - 1 stays, D_{n-1} only gains the zero rows of
+    the new generators, and D_n and D_{n+1} are built again; a stage that
+    adjoins nothing hands both on.
     """
     if state.done:
         return state
@@ -181,16 +182,17 @@ def ks_step(state: KSState) -> KSState:
     names = [_fresh_name(taken, f"v{n}_{q}_{k}") for k in range(len(reps))]
     combs = [module.vector_combination(t_v, n + 1) for t_v, _ in reps]
     bigger = _extend(module, names, n, combs, (n, q))
-    # rho(a.v) = a.x_v, with no sign as rho has degree 0: at degree n + i the new
-    # columns (v, a), generator-major, are the action A^i (x) X^n -> X^{n+i},
-    # A-major, times P with P[(a, s), (v, a)] = x_v[s]; at i = 0, P is [x_v]
-    x_rows = [{v: x_v[s] for v, (_, x_v) in enumerate(reps) if x_v[s]} for s in range(x_mod.dim(n))]
+    # rho(a.v) = a.x_v, with no sign as rho has degree 0: at degree n + i the
+    # columns (v, a) of one new generator are times_kron(action, I, x_v), as in
+    # map_from_generator_images, hstacked in generator order
+    x_vs = [RatMatrix.from_cols([x_v]) for _, x_v in reps]
     blocks = dict(rho.mats)
     for k in range(n, rho.window().stop):
         if dim_a := module.algebra.dim(k - n):
-            p = [{v * dim_a + a: x for v, x in row.items()} for a in range(dim_a) for row in x_rows]
-            new = RatMatrix._make(len(p), len(names) * dim_a, p)
-            blocks[k] = rho.matrix(k).hstack(new if k == n else x_mod.action_matrix(k - n, n) * new)
+            act, ident = x_mod.action_matrix(k - n, n), RatMatrix.identity(dim_a)
+            blocks[k] = reduce(
+                RatMatrix.hstack, (times_kron(act, ident, x_v) for x_v in x_vs), rho.matrix(k)
+            )
     if n:
         # the rows of D_{n-1} at N^n gain the new generators, after the old ones
         rel = (*rel[: n - 1], rel[n - 1].with_zero_rows(module.dim(n), len(names)))
@@ -364,18 +366,20 @@ def _retraction(rho: DgModuleMap) -> DgModuleMap:
     solution exists whenever X splits off rho(N) as an A-module summand,
     in particular when X is free.
 
-    Where rho_k is invertible, sigma_k rho_k = id forces sigma_k = rho_k^-1,
-    which goes to the right-hand side; a row left without unknowns must read
-    0 = 0.  The result is the whole system's solution: those rows are
-    invertible on sigma_k's columns and zero elsewhere, so these columns are
-    pivots, and every other column keeps its pivot or free status and value.
+    Where rho_k is square, non-empty and invertible, sigma_k rho_k = id
+    forces sigma_k = rho_k^-1, which goes to the right-hand side (no other
+    block is inverted); a row left without unknowns must read 0 = 0.  The
+    result is the whole system's solution: those rows are invertible on
+    sigma_k's columns and zero elsewhere, so these columns are pivots, and
+    every other column keeps its pivot or free status and value.
     """
     n_mod, x_mod = rho.source, rho.target
     algebra = n_mod.algebra
     top = min(n_mod.cap, x_mod.cap)
     dn = [n_mod.dim(k) for k in range(top + 1)]
     dx = [x_mod.dim(k) for k in range(top + 1)]
-    known = {k: inv for k in range(top + 1) if (inv := rho.matrix(k).inverse()) is not None}
+    square = [k for k in range(top + 1) if dn[k] == dx[k] > 0]
+    known = {k: inv for k in square if (inv := rho.matrix(k).inverse()) is not None}
     offsets, total = {}, 0
     for k in range(top + 1):
         if k not in known:

@@ -2,11 +2,13 @@
 
 The naive product, the module and algebra Leibniz rules and
 `vector_combination` add each term in place into one accumulator;
-`map_from_generator_images` multiplies the nonzero coordinates of each
-generator image through `mono_mul` when the target is free; and `_naive`
-coordinatizes every product landing in H^t with one elimination per degree
-t.  `copy_per_term.py` keeps the earlier bodies, and every result here must
-equal theirs exactly, over Lambda(a_3), Lambda(e_2) and Lambda(u_2, v_3).
+`map_from_generator_images` reads each generator's columns off the
+target's action matrix through `times_kron`, for a free target (whose
+`action_matrix` writes the A-major layout) and a tabulated one alike; and
+`_naive` coordinatizes every product landing in H^t with one elimination
+per degree t.  `copy_per_term.py` keeps the earlier bodies, and every
+result here must equal theirs exactly, over Lambda(a_3), Lambda(e_2) and
+Lambda(u_2, v_3).
 """
 
 import copy

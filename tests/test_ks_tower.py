@@ -339,31 +339,55 @@ def _regime(rho: DgModuleMap) -> str:
 # unknown degrees.  Over Lambda(a_3) a pair in degree 0 reaches degrees 0, 1,
 # 3 and 4 only, and the closed generator in degree 3 reaches 6: sigma_6 is
 # known, and sigma_3 is not.
-@pytest.mark.parametrize(
-    "base, pair, regime",
-    [
-        ("e2f2", None, "every"),
-        ("e2f2", 3, "some"),
-        ("e2f2", 0, "none"),
-        ("a3u2v3", None, "every"),
-        ("a3u2v3", 3, "some"),
-        ("a3u2v3", 0, "none"),
-        ("a3", 0, "some"),
-    ],
-)
+REGIMES = [
+    ("e2f2", None, "every"),
+    ("e2f2", 3, "some"),
+    ("e2f2", 0, "none"),
+    ("a3u2v3", None, "every"),
+    ("a3u2v3", 3, "some"),
+    ("a3u2v3", 0, "none"),
+    ("a3", 0, "some"),
+]
+
+
+@pytest.mark.parametrize("base, pair, regime", REGIMES)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_retraction_and_rho_in_each_regime_of_invertible_degrees(base, pair, regime, seed):
     alg = ALGEBRAS.get(base) or COCYCLE_ALGEBRAS[base]
-    x = tabulate(_regime_module(alg, seed, pair))
+    free = _regime_module(alg, seed, pair)
+    x = tabulate(free)
     result = minimal_model(x)
     rho = result.rho
     assert _regime(rho) == regime
     assert maps_equal(lift_section(rho), kron_retraction(rho))
-    # the batches' product-built columns of rho are the A-linear map of its
-    # generator images, evaluated one column at a time
-    module = rho.source
-    images = {name: generator_image(rho, i) for i, name in enumerate(module.gen_names)}
-    assert maps_equal(rho, map_from_generator_images(module, x, 0, images))
+    # the batches' columns of rho are the A-linear map of its generator
+    # images, over the tabulated target and over the free one it came from,
+    # on which the tower builds the same rho
+    free_rho = minimal_model(free).rho
+    assert maps_equal(free_rho, rho)
+    for tower, target in ((rho, x), (free_rho, free)):
+        module = tower.source
+        images = {name: generator_image(tower, i) for i, name in enumerate(module.gen_names)}
+        assert maps_equal(tower, map_from_generator_images(module, target, 0, images))
+
+
+@pytest.mark.parametrize("base, pair", [(base, pair) for base, pair, _ in REGIMES])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_retraction_inverts_only_square_nonempty_blocks(base, pair, seed, monkeypatch):
+    alg = ALGEBRAS.get(base) or COCYCLE_ALGEBRAS[base]
+    rho = minimal_model(tabulate(_regime_module(alg, seed, pair))).rho
+    shapes = []
+    original = RatMatrix.inverse
+
+    def recording(self):
+        shapes.append((self.rows, self.cols))
+        return original(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RatMatrix, "inverse", recording)
+        sigma = lift_section(rho)
+    assert all(rows == cols > 0 for rows, cols in shapes), shapes
+    assert maps_equal(compose(sigma, rho), identity_map(rho.source))
 
 
 def _e2_tower_input():
