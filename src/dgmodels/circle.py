@@ -43,7 +43,7 @@ from .dgmodule import (
     module_cohomology,
 )
 from .errors import DegreeWindowError, PreconditionError, ValidationError
-from .linalg import GradedDims, PoincareSeries, RatMatrix, add_term, add_vec, unit_vec, vec
+from .linalg import GradedDims, PoincareSeries, RatMatrix, add_term, add_vec, unit_vec
 
 
 # ---- the three models ------------------------------------------------------
@@ -329,8 +329,8 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
 
     for u in range(window + 1):
         ker_e = e_star[u].kernel_basis()
-        kernel_dims[u] = len(ker_e)
-        if not ker_e:
+        kernel_dims[u] = ker_e.cols
+        if not ker_e.cols:
             continue
         # q* on the column blocks H^{u - d_e n}(M), n < n_blocks: e* into row
         # block n and i* into row block n + 1, stored rows written at offsets
@@ -343,11 +343,10 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
             for at, block in ((roff[n], e_star[s]), (roff[n + 1], i_star[s])):
                 for r, row in enumerate(block._nz):
                     rows[at + r].update((coff[n] + c, x) for c, x in row.items())
-        kernel = RatMatrix._make(roff[-1], coff[-1], rows).kernel_basis()
-        proj = [kv[: coff[1]] for kv in kernel]
-        head = RatMatrix.from_cols(proj, nrows=coff[1])
-        solutions = [head.solve(vec(k)) for k in ker_e]
-        missing = [k for k, sol in zip(ker_e, solutions) if sol is None]
+        span = RatMatrix._make(roff[-1], coff[-1], rows).kernel_basis()
+        head = RatMatrix._make(coff[1], span.cols, span._nz[: coff[1]])
+        solutions = [head.solve(ker_e.col(j)) for j in range(ker_e.cols)]
+        missing = [ker_e.col(j) for j, sol in enumerate(solutions) if sol is None]
         if missing:
             label = class_label(u, missing[0])
             if witness_degree is None:
@@ -358,7 +357,6 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
                 "to the kernel of q*"
             )
             continue
-        span = RatMatrix.from_cols(kernel, nrows=coff[-1])
         for sol in solutions:
             full = span.apply(sol)
             steps = []

@@ -1165,13 +1165,13 @@ def induced_map(f: DgModuleMap, source_h: CohomologyData, target_h: CohomologyDa
 
 def _induced_rank(f: DgModuleMap, k: int, betti_source: int, betti_target: int) -> int:
     """rank f_*: H^k -> H^(k+q) of a degree-q chain map f, as rank [d | f K] - rank d
-    with d the target's differential into degree k + q and K the kernel basis of
-    the source's d^k; 0, with no elimination, when either group is 0."""
+    with d the target's differential into degree k + q and K the kernel matrix of
+    the source's d^k, multiplied as `kernel_basis` returns it; 0, with no
+    elimination, when either group is 0."""
     if not (betti_source and betti_target):
         return 0
     d = f.target.differential_matrix(k + f.degree - 1)
-    kernel = f.source.differential_matrix(k).kernel_basis()
-    image = f.matrix(k) * RatMatrix.from_cols(kernel, nrows=f.source.dim(k))
+    image = f.matrix(k) * f.source.differential_matrix(k).kernel_basis()
     return d.hstack(image).rank() - d.rank()
 
 

@@ -36,12 +36,14 @@ rows and pivot columns: columns are taken left to right, each row is filed
 under its leading column, and the sparsest row reaching a column becomes
 its pivot row.  `_reduced()` back-reduces those cached rows in place the
 first time a reduced row is read, and records that in the same cache, which
-`with_zero_rows` shares.  `rank`, `independent_subset` (the pivot columns
-of its vectors) and `cohomology_at`'s boundary basis read pivots only.
-`kernel_basis` reads the reduced rows, and so do `rref`, `inverse`, `solve`
-and `CohomologyData.coords`, each of a matrix built with `hstack` or
-`from_cols`: [A | I], [A | b] and [boundaries | representatives | Z].  The
-reduced echelon form is unique, so the pivot choice changes no result.
+`with_zero_rows` shares.  `rank`, and `cohomology_at`'s boundary basis and
+its completion to a kernel basis, read pivots only.  `kernel_basis` reads
+the reduced rows and returns the kernel as one sparse matrix, which
+`cohomology_at`, `_induced_rank`, `_formality` and `minimal_factorization`
+take as it is.  `rref`, `inverse`, `solve` and `CohomologyData.coords` read
+reduced rows too, each of a matrix built with `hstack` or `from_cols`:
+[A | I], [A | b] and [boundaries | representatives | Z].  The reduced
+echelon form is unique, so the pivot choice changes no result.
 """
 
 from __future__ import annotations
@@ -355,22 +357,19 @@ class RatMatrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Basis of the right kernel, one vector per free column, ascending."""
+    def kernel_basis(self) -> "RatMatrix":
+        """The right kernel as one sparse cols x nullity matrix, its column c
+        the basis vector of the c-th free column f, ascending: a 1 in row f and
+        minus the reduced row's entry at f in each pivot row.  Every reader
+        (see the module docstring) takes this matrix as it is."""
         rows, pivots = self._reduced()
         pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [0] * self.cols
-            v[free] = 1
-            for row, p in zip(rows, pivots):
-                x = row.get(free)
-                if x:
-                    v[p] = -x
-            basis.append(tuple(v))
-        return basis
+        free = {f: c for c, f in enumerate(f for f in range(self.cols) if f not in pivot_set)}
+        out = [{free[f]: 1} if f in free else None for f in range(self.cols)]
+        for row, p in zip(rows, pivots):
+            # a reduced row reaches no other pivot column
+            out[p] = {free[f]: -x for f, x in row.items() if f != p}
+        return RatMatrix._make(self.cols, len(free), out)
 
     def solve(self, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
         """A particular solution of self * x = b (free variables 0), or None
@@ -505,15 +504,6 @@ def times_kron(m: "RatMatrix", x: "RatMatrix", v: "RatMatrix") -> "RatMatrix":
                         add_term(acc, off + t, yz * w)
         out.append(acc)
     return RatMatrix._make(m.rows, x.cols * q, out)
-
-
-def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Greedy maximal independent subset, keeping first occurrences.
-
-    These are the pivot columns of the matrix with the vectors as columns.
-    """
-    vectors = [vec(v) for v in vectors]
-    return [vectors[j] for j in RatMatrix.from_cols(vectors)._echelon()[1]]
 
 
 class GradedDims(NamedTuple):
@@ -651,7 +641,9 @@ def cohomology_at(
 ) -> CohomologyData:
     """Cohomology at degree n, checked and counted by `cohomology_count`
     unless the caller passes the count it already made from these matrices;
-    representatives are built only when the count is positive."""
+    representatives are built only when the count is positive: the columns
+    of d_n's kernel matrix (the identity when d_n is absent) that are pivot
+    columns of [boundaries | kernel], completing the boundary basis."""
     if betti is None:
         betti = cohomology_count(dims, d_mats, n)
     d_n, d_prev = d_mats.get(n), d_mats.get(n - 1)
@@ -659,8 +651,8 @@ def cohomology_at(
     image = () if d_prev is None else tuple(d_prev.col(j) for j in d_prev._echelon()[1])
     if not betti:
         return CohomologyData(n, 0, (), image)
-    dim_n = dims.get(n, 0)
-    kernel = [unit_vec(dim_n, i) for i in range(dim_n)] if d_n is None else d_n.kernel_basis()
-    # complete the boundary basis to the kernel, deterministically
-    reps = independent_subset([*image, *kernel])[len(image):]
-    return CohomologyData(n, betti, tuple(reps), image)
+    dim_n, left = dims.get(n, 0), len(image)
+    kernel = RatMatrix.identity(dim_n) if d_n is None else d_n.kernel_basis()
+    pivots = RatMatrix.from_cols(image, dim_n).hstack(kernel)._echelon()[1]
+    reps = tuple(kernel.col(j - left) for j in pivots if j >= left)
+    return CohomologyData(n, betti, reps, image)

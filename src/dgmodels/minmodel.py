@@ -210,8 +210,8 @@ def _h0_kernel_labels(phi: DgModuleMap) -> list[str]:
     """Labels of H^0 classes of the source killed by phi, if any."""
     if phi.source.dim(0) == 0 or not (h_src := module_cohomology(phi.source, 0)).betti:
         return []
-    kernel = induced_map(phi, h_src, module_cohomology(phi.target, 0)).kernel_basis()
-    return [" + ".join(f"{c}*[{i}]" for i, c in enumerate(w) if c) for w in kernel]
+    k = induced_map(phi, h_src, module_cohomology(phi.target, 0)).kernel_basis()
+    return [" + ".join(f"{c}*[{i}]" for i, c in enumerate(k.col(j)) if c) for j in range(k.cols)]
 
 
 def _with_cap(module: FreeDgModule, cap: int) -> FreeDgModule:

@@ -126,7 +126,8 @@ def free_maps(draw):
     for name, deg in zip(src.gen_names, src.gen_degrees):
         if deg + p < tgt.cap:
             image = [Q(0)] * tgt.dim(deg + p)
-            for z in tgt.differential_matrix(deg + p).kernel_basis():
+            cycles = tgt.differential_matrix(deg + p).kernel_basis()
+            for z in (cycles.col(j) for j in range(cycles.cols)):
                 c = draw(st.sampled_from(COEFFS))
                 image = [x + c * y for x, y in zip(image, z)]
             images[name] = image

@@ -4,9 +4,10 @@ The reference below is the dense elimination linalg.py used before: it
 scans each column for the first nonzero row, swaps it up, and clears the
 column in every other row while carrying the transform T along.  Reduced
 row echelon form is unique, so pivots, R, kernel vectors, particular
-solutions and greedy independent subsets must agree exactly.  The
-reference divides, so it first turns every entry into a Fraction: an int
-entry divided by an int would give a float.
+solutions and `cohomology_at`'s greedy completion of the boundaries to
+cocycles must agree exactly.  The reference divides, so it first turns
+every entry into a Fraction: an int entry divided by an int would give a
+float.
 """
 
 from collections import Counter
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgmodels import linalg
-from dgmodels.linalg import Q, RatMatrix, independent_subset
+from dgmodels.linalg import Q, RatMatrix
 from exact import stores_exact_scalars
 
 
@@ -68,6 +69,14 @@ def dense_kernel_basis(m: RatMatrix):
             v[p] = -reduced.data[r][free]
         basis.append(tuple(v))
     return basis
+
+
+def kernel_columns(m: RatMatrix) -> list[tuple]:
+    """The columns of m's kernel matrix, which has a row per column of m and
+    stores exact scalars only."""
+    kernel = m.kernel_basis()
+    assert kernel.rows == m.cols and stores_exact_scalars(kernel)
+    return [kernel.col(j) for j in range(kernel.cols)]
 
 
 def dense_solve(m: RatMatrix, b):
@@ -157,6 +166,10 @@ def matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
+@example(RatMatrix(3, 2, [[1, 2], [0, 3], [4, 0]]))  # nullity 0
+@example(RatMatrix(2, 2, [[2, 1], [1, 1]]))  # nullity 0, square
+@example(RatMatrix(0, 3, []))  # no row: every column free
+@example(RatMatrix(3, 0, [[], [], []]))  # no column: a 0 x 0 kernel
 def test_echelon_form_matches_dense_reference(m):
     ref_r, ref_pivots, _ = dense_rref(m)
     reduced, pivots, trans = m.rref()
@@ -166,7 +179,7 @@ def test_echelon_form_matches_dense_reference(m):
     assert trans * m == reduced
     assert len(dense_rref(trans)[1]) == m.rows
     assert m.rank() == len(ref_pivots)
-    assert m.kernel_basis() == dense_kernel_basis(m)
+    assert kernel_columns(m) == dense_kernel_basis(m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,11 +199,40 @@ def test_solve_matches_dense_reference(m, data):
         assert m.solve(off) is None
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrices())
-def test_independent_subset_matches_dense_reference(m):
-    for vectors in ([m.col(j) for j in range(m.cols)], list(m.data)):
-        assert independent_subset(vectors) == dense_independent_subset(vectors)
+@st.composite
+def complexes(draw):
+    """d_prev from `matrices`, and either no d_n or d_n = C N, where the rows
+    of N span the left kernel of d_prev (read off the dense reference), so
+    that d_n d_prev = 0."""
+    d_prev = draw(matrices())
+    if draw(st.booleans()):
+        return d_prev, None
+    left = dense_kernel_basis(d_prev.transpose())
+    c = [[draw(st.sampled_from((0, 1, -2, Q(1, 3)))) for _ in left]
+         for _ in range(draw(st.integers(0, 4)))]
+    return d_prev, RatMatrix(len(c), len(left), c) * RatMatrix(len(left), d_prev.rows, left)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes())
+def test_cohomology_representatives_match_the_dense_completion(complex_):
+    """cohomology_at's boundaries are the greedy subset of d_prev's columns,
+    and its representatives the greedy completion of them by d_n's kernel
+    (every unit vector when d_n is absent)."""
+    d_prev, d_n = complex_
+    n = d_prev.rows
+    if d_n is None:
+        dims, d_mats = {0: d_prev.cols, 1: n}, {0: d_prev}
+        kernel = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    else:
+        dims, d_mats = {0: d_prev.cols, 1: n, 2: d_n.rows}, {0: d_prev, 1: d_n}
+        kernel = dense_kernel_basis(d_n)
+    bounds = dense_independent_subset([d_prev.col(j) for j in range(d_prev.cols)])
+    reps = dense_independent_subset([*bounds, *kernel])[len(bounds):]
+    h = linalg.cohomology_at(dims, d_mats, 1)
+    assert h.boundaries == tuple(bounds)
+    assert h.representatives == tuple(reps)
+    assert h.betti == len(reps)
 
 
 @st.composite
@@ -257,7 +299,7 @@ def reduced_rows(reference: RatMatrix, rank: int) -> list[dict]:
 
 READERS = {
     "rank": lambda m, b: m.rank(),
-    "kernel_basis": lambda m, b: m.kernel_basis(),
+    "kernel_basis": lambda m, b: kernel_columns(m),
     "solve": lambda m, b: m.solve(b),
     "rref": lambda m, b: m.rref()[:2],
 }
@@ -299,7 +341,7 @@ def test_a_zero_row_copy_made_after_rank_shares_one_reduction(m, data):
     first, second = (m, padded) if data.draw(st.booleans()) else (padded, m)
     with counted() as calls:
         for mat in (first, second):
-            assert mat.kernel_basis() == dense_kernel_basis(mat)
+            assert kernel_columns(mat) == dense_kernel_basis(mat)
             assert mat._reduced() == (reduced_rows(dense_rref(mat)[0], rank), dense_rref(mat)[1])
             assert mat.rank() == rank
     assert calls == Counter(_back_reduce=int(not m.is_zero()))
@@ -334,13 +376,12 @@ def test_one_elimination_per_matrix_whatever_the_readers(m, data):
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_rank_alone_runs_no_back_reduction(m):
-    """rank, independent_subset and the boundary basis of cohomology_at read
-    pivots only."""
+    """rank, the pivot columns and the boundary basis of cohomology_at read
+    pivots only, off the one elimination of m."""
     m = fresh(m)
     with counted() as calls:
         assert m.rank() == m.rank() == len(dense_rref(m)[1])
-        columns = [m.col(j) for j in range(m.cols)]
-        assert independent_subset(columns) == dense_independent_subset(columns)
+        assert m._echelon()[1] == dense_rref(m)[1]
         linalg.cohomology_at({0: m.cols, 1: m.rows}, {0: m}, 1, betti=0)
     assert calls["_back_reduce"] == 0
-    assert calls["_eliminate"] == 2 * int(not m.is_zero())
+    assert calls["_eliminate"] == int(not m.is_zero())

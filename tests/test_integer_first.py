@@ -18,8 +18,9 @@ from dgmodels.cdga import SullivanPresentation, parse_polynomial
 from dgmodels.circle import action_report
 from dgmodels.errors import ValidationError
 from dgmodels.fixtures import FIXTURES, fixture
-from dgmodels.linalg import CohomologyData, RatMatrix, independent_subset, unit_vec
+from dgmodels.linalg import CohomologyData, RatMatrix, unit_vec
 from exact import stores_exact_scalars
+from test_elimination import dense_independent_subset
 
 
 def exact(v) -> bool:
@@ -84,7 +85,8 @@ def test_mixed_scalars_agree_with_all_fractions_and_never_float(data):
     assert all(exact(row.values()) for row in rows)
 
     kernel = a.kernel_basis()
-    assert kernel == fa.kernel_basis() and all(exact(v) for v in kernel)
+    assert kernel == fa.kernel_basis() and stores_exact_scalars(kernel)
+    assert all(exact(kernel.col(j)) for j in range(kernel.cols))
 
     x = [data.draw(scalars) for _ in range(a.cols)]
     rhs = a.apply(x)
@@ -94,9 +96,9 @@ def test_mixed_scalars_agree_with_all_fractions_and_never_float(data):
 
     # coordinates modulo the column space of a, in a basis completing it
     if a.rows:
-        bounds = independent_subset([a.col(j) for j in range(a.cols)])
+        bounds = dense_independent_subset([a.col(j) for j in range(a.cols)])
         units = [unit_vec(a.rows, i) for i in range(a.rows)]
-        reps = independent_subset(bounds + units)[len(bounds):]
+        reps = dense_independent_subset(bounds + units)[len(bounds):]
         h = CohomologyData(0, len(reps), tuple(reps), tuple(bounds))
         fh = CohomologyData(
             0,

@@ -212,8 +212,8 @@ def cocycle_modules(draw) -> FreeDgModule:
             cdeg = deg + 1 - zdeg
             if cdeg < 0 or not draw(st.booleans()):
                 continue
-            cocycles = alg.differential_matrix(cdeg).kernel_basis()
-            if cocycles:
+            kernel = alg.differential_matrix(cdeg).kernel_basis()
+            if cocycles := [kernel.col(k) for k in range(kernel.cols)]:
                 v = draw(st.sampled_from(cocycles))
                 c = draw(st.sampled_from(COEFFS))
                 row[f"z{j}"] = {m: c * x for m, x in zip(alg.basis(cdeg), v) if x}
@@ -310,8 +310,8 @@ def _regime_module(alg: SullivanPresentation, seed: int, pair: int | None) -> Fr
         row = {}
         for j, zdeg in enumerate(closed):
             cdeg = deg + 1 - zdeg
-            if cdeg >= 2 and (cocycles := alg.differential_matrix(cdeg).kernel_basis()):
-                v = rng.choice(cocycles)
+            if cdeg >= 2 and (kernel := alg.differential_matrix(cdeg).kernel_basis()).cols:
+                v = rng.choice([kernel.col(k) for k in range(kernel.cols)])
                 c = rng.choice(COEFFS)
                 row[f"z{j}"] = {m: c * x for m, x in zip(alg.basis(cdeg), v) if x}
         if row:

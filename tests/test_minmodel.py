@@ -101,6 +101,21 @@ def test_h0_precondition(sphere):
         minimal_factorization(zero_map(a_mod, a_mod, 0), 12)
 
 
+def test_h0_precondition_names_the_killed_classes():
+    """phi = [1 1] on H^0 = Q{m0, m1} -> Q{x0} kills m1 - m0, and the error
+    labels that class by its coordinates in the source's H^0 basis."""
+    alg = SullivanPresentation([("a", 3)], {}, cap=8)
+    src = FreeDgModule(alg, [("m0", 0), ("m1", 0)], {}, cap=8)
+    tgt = FreeDgModule(alg, [("x0", 0)], {}, cap=8)
+    phi = map_from_generator_images(src, tgt, 0, {"m0": (1,), "m1": (1,)})
+    assert phi.matrix(0) == RatMatrix(1, 2, [[1, 1]])
+    with pytest.raises(PreconditionError) as err:
+        minimal_factorization(phi)
+    assert str(err.value) == (
+        "H^0 of the morphism is not injective; killed classes: -1*[0] + 1*[1]"
+    )
+
+
 def test_s4_cone_minimal_model(s4_cone_model):
     x, result = s4_cone_model
     assert sorted(result.module.gen_degrees) == [0, 2, 4, 4, 6, 6, 8, 8, 10, 10]
