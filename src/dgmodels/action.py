@@ -40,6 +40,7 @@ from .dgmodule import (
     certify_free_map,
     certify_on_generators,
     free_cone,
+    free_cone_module,
     generator_image,
     identity_map,
     map_from_generator_images,
@@ -224,21 +225,23 @@ def _generator_image_poly(data: BasicData, phi: DgModuleMap, j: int) -> Poly:
 # ---- the three models ----------------------------------------------------
 
 
-def _certify_cone(cn: Cone, max_degree: int) -> tuple[int, GradedDims]:
+def _certify_cone(module: FreeDgModule, max_degree: int) -> tuple[int, GradedDims]:
     """The window of a free cone's model and its Betti table there, after
     checking that the cone is minimal."""
-    window = min(max_degree, cn.cap - 1)
+    window = min(max_degree, module.cap - 1)
     if window < 0:
         raise DegreeWindowError("degree window is empty; enlarge the caps")
-    verify_minimal(cn.module).raise_if_failed()
-    return window, betti_table(cn.module, top=window)
+    verify_minimal(module).raise_if_failed()
+    return window, betti_table(module, top=window)
 
 
-def _cone_result(cn: Cone, max_degree: int) -> MinimalModelResult:
-    window, betti = _certify_cone(cn, max_degree)
+def _cone_result(module: FreeDgModule, max_degree: int) -> MinimalModelResult:
+    """A minimal free cone module as its own minimal model: rho is the identity.
+    The cone's inclusion and projection are not built, as no report reads them."""
+    window, betti = _certify_cone(module, max_degree)
     return MinimalModelResult(
-        module=cn.module,
-        rho=identity_map(cn.module),
+        module=module,
+        rho=identity_map(module),
         window=window,
         mono_degree=None,
         betti_model=betti,
@@ -270,8 +273,8 @@ class _ActionPipeline:
     def total(self) -> MinimalModelResult:
         data = self.data
         names = _fresh_names("c", data.relative_model.gen_count, set(data.e_prime.target.gen_names))
-        cn = free_cone(data.e_prime, gen_names=names, check=False)
-        return _cone_result(cn, self.max_degree)
+        cone_module = free_cone_module(data.e_prime, gen_names=names, check=False)
+        return _cone_result(cone_module, self.max_degree)
 
     @cached_property
     def fixed(self) -> MinimalModelResult:
@@ -282,8 +285,8 @@ class _ActionPipeline:
                 "use almost_free_model for the dgc reduction"
             )
         names = _fresh_names("g", data.relative_model.gen_count, set(data.i_prime.target.gen_names))
-        cn = free_cone(data.i_prime, gen_names=names, check=False)
-        result = _cone_result(cn, self.max_degree)
+        cone_module = free_cone_module(data.i_prime, gen_names=names, check=False)
+        result = _cone_result(cone_module, self.max_degree)
         if data.fixed_components is not None:
             h0 = result.betti_model.get(0)
             if h0 != data.fixed_components:
@@ -361,4 +364,4 @@ def _equivariant_pieces(
 
     names = _fresh_names("c", m.gen_count, set(a_mod.gen_names))
     cn = free_cone(q_prime, gen_names=names, check=False)
-    return EquivariantModel(alg_e, e_name, cn.module, *_certify_cone(cn, max_degree)), cn
+    return EquivariantModel(alg_e, e_name, cn.module, *_certify_cone(cn.module, max_degree)), cn

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 from fractions import Fraction
 from itertools import accumulate
+from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegreeWindowError, ValidationError, shown
@@ -140,6 +141,7 @@ class SullivanPresentation:
         "cap",
         "_index",
         "_odd",
+        "_odd_last_first",
         "_basis_cache",
         "_basis_index_cache",
         "_dims",
@@ -168,6 +170,7 @@ class SullivanPresentation:
         self.cap = int(cap)
         self._index = {name: i for i, name in enumerate(names)}
         self._odd = tuple(deg % 2 == 1 for deg in degrees)
+        self._odd_last_first = tuple(i for i in reversed(range(len(degrees))) if self._odd[i])
         self._basis_cache: dict[int, tuple[Mono, ...]] = {}
         self._basis_index_cache: dict[int, dict[Mono, int]] = {}
 
@@ -245,7 +248,7 @@ class SullivanPresentation:
         return {self.unit_mono(): 1}
 
     def mono_degree(self, m: Mono) -> int:
-        return sum(e * d for e, d in zip(m, self.degrees))
+        return sum(map(mul, m, self.degrees))
 
     def poly_degree(self, p: Mapping[Mono, Fraction]) -> int | None:
         """Common degree of a homogeneous polynomial; None for zero."""
@@ -327,18 +330,18 @@ class SullivanPresentation:
     # ---- products and differential -----------------------------------
 
     def mono_mul(self, m1: Mono, m2: Mono) -> tuple[int, Mono] | None:
-        """Sorted product of two monomials: (Koszul sign, monomial) or None if zero."""
-        exps = []
-        for i, (a, b) in enumerate(zip(m1, m2)):
-            e = a + b
-            if self._odd[i] and e > 1:
+        """Sorted product of two monomials: (Koszul sign, monomial) or None if zero.
+        Walking the odd generators last first, `later` counts those of m1 that
+        each odd generator of m2 moves left past, one sign each."""
+        swaps = later = 0
+        for i in self._odd_last_first:
+            a, b = m1[i], m2[i]
+            if a + b > 1:
                 return None
-            exps.append(e)
-        swaps = 0
-        for j, b in enumerate(m2):
-            if b and self._odd[j]:
-                swaps += sum(m1[i] for i in range(j + 1, len(m1)) if self._odd[i])
-        return (-1 if swaps % 2 else 1), tuple(exps)
+            if b:
+                swaps += later
+            later += a
+        return (-1 if swaps % 2 else 1), tuple(map(add, m1, m2))
 
     def poly_mul(self, p: Mapping[Mono, Fraction], q: Mapping[Mono, Fraction]) -> Poly:
         out: Poly = {}

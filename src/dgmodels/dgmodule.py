@@ -679,7 +679,9 @@ def map_from_generator_images(
     Column a.g is (-1)^{|a| degree} a.img(g).  For every target, free or
     tabulated, the columns a.g of one generator are
     times_kron(action, I, img(g)): the target's action matrix, which is all
-    the map reads of its action, times img(g) in each A-slot.
+    the map reads of its action, times img(g) in each A-slot; only its
+    nonzero rows are copied.  No degree below the lowest generator with an
+    image is built: the map is zero there, as DgModuleMap stores it.
     """
     img_vectors: dict[int, RatMatrix] = {}
     for gname, v in images.items():
@@ -700,7 +702,7 @@ def map_from_generator_images(
             img_vectors[gi] = RatMatrix.from_cols([v])
     hi = min(source.cap, target.cap - degree)
     mats = {}
-    for k in range(hi + 1):
+    for k in range(min((source.gen_degrees[gi] for gi in img_vectors), default=hi + 1), hi + 1):
         # column a.g sits at col0(g) + a in the generator-major basis
         rows: list[dict[int, Fraction]] = [{} for _ in range(target.dim(k + degree))]
         col0 = 0
@@ -712,8 +714,9 @@ def map_from_generator_images(
             if img is not None and dim_a:
                 sign = -1 if (i * degree) % 2 else 1
                 block = times_kron(target.action_matrix(i, t), RatMatrix.identity(dim_a), img)
-                for out, row in zip(rows, block._nz):
-                    out.update({col0 + a: sign * x for a, x in row.items()})
+                for r, row in enumerate(block._nz):
+                    if row:
+                        rows[r].update({col0 + a: sign * x for a, x in row.items()})
             col0 += dim_a
         mats[k] = RatMatrix._make(len(rows), source.dim(k), rows)
     return DgModuleMap(source, target, degree, mats, name=name)
@@ -1063,29 +1066,29 @@ class _FreeCone(FreeDgModule):
         return mat
 
 
-def free_cone(
+def free_cone_module(
     phi: DgModuleMap,
     gen_names: Sequence[str] | None = None,
     check: bool = True,
-) -> Cone:
+) -> _FreeCone:
     """The cone of a map of free modules, as a free module F.
 
     F is free on the target's generators followed by one generator per
     source generator, shifted by p - 1 and named by gen_names (default: the
     source names primed).  Its degree-n basis is generator-major, so it is
     N^n followed by the shifted M^{n-p+1}, and F is isomorphic to cone(phi)
-    by the diagonal T_n that twists each a.c_j by (-1)^{|a|(p-1)}; the
-    projection carries that twist.  F's differential in degree n is read off
-    d_N, phi and d_M through T_n and T_{n+1}, one degree at a time as it is
-    first asked for; the Leibniz rule on F's generator table, which
-    _adjoin uses for its d^2 check, is its test oracle.  So phi must be
-    A-linear, as check=True verifies and a map from
-    map_from_generator_images is by construction.
+    by the diagonal T_n that twists each a.c_j by (-1)^{|a|(p-1)}.  F's
+    differential in degree n is read off d_N, phi and d_M through T_n and
+    T_{n+1}, one degree at a time as it is first asked for; the Leibniz rule
+    on F's generator table, which _adjoin uses for its d^2 check, is its
+    test oracle.  So phi must be A-linear, as check=True verifies and a map
+    from map_from_generator_images is by construction.  free_cone adds the
+    inclusion and the projection, for a reader of the long exact sequence.
     """
     m_mod, n_mod, p = phi.source, phi.target, phi.degree
     if not isinstance(m_mod, FreeDgModule) or not isinstance(n_mod, FreeDgModule):
         raise ValidationError("free_cone needs free source and target")
-    cap, n_dims, m_dims = _cone_window(phi, check)
+    cap, _, _ = _cone_window(phi, check)
     algebra = n_mod.algebra
 
     if gen_names is None:
@@ -1115,8 +1118,21 @@ def free_cone(
     ]
     degrees = n_mod.gen_degrees + tuple(g + p - 1 for g in m_mod.gen_degrees)
     names = n_mod.gen_names + tuple(gen_names)
-    free = _FreeCone(phi, cap, twist)._adjoin(names, degrees, diffs, None)
-    return _cone_of(phi, free, n_dims, m_dims, twist.__getitem__)
+    return _FreeCone(phi, cap, twist)._adjoin(names, degrees, diffs, None)
+
+
+def free_cone(
+    phi: DgModuleMap,
+    gen_names: Sequence[str] | None = None,
+    check: bool = True,
+) -> Cone:
+    """The cone of a map of free modules, as the Cone of the free module F of
+    free_cone_module(phi, gen_names, check), with its inclusion and its
+    projection, which carries F's twist T_n.  Only cone_les reads those maps;
+    a reader of the module alone takes free_cone_module."""
+    free = free_cone_module(phi, gen_names, check)
+    _, n_dims, m_dims = _cone_window(phi, False)
+    return _cone_of(phi, free, n_dims, m_dims, free._twist.__getitem__)
 
 
 # ---- cohomology ---------------------------------------------------------

@@ -360,9 +360,12 @@ class RatMatrix:
     def kernel_basis(self) -> "RatMatrix":
         """The right kernel as one sparse cols x nullity matrix, its column c
         the basis vector of the c-th free column f, ascending: a 1 in row f and
-        minus the reduced row's entry at f in each pivot row.  Every reader
-        (see the module docstring) takes this matrix as it is."""
+        minus the reduced row's entry at f in each pivot row, so the shared
+        identity when there is no pivot.  Every reader (see the module
+        docstring) takes this matrix as it is."""
         rows, pivots = self._reduced()
+        if not pivots:
+            return RatMatrix.identity(self.cols)
         pivot_set = set(pivots)
         free = {f: c for c, f in enumerate(f for f in range(self.cols) if f not in pivot_set)}
         out = [{free[f]: 1} if f in free else None for f in range(self.cols)]

@@ -50,6 +50,59 @@ def test_koszul_sign_on_odd_generators():
     assert len(ab) == 1
 
 
+def loop_mono_mul(degrees, m1, m2):
+    """The product of two monomials by a loop over every exponent, as
+    SullivanPresentation.mono_mul computed it before: the oracle."""
+    odd = [d % 2 == 1 for d in degrees]
+    exps = []
+    for i, (a, b) in enumerate(zip(m1, m2)):
+        e = a + b
+        if odd[i] and e > 1:
+            return None
+        exps.append(e)
+    swaps = 0
+    for j, b in enumerate(m2):
+        if b and odd[j]:
+            swaps += sum(m1[i] for i in range(j + 1, len(m1)) if odd[i])
+    return (-1 if swaps % 2 else 1), tuple(exps)
+
+
+def loop_mono_degree(degrees, m):
+    return sum(e * d for e, d in zip(m, degrees))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """1-4 generators of degrees 1-6 and two monomials over them."""
+    degrees = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+
+    def monomial():
+        return tuple(draw(st.integers(0, 1 if d % 2 else 3)) for d in degrees)
+
+    return degrees, monomial(), monomial()
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_pairs())
+@example(([3], (1,), (1,)))  # an odd generator squared is zero
+@example(([1, 2, 3], (0, 2, 1), (1, 1, 0)))  # z.x = -x.z past the even y
+@example(([1, 3, 5, 2], (0, 1, 1, 0), (1, 0, 0, 3)))  # x past y and z: sign +1
+def test_monomial_arithmetic_matches_the_exponent_loop(case):
+    degrees, m1, m2 = case
+    alg = SullivanPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], {}, cap=6)
+    assert alg.mono_mul(m1, m2) == loop_mono_mul(degrees, m1, m2)
+    assert alg.mono_degree(m1) == loop_mono_degree(degrees, m1)
+    assert alg.mono_degree(m2) == loop_mono_degree(degrees, m2)
+
+
+def test_monomial_arithmetic_pins_a_zero_and_a_koszul_sign():
+    alg = SullivanPresentation([("x", 1), ("y", 2), ("z", 3)], {}, cap=6)
+    assert alg.mono_mul((0, 0, 1), (0, 0, 1)) is None
+    assert alg.mono_mul((0, 2, 1), (1, 1, 0)) == (-1, (1, 3, 1))
+    assert alg.mono_mul((1, 1, 0), (0, 2, 1)) == (1, (1, 3, 1))
+    assert alg.mono_degree((1, 3, 1)) == 10
+
+
 def test_leibniz_on_products():
     alg = s2_model()
     u, v = alg.generator_poly("u"), alg.generator_poly("v")

@@ -68,14 +68,14 @@ def test_solve_finds_exact_solution_or_none():
 @pytest.mark.parametrize("shared", [True, False])
 def test_zero_matrices_rank_kernel_and_solve(monkeypatch, shape, shared):
     """A zero matrix, the shared instance or one built from zero rows, has
-    rank 0 and every unit vector as its kernel with no elimination, and
+    rank 0 and the shared identity as its kernel with no elimination, and
     solves only b = 0."""
     r, c = shape
     m = RatMatrix.zero(r, c) if shared else RatMatrix(r, c, [[0] * c for _ in range(r)])
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "_eliminate", None)
         assert m.rank() == 0 and m._echelon() == ([], ())
-        assert m.kernel_basis() == RatMatrix.identity(c)
+        assert m.kernel_basis() is RatMatrix.identity(c)
     assert m.solve((0,) * r) == (0,) * c
     if r:
         assert m.solve((0,) * (r - 1) + (1,)) is None

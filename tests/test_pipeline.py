@@ -177,17 +177,21 @@ def test_circle_machine_output_is_pinned_at_small_windows(name, window):
 def test_action_report_builds_each_stage_once(monkeypatch, name):
     data = fixture(name, 12)
     validated, borel_algebras = [], []
-    cones = Counter()
-    validate, free_cone = BasicData.validate, dgmodule.free_cone
-    borel_algebra = action._borel_algebra
+    cones, cone_maps = Counter(), Counter()
+    validate, free_cone_module = BasicData.validate, dgmodule.free_cone_module
+    cone_of, borel_algebra = dgmodule._cone_of, action._borel_algebra
 
     def counting_validate(self):
         validated.append(self)
         return validate(self)
 
-    def counting_free_cone(phi, gen_names=None, check=True):
+    def counting_free_cone_module(phi, gen_names=None, check=True):
         cones[phi.name] += 1
-        return free_cone(phi, gen_names, check)
+        return free_cone_module(phi, gen_names, check)
+
+    def counting_cone_of(phi, *args):
+        cone_maps[phi.name] += 1
+        return cone_of(phi, *args)
 
     def counting_borel_algebra(data):
         borel_algebras.append(data)
@@ -195,16 +199,20 @@ def test_action_report_builds_each_stage_once(monkeypatch, name):
 
     monkeypatch.setattr(BasicData, "validate", counting_validate)
     for module in (dgmodule, action):
-        monkeypatch.setattr(module, "free_cone", counting_free_cone)
+        monkeypatch.setattr(module, "free_cone_module", counting_free_cone_module)
+    monkeypatch.setattr(dgmodule, "_cone_of", counting_cone_of)
     monkeypatch.setattr(action, "_borel_algebra", counting_borel_algebra)
     action_report(data, 12)
 
     assert validated == borel_algebras == [data]
-    # one cone per structure map, whatever names its generators are given
+    # one cone module per structure map, whatever names its generators are given
     assert cones and set(cones.values()) == {1}
     assert set(cones) <= {"e'", "i'", "q'"}
     if not data.fixed_set_empty:
         assert set(cones) == {"e'", "i'", "q'"}
+    # only the Borel cone's long exact sequence, which an empty fixed set has no
+    # report section for, reads an inclusion and a projection
+    assert cone_maps == ({} if data.fixed_set_empty else {"q'": 1})
 
 
 def _value(x):

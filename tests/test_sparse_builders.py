@@ -5,19 +5,24 @@ differential from `d_combination` straight into row dicts; the algebra does
 the same for its product and differential matrices; `apply_images`
 evaluates generator images on a combination through the target's stored
 action rows; and `map_from_generator_images` builds each degree of a map
-in one walk over those rows.  The dense column builders below, and the
-per-column route through `apply_images`, are the earlier code, kept as the
-reference: every matrix of the window must agree, and every stored entry
-must be a nonzero `int` or `Fraction`.
+in one walk over those rows, at the degrees some generator image reaches.
+The dense column builders below, and the per-column route through
+`apply_images`, are the earlier code, kept as the reference: every matrix of
+the window must agree, and every stored entry must be a nonzero `int` or
+`Fraction`.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dgmodels import action, dgmodule, fixtures
 from dgmodels.cdga import SullivanPresentation
 from dgmodels.dgmodule import FreeDgModule, map_from_generator_images, tabulate
 from dgmodels.errors import ValidationError
+from dgmodels.fixtures import FIXTURES
 from dgmodels.linalg import Q, RatMatrix
 from dgmodels.minmodel import apply_images
 from exact import is_stored_scalar, stores_exact_scalars
@@ -216,3 +221,81 @@ def test_map_from_generator_images_matches_the_per_column_route(case, tabulated)
         got = phi.matrix(k)
         assert got == reference_image_columns(src, tgt, p, sparse, k)
         assert stores_exact_scalars(got)
+
+
+def built_with_kron_degrees(source, target, degree, images):
+    """map_from_generator_images(source, target, degree, images) and the source
+    degree k = i + t - degree of each times_kron call, read off the free
+    target's action matrix A^i (x) N^t asked for just before the call."""
+    asked, seen = [], Counter()
+    action_matrix, kron = FreeDgModule.action_matrix, dgmodule.times_kron
+
+    def asking(module, i, t):
+        asked.append((module, i, t))
+        return action_matrix(module, i, t)
+
+    def counting(*args):
+        module, i, t = asked[-1]
+        assert module is target
+        seen[i + t - degree] += 1
+        return kron(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FreeDgModule, "action_matrix", asking)
+        mp.setattr(dgmodule, "times_kron", counting)
+        phi = map_from_generator_images(source, target, degree, images)
+    return phi, seen
+
+
+def assert_built_where_images_land(source, target, degree, images):
+    """Each column a.g is apply_images on a.g, and times_kron runs once per
+    generator with an image and degree k its image reaches, at no other k."""
+    phi, seen = built_with_kron_degrees(source, target, degree, images)
+    alg = source.algebra
+    sparse = {}
+    for gname, v in images.items():
+        j = source.gen_index(gname)
+        if 0 <= source.gen_degrees[j] + degree <= target.cap and any(v):
+            sparse[j] = {s: x for s, x in enumerate(v) if x}
+    for k in phi.window():
+        assert phi.matrix(k) == reference_image_columns(source, target, degree, sparse, k)
+    reached = Counter(
+        k
+        for j in sparse
+        for k in range(source.gen_degrees[j], phi.window().stop)
+        if alg.dim(k - source.gen_degrees[j])
+    )
+    assert seen == reached
+
+
+def structure_map_calls(name, window):
+    """The (source, target, degree, images) of every map_from_generator_images
+    call that builds fixture name's e' and i' and, where it has one, q'."""
+    calls = []
+
+    def recording(source, target, degree, images, name=""):
+        calls.append((source, target, degree, images))
+        return map_from_generator_images(source, target, degree, images, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (fixtures, action):
+            mp.setattr(module, "map_from_generator_images", recording)
+        pipeline = action._ActionPipeline(fixtures.fixture(name, window), window)
+        if not pipeline.data.fixed_set_empty:
+            pipeline.borel
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_structure_maps_are_built_where_their_images_land(name):
+    calls = structure_map_calls(name, 16)
+    assert len(calls) == (2 if fixtures.fixture(name, 16).fixed_set_empty else 3)
+    for source, target, degree, images in calls:
+        assert_built_where_images_land(source, target, degree, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(image_cases())
+def test_random_maps_are_built_where_their_images_land(case):
+    src, tgt, p, images, _, _ = case
+    assert_built_where_images_land(src, tgt, p, {src.gen_names[j]: v for j, v in images.items()})
