@@ -31,7 +31,6 @@ from .cdga import (
     poly_is_zero,
 )
 from .dgmodule import (
-    Cone,
     DgModuleMap,
     FreeDgModule,
     MinimalModelResult,
@@ -39,7 +38,6 @@ from .dgmodule import (
     betti_table,
     certify_free_map,
     certify_on_generators,
-    free_cone,
     free_cone_module,
     generator_image,
     identity_map,
@@ -254,7 +252,7 @@ class _ActionPipeline:
     """The models that one (BasicData, max_degree) determines, each built once.
 
     Construction validates the data.  The total-space and fixed-set cones
-    and the Borel pieces are built on first use and then shared by every
+    and the Borel model are built on first use and then shared by every
     report section that reads them; they live as long as the pipeline,
     which each public report function creates afresh.
     """
@@ -297,8 +295,8 @@ class _ActionPipeline:
         return result
 
     @cached_property
-    def borel(self) -> tuple[EquivariantModel, Cone]:
-        return _equivariant_pieces(self.data, self.borel_algebra, self.max_degree)
+    def borel(self) -> EquivariantModel:
+        return _borel_model(self.data, self.borel_algebra, self.max_degree)
 
 
 class EquivariantModel(NamedTuple):
@@ -327,9 +325,12 @@ def _borel_algebra(data: BasicData) -> SullivanPresentation:
     return alg_e
 
 
-def _equivariant_pieces(
+def _borel_model(
     data: BasicData, alg_e: SullivanPresentation, max_degree: int
-) -> tuple[EquivariantModel, Cone]:
+) -> EquivariantModel:
+    """The Borel model: the cone module of q', certified on its generators,
+    with no inclusion or projection; `_equivariant_les` writes those around
+    the same module, as only the long exact sequence reads them."""
     m = data.relative_model
     d_e = data.euler_degree
     e_name = alg_e.names[-1]
@@ -363,5 +364,5 @@ def _equivariant_pieces(
     certify_on_generators(q_prime).raise_if_failed()
 
     names = _fresh_names("c", m.gen_count, set(a_mod.gen_names))
-    cn = free_cone(q_prime, gen_names=names, check=False)
-    return EquivariantModel(alg_e, e_name, cn.module, *_certify_cone(cn.module, max_degree)), cn
+    cn = free_cone_module(q_prime, gen_names=names, check=False)
+    return EquivariantModel(alg_e, e_name, cn, *_certify_cone(cn, max_degree))

@@ -26,7 +26,6 @@ from .action import (
     DEFAULT_DEGREE,
     BasicData,
     EquivariantModel,
-    Vector,
     _ActionPipeline,
     _generator_image_poly,
 )
@@ -39,11 +38,12 @@ from .dgmodule import (
     betti_table,
     cone_les,
     fiber_cohomology,
+    free_cone_maps,
     induced_map,
     module_cohomology,
 )
 from .errors import DegreeWindowError, PreconditionError, ValidationError
-from .linalg import GradedDims, PoincareSeries, RatMatrix, add_term, add_vec, unit_vec
+from .linalg import GradedDims, PoincareSeries, RatMatrix, add_term
 
 
 # ---- the three models ------------------------------------------------------
@@ -61,7 +61,7 @@ def model_of_fixed_set(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> Min
 
 def equivariant_model(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> EquivariantModel:
     """Minimal Borel model: the cone of q'(b) = e'(b) + i'(b) e over A(x)Lambda(e)."""
-    return _ActionPipeline(data, max_degree).borel[0]
+    return _ActionPipeline(data, max_degree).borel
 
 
 # ---- shared basis --------------------------------------------------------
@@ -123,8 +123,7 @@ def equivariant_les(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> Equiva
 
 
 def _equivariant_les(p: _ActionPipeline) -> EquivariantLesReport:
-    _, cn = p.borel
-    table = cone_les(cn, top=p.max_degree)
+    table = cone_les(free_cone_maps(p.borel.module), top=p.max_degree)
     failures = list(table.failures)
     for row in table.rows:
         r_in = table.rows[row.n - 1].rank_connecting if row.n >= 1 else 0
@@ -155,7 +154,7 @@ def extension_of_scalars_check(
 
 def _extension_of_scalars(p: _ActionPipeline) -> ScalarsReport:
     data = p.data
-    model, _ = p.borel
+    model = p.borel
     free_e, free_t = model.module, p.total.module
     alg, alg_e = data.algebra, model.algebra
     e_idx = alg_e.generator_index(model.euler_name)
@@ -221,7 +220,7 @@ def _poincare(p: _ActionPipeline) -> PoincareReport:
     if not data.base_simply_connected:
         raise PreconditionError("fiber series identities assume a simply connected orbit space")
     total, fixed = p.total, p.fixed
-    model, _ = p.borel
+    model = p.borel
     through = min(max_degree, total.window, fixed.window, model.window)
 
     p_total = PoincareSeries.from_dims(fiber_cohomology(total.module, top=through), through)
@@ -324,8 +323,7 @@ def _formality(p: _ActionPipeline) -> FormalityReport:
     witness_label: str | None = None
 
     def class_label(s: int, coords) -> str:
-        reps = RatMatrix.from_cols(h_m[s].representatives, nrows=m.dim(s))
-        return _vector_label(m, s, reps.apply(coords))
+        return _vector_label(m, s, h_m[s].representatives.apply(coords))
 
     for u in range(window + 1):
         ker_e = e_star[u].kernel_basis()
@@ -416,12 +414,7 @@ def _localization(p: _ActionPipeline) -> LocalizationReport:
             "relative cohomology vanishes on the window",
         )
 
-    offsets: dict[int, int] = {}
-    at = 0
-    for s in degs:
-        offsets[s] = at
-        at += h[s].betti
-
+    offsets = dict(zip(degs, accumulate((h[s].betti for s in degs), initial=0)))
     rows: list[dict[int, Fraction]] = [{} for _ in range(total)]
     if data.euler_self_map is not None:
         smax = max(degs)
@@ -440,48 +433,40 @@ def _localization(p: _ActionPipeline) -> LocalizationReport:
                 rows[offsets[t] + r].update((offsets[s] + c, x) for c, x in row.items())
     w_mat = RatMatrix._make(total, total, rows)
 
-    powers = [RatMatrix.identity(total)]
-    p = 1
-    cur = w_mat
-    while not cur.is_zero():
+    one = RatMatrix.identity(total)
+    powers = [one]
+    while not (cur := powers[-1] * w_mat).is_zero():
         powers.append(cur)
-        cur = cur * w_mat
-        p += 1
-        if p > S + 2:
+        if len(powers) > S + 2:
             raise PreconditionError("Euler self-map is not nilpotent on the window")
 
-    def prune(x: dict[int, Vector]) -> dict[int, Vector]:
-        return {k: v for k, v in x.items() if any(v)}
+    # a Laurent series in e as a list of (power, total x total coefficient)
+    # terms: nabla = e + W, and nabla^-1 the sum of (-1)^n e^-(n+1) W^n
+    def nabla(x: list[tuple[int, RatMatrix]]) -> list[tuple[int, RatMatrix]]:
+        return [term for k, c in x for term in ((k + 1, c), (k, w_mat * c))]
 
-    def nabla(x: dict[int, Vector]) -> dict[int, Vector]:
-        out: dict[int, Vector] = {}
-        for k, v in x.items():
-            out[k + 1] = add_vec(out.get(k + 1, (0,) * total), v)
-            wv = w_mat.apply(v)
-            out[k] = add_vec(out.get(k, (0,) * total), wv)
-        return prune(out)
+    def nabla_inv(x: list[tuple[int, RatMatrix]]) -> list[tuple[int, RatMatrix]]:
+        return [
+            (k - n - 1, (w_n * c).scale((-1) ** n)) for k, c in x for n, w_n in enumerate(powers)
+        ]
 
-    def nabla_inv(x: dict[int, Vector]) -> dict[int, Vector]:
-        out: dict[int, Vector] = {}
-        for k, v in x.items():
-            for n in range(p):
-                wv = powers[n].apply(v) if n else tuple(v)
-                if n % 2:
-                    wv = tuple(-c for c in wv)
-                key = k - (n + 1)
-                out[key] = add_vec(out.get(key, (0,) * total), wv)
-        return prune(out)
-
-    failures: list[str] = []
-    for t in range(total):
-        u = prune({0: unit_vec(total, t)})
-        if nabla(nabla_inv(u)) != u:
-            failures.append(f"nabla(nabla^-1) is not the identity on basis class {t}")
-        if nabla_inv(nabla(u)) != u:
-            failures.append(f"nabla^-1(nabla) is not the identity on basis class {t}")
-    if failures:
-        raise ValidationError("localization inverse check failed: " + failures[0])
-    return LocalizationReport("bijective", S, p, dims, total, None)
+    # basis class t fails a composite where column t of a coefficient of the
+    # composite minus the identity is nonzero; the first failure is named
+    failed = []
+    for check, terms in (
+        ("nabla(nabla^-1)", nabla(nabla_inv([(0, one)]))),
+        ("nabla^-1(nabla)", nabla_inv(nabla([(0, one)]))),
+    ):
+        coeffs: dict[int, RatMatrix] = {}
+        for k, c in (*terms, (0, -one)):
+            coeffs[k] = coeffs[k] + c if k in coeffs else c
+        failed += [(t, check) for c in coeffs.values() for row in c._nz for t in row]
+    if failed:
+        t, check = min(failed, key=lambda f: f[0])
+        raise ValidationError(
+            f"localization inverse check failed: {check} is not the identity on basis class {t}"
+        )
+    return LocalizationReport("bijective", S, len(powers), dims, total, None)
 
 
 # ---- cohomological dimension ----------------------------------------------
@@ -793,7 +778,7 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
         h = {n: module_cohomology(free, n) for n in range(window + 1)}
         # each nonzero H^n, n >= 1, as combinations: only such pairs have entries
         classes = {
-            n: [free.vector_combination(rep, n) for rep in h[n].representatives]
+            n: [free.vector_combination(h[n].representatives.col(c), n) for c in range(h[n].betti)]
             for n in range(1, window + 1)
             if h[n].betti
         }
@@ -801,12 +786,16 @@ def _naive(p: _ActionPipeline) -> NaiveReport:
             (i, ai, j, bi) for i, xs in classes.items() for j, ys in classes.items()
             if i <= j <= window - i for ai in range(len(xs)) for bi in range(len(ys))
         ]
-        # one elimination per degree t serves every product landing in H^t
+        # one coords call per degree t serves every product landing in H^t
         products: dict[int, list[tuple[Fraction, ...]]] = {}
         for i, ai, j, bi in pairs:
             prod = _naive_mul(free, classes[i][ai], classes[j][bi])
             products.setdefault(i + j, []).append(free.combination_vector(prod, i + j))
-        coords = {t: iter(h[t].coords(vectors)) for t, vectors in products.items()}
+        # the coordinates of the products, one column each, as rows of the transpose
+        coords = {
+            t: iter(h[t].coords(RatMatrix.from_cols(vs)).transpose().data)
+            for t, vs in products.items()
+        }
         ring = [RingEntry(i, ai, j, bi, next(coords[i + j])) for i, ai, j, bi in pairs]
     positive_zero = leibniz and not any(any(entry.coords) for entry in ring)
 
@@ -955,7 +944,7 @@ def action_report(data: BasicData, max_degree: int = DEFAULT_DEGREE) -> ActionRe
     else:
         fixed = p.fixed
         shared = _shared_basis(p)
-        equivariant, _ = p.borel
+        equivariant = p.borel
         les = _equivariant_les(p)
         scalars = _extension_of_scalars(p)
         formality = _formality(p)

@@ -307,7 +307,7 @@ def _export_payload(doc: InputDocument, max_degree: int, what: str) -> tuple[dic
     elif what == "fixed":
         module = _ActionPipeline(data, max_degree).fixed.module
     else:
-        em = _ActionPipeline(data, max_degree).borel[0]
+        em = _ActionPipeline(data, max_degree).borel
         algebra, module = em.algebra, em.module
     noun = "borel" if what == "equivariant" else what
     title = f"{doc.name or data.name or 'action'} {noun} model"

@@ -1127,12 +1127,16 @@ def free_cone(
     check: bool = True,
 ) -> Cone:
     """The cone of a map of free modules, as the Cone of the free module F of
-    free_cone_module(phi, gen_names, check), with its inclusion and its
-    projection, which carries F's twist T_n.  Only cone_les reads those maps;
+    free_cone_module(phi, gen_names, check).  Only cone_les reads its maps;
     a reader of the module alone takes free_cone_module."""
-    free = free_cone_module(phi, gen_names, check)
-    _, n_dims, m_dims = _cone_window(phi, False)
-    return _cone_of(phi, free, n_dims, m_dims, free._twist.__getitem__)
+    return free_cone_maps(free_cone_module(phi, gen_names, check))
+
+
+def free_cone_maps(free: _FreeCone) -> Cone:
+    """The Cone of a module from free_cone_module, its maps written around it:
+    the inclusion, and the projection, which carries F's twist T_n."""
+    _, n_dims, m_dims = _cone_window(free._phi, False)
+    return _cone_of(free._phi, free, n_dims, m_dims, free._twist.__getitem__)
 
 
 # ---- cohomology ---------------------------------------------------------
@@ -1149,8 +1153,6 @@ def module_cohomology(module: DgModule, n: int) -> CohomologyData:
         raise DegreeWindowError(
             f"cohomology at degree {n} needs the differential into degree {n + 1}"
         )
-    if n < 0:
-        return CohomologyData(n, 0)
     cache = module._coh_cache if isinstance(module, FreeDgModule) else None
     if cache is not None and n in cache:
         return cache[n]
@@ -1171,12 +1173,12 @@ def betti_table(module: DgModule, top: int | None = None) -> GradedDims:
 
 
 def induced_map(f: DgModuleMap, source_h: CohomologyData, target_h: CohomologyData) -> RatMatrix:
-    """Matrix of f_* between cohomology in the stored representative bases."""
+    """Matrix of f_* between cohomology in the stored representative bases:
+    the target coordinates of f times the source representatives, one
+    product and one `coords` call."""
     if target_h.degree != source_h.degree + f.degree:
         raise ValidationError("cohomology degrees do not match the map degree")
-    mat = f.matrix(source_h.degree)
-    cols = target_h.coords([mat.apply(z) for z in source_h.representatives])
-    return RatMatrix.from_cols(cols, nrows=target_h.betti)
+    return target_h.coords(f.matrix(source_h.degree) * source_h.representatives)
 
 
 def _induced_rank(f: DgModuleMap, k: int, betti_source: int, betti_target: int) -> int:

@@ -40,10 +40,13 @@ first time a reduced row is read, and records that in the same cache, which
 its completion to a kernel basis, read pivots only.  `kernel_basis` reads
 the reduced rows and returns the kernel as one sparse matrix, which
 `cohomology_at`, `_induced_rank`, `_formality` and `minimal_factorization`
-take as it is.  `rref`, `inverse`, `solve` and `CohomologyData.coords` read
-reduced rows too, each of a matrix built with `hstack` or `from_cols`:
-[A | I], [A | b] and [boundaries | representatives | Z].  The reduced
-echelon form is unique, so the pivot choice changes no result.
+take as it is.  The cohomology witnesses are sparse matrices too, one class
+or boundary a column, selected from the stored rows of d_{n-1} and of the
+kernel matrix; `coords` takes the cocycles as the columns of a matrix V.
+`rref`, `inverse`, `solve` and `CohomologyData.coords` read reduced rows,
+each of a matrix built with `hstack`: [A | I], [A | b] and [B | R | V]
+(boundaries, representatives, V).  The reduced echelon form is unique, so
+the pivot choice changes no result.
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ def vec(entries: Iterable) -> tuple[int | Fraction, ...]:
 
 def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def add_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def add_term(acc: dict, key, x) -> None:
@@ -575,45 +574,42 @@ class PoincareSeries(NamedTuple):
 
 
 class CohomologyData(NamedTuple):
-    """Cohomology of a complex at one degree, with explicit witnesses.
+    """Cohomology of a complex at one degree, with explicit witnesses: the
+    classes are the columns of `representatives` (dim C^n x betti) and a
+    boundary basis those of `boundaries`, matrices every reader takes as is.
 
     Immutable, so that one instance can be cached and shared by every caller.
     """
 
     degree: int
     betti: int
-    representatives: tuple[tuple[Fraction, ...], ...] = ()
-    boundaries: tuple[tuple[Fraction, ...], ...] = ()
+    representatives: RatMatrix
+    boundaries: RatMatrix
 
-    def coords(self, vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-        """Coordinates of each cocycle in the representative basis, mod boundaries.
+    def coords(self, vectors: RatMatrix) -> RatMatrix:
+        """Coordinates of each column of vectors, a cocycle, in the
+        representative basis mod boundaries: a betti x vectors.cols matrix.
 
-        The echelon of [boundaries | representatives | vectors] serves every
-        vector: a vector outside the span makes its column a pivot, and
-        otherwise its coordinates are read off the reduced rows, with free
-        columns set to 0 as `solve` does.
+        The echelon of [B | R | V] (boundaries, representatives, vectors)
+        serves every column: a column outside the span is a pivot, and
+        otherwise row r of the result is V's part of the reduced row with
+        pivot R's column r.
         """
-        cols = [*self.boundaries, *self.representatives]
-        if not vectors:
-            return []
-        if not cols:
-            if any(x != 0 for z in vectors for x in z):
+        bounds, reps = self.boundaries, self.representatives
+        skip, left = bounds.cols, bounds.cols + reps.cols
+        if not (left and vectors.cols):
+            if not vectors.is_zero():
                 raise ValidationError("vector is not in the recorded cocycle space")
-            return [() for _ in vectors]
-        left = len(cols)
-        aug = RatMatrix.from_cols([*cols, *vectors])
+            return RatMatrix.zero(reps.cols, vectors.cols)
+        aug = bounds.hstack(reps).hstack(vectors)
         pivots = aug._echelon()[1]
         if pivots and pivots[-1] >= left:
             raise ValidationError("vector is not a cocycle modulo recorded boundaries")
-        echelon = aug._reduced()[0]
-        skip = len(self.boundaries)
-        out = []
-        for j in range(left, left + len(vectors)):
-            x = [0] * left
-            for row, p in zip(echelon, pivots):
-                x[p] = row.get(j, 0)
-            out.append(tuple(x[skip:]))
-        return out
+        out: list[dict[int, Fraction]] = [{} for _ in range(reps.cols)]
+        for row, p in zip(aug._reduced()[0], pivots):
+            if p >= skip:
+                out[p - skip] = {j - left: x for j, x in row.items() if j >= left}
+        return RatMatrix._make(reps.cols, vectors.cols, out)
 
 
 def cohomology_count(dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int) -> int:
@@ -643,19 +639,26 @@ def cohomology_at(
     dims: dict[int, int], d_mats: dict[int, RatMatrix], n: int, betti: int | None = None
 ) -> CohomologyData:
     """Cohomology at degree n, checked and counted by `cohomology_count`
-    unless the caller passes the count it already made from these matrices;
-    representatives are built only when the count is positive: the columns
-    of d_n's kernel matrix (the identity when d_n is absent) that are pivot
-    columns of [boundaries | kernel], completing the boundary basis."""
+    unless the caller passes the count it already made from these matrices.
+    The boundaries are d_{n-1}'s pivot columns, selected from its stored
+    rows; representatives are built only when the count is positive: the
+    columns of d_n's kernel matrix (the identity when d_n is absent) that
+    are pivot columns of [boundaries | kernel], completing the boundary
+    basis."""
+
+    def columns(m: RatMatrix, picked: Iterable[int]) -> RatMatrix:
+        at = {j: c for c, j in enumerate(picked)}
+        nz = [{c: row[j] for j, c in at.items() if j in row} for row in m._nz]
+        return RatMatrix._make(m.rows, len(at), nz)
+
     if betti is None:
         betti = cohomology_count(dims, d_mats, n)
-    d_n, d_prev = d_mats.get(n), d_mats.get(n - 1)
-    # the pivot columns of d_prev span the boundaries
-    image = () if d_prev is None else tuple(d_prev.col(j) for j in d_prev._echelon()[1])
+    d_n, d_prev, dim_n = d_mats.get(n), d_mats.get(n - 1), dims.get(n, 0)
+    none = RatMatrix.zero(dim_n, 0)
+    image = none if d_prev is None else columns(d_prev, d_prev._echelon()[1])
     if not betti:
-        return CohomologyData(n, 0, (), image)
-    dim_n, left = dims.get(n, 0), len(image)
+        return CohomologyData(n, 0, none, image)
     kernel = RatMatrix.identity(dim_n) if d_n is None else d_n.kernel_basis()
-    pivots = RatMatrix.from_cols(image, dim_n).hstack(kernel)._echelon()[1]
-    reps = tuple(kernel.col(j - left) for j in pivots if j >= left)
-    return CohomologyData(n, betti, reps, image)
+    left = image.cols
+    pivots = image.hstack(kernel)._echelon()[1]
+    return CohomologyData(n, betti, columns(kernel, (j - left for j in pivots if j >= left)), image)

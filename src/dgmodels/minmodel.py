@@ -18,7 +18,6 @@ certified from tabulated complexes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
 
 from .action import DEFAULT_DEGREE, EULER_DEGREES, VARIANTS, BasicData, _orbit_module_failure
@@ -84,18 +83,22 @@ def _relative_d(rho: DgModuleMap, k: int) -> RatMatrix:
 
 def relative_cohomology(
     rho: DgModuleMap, n: int, dims: dict[int, int], mats: dict[int, RatMatrix], count: int
-) -> tuple[tuple[Vector, Vector], ...]:
+) -> tuple[RatMatrix, RatMatrix]:
     """Obstruction space V(n) = H^{n+1} of the relative complex of rho, from
     the dims of its degrees n..n+2, its differentials D_n and D_{n+1} and
     the rank count `cohomology_count` made of them.
 
-    Returns one section pair (t_v, x_v) per basis class, satisfying
-    d t_v = 0 and rho t_v = d x_v; a stage-n generator v is adjoined with
-    dv = t_v and rho(v) = x_v.
+    Returns the representatives' row blocks T over N^{n+1} and X over X^n,
+    one basis class v a column: column v of each is a section pair (t_v,
+    x_v) with d t_v = 0 and rho t_v = d x_v, and a stage-n generator v is
+    adjoined with dv = t_v and rho(v) = x_v.
     """
-    data = cohomology_at(dims, mats, n + 1, count)
+    reps = cohomology_at(dims, mats, n + 1, count).representatives
     split = rho.source.dim(n + 1)
-    return tuple((z[:split], z[split:]) for z in data.representatives)
+    return (
+        RatMatrix._make(split, reps.cols, reps._nz[:split]),
+        RatMatrix._make(reps.rows - split, reps.cols, reps._nz[split:]),
+    )
 
 
 class KSState(NamedTuple):
@@ -155,12 +158,12 @@ def ks_step(state: KSState) -> KSState:
 
     The rank count of H^{n+1} of the relative complex decides which; only a
     positive count builds the section pairs, from the same two matrices and
-    the same count.  The tower only appends.  A batch extends the module and
-    rho: below degree n both keep their matrices, and from n up rho gains
-    the new basis elements' columns, one times_kron per new generator a
-    degree.  So D_k for k < n - 1 stays, D_{n-1} only gains the zero rows of
-    the new generators, and D_n and D_{n+1} are built again; a stage that
-    adjoins nothing hands both on.
+    the same count, and reads the new generators off their T and X blocks.
+    The tower only appends.  A batch extends the module and rho: below
+    degree n both keep their matrices, and from n up rho gains the new basis
+    elements' columns, one times_kron a degree.  So D_k for k < n - 1 stays,
+    D_{n-1} only gains the zero rows of the new generators, and D_n and
+    D_{n+1} are built again; a stage that adjoins nothing hands both on.
     """
     if state.done:
         return state
@@ -175,24 +178,23 @@ def ks_step(state: KSState) -> KSState:
         raise InconclusiveWindowError(
             f"stage {n} still has {count} obstruction classes after {state.q} batches"
         )
-    reps = relative_cohomology(rho, n, dims, mats, count)
+    t_mat, x_mat = relative_cohomology(rho, n, dims, mats, count)
     module, x_mod = rho.source, rho.target
     q = state.q + 1
     taken = set(module.gen_names)
-    names = [_fresh_name(taken, f"v{n}_{q}_{k}") for k in range(len(reps))]
-    combs = [module.vector_combination(t_v, n + 1) for t_v, _ in reps]
+    names = [_fresh_name(taken, f"v{n}_{q}_{k}") for k in range(count)]
+    combs = [module.vector_combination(t_mat.col(k), n + 1) for k in range(count)]
     bigger = _extend(module, names, n, combs, (n, q))
-    # rho(a.v) = a.x_v, with no sign as rho has degree 0: at degree n + i the
-    # columns (v, a) of one new generator are times_kron(action, I, x_v), as in
-    # map_from_generator_images, hstacked in generator order
-    x_vs = [RatMatrix.from_cols([x_v]) for _, x_v in reps]
+    # rho(a.v) = a.x_v, with no sign as rho has degree 0: at degree n + i,
+    # times_kron(action, I, X) holds the columns (a, v) A-major, as in
+    # map_from_generator_images, and the new basis lists them (v, a)
     blocks = dict(rho.mats)
     for k in range(n, rho.window().stop):
         if dim_a := module.algebra.dim(k - n):
             act, ident = x_mod.action_matrix(k - n, n), RatMatrix.identity(dim_a)
-            blocks[k] = reduce(
-                RatMatrix.hstack, (times_kron(act, ident, x_v) for x_v in x_vs), rho.matrix(k)
-            )
+            new = times_kron(act, ident, x_mat)
+            rows = [{c % count * dim_a + c // count: x for c, x in r.items()} for r in new._nz]
+            blocks[k] = rho.matrix(k).hstack(RatMatrix._make(new.rows, new.cols, rows))
     if n:
         # the rows of D_{n-1} at N^n gain the new generators, after the old ones
         rel = (*rel[: n - 1], rel[n - 1].with_zero_rows(module.dim(n), len(names)))

@@ -24,7 +24,7 @@ from dgmodels.circle import _naive, _naive_mul
 from dgmodels.dgmodule import FreeDgModule, map_from_generator_images, module_cohomology, tabulate
 from dgmodels.errors import ValidationError
 from dgmodels.fixtures import fixture
-from dgmodels.linalg import Q
+from dgmodels.linalg import Q, RatMatrix
 from exact import stores_exact_scalars
 
 CAP = 8
@@ -137,7 +137,7 @@ def per_pair_ring(free, window):
     (i, j), as `_naive` made them before it batched them by degree."""
     h = {n: module_cohomology(free, n) for n in range(window + 1)}
     classes = {
-        n: [free.vector_combination(rep, n) for rep in h[n].representatives]
+        n: [free.vector_combination(h[n].representatives.col(c), n) for c in range(h[n].betti)]
         for n in range(1, window + 1)
         if h[n].betti
     }
@@ -150,8 +150,9 @@ def per_pair_ring(free, window):
                     free.combination_vector(ref.naive_mul(free, xs[ai], ys[bi]), i + j)
                     for ai, bi in pairs
                 ]
-                for (ai, bi), coords in zip(pairs, h[i + j].coords(products)):
-                    ring.append((i, ai, j, bi, coords))
+                coords = h[i + j].coords(RatMatrix.from_cols(products))
+                for c, (ai, bi) in enumerate(pairs):
+                    ring.append((i, ai, j, bi, coords.col(c)))
     return ring
 
 

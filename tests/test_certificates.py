@@ -445,7 +445,7 @@ def reference_extension_of_scalars(p):
     """The Borel model with its Euler class set to zero, built as a free module
     and compared with the total-space model by modules_equal: the route
     extension_of_scalars_check took before it compared generator tables."""
-    model, _ = p.borel
+    model = p.borel
     free_e, free_t = model.module, p.total.module
     if (free_e.gen_names, free_e.gen_degrees) != (free_t.gen_names, free_t.gen_degrees):
         return False
@@ -473,7 +473,7 @@ def test_extension_of_scalars_agrees_with_the_quotient_module(name, window):
     p = action._ActionPipeline(fixture(name, window), window)
     report = circle._extension_of_scalars(p)
     assert report.ok == reference_extension_of_scalars(p)
-    assert report.ok and report.window == min(p.borel[0].module.cap, p.total.module.cap) - 1
+    assert report.ok and report.window == min(p.borel.module.cap, p.total.module.cap) - 1
 
 
 def test_extension_of_scalars_reports_a_changed_coefficient():

@@ -27,6 +27,7 @@ from dgmodels.dgmodule import (
     cone_les,
     _induced_rank,
     free_cone,
+    free_cone_maps,
     induced_map,
     map_from_generator_images,
     module_cohomology,
@@ -88,7 +89,7 @@ def test_fixture_cone_blocks_match_the_eager_assembly(name, window):
     data = fixture(name, window)
     maps = [data.e_prime]
     if not data.fixed_set_empty:
-        maps += [data.i_prime, action._ActionPipeline(data, window).borel[1].phi]
+        maps += [data.i_prime, action._ActionPipeline(data, window).borel.module._phi]
     for phi in maps:
         assert_blocks_match_eager(cone(phi, check=False))
 
@@ -195,7 +196,7 @@ def test_induced_rank_matches_the_coordinate_oracle_on_random_maps(phi):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_induced_rank_matches_the_coordinate_oracle_on_borel_cones(name):
-    cn = action._ActionPipeline(fixture(name, 12), 12).borel[1]
+    cn = free_cone_maps(action._ActionPipeline(fixture(name, 12), 12).borel.module)
     nonzero = [assert_induced_ranks_match(f) for f in (cn.inclusion, cn.projection, cn.phi)]
     assert any(nonzero)
 
@@ -227,7 +228,7 @@ def report_cones(data, window):
     pipeline = action._ActionPipeline(data, window)
     cones = [pipeline.total.module]
     if not data.fixed_set_empty:
-        cones += [pipeline.fixed.module, pipeline.borel[0].module]
+        cones += [pipeline.fixed.module, pipeline.borel.module]
     return cones
 
 

@@ -296,7 +296,7 @@ def inclusion_leaks(cn, n):
 
 
 def s4_borel_cone(build):
-    return build(action._ActionPipeline(fixture("s4_hopf", 10), 10).borel[1].phi, check=False)
+    return build(action._ActionPipeline(fixture("s4_hopf", 10), 10).borel.module._phi, check=False)
 
 
 # On the s4 Euler cone N = A has no differential and N^n, M^(n-1) never meet

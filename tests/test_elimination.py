@@ -10,6 +10,7 @@ every entry into a Fraction: an int entry divided by an int would give a
 float.
 """
 
+import itertools
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -213,12 +214,21 @@ def complexes(draw):
     return d_prev, RatMatrix(len(c), len(left), c) * RatMatrix(len(left), d_prev.rows, left)
 
 
+def columns(m: RatMatrix) -> tuple[tuple, ...]:
+    return tuple(m.col(j) for j in range(m.cols))
+
+
 @settings(max_examples=100, deadline=None)
-@given(complexes())
-def test_cohomology_representatives_match_the_dense_completion(complex_):
+@given(complexes(), st.integers(0, 3), st.lists(st.sampled_from((0, 1, -2, Q(1, 3))), min_size=1))
+@example((RatMatrix(2, 1, [[1], [0]]), None), 0, [1])  # no column to read
+@example((RatMatrix.identity(2), None), 2, [1, Q(1, 3)])  # betti 0
+@example((RatMatrix.zero(2, 0), None), 2, [1, -2, 0])  # no boundaries
+def test_cohomology_representatives_match_the_dense_completion(complex_, count, coeffs):
     """cohomology_at's boundaries are the greedy subset of d_prev's columns,
     and its representatives the greedy completion of them by d_n's kernel
-    (every unit vector when d_n is absent)."""
+    (every unit vector when d_n is absent), each one a column.  coords reads
+    any combination of those vectors, count columns of coefficients cycled
+    out of coeffs, back as exactly its coefficients on the representatives."""
     d_prev, d_n = complex_
     n = d_prev.rows
     if d_n is None:
@@ -230,9 +240,19 @@ def test_cohomology_representatives_match_the_dense_completion(complex_):
     bounds = dense_independent_subset([d_prev.col(j) for j in range(d_prev.cols)])
     reps = dense_independent_subset([*bounds, *kernel])[len(bounds):]
     h = linalg.cohomology_at(dims, d_mats, 1)
-    assert h.boundaries == tuple(bounds)
-    assert h.representatives == tuple(reps)
+    assert h.boundaries.rows == h.representatives.rows == n
+    assert columns(h.boundaries) == tuple(bounds)
+    assert columns(h.representatives) == tuple(reps)
     assert h.betti == len(reps)
+
+    cycle = itertools.cycle(coeffs)
+    c = [[next(cycle) for _ in range(count)] for _ in [*bounds, *reps]]
+    combos = [
+        [sum(row[j] * v[i] for row, v in zip(c, [*bounds, *reps])) for i in range(n)]
+        for j in range(count)
+    ]
+    got = h.coords(RatMatrix.from_cols(combos, n))
+    assert got == RatMatrix(len(reps), count, c[len(bounds):]) and stores_exact_scalars(got)
 
 
 @st.composite

@@ -99,17 +99,23 @@ def test_mixed_scalars_agree_with_all_fractions_and_never_float(data):
         bounds = dense_independent_subset([a.col(j) for j in range(a.cols)])
         units = [unit_vec(a.rows, i) for i in range(a.rows)]
         reps = dense_independent_subset(bounds + units)[len(bounds):]
-        h = CohomologyData(0, len(reps), tuple(reps), tuple(bounds))
+        h = CohomologyData(
+            0, len(reps), RatMatrix.from_cols(reps, a.rows), RatMatrix.from_cols(bounds, a.rows)
+        )
         fh = CohomologyData(
-            0,
-            len(reps),
-            tuple(tuple(map(Fraction, v)) for v in reps),
-            tuple(tuple(map(Fraction, v)) for v in bounds),
+            0, len(reps), fraction_cols(reps, a.rows), fraction_cols(bounds, a.rows)
         )
         vectors = [tuple(data.draw(scalars) for _ in range(a.rows)) for _ in range(2)]
-        coords = h.coords(vectors)
-        assert all(exact(v) for v in coords)
-        assert coords == fh.coords([tuple(map(Fraction, v)) for v in vectors])
+        coords = h.coords(RatMatrix.from_cols(vectors))
+        assert stores_exact_scalars(coords)
+        assert all(exact(coords.col(j)) for j in range(coords.cols))
+        assert coords == fh.coords(fraction_cols(vectors, a.rows))
+
+
+def fraction_cols(vectors, rows):
+    """The columns vectors as a matrix that stores every entry as a Fraction."""
+    nz = [{j: Fraction(v[i]) for j, v in enumerate(vectors) if v[i]} for i in range(rows)]
+    return RatMatrix._make(rows, len(vectors), nz)
 
 
 U = SullivanPresentation([("u", 2)], {}, cap=8)

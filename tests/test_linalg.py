@@ -1,10 +1,11 @@
 """Exact rational linear algebra primitives."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from dgmodels import linalg
+from dgmodels import dgmodule, linalg
 from dgmodels.errors import ValidationError
 from dgmodels.linalg import (
     GradedDims,
@@ -16,6 +17,7 @@ from dgmodels.linalg import (
     kron,
     vec,
 )
+from dgmodels.fixtures import FIXTURES, fixture
 
 
 def test_vec_coerces_to_exact_scalars():
@@ -108,7 +110,8 @@ def test_span_helpers():
     # the boundaries (1, 0) and (2, 0) span one line, and (0, 1) completes it
     vs = [vec([1, 0]), vec([2, 0]), vec([0, 1])]
     h = cohomology_at({0: 2, 1: 2}, {0: RatMatrix.from_cols(vs[:2])}, 1)
-    assert h.boundaries == (vs[0],) and h.representatives == (vs[2],)
+    assert h.boundaries == RatMatrix.from_cols([vs[0]])
+    assert h.representatives == RatMatrix.from_cols([vs[2]])
 
 
 def test_cohomology_at_circle_complex():
@@ -132,7 +135,7 @@ def test_cohomology_coords_of_reduces_mod_boundaries():
     d = {0: RatMatrix(2, 1, [[1], [0]])}
     data = cohomology_at(dims, d, 1)
     assert data.betti == 1
-    assert data.coords([vec([3, 5])]) == [(Q(5),)]
+    assert data.coords(RatMatrix.from_cols([vec([3, 5])])) == RatMatrix(1, 1, [[Q(5)]])
 
 
 def test_cohomology_coords_batch_matches_single_vectors():
@@ -142,23 +145,82 @@ def test_cohomology_coords_batch_matches_single_vectors():
     data = cohomology_at(dims, d, 1)
     assert data.betti == 2
     vectors = [vec([3, 5, 0]), vec([0, 0, 2]), vec([1, 1, 0]), vec([0, 0, 0])]
-    assert data.coords(vectors) == [data.coords([v])[0] for v in vectors]
-    assert data.coords(vectors)[2] == (Q(0), Q(0))
-    assert data.coords([]) == []
+    batch = data.coords(RatMatrix.from_cols(vectors))
+    assert batch == RatMatrix.from_cols(
+        [data.coords(RatMatrix.from_cols([v])).col(0) for v in vectors]
+    )
+    assert batch.col(2) == (Q(0), Q(0))
+    assert data.coords(RatMatrix.zero(3, 0)) == RatMatrix.zero(2, 0)
     # a 1-dimensional complex with no cohomology and no boundaries
     empty = cohomology_at({0: 1, 1: 1}, {0: RatMatrix(1, 1, [[1]])}, 0)
-    assert empty.coords([vec([0])]) == [()]
+    assert empty.coords(RatMatrix.from_cols([vec([0])])) == RatMatrix.zero(0, 1)
     with pytest.raises(ValidationError, match="not in the recorded cocycle space"):
-        empty.coords([vec([0]), vec([1])])
+        empty.coords(RatMatrix.from_cols([vec([0]), vec([1])]))
 
 
 def test_cohomology_coords_rejects_a_non_cocycle_among_many():
     # H^1 of 0 -> Q^2 -> Q with d = (1, 0): only the second coordinate is closed
     data = cohomology_at({1: 2, 2: 1}, {1: RatMatrix(1, 2, [[1, 0]])}, 1)
-    assert data.coords([vec([0, 4])]) == [(Q(4),)]
+    assert data.coords(RatMatrix.from_cols([vec([0, 4])])) == RatMatrix(1, 1, [[Q(4)]])
     for vectors in ([vec([1, 0])], [vec([0, 1]), vec([1, 0])], [vec([1, 0]), vec([0, 1])]):
         with pytest.raises(ValidationError, match="not a cocycle modulo recorded boundaries"):
-            data.coords(vectors)
+            data.coords(RatMatrix.from_cols(vectors))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_cohomology_readers_build_no_dense_view(monkeypatch, name):
+    """cohomology_at, coords and induced_map take the witnesses as matrices:
+    on the relative model M at window 12, into A by i' and e' and into M by
+    the identity, no column, matrix-vector product or matrix of columns is
+    built inside them."""
+    data = fixture(name, 12)
+    m, a_mod = data.relative_model, data.i_prime.target
+    maps = [data.i_prime, data.e_prime, dgmodule.identity_map(m)]
+
+    def complex_of(module):
+        dims = {n: module.dim(n) for n in range(-1, module.cap + 1)}
+        return dims, {n: module.differential_matrix(n) for n in range(-1, module.cap)}
+
+    inputs = {id(mod): complex_of(mod) for mod in (m, a_mod)}
+    for f in maps:
+        for k in f.window():
+            f.matrix(k)
+    inside, seen = [0], Counter()
+
+    def watched(fn):
+        def run(*args):
+            inside[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+        return run
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            seen[name] += bool(inside[0])
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(RatMatrix, "col", counted("col", RatMatrix.col))
+    monkeypatch.setattr(RatMatrix, "apply", counted("apply", RatMatrix.apply))
+    from_cols = counted("from_cols", RatMatrix.from_cols.__func__)
+    monkeypatch.setattr(RatMatrix, "from_cols", classmethod(from_cols))
+    monkeypatch.setattr(linalg.CohomologyData, "coords", watched(linalg.CohomologyData.coords))
+    at, induced_map = watched(cohomology_at), watched(dgmodule.induced_map)
+
+    h = {
+        id(mod): {n: at(*inputs[id(mod)], n) for n in range(mod.cap)} for mod in (m, a_mod)
+    }
+    read = 0
+    for f in maps:
+        h_src, h_tgt = h[id(f.source)], h[id(f.target)]
+        for k in f.window():
+            if k in h_src and k + f.degree in h_tgt:
+                induced_map(f, h_src[k], h_tgt[k + f.degree])
+                read += 1
+    assert read and any(h_m.betti for h_m in h[id(m)].values())
+    assert seen == Counter(col=0, apply=0, from_cols=0)
 
 
 def test_graded_dims_window():

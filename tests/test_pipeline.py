@@ -215,6 +215,26 @@ def test_action_report_builds_each_stage_once(monkeypatch, name):
     assert cone_maps == ({} if data.fixed_set_empty else {"q'": 1})
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_borel_model_readers_write_no_cone_maps(monkeypatch, name):
+    """equivariant_model and `export --what equivariant` read the Borel cone
+    module alone, so no inclusion or projection is written around it."""
+    cone_maps = Counter()
+    cone_of = dgmodule._cone_of
+
+    def counting_cone_of(phi, *args):
+        cone_maps[phi.name] += 1
+        return cone_of(phi, *args)
+
+    monkeypatch.setattr(dgmodule, "_cone_of", counting_cone_of)
+    assert equivariant_model(fixture(name, 12), 12).module.gen_count
+    code, out, _ = _machine_output(
+        ["export", "--fixture", name, "--what", "equivariant", "--format", "machine"]
+    )
+    assert code == 0 and out
+    assert cone_maps == {}
+
+
 def _value(x):
     """Structural value of a report, for comparing two separately built ones."""
     if hasattr(x, "_fields"):
