@@ -145,6 +145,7 @@ class SullivanPresentation:
         "_basis_cache",
         "_basis_index_cache",
         "_dims",
+        "_totals",
     )
 
     def __init__(
@@ -165,6 +166,7 @@ class SullivanPresentation:
         if cap < 0:
             raise ValidationError(f"degree cap {cap} must be nonnegative")
         self._dims = _basis_dims(degrees, int(cap))
+        self._totals = tuple(accumulate(self._dims))
         self.names = names
         self.degrees = degrees
         self.cap = int(cap)
@@ -262,9 +264,7 @@ class SullivanPresentation:
     def module_basis_slots(self, gen_degrees: Sequence[int], cap: int) -> int:
         """Slots of a free module on generators of these degrees through
         degree cap: one per degree plus its basis dimensions."""
-        totals = tuple(accumulate(self._dims))
-        top = len(totals) - 1
-        return cap + 1 + sum(totals[min(cap - g, top)] for g in gen_degrees if g <= cap)
+        return cap + 1 + sum(self._totals[min(cap - g, self.cap)] for g in gen_degrees if g <= cap)
 
     # ---- basis enumeration -------------------------------------------
 
@@ -279,24 +279,31 @@ class SullivanPresentation:
         return self._basis_cache[n]
 
     def _enumerate(self, n: int) -> tuple[Mono, ...]:
-        """basis(n) of a degree with a basis: each exponent of the first
-        generator, ascending, joined to the monomials in the other generators
-        of the degree it leaves.  Those come from a table built for this call
+        """basis(n) of a degree with a basis, from a table built for this call
         only, from the last generator back: the monomials in generators i,
-        i+1, ... by degree through n, each list ascending."""
+        i+1, ... by degree r, each list ascending, kept where some monomial in
+        the generators before i has degree n - r.  After generator 1 that
+        leaves r = n - e |g_0|, so the exponent e ascends as r descends."""
         if not self.names:
             return ((),)
-        (deg, odd), *rest = zip(self.degrees, self._odd)
+        gens = tuple(zip(self.degrees, self._odd))
+        reach = [1]  # bit s of reach[i]: some monomial before generator i has degree s
+        for d, odd in gens[:-1]:
+            r, step = reach[-1], d
+            while step <= n:  # closed under + d, through 2^j d for an even d
+                r, step = r | r << step, n + 1 if odd else 2 * step
+            reach.append(r)
         table: dict[int, list[Mono]] = {0: [()]}
-        for d, o in reversed(rest):
+        for (d, odd), before in zip(reversed(gens[1:]), reversed(reach[1:])):
             grown: dict[int, list[Mono]] = {}
-            for e in range(min(n // d, 1 if o else n) + 1):
+            for e in range(min(n // d, 1 if odd else n) + 1):
                 for r, tails in table.items():
-                    if r + e * d <= n:
-                        grown.setdefault(r + e * d, []).extend((e, *t) for t in tails)
+                    w = r + e * d
+                    if w <= n and before >> (n - w) & 1:
+                        grown.setdefault(w, []).extend((e, *t) for t in tails)
             table = grown
-        top = min(n // deg, 1 if odd else n)
-        return tuple((e, *t) for e in range(top + 1) for t in table.get(n - e * deg, ()))
+        deg = gens[0][0]
+        return tuple(((n - r) // deg, *t) for r in sorted(table, reverse=True) for t in table[r])
 
     def dim(self, n: int) -> int:
         """len(basis(n)), read off the generating function."""

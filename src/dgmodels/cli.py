@@ -256,7 +256,7 @@ def _report_json(rep: ActionReport) -> dict[str, Any]:
         "localization": rep.localization,
         "dimc": rep.dimc,
         "almost_free": rep.almost_free,
-        "naive": rep.naive,
+        "naive": rep.naive and rep.naive._replace(ring=()),  # the ring is written below
         "smith_gysin": rep.smith_gysin,
     }
     payload.update((key, _record_json(record)) for key, record in sections.items() if record)

@@ -139,7 +139,10 @@ class FreeDgModule:
         check_basis_budget(algebra.module_basis_slots(self.gen_degrees, cap), "the module", cap)
         dims = self._dims or (0,) * (cap + 1)  # () before the first call
         for deg in set(degrees):
-            dims = _grow_dims(dims, algebra, deg, degrees.count(deg))
+            # degrees whose basis the algebra's cap no longer reaches are cut
+            # off, for basis() to reject
+            count = degrees.count(deg)
+            dims = (*dims[:deg], *[x + count * a for x, a in zip(dims[deg:], algebra._dims)])
         self._dims = dims
         stages = (None,) * len(names) if stages is None else tuple(stages)
         if len(stages) != len(names):
@@ -156,7 +159,7 @@ class FreeDgModule:
                         f"has degree {got}, expected {want}"
                     )
         for i in new:
-            if self.d_combination(self.gen_diffs[i]):
+            if self.gen_diffs[i] and self.d_combination(self.gen_diffs[i]):
                 raise ValidationError(f"d(d({self.gen_names[i]})) is nonzero")
         return self
 
@@ -208,30 +211,33 @@ class FreeDgModule:
         if k > self.cap:
             raise DegreeWindowError(f"degree {k} exceeds module cap {self.cap}")
         if k not in self._basis_cache:
-            out = []
-            for gi, deg in enumerate(self.gen_degrees):
-                if deg <= k:
-                    out.extend((gi, m) for m in self.algebra.basis(k - deg))
-            self._basis_cache[k] = tuple(out)
+            self._basis_cache[k] = tuple([
+                (gi, m)
+                for gi, deg in enumerate(self.gen_degrees) if deg <= k
+                for m in self.algebra.basis(k - deg)
+            ])
         return self._basis_cache[k]
 
     def basis_index(self, k: int) -> dict[tuple[int, Mono], int]:
         if k not in self._basis_index_cache:
-            self._basis_index_cache[k] = {b: i for i, b in enumerate(self.basis(k))}
+            basis = self.basis(k)
+            self._basis_index_cache[k] = dict(zip(basis, range(len(basis))))
         return self._basis_index_cache[k]
 
     def basis_labels(self, k: int) -> tuple[str, ...]:
-        out = []
-        for gi, m in self.basis(k):
-            name = self.gen_names[gi]
-            mono = self.algebra.mono_str(m)
-            if mono == "1":
-                out.append(name)
-            elif name == "1":
-                out.append(mono)
-            else:
-                out.append(f"{mono}*{name}")
-        return tuple(out)
+        """Labels in basis(k) order, each algebra degree rendered once a call."""
+        if k > self.cap:
+            raise DegreeWindowError(f"degree {k} exceeds module cap {self.cap}")
+        algebra = self.algebra
+        monos = {
+            d: [algebra.mono_str(m) for m in algebra.basis(k - d)]
+            for d in set(self.gen_degrees) if d <= k
+        }
+        return tuple([
+            name if mono == "1" else mono if name == "1" else f"{mono}*{name}"
+            for name, deg in zip(self.gen_names, self.gen_degrees) if deg <= k
+            for mono in monos[deg]
+        ])
 
     def combination_vector(self, comb: Combination, k: int) -> tuple[Fraction, ...]:
         idx = self.basis_index(k)
@@ -308,18 +314,6 @@ class FreeDgModule:
         return self._act_cache[key]
 
 
-def _grow_dims(
-    dims: tuple[int, ...], algebra: SullivanPresentation, degree: int, count: int
-) -> tuple[int, ...]:
-    """dim M^k, k = 0, 1, ..., of a free module after count generators of this
-    degree join it; degrees whose basis the algebra's cap no longer reaches
-    are cut off, for basis() to reject."""
-    if not count:
-        return dims
-    grown = [x + count * a for x, a in zip(dims[degree:], algebra._dims)]
-    return (*dims[:degree], *grown)
-
-
 class TabulatedDgModule:
     """A-dg module given by explicit per-degree labels and matrices.
 
@@ -349,13 +343,13 @@ class TabulatedDgModule:
             if not 0 <= k <= self.cap:
                 raise ValidationError(f"labels at degree {k} outside [0, {self.cap}]")
             if ls:
-                self.labels[k] = tuple(str(s) for s in ls)
-        self._dims = tuple([len(self.labels.get(k, ())) for k in range(self.cap + 1)])
+                self.labels[k] = tuple(map(str, ls))
+        dims = self._dims = tuple([len(self.labels.get(k, ())) for k in range(self.cap + 1)])
         self.d_mats: dict[int, RatMatrix] = {}
         for k, mat in (d_mats or {}).items():
             if not 0 <= k <= self.cap - 1:
                 raise ValidationError(f"differential at degree {k} outside [0, {self.cap - 1}]")
-            if (mat.rows, mat.cols) != (self.dim(k + 1), self.dim(k)):
+            if (mat.rows, mat.cols) != (dims[k + 1], dims[k]):
                 raise ValidationError(f"differential at degree {k} has wrong shape")
             if not mat.is_zero():
                 self.d_mats[k] = mat
@@ -363,7 +357,7 @@ class TabulatedDgModule:
         for (i, k), mat in (act_mats or {}).items():
             if i < 1 or k < 0 or i + k > self.cap:
                 raise ValidationError(f"action key ({i}, {k}) outside the window")
-            if (mat.rows, mat.cols) != (self.dim(i + k), algebra.dim(i) * self.dim(k)):
+            if (mat.rows, mat.cols) != (dims[i + k], algebra.dim(i) * dims[k]):
                 raise ValidationError(f"action at ({i}, {k}) has wrong shape")
             if not mat.is_zero():
                 self.act_mats[(i, k)] = mat
@@ -413,16 +407,30 @@ def algebra_module(algebra: SullivanPresentation, cap: int | None = None) -> Fre
     return FreeDgModule(algebra, [("1", 0)], {}, cap=cap)
 
 
+def _tabulated(
+    algebra: SullivanPresentation,
+    labels: Sequence[Sequence[str]],
+    d_block: Callable[[int], RatMatrix],
+    act_block: Callable[[int, int], RatMatrix],
+) -> TabulatedDgModule:
+    """The tabulated module with labels[k] in degree k through its cap, and
+    d_block(k) and act_block(i, k) as its blocks.  A block is asked for only
+    when its source, its target and its algebra degree all have a basis;
+    every other block is zero and reads as the shared RatMatrix.zero."""
+    cap, dims = len(labels) - 1, [len(ls) for ls in labels]
+    d_mats = {k: d_block(k) for k in range(cap) if dims[k] and dims[k + 1]}
+    act_mats = {
+        (i, k): act_block(i, k)
+        for i in range(1, min(cap, algebra.cap) + 1) if algebra.dim(i)
+        for k in range(cap - i + 1) if dims[k] and dims[i + k]
+    }
+    return TabulatedDgModule(algebra, cap, dict(enumerate(labels)), d_mats, act_mats)
+
+
 def tabulate(module: DgModule) -> TabulatedDgModule:
     """Materialize any module into the tabulated representation."""
-    cap = module.cap
-    labels = {k: module.basis_labels(k) for k in range(cap + 1)}
-    d_mats = {k: module.differential_matrix(k) for k in range(cap)}
-    act_mats = {}
-    for i in range(1, min(cap, module.algebra.cap) + 1):
-        for k in range(cap - i + 1):
-            act_mats[(i, k)] = module.action_matrix(i, k)
-    return TabulatedDgModule(module.algebra, cap, labels, d_mats, act_mats)
+    labels = [module.basis_labels(k) for k in range(module.cap + 1)]
+    return _tabulated(module.algebra, labels, module.differential_matrix, module.action_matrix)
 
 
 def modules_equal(a: DgModule, b: DgModule) -> bool:
@@ -908,14 +916,12 @@ def shift(module: DgModule, p: int) -> TabulatedDgModule:
                 f"shift by {p} pushes degree {k} below zero (window underflow)"
             )
     sign_d = -1 if p % 2 else 1
-    labels = {n: module.basis_labels(n - p) for n in range(new_cap + 1)}
-    d_mats = {n: module.differential_matrix(n - p).scale(sign_d) for n in range(new_cap)}
-    act_mats = {}
-    for i in range(1, min(new_cap, module.algebra.cap) + 1):
-        tw = -1 if (i * p) % 2 else 1
-        for n in range(new_cap - i + 1):
-            act_mats[(i, n)] = module.action_matrix(i, n - p).scale(tw)
-    return TabulatedDgModule(module.algebra, new_cap, labels, d_mats, act_mats)
+    return _tabulated(
+        module.algebra,
+        [module.basis_labels(n - p) for n in range(new_cap + 1)],
+        lambda n: module.differential_matrix(n - p).scale(sign_d),
+        lambda i, n: module.action_matrix(i, n - p).scale(-1 if (i * p) % 2 else 1),
+    )
 
 
 class Cone(NamedTuple):
@@ -993,14 +999,12 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
     m_mod, n_mod, p = phi.source, phi.target, phi.degree
     algebra = n_mod.algebra
     shift_tag = 1 - p
-    labels = {
-        n: n_mod.basis_labels(n)
+    labels = [
+        n_mod.basis_labels(n)
         + tuple(f"{lbl}[{shift_tag}]" for lbl in m_mod.basis_labels(n - p + 1))
         for n in range(cap + 1)
-    }
-
+    ]
     ones = [(1,) * m_dims[n] for n in range(cap + 1)]
-    d_mats = {n: _cone_differential(phi, n, ones[n], ones[n + 1]) for n in range(cap)}
 
     def action_block(i: int, n: int) -> RatMatrix:
         # each factor's action times I (x) its inclusion into N^n + M^{n-p+1}
@@ -1012,12 +1016,9 @@ def cone(phi: DgModuleMap, check: bool = True) -> Cone:
         n_part = times_kron(n_mod.action_matrix(i, n), id_a, to_n)
         return n_part.vstack(times_kron(m_mod.action_matrix(i, n - p + 1), id_a, to_m).scale(tw))
 
-    act_mats = {
-        (i, n): action_block(i, n)
-        for i in range(1, min(cap, algebra.cap) + 1)
-        for n in range(cap - i + 1)
-    }
-    module = TabulatedDgModule(algebra, cap, labels, d_mats, act_mats)
+    module = _tabulated(
+        algebra, labels, lambda n: _cone_differential(phi, n, ones[n], ones[n + 1]), action_block
+    )
     return _cone_of(phi, module, n_dims, m_dims, ones.__getitem__)
 
 

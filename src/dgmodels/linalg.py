@@ -375,17 +375,18 @@ class RatMatrix:
 
     def solve(self, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
         """A particular solution of self * x = b (free variables 0), or None
-        when b's column is a pivot of [self | b].  Otherwise x[p] is the b
-        entry of the reduced row with pivot p."""
+        when b's column is a pivot of [self | b].  Otherwise the echelon rows
+        of [self | b] are back-substituted, last pivot first: x[p] is the row's
+        b entry less its other pivot entries times theirs (x[p] is still 0)."""
         if len(b) != self.rows:
             raise ValidationError("rhs length does not match row count")
         m = self.cols
-        aug = self.hstack(RatMatrix(self.rows, 1, [(x,) for x in b]))
-        if aug._echelon()[1][-1:] == (m,):
+        rows, pivots = self.hstack(RatMatrix(self.rows, 1, [(x,) for x in b]))._echelon()
+        if pivots[-1:] == (m,):
             return None
         x = [0] * m
-        for row, p in zip(*aug._reduced()):
-            x[p] = row.get(m, 0)
+        for row, p in zip(reversed(rows), reversed(pivots)):
+            x[p] = row.get(m, 0) - sum(c * x[j] for j, c in row.items() if j < m and x[j])
         return tuple(x)
 
 

@@ -301,6 +301,22 @@ def test_dim_is_the_basis_length_read_off_the_generating_function(degrees, cap):
         assert str(by_dim.value) == str(by_basis.value) == f"degree {n} exceeds cap {cap}"
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 9)), min_size=2, max_size=3),
+       st.integers(10, 30))
+@example([2, 5], 30)  # only even degrees are left before the 5
+@example([4, 6, 3], 30)  # multiples of 2 before the 3, some gaps among them
+@example([3, 5, 2], 30)  # odd generators first: 0, 3, 5, 8 only
+@example([1, 1, 1], 10)
+def test_basis_matches_brute_force_where_the_generators_before_skip_degrees(degrees, cap):
+    """Each suffix table is kept only at the degrees that the generators
+    before it leave of n; where those skip degrees (common factors, odd
+    generators), every basis still equals brute force, in the same order."""
+    alg = SullivanPresentation([(f"g{i}", d) for i, d in enumerate(degrees)], {}, cap=cap)
+    for n in range(cap + 1):
+        assert alg.basis(n) == brute_force_monomials(degrees, n)
+
+
 def row_walk_action(module, i, k):
     """The action block A^i (x) M^k -> M^(i+k) built by the row walk that
     FreeDgModule.action_matrix ran at every (i, k), empty degrees included."""

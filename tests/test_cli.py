@@ -174,6 +174,26 @@ def test_circle_machine_deterministic():
     assert payload["naive"]["wedge_of_spheres"] is True
 
 
+def test_machine_report_encodes_the_naive_ring_once(monkeypatch, capsys):
+    """_report_json writes the naive ring itself, so the record encoder never
+    sees a ring entry; the naive section keeps every field."""
+    from dgmodels import cli
+    from dgmodels.circle import NaiveReport, RingEntry
+
+    seen = []
+    encode = cli._record_json
+
+    def spy(value):
+        seen.append(isinstance(value, RingEntry))
+        return encode(value)
+
+    monkeypatch.setattr(cli, "_record_json", spy)
+    assert cli.main(["circle", "--fixture", "cp2", "--format", "machine"]) == 0
+    naive = json.loads(capsys.readouterr().out)["naive"]
+    assert naive["ring"] and sorted(naive) == sorted(NaiveReport._fields)
+    assert seen and not any(seen)
+
+
 def test_circle_smith_gysin_rows():
     res = run("circle", "--fixture", "flow_s4")
     assert res.returncode == 0

@@ -200,6 +200,49 @@ def test_solve_matches_dense_reference(m, data):
         assert m.solve(off) is None
 
 
+def reduced_route_solve(m: RatMatrix, b):
+    """solve as it read the reduced echelon form of [A | b]: None when b's
+    column is a pivot, else x[p] the b entry of the reduced row with pivot p."""
+    aug = fresh(m).hstack(RatMatrix(m.rows, 1, [(x,) for x in b]))
+    rows, pivots = aug._reduced()
+    if pivots[-1:] == (m.cols,):
+        return None
+    x = [0] * m.cols
+    for row, p in zip(rows, pivots):
+        x[p] = row.get(m.cols, 0)
+    return tuple(x)
+
+
+@st.composite
+def rank_deficient(draw):
+    """A = L R with fewer inner columns than A has rows or columns, and b
+    either A x or drawn freely (then mostly off the column space)."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    left = [[draw(st.integers(-3, 3)) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(st.sampled_from((0, 0, 1, -2, Q(1, 2), Q(-3, 7)))) for _ in range(cols)]
+             for _ in range(inner)]
+    m = RatMatrix(rows, cols, [[sum((left[i][k] * right[k][j] for k in range(inner)), Q(0))
+                                for j in range(cols)] for i in range(rows)])
+    entries = st.sampled_from((0, 1, -2, Q(1, 3)))
+    if draw(st.booleans()):
+        return m, m.apply([draw(entries) for _ in range(cols)])
+    return m, tuple(draw(entries) for _ in range(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient())
+def test_back_substitution_matches_the_reduced_route(system):
+    """solve back-substitutes the echelon rows of [A | b] over the pivot
+    columns, with no back-reduction, and finds the reduced route's solution."""
+    m, b = system
+    with counted() as calls:
+        sol = fresh(m).solve(b)
+    assert calls["_back_reduce"] == 0
+    assert sol == reduced_route_solve(m, b)
+    assert sol is None or m.apply(sol) == tuple(b)
+
+
 @st.composite
 def complexes(draw):
     """d_prev from `matrices`, and either no d_n or d_n = C N, where the rows
